@@ -21,8 +21,7 @@ from .errors import (ConfigError, EmptyDecompositionError,
 from .grid import BOUNDARY, EXTERIOR, INTERIOR, DomainSpec, Grid, build_grid
 from .pipeline import (RunConfig, RunReport, load_config, parse_config,
                        render_report, run_pipeline, verify_solution_file)
-from .spectral import (EigenPair, F2Entry, F2Report, check_hypothesis_f2,
-                       dirichlet_lambda1)
+from .spectral import EigenPair, F2Entry, check_hypothesis_f2, dirichlet_lambda1
 from .topology import Component, Decomposition, decompose_components
 from .verify import (VerificationReport, VerifyTolerances, check_conclusions,
                      weak_residual)
@@ -37,7 +36,7 @@ __all__ = [
     "AdmissibilityOptions", "AdmissibilityReport", "BallFamily", "BOUNDARY",
     "BumpSolution", "Component", "ConfigError", "Decomposition",
     "DiscreteEnergy", "DomainSpec", "EXTERIOR", "EigenPair",
-    "EmptyDecompositionError", "EnumerationSizeError", "F2Entry", "F2Report",
+    "EmptyDecompositionError", "EnumerationSizeError", "F2Entry",
     "Grid", "HypothesisViolationError", "INTERIOR", "InvalidNonlinearityError",
     "InvalidWeightError", "MissingBumpError", "MultiBumpSolution",
     "NonlinearitySpec", "NumericalFailureError", "ResolutionTooCoarseError",

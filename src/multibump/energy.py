@@ -4,11 +4,11 @@ On each component D the functional
 
     J(u) = 1/2 sum_edges c_e (u_i - u_j)^2 h^(N-2) - sum_nodes F*(u_i) h^N
 
-is minimized by gradient descent with Armijo backtracking, where F* is the
-primitive of the truncated nonlinearity f*: equal to f on (-beta*, s*),
-frozen at f(-beta*) below -beta*, and zero above s*.  The truncation makes
-J coercive and forces the minimizer into [0, s*] without any clamping; the
-bounds emerge from stationarity alone.
+is minimized by line-search Newton-CG with matrix-free inner solves, where
+F* is the primitive of the truncated nonlinearity f*: equal to f on
+(-beta*, s*), frozen at f(-beta*) below -beta*, and zero above s*.  The
+truncation makes J coercive and forces the minimizer into [0, s*] without
+any clamping; the bounds emerge from stationarity alone.
 
 Minimization starts from a small positive multiple of the first Dirichlet
 eigenfunction chosen so the energy is already negative, which is possible
@@ -118,14 +118,6 @@ class TruncatedNonlinearity:
         return np.where(s >= b.s_star, 0.0,
                         np.where(s <= -b.beta_star, self.f_at_minus_beta, b.f(s)))
 
-    def slope_bound(self) -> float:
-        """Bound on |f*'| used in descent step sizing."""
-        b = self.base
-        if b.kind == "logistic-default":
-            return b.gamma * (1.0 + 2.0 * b.beta_star / b.s_star)
-        s = np.linspace(-b.beta_star, b.s_star, 4097)
-        return float(np.max(np.abs(np.diff(self.f_star(s)) / np.diff(s))))
-
     def F_star(self, s):
         s = np.asarray(s, dtype=float)
         b = self.base
@@ -189,7 +181,6 @@ class DiscreteEnergy:
     trunc: TruncatedNonlinearity = dc_field(repr=False)
     cell_volume: float
     a_max_closure: float
-    lipschitz: float
 
     @property
     def size(self) -> int:
@@ -213,26 +204,18 @@ def assemble_energy(component: Component, field: WeightField,
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown.ravel()[component.nodes] = True
     K, _ = build_stiffness(grid, field.conductances, unknown)
-    values = field.values.ravel()
     closure = np.concatenate([component.nodes, component.shell])
-    a_max = float(np.max(values[closure]))
-    hN = grid.cell_volume
-    row_sums = np.asarray(np.abs(K).sum(axis=1)).ravel()
-    lipschitz = float(np.max(row_sums)) + trunc.slope_bound() * hN
+    a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
-                          cell_volume=hN, a_max_closure=a_max,
-                          lipschitz=lipschitz)
+                          cell_volume=grid.cell_volume, a_max_closure=a_max)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Descent and seeding controls for bump minimization."""
+    """Newton iteration and seeding controls for bump minimization."""
 
     grad_tol_scale: float = 1e-8
     max_iterations: int = 100000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step_growth: float = 1.3
     seed_min_exponent: int = 30
 
     def grad_tolerance(self, gamma: float, cell_volume: float) -> float:
@@ -254,6 +237,7 @@ class BumpSolution:
     min_value: float
     max_value: float
     iterations: int
+    linear_iterations: int
     seed_scale: float
 
     def __post_init__(self):
@@ -261,28 +245,52 @@ class BumpSolution:
         self.values.setflags(write=False)
 
 
+def _newton_direction(K, shift, g: np.ndarray, eta: float) -> tuple[np.ndarray, int]:
+    """Inexact solve of (K - diag(shift)) d = g by Jacobi-preconditioned CG.
+
+    Stops at residual eta*|g| or at the first direction of nonpositive
+    curvature; if that is the first direction, the preconditioned gradient
+    is returned, so g.d > 0 always.  Returns d and the number of CG steps.
+    """
+    inv_diag = 1.0 / K.diagonal()
+    d, r = np.zeros_like(g), g.copy()
+    p = z = inv_diag * r
+    rz = r @ z
+    for step in range(1, g.size + 1):
+        Hp = K @ p - shift * p
+        pHp = p @ Hp
+        if pHp <= 0.0:
+            return (z if step == 1 else d), step
+        d += (rz / pHp) * p
+        r -= (rz / pHp) * Hp
+        if np.linalg.norm(r) <= eta * np.linalg.norm(g):
+            break
+        z = inv_diag * r
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    return d, step
+
+
 def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                     options: SolverOptions | None = None) -> BumpSolution:
-    """Gradient descent with Armijo backtracking from a negative-energy seed.
+    """Line-search Newton-CG (Nocedal & Wright, Alg. 7.1) from a negative seed.
 
     Refuses to run when the spectral margin (f2) fails on this component,
-    since the negative seed J(s e1) < 0 is then not available.  No bounds
-    are enforced during descent; the truncation alone drives the minimizer
-    into [0, s*].
+    since the seed J(s e1) < 0 is then not available.  Each step solves
+    H d = g, H = K - diag(f*'(u)) h^N, to relative residual
+    min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
     """
     opts = options or SolverOptions()
     b = energy.trunc.base
-    margin = b.gamma / eigen.lambda1 - energy.a_max_closure
-    if margin <= 0.0:
+    if b.gamma / eigen.lambda1 <= energy.a_max_closure:
         raise HypothesisViolationError(
             "f2", f"component {energy.component.id}: "
             f"max(a) = {energy.a_max_closure:.6g} >= gamma/lambda1 = "
             f"{b.gamma / eigen.lambda1:.6g}")
 
-    e1 = eigen.e1
     s0 = b.s_star
     smallest = b.s_star * 2.0 ** (-opts.seed_min_exponent)
-    while energy.value(s0 * e1) >= 0.0:
+    while (J := energy.value(s0 * eigen.e1)) >= 0.0:
         s0 *= 0.5
         if s0 < smallest:
             raise SeedFailureError(
@@ -290,50 +298,42 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 "the (f2) margin is too small at this resolution")
 
     tol = opts.grad_tolerance(b.gamma, energy.cell_volume)
-    K = energy.K
-    hN = energy.cell_volume
-    u = s0 * e1
-    Ku = K @ u
-    J = 0.5 * float(u @ Ku) - float(np.sum(energy.trunc.F_star(u))) * hN
-    # Steps of 1/L satisfy the descent lemma unconditionally, so the line
-    # search never shrinks below alpha_floor: near convergence the Armijo
-    # decrease falls under double-precision resolution of J and the test
-    # would otherwise reject genuinely decreasing steps.
-    alpha_floor = 1.0 / energy.lipschitz
-    alpha = alpha_floor
-    alpha_cap = 1024.0 * alpha_floor
-
-    for iteration in range(1, opts.max_iterations + 1):
-        if iteration % 512 == 0:
-            # Resynchronize the incrementally updated matvec and energy.
-            Ku = K @ u
-            J = 0.5 * float(u @ Ku) - float(np.sum(energy.trunc.F_star(u))) * hN
-        g = Ku - energy.trunc.f_star(u) * hN
+    K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
+    # f*' only shapes the Newton direction; the line search and the gradient
+    # test decide correctness, so a central difference is accurate enough.
+    ds = 1e-6 * b.s_star
+    u = s0 * eigen.e1
+    g0 = float(np.linalg.norm(energy.gradient(u)))
+    linear_iterations = 0
+    for iteration in range(opts.max_iterations):
+        Ku = K @ u
+        g = Ku - trunc.f_star(u) * hN
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
             return BumpSolution(
                 component_id=energy.component.id, nodes=energy.component.nodes,
                 values=u, energy=J, grad_norm=gnorm,
                 min_value=float(np.min(u)), max_value=float(np.max(u)),
-                iterations=iteration - 1, seed_scale=s0)
-        Kg = K @ g
-        g_Ku = float(g @ Ku)
-        g_Kg = float(g @ Kg)
-        g_g = float(g @ g)
-        quad = 0.5 * float(u @ Ku)
+                iterations=iteration, linear_iterations=linear_iterations,
+                seed_scale=s0)
+        eta = min(0.5, np.sqrt(np.linalg.norm(g) / g0))
+        shift = (trunc.f_star(u + ds) - trunc.f_star(u - ds)) * (hN / (2.0 * ds))
+        d, steps = _newton_direction(K, shift, g, eta)
+        linear_iterations += steps
+        g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))
+        F_u = trunc.F_star(u)
+        # Armijo only compares round-off once alpha*g.d is below J's resolution.
+        resolution = np.finfo(float).eps * abs(J)
+        alpha = 1.0
         while True:
-            trial_F = float(np.sum(energy.trunc.F_star(u - alpha * g))) * hN
-            J_trial = quad - alpha * g_Ku + 0.5 * alpha * alpha * g_Kg - trial_F
-            if J_trial <= J - opts.armijo_c * alpha * g_g:
+            trial = u - alpha * d
+            change = alpha * (0.5 * alpha * d_Kd - d_Ku) \
+                - float(np.sum(trunc.F_star(trial) - F_u)) * hN
+            if change <= -1e-4 * alpha * g_d or alpha * g_d <= resolution:
                 break
-            if alpha <= alpha_floor:
-                break
-            alpha = max(alpha * opts.backtrack, alpha_floor)
-        u = u - alpha * g
-        Ku = Ku - alpha * Kg
-        J = J_trial
-        alpha = min(alpha * opts.step_growth, alpha_cap)
+            alpha *= 0.5
+        u, J = trial, J + change
 
     raise NumericalFailureError(
-        f"descent did not reach gradient tolerance {tol:.3g} within "
+        f"Newton-CG did not reach gradient tolerance {tol:.3g} within "
         f"{opts.max_iterations} iterations on component {energy.component.id}")

@@ -29,7 +29,7 @@ from .errors import (ConfigError, EmptyDecompositionError,
                      EnumerationSizeError, HypothesisViolationError,
                      NumericalFailureError, SeedFailureError)
 from .grid import DomainSpec, Grid, build_grid
-from .spectral import F2Entry, F2Report, check_hypothesis_f2, dirichlet_lambda1
+from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
 from .topology import Decomposition, decompose_components
 from .verify import VerificationReport, VerifyTolerances, check_conclusions
 from .weights import (AdmissibilityOptions, AdmissibilityReport, WeightSpec,
@@ -495,8 +495,7 @@ def check_hypotheses(config: RunConfig, grid: Grid | None = None):
         report.f2_entries.append(
             check_hypothesis_f2(comp, field, config.nonlinearity.gamma, eig))
     report.timings["spectral"] = time.perf_counter() - t0
-    f2_report = F2Report(entries=list(report.f2_entries))
-    if not f2_report.all_passed:
+    if not all(e.passed for e in report.f2_entries):
         failing = [_comp_label(e.component_id) for e in report.f2_entries if not e.passed]
         report.status = "hypothesis-violation"
         report.violated_hypothesis = "f2"
@@ -538,8 +537,8 @@ def run_pipeline(config: RunConfig, out_dir: str | Path | None = None,
             bump = minimize_energy(energy, context["eigenpairs"][comp.id], opts)
             bumps[comp.id] = bump
             report.bumps.append(bump)
-            log.info("component %s: energy %.6g, %d iterations",
-                     comp.id, bump.energy, bump.iterations)
+            log.info("component %s: energy %.6g, %d iterations, %d linear iterations",
+                     comp.id, bump.energy, bump.iterations, bump.linear_iterations)
     except (SeedFailureError, NumericalFailureError) as exc:
         report.status = "numerical-failure"
         report.failure_message = str(exc)

@@ -50,15 +50,6 @@ class F2Entry:
         return self.margin > 0.0
 
 
-@dataclass(frozen=True)
-class F2Report:
-    entries: list[F2Entry]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
 def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
                       max_iter: int = 500, cg_rtol: float = 1e-12) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.

@@ -385,10 +385,6 @@ class AdmissibilityReport:
     def admissible(self) -> bool:
         return self.verdict == "admissible"
 
-    @property
-    def lt_norms(self) -> dict[float, float]:
-        return {row.t: row.norm_fine for row in self.lt_rows}
-
 
 @dataclass(frozen=True)
 class AdmissibilityOptions:

@@ -31,7 +31,7 @@ def synthetic_bumps(dec):
             component_id=comp.id, nodes=comp.nodes,
             values=np.ones(comp.node_count),
             energy=-1.0, grad_norm=0.0, min_value=1.0, max_value=1.0,
-            iterations=0, seed_scale=1.0)
+            iterations=0, linear_iterations=0, seed_scale=1.0)
     return bumps
 
 

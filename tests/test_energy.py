@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import nested_rings_config
 from oracles import damped_fixed_point
 
-from multibump.energy import (NonlinearitySpec, SolverOptions, assemble_energy,
-                              minimize_energy, primitive_F,
+from multibump.energy import (NonlinearitySpec, SolverOptions, _newton_direction,
+                              assemble_energy, minimize_energy, primitive_F,
                               truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
+from multibump.grid import DomainSpec, build_grid
+from multibump.pipeline import parse_config
 from multibump.spectral import dirichlet_lambda1
+from multibump.topology import decompose_components
+from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 GAMMA, S_STAR = 30.0, 1.0
 BETA = S_STAR / 2.0
@@ -181,3 +186,53 @@ class TestMinimization:
         for _ in range(5):
             u = rng.uniform(-BETA, S_STAR, size=base.size)
             assert scaled.value(u) == pytest.approx(2.0 * base.value(u), rel=1e-12)
+
+    def test_outer_iterations_do_not_grow_with_resolution(self, logistic30):
+        counts = []
+        for n in (33, 65, 129):
+            grid = build_grid(DomainSpec.unit_box(2), n)
+            field = evaluate_weight(WeightSpec.constant(1.0), grid)
+            comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
+            energy = assemble_energy(comp, field, logistic30, grid)
+            counts.append(minimize_energy(energy, dirichlet_lambda1(comp, grid)).iterations)
+        assert max(counts) <= 8
+        assert max(counts) - min(counts) <= 1
+
+    def test_matches_oracle_on_degenerate_weights(self, ring65, logistic10):
+        grid, field, _, dec = ring65
+        cases = [(grid, field, comp, logistic10) for comp in dec.components]
+        config = parse_config(nested_rings_config(33))
+        tol = config.tolerances
+        grid = build_grid(config.domain, config.resolution)
+        field = evaluate_weight(config.weight, grid)
+        zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
+        nested = {c.id: c for c in decompose_components(grid, zero).components}
+        # The oracle itself does not converge on the other nested components.
+        cases.append((grid, field, nested[(1, 1)],
+                      truncate_nonlinearity(config.nonlinearity)))
+        for grid, field, comp, trunc in cases:
+            eigen = dirichlet_lambda1(comp, grid)
+            energy = assemble_energy(comp, field, trunc, grid)
+            bump = minimize_energy(energy, eigen)
+            oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
+            assert np.max(np.abs(bump.values - oracle)) < 1e-4
+
+
+class TestNewtonDirection:
+    def test_descent_direction_when_hessian_is_indefinite(self, square_problem):
+        _, _, eigen, energy = square_problem
+        shift = np.full(energy.size, 2.0 * GAMMA * energy.cell_volume)
+        e1 = eigen.e1
+        assert e1 @ (energy.K @ e1) - e1 @ (shift * e1) < 0.0
+        g = energy.gradient(1e-3 * e1)
+        d, steps = _newton_direction(energy.K, shift, g, 0.5)
+        assert steps >= 1
+        assert g @ d > 0.0
+
+    def test_solves_positive_definite_system_to_forcing_tolerance(self, square_problem):
+        _, _, eigen, energy = square_problem
+        shift = np.zeros(energy.size)
+        g = energy.gradient(0.5 * eigen.e1)
+        d, _ = _newton_direction(energy.K, shift, g, 1e-6)
+        assert np.linalg.norm(energy.K @ d - g) <= 1e-6 * np.linalg.norm(g)
+        assert g @ d > 0.0
