@@ -5,7 +5,7 @@ Subcommands:
 * ``check``  -- run the hypothesis stages only and write the report,
 * ``solve``  -- run the full pipeline and write report + solution fields,
 * ``verify`` -- re-verify an exported solution CSV against its config,
-* ``report`` -- re-render a stored report.json as text.
+* ``report`` -- pretty-print a stored report.json (sorted keys, indented).
 
 Exit status is 0 only when every verdict of the run is true.
 """
@@ -48,7 +48,9 @@ def _cmd_check(args) -> int:
     report.timings["total"] = time.perf_counter() - start
     write_outputs(report, config.output_dir)
     sys.stdout.write(render_report(report))
-    return 0 if report.status == "ok" else 2
+    if report.status == "ok":
+        return 0
+    return 2 if report.violated_hypothesis else 1
 
 
 def _cmd_solve(args) -> int:
@@ -108,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("field_file", help="solution CSV produced by solve")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_report = sub.add_parser("report", help="re-render a stored report")
+    p_report = sub.add_parser("report", help="pretty-print a stored report.json")
     p_report.add_argument("report_json", help="path to report.json")
     p_report.set_defaults(func=_cmd_report)
 

@@ -153,8 +153,7 @@ class Grid:
 
     @property
     def axes(self) -> list[np.ndarray]:
-        return [self.domain.lo[d] + self.h * np.arange(self.n)
-                for d in range(self.ndim)]
+        return _lattice_axes(self.domain, self.n)
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -182,6 +181,16 @@ class Grid:
         return ndimage.generate_binary_structure(self.ndim, 1)
 
 
+def _lattice_axes(domain: DomainSpec, n: int) -> list[np.ndarray]:
+    """Node coordinates along each axis, from ``lo[d]`` to exactly ``hi[d]``.
+
+    Each axis gets its own step: taking axis 0's ``h`` everywhere can leave
+    the last node of another axis one ulp below ``hi[d]``, which would class
+    that far face of a box as interior.
+    """
+    return [np.linspace(lo, hi, n) for lo, hi in zip(domain.lo, domain.hi)]
+
+
 def build_grid(domain: DomainSpec, n: int) -> Grid:
     """Build and classify the uniform grid with ``n`` nodes per axis.
 
@@ -195,8 +204,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
         raise ValueError("bounding box must be a hypercube (equal axis extents)")
     h = float(widths[0]) / (n - 1)
 
-    axes = [domain.lo[d] + h * np.arange(n) for d in range(domain.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_lattice_axes(domain, n), indexing="ij")
     points = np.stack(mesh, axis=-1)
     member = domain.membership_function()(points) < 0.0
 

@@ -3,8 +3,9 @@
 Stages run in order: admissibility of the weight, zero-set decomposition,
 per-component eigenvalues and spectral margins, per-component energy
 minimization, subset enumeration, verification.  A failed hypothesis stage
-aborts the run with the violated condition named in the report; partial
-reports are still written.
+aborts the run with the violated condition named in the report; an invalid
+weight or a solver that does not converge aborts it with a status naming
+that failure.  Partial reports are still written.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files (timings are kept in
@@ -27,6 +28,7 @@ from .energy import (BumpSolution, NonlinearitySpec, SolverOptions,
                      assemble_energy, minimize_energy, truncate_nonlinearity)
 from .errors import (ConfigError, EmptyDecompositionError,
                      EnumerationSizeError, HypothesisViolationError,
+                     InvalidNonlinearityError, InvalidWeightError,
                      NumericalFailureError, SeedFailureError)
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
@@ -380,16 +382,36 @@ def report_to_dict(report: RunReport) -> dict:
     return out
 
 
+def _nonzero_reprs(flat: np.ndarray) -> tuple[list[int], list[str]]:
+    """Indices and ``repr`` of the entries of ``flat`` other than +0.0.
+
+    Exact zeros, the bulk of a zero-extended field, are written as one
+    shared ``"0.0"`` literal by the callers; ``-0.0`` keeps its sign.
+    """
+    flat = np.asarray(flat, dtype=float)
+    index = np.flatnonzero((flat != 0) | np.signbit(flat))
+    return index.tolist(), [repr(v) for v in flat[index].tolist()]
+
+
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
-    """Nodal field as CSV: coordinate columns then u, full lattice scan order."""
+    """Nodal field as CSV: coordinate columns then u, full lattice scan order.
+
+    Written one axis-0 slab at a time, with each coordinate formatted once
+    per call, so transient memory stays at one slab.
+    """
     header = ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u"])
-    points = grid.points().reshape(-1, grid.ndim)
-    flat = values.ravel()
+    labels = [[repr(c) + "," for c in axis.tolist()] for axis in grid.axes]
+    prefixes = [""]
+    for axis_labels in labels[1:]:
+        prefixes = [p + c for p in prefixes for c in axis_labels]
+    zero_rows = np.array([p + "0.0\n" for p in prefixes], dtype=object)
     with open(path, "w") as handle:
         handle.write(header + "\n")
-        for row, value in zip(points, flat):
-            handle.write(",".join(repr(float(c)) for c in row)
-                         + f",{float(value)!r}\n")
+        for label, slab in zip(labels[0], values.reshape(grid.n, -1)):
+            rows = zero_rows.copy()
+            index, reprs = _nonzero_reprs(slab)
+            rows[index] = [prefixes[i] + r + "\n" for i, r in zip(index, reprs)]
+            handle.write(label + label.join(rows))
 
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
@@ -418,8 +440,10 @@ def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
         handle.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
         handle.write(f"POINT_DATA {values.size}\n")
         handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        for value in values.ravel(order="F"):
-            handle.write(f"{float(value)!r}\n")
+        lines = np.full(values.size, "0.0\n", dtype=object)
+        index, reprs = _nonzero_reprs(values.ravel(order="F"))
+        lines[index] = [r + "\n" for r in reprs]
+        handle.write("".join(lines))
 
 
 def check_hypotheses(config: RunConfig, grid: Grid | None = None):
@@ -446,8 +470,13 @@ def check_hypotheses(config: RunConfig, grid: Grid | None = None):
         eps_zero=tol.zero_threshold, band=tol.zero_band, t_scan=tol.t_scan,
         a2_growth_tol=tol.a2_growth_tol, lt_stable_tol=tol.lt_stable_tol,
         lt_growing_tol=tol.lt_growing_tol)
-    adm = assess_admissibility(config.weight, config.domain, config.resolution,
-                               options=adm_opts, fine_grid=grid)
+    try:
+        adm = assess_admissibility(config.weight, config.domain, config.resolution,
+                                   options=adm_opts, fine_grid=grid)
+    except InvalidWeightError as exc:
+        report.status = "invalid-weight"
+        report.failure_message = str(exc)
+        return report, None
     report.admissibility = adm
     report.zero_count = adm.zero_count
     report.timings["admissibility"] = time.perf_counter() - t0
@@ -480,7 +509,7 @@ def check_hypotheses(config: RunConfig, grid: Grid | None = None):
 
     try:
         trunc = truncate_nonlinearity(config.nonlinearity)
-    except Exception as exc:
+    except InvalidNonlinearityError as exc:
         report.status = "hypothesis-violation"
         report.violated_hypothesis = "f1"
         report.failure_message = str(exc)
@@ -489,8 +518,13 @@ def check_hypotheses(config: RunConfig, grid: Grid | None = None):
     t0 = time.perf_counter()
     eigenpairs = {}
     for comp in decomposition.components:
-        eig = dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
-                                max_iter=tol.eig_max_iter)
+        try:
+            eig = dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
+                                    max_iter=tol.eig_max_iter)
+        except NumericalFailureError as exc:
+            report.status = "numerical-failure"
+            report.failure_message = str(exc)
+            return report, None
         eigenpairs[comp.id] = eig
         report.f2_entries.append(
             check_hypothesis_f2(comp, field, config.nonlinearity.gamma, eig))

@@ -1,8 +1,9 @@
 """Independent oracles the test suite checks the solver against.
 
 These deliberately avoid the code paths under test: the eigenvalue oracle
-is a dense symmetric eigensolve, and the bump oracle solves the semilinear
-problem by damped fixed-point iteration with direct sparse factorizations.
+is a dense symmetric eigensolve, the bump oracle solves the semilinear
+problem by damped fixed-point iteration with direct sparse factorizations,
+and the reference writers format every lattice node one at a time.
 """
 
 from __future__ import annotations
@@ -38,3 +39,32 @@ def damped_fixed_point(energy: DiscreteEnergy, seed: np.ndarray,
             return nxt
         u = nxt
     raise RuntimeError("fixed-point oracle did not converge")
+
+
+def reference_solution_csv(path, values: np.ndarray, grid: Grid) -> None:
+    """Per-node CSV writer: one ``repr`` per coordinate and value."""
+    header = ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u"])
+    points = grid.points().reshape(-1, grid.ndim)
+    flat = values.ravel()
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        for row, value in zip(points, flat):
+            handle.write(",".join(repr(float(c)) for c in row)
+                         + f",{float(value)!r}\n")
+
+
+def reference_solution_vtk(path, values: np.ndarray, grid: Grid) -> None:
+    """Per-node legacy-ASCII VTK writer, values in Fortran order."""
+    dims = list(grid.shape) + [1] * (3 - grid.ndim)
+    origin = list(grid.domain.lo) + [0.0] * (3 - grid.ndim)
+    with open(path, "w") as handle:
+        handle.write("# vtk DataFile Version 3.0\n")
+        handle.write("multibump solution field\n")
+        handle.write("ASCII\nDATASET STRUCTURED_POINTS\n")
+        handle.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
+        handle.write(f"ORIGIN {origin[0]!r} {origin[1]!r} {origin[2]!r}\n")
+        handle.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
+        handle.write(f"POINT_DATA {values.size}\n")
+        handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
+        for value in values.ravel(order="F"):
+            handle.write(f"{float(value)!r}\n")

@@ -65,6 +65,18 @@ def test_spacing_definition():
     assert grid.axes[1][-1] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("shift", [(0.4, -0.5), (0.82, -0.85),
+                                   (0.7837985890347726, 0.30331272607892745)])
+def test_shifted_box_keeps_far_faces_on_the_boundary(shift):
+    # A different non-dyadic shift per axis gives axis widths that differ
+    # in the last bit; each axis must still end exactly on its far face.
+    lo = shift
+    hi = tuple(s + 1.0 for s in shift)
+    grid = build_grid(DomainSpec.box(lo, hi), 65)
+    assert grid.interior_count == 63 ** 2
+    assert [axis[-1] for axis in grid.axes] == list(hi)
+
+
 def test_non_cubic_bounding_box_rejected():
     with pytest.raises(ValueError):
         build_grid(DomainSpec.box((0.0, 0.0), (2.0, 1.0)), 9)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_zero_config, ring_config
+from oracles import reference_solution_csv, reference_solution_vtk
 
+from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import ConfigError
-from multibump.grid import build_grid
+from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (load_config, parse_config, read_solution_csv,
                                 run_pipeline, verify_solution_file,
-                                write_solution_csv)
+                                write_solution_csv, write_solution_vtk)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -143,7 +145,39 @@ class TestPipelineRuns:
         assert report.violated_hypothesis == "f1"
 
 
+def sparse_field(grid, seed):
+    """Mostly exact zeros, like a zero-extended bump, plus a few values
+    whose repr is unusual: -0.0, subnormals and exponent forms."""
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random(grid.shape) < 0.4,
+                      rng.uniform(0.0, 1.0, grid.shape), 0.0)
+    special = [-0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, 1e-5, 1e16, -1e22,
+               123456789.123, 1.0, 0.1]
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    return values
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("domain, n", [
+        (DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17),
+        (DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 9),
+    ], ids=["box2d-nondyadic", "ball3d"])
+    @pytest.mark.parametrize("writer, reference", [
+        (write_solution_csv, reference_solution_csv),
+        (write_solution_vtk, reference_solution_vtk),
+    ], ids=["csv", "vtk"])
+    def test_writer_matches_per_node_reference(self, tmp_path, domain, n,
+                                               writer, reference):
+        grid = build_grid(domain, n)
+        for seed, values in enumerate([np.zeros(grid.shape),
+                                       sparse_field(grid, 1),
+                                       sparse_field(grid, 2)]):
+            writer(tmp_path / f"new{seed}", values, grid)
+            reference(tmp_path / f"ref{seed}", values, grid)
+            assert (tmp_path / f"new{seed}").read_bytes() \
+                == (tmp_path / f"ref{seed}").read_bytes()
+
     def test_csv_roundtrip(self, tmp_path, square33):
         grid, *_ = square33
         rng = np.random.default_rng(5)
@@ -193,6 +227,59 @@ class TestOutputs:
         vtk = (out / "solution_001.vtk").read_text().splitlines()
         assert vtk[0].startswith("# vtk DataFile")
         assert any(line.startswith("DIMENSIONS 17 17 1") for line in vtk)
+
+
+class TestStageFailures:
+    def test_invalid_weight_writes_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        data = {
+            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            "weight": {"kind": "custom-expression", "expr": "x - 0.5"},
+            "nonlinearity": {"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
+            "resolution": 17,
+            "output_dir": str(out),
+        }
+        path = write_config(tmp_path, data)
+        assert main(["solve", "--config", str(path)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "invalid-weight"
+        assert "negative" in report["failure_message"]
+        assert report["violated_hypothesis"] is None
+        assert "status: invalid-weight" in (out / "report.txt").read_text()
+        assert main(["check", "--config", str(path)]) == 1
+
+    def test_eigensolver_failure_writes_report(self, tmp_path):
+        out = tmp_path / "out"
+        data = {
+            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            "weight": {"kind": "constant", "value": 1.0},
+            "nonlinearity": {"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
+            "resolution": 17,
+            "output_dir": str(out),
+            "tolerances": {"eig_max_iter": 1},
+        }
+        report = run_pipeline(parse_config(data))
+        assert report.status == "numerical-failure"
+        assert "did not converge" in report.failure_message
+        assert not report.passed
+        written = json.loads((out / "report.json").read_text())
+        assert written["status"] == "numerical-failure"
+        assert written["chi"] == 1
+
+    def test_nonlinearity_bug_not_reported_as_f1(self, tmp_path, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("bug in the truncation")
+
+        monkeypatch.setattr(pipeline, "truncate_nonlinearity", broken)
+        data = {
+            "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            "weight": {"kind": "constant", "value": 1.0},
+            "nonlinearity": {"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
+            "resolution": 17,
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(RuntimeError, match="bug in the truncation"):
+            run_pipeline(parse_config(data))
 
 
 class TestCli:
