@@ -5,9 +5,12 @@ Subcommands:
 * ``check``  -- run the hypothesis stages only and write the report,
 * ``solve``  -- run the full pipeline and write report + solution fields,
 * ``verify`` -- re-verify an exported solution CSV against its config,
-* ``report`` -- pretty-print a stored report.json (sorted keys, indented).
+* ``report`` -- print the text report rendered from a stored report.json
+  (the same bytes as the run's report.txt).
 
-Exit status is 0 only when every verdict of the run is true.
+Exit status is 0 only when every verdict of the run is true; a violated
+hypothesis exits 2, any other stop 1.  ``--verbose`` logs one line per
+stage with its wall time.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import dataclasses
 import json
 import logging
 import sys
-import time
 
 from .errors import SolverError
-from .pipeline import (RunConfig, check_hypotheses, load_config,
-                       render_report, run_pipeline, verify_solution_file,
-                       write_outputs)
+from .pipeline import (RunConfig, RunReport, check_hypotheses, load_config,
+                       render_report, report_to_dict, run_pipeline,
+                       verify_solution_file, write_outputs)
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
@@ -39,27 +41,22 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return dataclasses.replace(config, **changes) if changes else config
 
 
-def _cmd_check(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    start = time.perf_counter()
-    report, context = check_hypotheses(config)
-    if context is not None:
-        report.status = "ok"
-    report.timings["total"] = time.perf_counter() - start
-    write_outputs(report, config.output_dir)
-    sys.stdout.write(render_report(report))
-    if report.status == "ok":
-        return 0
-    return 2 if report.violated_hypothesis else 1
-
-
-def _cmd_solve(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    report = run_pipeline(config)
-    sys.stdout.write(render_report(report))
+def _finish(report: RunReport) -> int:
+    sys.stdout.write(render_report(report_to_dict(report)))
     if report.passed:
         return 0
     return 2 if report.violated_hypothesis else 1
+
+
+def _cmd_check(args) -> int:
+    config = _apply_overrides(load_config(args.config), args)
+    report = check_hypotheses(config)
+    write_outputs(report, config.output_dir)
+    return _finish(report)
+
+
+def _cmd_solve(args) -> int:
+    return _finish(run_pipeline(_apply_overrides(load_config(args.config), args)))
 
 
 def _cmd_verify(args) -> int:
@@ -77,8 +74,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.report_json) as handle:
-        data = json.load(handle)
-    sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_report(json.load(handle)))
     return 0
 
 
@@ -86,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="multibump",
         description="Multi-bump solutions of degenerate semilinear elliptic problems")
-    parser.add_argument("--verbose", action="store_true", help="log stage timings")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log one line per stage with its wall time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -110,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("field_file", help="solution CSV produced by solve")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_report = sub.add_parser("report", help="pretty-print a stored report.json")
+    p_report = sub.add_parser("report",
+                              help="print the text report rendered from a stored report.json")
     p_report.add_argument("report_json", help="path to report.json")
     p_report.set_defaults(func=_cmd_report)
 

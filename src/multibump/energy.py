@@ -82,18 +82,23 @@ def validate_nonlinearity(spec: NonlinearitySpec, samples: int = 2048,
     if spec.gamma <= 0 or spec.s_star <= 0 or spec.beta_star <= 0:
         raise InvalidNonlinearityError(
             "gamma, s_star and beta_star must all be positive")
+    inner = np.linspace(0.0, spec.s_star, samples + 2)[1:-1]
+    lower = np.linspace(-spec.beta_star, 0.0, samples + 1)[:-1]
+    delta = 1e-8 * spec.s_star
+    # NaN fails every comparison, so the checks below need finite samples.
+    with np.errstate(all="ignore"):
+        sampled = spec.f(np.concatenate([lower, [0.0, delta], inner, [spec.s_star]]))
+    if not np.all(np.isfinite(sampled)):
+        raise InvalidNonlinearityError("f must be finite on [-beta*, s*]")
     scale = spec.gamma * spec.s_star
     if abs(float(spec.f(0.0))) > 1e-12 * scale:
         raise InvalidNonlinearityError("f(0) must vanish")
     if abs(float(spec.f(spec.s_star))) > 1e-9 * scale:
         raise InvalidNonlinearityError(f"f(s*) must vanish at s* = {spec.s_star}")
-    inner = np.linspace(0.0, spec.s_star, samples + 2)[1:-1]
     if np.min(spec.f(inner)) <= 0.0:
         raise InvalidNonlinearityError("f must be strictly positive on (0, s*)")
-    lower = np.linspace(-spec.beta_star, 0.0, samples + 1)[:-1]
     if np.min(spec.f(lower)) <= 0.0:
         raise InvalidNonlinearityError("f must be strictly positive on [-beta*, 0)")
-    delta = 1e-8 * spec.s_star
     slope = float(spec.f(delta)) / delta
     if abs(slope - spec.gamma) > slope_rtol * spec.gamma:
         raise InvalidNonlinearityError(
@@ -163,6 +168,8 @@ def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
     if spec.kind == "logistic-default":
         return TruncatedNonlinearity(base=spec)
     table_s, table_F = _simpson_table(spec)
+    if not np.all(np.isfinite(table_F)):  # f is NaN or infinite at a quadrature knot
+        raise InvalidNonlinearityError("f must be finite on [-beta*, s*]")
     return TruncatedNonlinearity(base=spec, _table_s=table_s, _table_F=table_F)
 
 

@@ -1,15 +1,15 @@
 """Config-driven pipeline: hypotheses, decomposition, bumps, enumeration.
 
-Stages run in order: admissibility of the weight, zero-set decomposition,
-per-component eigenvalues and spectral margins, per-component energy
-minimization, subset enumeration, verification.  A failed hypothesis stage
-aborts the run with the violated condition named in the report; an invalid
-weight or a solver that does not converge aborts it with a status naming
-that failure.  Partial reports are still written.
+One runner takes every run through its stages in order: setup (grid,
+weight, zero set), admissibility, decomposition, the nonlinearity (f1),
+spectral margins (f2), and for a solve bump minimization, subset
+enumeration and verification.  The first stage that fails stops the run;
+one table maps its exception to the report's status and, for a failed
+hypothesis, the violated condition.  Partial reports are still written.
 
 All outputs are deterministic: reruns with an identical configuration
-produce byte-identical report and solution files (timings are kept in
-memory and logged, never serialized).
+produce byte-identical report and solution files.  Timings are kept in
+memory and logged (one line per stage), never serialized.
 """
 
 from __future__ import annotations
@@ -18,21 +18,25 @@ import hashlib
 import json
 import logging
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .composition import MultiBumpSolution, bump_histogram, enumerate_all
+from .composition import MultiBumpSolution, enumerate_all
 from .energy import (BumpSolution, NonlinearitySpec, SolverOptions,
                      assemble_energy, minimize_energy, truncate_nonlinearity)
 from .errors import (ConfigError, EmptyDecompositionError,
                      EnumerationSizeError, HypothesisViolationError,
                      InvalidNonlinearityError, InvalidWeightError,
-                     NumericalFailureError, SeedFailureError)
+                     NumericalFailureError, ResolutionTooCoarseError,
+                     SeedFailureError)
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
-from .topology import Decomposition, decompose_components
+from .topology import decompose_components
 from .verify import VerificationReport, VerifyTolerances, check_conclusions
 from .weights import (AdmissibilityOptions, AdmissibilityReport, WeightSpec,
                       assess_admissibility, detect_zero_set, evaluate_weight)
@@ -235,12 +239,9 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        if self.status != "ok":
-            return False
-        if self.expected_solutions is None:
-            # Hypothesis-only run: no solutions were requested.
-            return True
-        return bool(self.all_verified) and self.expected_solutions == len(self.solutions)
+        # A hypothesis-only run requests no solutions (expected_solutions None).
+        return self.status == "ok" and (self.expected_solutions is None or (
+            bool(self.all_verified) and self.expected_solutions == len(self.solutions)))
 
 
 def _fmt(value) -> str:
@@ -255,85 +256,86 @@ def _comp_label(comp_id) -> str:
     return f"({comp_id[0]},{comp_id[1]})"
 
 
-def render_report(report: RunReport) -> str:
-    """Fixed-field plain-text rendering (deterministic, no timings)."""
-    lines = []
-    push = lines.append
-    push("multibump run report")
-    push(f"config-digest: {report.config_digest}")
-    push(f"resolution: {report.resolution}")
-    push(f"domain: {report.domain_kind}")
-    push(f"weight: {report.weight_reference}")
-    push(f"gamma: {_fmt(report.gamma)}")
-    push(f"s-star: {_fmt(report.s_star)}")
-    push(f"status: {report.status}")
-    if report.violated_hypothesis:
-        push(f"violated-hypothesis: ({report.violated_hypothesis})")
-    if report.failure_message:
-        push(f"failure: {report.failure_message}")
-    adm = report.admissibility
+def _label_key(label: str) -> tuple[int, ...]:
+    """Numeric sort key of a component label "(i,l)" or a j-count key "i"."""
+    return tuple(int(part) for part in label.strip("()").split(","))
+
+
+def render_report(data: dict) -> str:
+    """Fixed-field plain-text rendering of :func:`report_to_dict`'s output.
+
+    Reads nothing but the dict, so the text rendered from a loaded
+    ``report.json`` equals ``report.txt`` byte for byte.
+    """
+    lines = ["multibump run report",
+             f"config-digest: {data['config_digest']}",
+             f"resolution: {data['resolution']}",
+             f"domain: {data['domain_kind']}",
+             f"weight: {data['weight_reference']}",
+             f"gamma: {_fmt(data['gamma'])}",
+             f"s-star: {_fmt(data['s_star'])}",
+             f"status: {data['status']}"]
+    if data["violated_hypothesis"]:
+        lines.append(f"violated-hypothesis: ({data['violated_hypothesis']})")
+    if data["failure_message"]:
+        lines.append(f"failure: {data['failure_message']}")
+    adm = data.get("admissibility")
     if adm is not None:
-        push("")
-        push("[admissibility]")
-        push(f"levels: {adm.n_coarse} -> {adm.n_fine}")
-        push(f"a2-estimate: {_fmt(adm.a2_estimate)}")
-        push(f"a2-growth: {_fmt(adm.a2_growth)}")
-        push(f"a2-divergent: {_fmt(adm.a2_divergent)}")
-        for row in adm.lt_rows:
-            push(f"lt t={_fmt(row.t)}: norm={_fmt(row.norm_fine)} "
-                 f"growth={_fmt(row.growth)} growing={_fmt(row.growing)} "
-                 f"stable={_fmt(row.stable)}")
-        push(f"best-t: {_fmt(adm.best_t) if adm.best_t is not None else 'none'}")
-        push(f"n-over-2: {_fmt(adm.n_over_2)}")
-        push(f"zero-set-nodes: {adm.zero_count}")
-        push(f"zero-set-touches-boundary: {_fmt(adm.touches_domain_boundary)}")
-        push(f"verdict: {adm.verdict}")
-    if report.chi is not None:
-        push("")
-        push("[decomposition]")
-        push(f"chi: {report.chi}")
-        push("j-counts: " + ", ".join(f"j{i}={c}" for i, c in sorted(report.j_counts.items())))
-        for label, size in report.component_sizes.items():
-            push(f"component {label}: nodes={size}")
-    if report.f2_entries:
-        push("")
-        push("[spectral]")
-        for entry in report.f2_entries:
-            push(f"component {_comp_label(entry.component_id)}: "
-                 f"lambda1={_fmt(entry.lambda1)} a-max={_fmt(entry.a_max)} "
-                 f"margin={_fmt(entry.margin)} verdict={'pass' if entry.passed else 'fail'}")
-    if report.bumps:
-        push("")
-        push("[bumps]")
-        for bump in report.bumps:
-            push(f"component {_comp_label(bump.component_id)}: "
-                 f"energy={_fmt(bump.energy)} grad-norm={_fmt(bump.grad_norm)} "
-                 f"min={_fmt(bump.min_value)} max={_fmt(bump.max_value)} "
-                 f"iterations={bump.iterations} seed={_fmt(bump.seed_scale)}")
-    if report.solutions:
-        push("")
-        push("[solutions]")
-        push(f"count: {len(report.solutions)}")
-        push(f"expected: {report.expected_solutions}")
-        hist = bump_histogram([r.solution for r in report.solutions])
-        push("histogram: " + ", ".join(f"n={n}:{c}" for n, c in hist.items()))
-        for record in report.solutions:
-            sol, ver = record.solution, record.verification
-            push(f"solution {sol.label()}: n-bumps={sol.n_bumps} "
-                 f"energy={_fmt(sol.energy)} residual={_fmt(ver.residual_norm)} "
-                 f"min={_fmt(ver.min_value)} max={_fmt(ver.max_value)} "
-                 f"zero-trace={_fmt(ver.zero_trace_max)} "
-                 f"w11={_fmt(ver.w11_seminorm)} "
-                 f"verified={_fmt(ver.passed)} file={record.filename}")
-    if report.all_verified is not None:
-        push("")
-        push(f"all-verified: {_fmt(report.all_verified)}")
-    push(f"overall: {'pass' if report.passed else 'fail'}")
+        best_t = adm["best_t"]
+        lines += ["", "[admissibility]",
+                  f"levels: {adm['n_coarse']} -> {adm['n_fine']}",
+                  f"a2-estimate: {_fmt(adm['a2_estimate'])}",
+                  f"a2-growth: {_fmt(adm['a2_growth'])}",
+                  f"a2-divergent: {_fmt(adm['a2_divergent'])}"]
+        lines += [f"lt t={_fmt(row['t'])}: norm={_fmt(row['norm_fine'])} "
+                  f"growth={_fmt(row['growth'])} growing={_fmt(row['growing'])} "
+                  f"stable={_fmt(row['stable'])}" for row in adm["lt"]]
+        lines += [f"best-t: {_fmt(best_t) if best_t is not None else 'none'}",
+                  f"n-over-2: {_fmt(adm['n_over_2'])}",
+                  f"zero-set-nodes: {adm['zero_count']}",
+                  f"zero-set-touches-boundary: {_fmt(adm['touches_domain_boundary'])}",
+                  f"verdict: {adm['verdict']}"]
+    if data["chi"] is not None:
+        j_counts, sizes = data["j_counts"], data["component_sizes"]
+        lines += ["", "[decomposition]", f"chi: {data['chi']}",
+                  "j-counts: " + ", ".join(f"j{j}={j_counts[j]}"
+                                           for j in sorted(j_counts, key=_label_key))]
+        lines += [f"component {label}: nodes={sizes[label]}"
+                  for label in sorted(sizes, key=_label_key)]
+    if data["f2"]:
+        lines += ["", "[spectral]"]
+        lines += [f"component {e['component']}: lambda1={_fmt(e['lambda1'])} "
+                  f"a-max={_fmt(e['a_max'])} margin={_fmt(e['margin'])} "
+                  f"verdict={'pass' if e['passed'] else 'fail'}" for e in data["f2"]]
+    if data["bumps"]:
+        lines += ["", "[bumps]"]
+        lines += [f"component {b['component']}: energy={_fmt(b['energy'])} "
+                  f"grad-norm={_fmt(b['grad_norm'])} min={_fmt(b['min'])} "
+                  f"max={_fmt(b['max'])} iterations={b['iterations']} "
+                  f"seed={_fmt(b['seed'])}" for b in data["bumps"]]
+    if data["solutions"]:
+        hist = Counter(sol["n_bumps"] for sol in data["solutions"])
+        lines += ["", "[solutions]", f"count: {len(data['solutions'])}",
+                  f"expected: {data['expected_solutions']}",
+                  "histogram: " + ", ".join(f"n={n}:{hist[n]}" for n in sorted(hist))]
+        lines += [f"solution {sol['subset']}: n-bumps={sol['n_bumps']} "
+                  f"energy={_fmt(sol['energy'])} residual={_fmt(sol['residual'])} "
+                  f"min={_fmt(sol['min'])} max={_fmt(sol['max'])} "
+                  f"zero-trace={_fmt(sol['zero_trace'])} w11={_fmt(sol['w11'])} "
+                  f"verified={_fmt(sol['verified'])} file={sol['file']}"
+                  for sol in data["solutions"]]
+    if data["all_verified"] is not None:
+        lines += ["", f"all-verified: {_fmt(data['all_verified'])}"]
+    lines.append(f"overall: {'pass' if data['overall_pass'] else 'fail'}")
     return "\n".join(lines) + "\n"
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready structure (no timings, keys sorted downstream)."""
+    """JSON-ready structure of a report (no timings, keys sorted downstream).
+
+    The one serialization: ``report.json`` is this dict and ``report.txt``
+    is :func:`render_report` of it.
+    """
     out = {
         "config_digest": report.config_digest,
         "resolution": report.resolution,
@@ -353,17 +355,8 @@ def report_to_dict(report: RunReport) -> dict:
         "overall_pass": report.passed,
     }
     if report.admissibility is not None:
-        adm = report.admissibility
-        out["admissibility"] = {
-            "n_coarse": adm.n_coarse, "n_fine": adm.n_fine,
-            "a2_coarse": adm.a2_coarse, "a2_estimate": adm.a2_estimate,
-            "a2_growth": adm.a2_growth, "a2_divergent": adm.a2_divergent,
-            "lt": [asdict(row) for row in adm.lt_rows],
-            "best_t": adm.best_t, "n_over_2": adm.n_over_2,
-            "zero_count": adm.zero_count,
-            "touches_domain_boundary": adm.touches_domain_boundary,
-            "verdict": adm.verdict,
-        }
+        adm = out["admissibility"] = asdict(report.admissibility)
+        adm["lt"] = list(adm.pop("lt_rows"))
     out["f2"] = [{"component": _comp_label(e.component_id), "a_max": e.a_max,
                   "lambda1": e.lambda1, "gamma": e.gamma, "margin": e.margin,
                   "passed": e.passed} for e in report.f2_entries]
@@ -446,203 +439,172 @@ def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
         handle.write("".join(lines))
 
 
-def check_hypotheses(config: RunConfig, grid: Grid | None = None):
-    """Stages shared by `check` and `solve`: admissibility through (f2).
+class _FailedVerdict(HypothesisViolationError):
+    """A hypothesis stage's own verdict is negative; reported with its bare message."""
 
-    Returns (report, context) where context carries the objects later
-    stages need; on a hypothesis violation the report is finalized and
-    context is None.
-    """
+    def __init__(self, hypothesis: str, message: str):
+        super().__init__(hypothesis, message)
+        self.args = (message,)
+
+
+# Exception that stops a run -> (report status, violated hypothesis).  A
+# HypothesisViolationError names its own hypothesis.
+_STOPS = {
+    InvalidWeightError: ("invalid-weight", None),
+    HypothesisViolationError: ("hypothesis-violation", None),
+    EmptyDecompositionError: ("hypothesis-violation", "a1"),
+    InvalidNonlinearityError: ("hypothesis-violation", "f1"),
+    SeedFailureError: ("numerical-failure", None),
+    NumericalFailureError: ("numerical-failure", None),
+    EnumerationSizeError: ("enumeration-overflow", None),
+    ResolutionTooCoarseError: ("resolution-too-coarse", None),
+}
+
+
+def _setup(config: RunConfig):
+    """Grid, weight field and zero set at the configured resolution."""
+    grid = build_grid(config.domain, config.resolution)
+    field = evaluate_weight(config.weight, grid)
     tol = config.tolerances
+    zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
+    return grid, field, zero
+
+
+def _verify(config: RunConfig, values: np.ndarray, grid: Grid, field, zero) -> VerificationReport:
+    """The paper's conclusions for one candidate field, at the configured tolerances."""
+    tol, nonlinearity = config.tolerances, config.nonlinearity
+    tolerances = VerifyTolerances.from_problem(
+        nonlinearity.gamma, nonlinearity.s_star, grid,
+        residual_scale=tol.residual_tol_scale, bounds_tol=tol.bounds_tol,
+        zero_trace_tol=tol.zero_trace_tol)
+    return check_conclusions(values, field, nonlinearity, grid, zero,
+                             nonlinearity.s_star, tolerances)
+
+
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Time one stage into ``timings`` and log it, whether or not it stops the run."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - start
+        log.info("stage %s: %.3fs", name, timings[name])
+
+
+def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunReport:
+    """Run the stages in order; the first failure sets the report's status.
+
+    Hypothesis stages always run; ``solve`` adds minimization, enumeration
+    and verification.  Solution files and the reports are written into
+    ``out_path`` unless it is None.
+    """
+    tol, nonlinearity = config.tolerances, config.nonlinearity
     report = RunReport(
         config_digest=config.digest(), resolution=config.resolution,
-        domain_kind=config.domain.kind,
-        weight_reference=config.weight.reference,
-        gamma=config.nonlinearity.gamma, s_star=config.nonlinearity.s_star)
-
-    t0 = time.perf_counter()
-    if grid is None:
-        grid = build_grid(config.domain, config.resolution)
-    report.timings["grid"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    adm_opts = AdmissibilityOptions(
-        eps_zero=tol.zero_threshold, band=tol.zero_band, t_scan=tol.t_scan,
-        a2_growth_tol=tol.a2_growth_tol, lt_stable_tol=tol.lt_stable_tol,
-        lt_growing_tol=tol.lt_growing_tol)
+        domain_kind=config.domain.kind, weight_reference=config.weight.reference,
+        gamma=nonlinearity.gamma, s_star=nonlinearity.s_star)
+    stage = partial(_stage, report.timings)
+    start = time.perf_counter()
     try:
-        adm = assess_admissibility(config.weight, config.domain, config.resolution,
-                                   options=adm_opts, fine_grid=grid)
-    except InvalidWeightError as exc:
-        report.status = "invalid-weight"
+        with stage("setup"):
+            grid, field, zero = _setup(config)
+        with stage("admissibility"):
+            adm = report.admissibility = assess_admissibility(
+                grid, field, zero, AdmissibilityOptions(
+                    t_scan=tol.t_scan, a2_growth_tol=tol.a2_growth_tol,
+                    lt_stable_tol=tol.lt_stable_tol, lt_growing_tol=tol.lt_growing_tol))
+            report.zero_count = adm.zero_count
+            if not adm.admissible:
+                raise _FailedVerdict(
+                    "a1" if adm.verdict == "zero-set-touches-boundary" else "a2",
+                    f"admissibility verdict: {adm.verdict}")
+        with stage("decomposition"):
+            decomposition = decompose_components(grid, zero)
+            report.chi, report.j_counts = decomposition.chi, decomposition.j_counts
+            report.component_sizes = {_comp_label(c.id): c.node_count
+                                      for c in decomposition.components}
+        with stage("nonlinearity"):
+            trunc = truncate_nonlinearity(nonlinearity)
+        with stage("spectral"):
+            eigenpairs = []
+            for comp in decomposition.components:
+                eigenpairs.append(dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
+                                                    max_iter=tol.eig_max_iter))
+                report.f2_entries.append(check_hypothesis_f2(
+                    comp, field, nonlinearity.gamma, eigenpairs[-1]))
+            failing = [_comp_label(e.component_id)
+                       for e in report.f2_entries if not e.passed]
+            if failing:
+                raise _FailedVerdict("f2", "spectral margin non-positive on "
+                                     "component(s) " + ", ".join(failing))
+        if solve:
+            with stage("minimize"):
+                options = SolverOptions(grad_tol_scale=tol.grad_tol_scale,
+                                        max_iterations=tol.max_minimize_iterations,
+                                        seed_min_exponent=tol.seed_min_exponent)
+                bumps = {}
+                for comp, eigen in zip(decomposition.components, eigenpairs):
+                    energy = assemble_energy(comp, field, trunc, grid)
+                    bump = bumps[comp.id] = minimize_energy(energy, eigen, options)
+                    report.bumps.append(bump)
+                    log.info("component %s: energy %.6g, %d iterations, "
+                             "%d linear iterations", comp.id, bump.energy,
+                             bump.iterations, bump.linear_iterations)
+            with stage("enumerate"):
+                solutions = enumerate_all(bumps, max_chi=config.enumeration.max_chi,
+                                          allow_large=config.enumeration.allow_large)
+            report.expected_solutions = 2 ** decomposition.chi - 1
+            with stage("verify"):
+                if out_path is not None:
+                    out_path.mkdir(parents=True, exist_ok=True)
+                for rank, solution in enumerate(solutions, start=1):
+                    values = solution.field(grid)
+                    stem = f"solution_{rank:03d}"
+                    filename = f"{stem}.csv"
+                    if out_path is not None:
+                        write_solution_csv(out_path / filename, values, grid)
+                        if config.export_vtk:
+                            write_solution_vtk(out_path / f"{stem}.vtk", values, grid)
+                    report.solutions.append(SolutionRecord(
+                        solution=solution, filename=filename,
+                        verification=_verify(config, values, grid, field, zero)))
+                report.all_verified = all(r.verification.passed for r in report.solutions)
+        report.status = "ok"
+    except tuple(_STOPS) as exc:
+        report.status, hypothesis = next(row for kind, row in _STOPS.items()
+                                         if isinstance(exc, kind))
+        report.violated_hypothesis = getattr(exc, "hypothesis", hypothesis)
         report.failure_message = str(exc)
-        return report, None
-    report.admissibility = adm
-    report.zero_count = adm.zero_count
-    report.timings["admissibility"] = time.perf_counter() - t0
-    if adm.verdict != "admissible":
-        report.status = "hypothesis-violation"
-        report.violated_hypothesis = "a1" if adm.verdict == "zero-set-touches-boundary" else "a2"
-        report.failure_message = f"admissibility verdict: {adm.verdict}"
-        return report, None
+    report.timings["total"] = time.perf_counter() - start
+    log.info("pipeline %s in %.2fs", report.status, report.timings["total"])
+    if out_path is not None:
+        write_outputs(report, out_path)
+    return report
 
-    field = evaluate_weight(config.weight, grid)
-    zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
-    t0 = time.perf_counter()
-    try:
-        decomposition = decompose_components(grid, zero)
-    except HypothesisViolationError as exc:
-        report.status = "hypothesis-violation"
-        report.violated_hypothesis = exc.hypothesis
-        report.failure_message = str(exc)
-        return report, None
-    except EmptyDecompositionError as exc:
-        report.status = "hypothesis-violation"
-        report.violated_hypothesis = "a1"
-        report.failure_message = str(exc)
-        return report, None
-    report.chi = decomposition.chi
-    report.j_counts = decomposition.j_counts
-    report.component_sizes = {_comp_label(c.id): c.node_count
-                              for c in decomposition.components}
-    report.timings["decomposition"] = time.perf_counter() - t0
 
-    try:
-        trunc = truncate_nonlinearity(config.nonlinearity)
-    except InvalidNonlinearityError as exc:
-        report.status = "hypothesis-violation"
-        report.violated_hypothesis = "f1"
-        report.failure_message = str(exc)
-        return report, None
-
-    t0 = time.perf_counter()
-    eigenpairs = {}
-    for comp in decomposition.components:
-        try:
-            eig = dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
-                                    max_iter=tol.eig_max_iter)
-        except NumericalFailureError as exc:
-            report.status = "numerical-failure"
-            report.failure_message = str(exc)
-            return report, None
-        eigenpairs[comp.id] = eig
-        report.f2_entries.append(
-            check_hypothesis_f2(comp, field, config.nonlinearity.gamma, eig))
-    report.timings["spectral"] = time.perf_counter() - t0
-    if not all(e.passed for e in report.f2_entries):
-        failing = [_comp_label(e.component_id) for e in report.f2_entries if not e.passed]
-        report.status = "hypothesis-violation"
-        report.violated_hypothesis = "f2"
-        report.failure_message = ("spectral margin non-positive on component(s) "
-                                  + ", ".join(failing))
-        return report, None
-
-    context = {"grid": grid, "field": field, "zero": zero,
-               "decomposition": decomposition, "trunc": trunc,
-               "eigenpairs": eigenpairs}
-    return report, context
+def check_hypotheses(config: RunConfig) -> RunReport:
+    """The hypothesis stages shared by `check` and `solve`: setup through (f2)."""
+    return _run(config, solve=False)
 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path | None = None,
                  write: bool = True) -> RunReport:
     """Full solve: hypotheses, bumps, enumeration, verification, outputs."""
-    total0 = time.perf_counter()
     out_path = Path(out_dir if out_dir is not None else config.output_dir)
-    report, context = check_hypotheses(config)
-    if context is None:
-        _finalize(report, out_path, write, total0)
-        return report
-
-    grid: Grid = context["grid"]
-    field = context["field"]
-    zero = context["zero"]
-    decomposition: Decomposition = context["decomposition"]
-    trunc = context["trunc"]
-    tol = config.tolerances
-
-    t0 = time.perf_counter()
-    opts = SolverOptions(grad_tol_scale=tol.grad_tol_scale,
-                         max_iterations=tol.max_minimize_iterations,
-                         seed_min_exponent=tol.seed_min_exponent)
-    bumps = {}
-    try:
-        for comp in decomposition.components:
-            energy = assemble_energy(comp, field, trunc, grid)
-            bump = minimize_energy(energy, context["eigenpairs"][comp.id], opts)
-            bumps[comp.id] = bump
-            report.bumps.append(bump)
-            log.info("component %s: energy %.6g, %d iterations, %d linear iterations",
-                     comp.id, bump.energy, bump.iterations, bump.linear_iterations)
-    except (SeedFailureError, NumericalFailureError) as exc:
-        report.status = "numerical-failure"
-        report.failure_message = str(exc)
-        _finalize(report, out_path, write, total0)
-        return report
-    report.timings["minimize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        solutions = enumerate_all(bumps, max_chi=config.enumeration.max_chi,
-                                  allow_large=config.enumeration.allow_large)
-    except EnumerationSizeError as exc:
-        report.status = "enumeration-overflow"
-        report.failure_message = str(exc)
-        _finalize(report, out_path, write, total0)
-        return report
-    report.expected_solutions = 2 ** decomposition.chi - 1
-
-    verify_tols = VerifyTolerances.from_problem(
-        config.nonlinearity.gamma, config.nonlinearity.s_star, grid,
-        residual_scale=tol.residual_tol_scale, bounds_tol=tol.bounds_tol,
-        zero_trace_tol=tol.zero_trace_tol)
-    if write:
-        out_path.mkdir(parents=True, exist_ok=True)
-    for rank, solution in enumerate(solutions, start=1):
-        values = solution.field(grid)
-        verification = check_conclusions(values, field, config.nonlinearity,
-                                         grid, zero, config.nonlinearity.s_star,
-                                         verify_tols)
-        filename = f"solution_{rank:03d}.csv"
-        if write:
-            write_solution_csv(out_path / filename, values, grid)
-            if config.export_vtk:
-                write_solution_vtk(out_path / f"solution_{rank:03d}.vtk", values, grid)
-        report.solutions.append(SolutionRecord(solution=solution,
-                                               verification=verification,
-                                               filename=filename))
-    report.all_verified = all(r.verification.passed for r in report.solutions)
-    report.status = "ok"
-    report.timings["enumerate_verify"] = time.perf_counter() - t0
-    _finalize(report, out_path, write, total0)
-    return report
+    return _run(config, solve=True, out_path=out_path if write else None)
 
 
 def write_outputs(report: RunReport, out_dir: str | Path) -> None:
-    """Write report.txt and report.json (deterministic, no timings)."""
+    """Write report.json and its text rendering report.txt (no timings)."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "report.txt").write_text(render_report(report))
-    (out_path / "report.json").write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
-
-
-def _finalize(report: RunReport, out_path: Path, write: bool, total0: float) -> None:
-    report.timings["total"] = time.perf_counter() - total0
-    log.info("pipeline %s in %.2fs", report.status, report.timings["total"])
-    if write:
-        write_outputs(report, out_path)
+    data = report_to_dict(report)
+    (out_path / "report.txt").write_text(render_report(data))
+    (out_path / "report.json").write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def verify_solution_file(config: RunConfig, field_file: str | Path) -> VerificationReport:
     """Re-verify an exported solution CSV against its configuration."""
-    grid = build_grid(config.domain, config.resolution)
-    field = evaluate_weight(config.weight, grid)
-    tol = config.tolerances
-    zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
-    values = read_solution_csv(field_file, grid)
-    verify_tols = VerifyTolerances.from_problem(
-        config.nonlinearity.gamma, config.nonlinearity.s_star, grid,
-        residual_scale=tol.residual_tol_scale, bounds_tol=tol.bounds_tol,
-        zero_trace_tol=tol.zero_trace_tol)
-    return check_conclusions(values, field, config.nonlinearity, grid, zero,
-                             config.nonlinearity.s_star, verify_tols)
+    grid, field, zero = _setup(config)
+    return _verify(config, read_solution_csv(field_file, grid), grid, field, zero)

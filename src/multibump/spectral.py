@@ -51,7 +51,7 @@ class F2Entry:
 
 
 def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
-                      max_iter: int = 500, cg_rtol: float = 1e-12) -> EigenPair:
+                      max_iter: int = 500) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     Zero boundary data on the component's shell; edges crossing the domain
@@ -75,7 +75,7 @@ def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
     lam_prev = np.inf
     lam = np.inf
     for iteration in range(1, max_iter + 1):
-        y, info = cg(K, x, rtol=cg_rtol, atol=0.0, maxiter=20 * p, M=M)
+        y, info = cg(K, x, rtol=1e-12, atol=0.0, maxiter=20 * p, M=M)
         if info != 0:
             raise NumericalFailureError(
                 f"inner CG failed (info={info}) on component {component.id}")

@@ -28,7 +28,7 @@ from scipy import ndimage, signal
 from .assembly import edge_conductances
 from .errors import InvalidWeightError
 from .expressions import compile_expression, point_variables
-from .grid import DomainSpec, Grid, build_grid
+from .grid import Grid, build_grid
 
 
 @dataclass(frozen=True)
@@ -388,23 +388,21 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True)
 class AdmissibilityOptions:
-    eps_zero: float = 1e-6
-    band: float = 0.75
     t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
     a2_growth_tol: float = 1.10
     lt_stable_tol: float = 1.15
     lt_growing_tol: float = 1.05
-    a2_radii: tuple[float, ...] | None = None
 
 
-def assess_admissibility(spec: WeightSpec, domain: DomainSpec, n: int,
-                         options: AdmissibilityOptions | None = None,
-                         fine_grid: Grid | None = None) -> AdmissibilityReport:
+def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
+                         options: AdmissibilityOptions | None = None) -> AdmissibilityReport:
     """Two-level admissibility assessment of a weight.
 
-    Estimates are computed on the requested grid and on a coarsening with
-    roughly doubled spacing; divergence of the A2 constant or of an L^t
-    norm is read off the growth between the levels.  The verdict is
+    The caller's grid, weight field and zero set are the fine level; the
+    coarse level, with roughly doubled spacing, is built here, its zero set
+    detected with the ``eps_zero`` and ``band`` stored on ``zero``.
+    Divergence of the A2 constant or of an L^t norm is read off the growth
+    between the levels.  The verdict is
 
     * ``zero-set-touches-boundary`` when the detected zero set meets the
       Dirichlet ring (condition (a1) fails),
@@ -413,33 +411,23 @@ def assess_admissibility(spec: WeightSpec, domain: DomainSpec, n: int,
     * ``admissible`` otherwise.
     """
     opts = options or AdmissibilityOptions()
-    n_coarse = max((n + 1) // 2, 5)
-    grids = {}
-    for level_n in (n_coarse, n):
-        if level_n == n and fine_grid is not None:
-            grid = fine_grid
-        else:
-            grid = build_grid(domain, level_n)
-        field = evaluate_weight(spec, grid)
-        zero = detect_zero_set(field, grid, eps_zero=opts.eps_zero, band=opts.band)
-        grids[level_n] = (grid, field, zero)
-
-    grid_f, field_f, zero_f = grids[n]
-    grid_c, field_c, zero_c = grids[n_coarse]
+    n_coarse = max((grid.n + 1) // 2, 5)
+    grid_c = build_grid(grid.domain, n_coarse)
+    field_c = evaluate_weight(field.spec, grid_c)
+    zero_c = detect_zero_set(field_c, grid_c, eps_zero=zero.eps_zero, band=zero.band)
 
     # Both levels sample the same physical radii (dyadic from the coarse
     # spacing) so the growth ratio compares like-for-like quadratures.
-    radii = opts.a2_radii if opts.a2_radii is not None else BallFamily().resolve(grid_c)
-    family = BallFamily(radii=radii)
+    family = BallFamily(radii=BallFamily().resolve(grid_c))
     a2_c = estimate_a2_constant(field_c, grid_c, family=family, zero=zero_c)
-    a2_f = estimate_a2_constant(field_f, grid_f, family=family, zero=zero_f)
+    a2_f = estimate_a2_constant(field, grid, family=family, zero=zero)
     a2_growth = a2_f / a2_c
     a2_divergent = bool(a2_growth > opts.a2_growth_tol or not np.isfinite(a2_f))
 
     rows = []
     for t in opts.t_scan:
         nc = estimate_lt_norm(field_c, grid_c, t, zero=zero_c)
-        nf = estimate_lt_norm(field_f, grid_f, t, zero=zero_f)
+        nf = estimate_lt_norm(field, grid, t, zero=zero)
         growth = nf / nc
         rows.append(LtRow(t=t, norm_coarse=nc, norm_fine=nf, growth=growth,
                           growing=bool(growth > opts.lt_growing_tol),
@@ -447,9 +435,9 @@ def assess_admissibility(spec: WeightSpec, domain: DomainSpec, n: int,
 
     stable_ts = [row.t for row in rows if row.stable]
     best_t = max(stable_ts) if stable_ts else None
-    n_over_2 = domain.dimension / 2.0
+    n_over_2 = grid.ndim / 2.0
 
-    if zero_f.touches_domain_boundary:
+    if zero.touches_domain_boundary:
         verdict = "zero-set-touches-boundary"
     elif a2_divergent:
         verdict = "violates-a2"
@@ -459,11 +447,11 @@ def assess_admissibility(spec: WeightSpec, domain: DomainSpec, n: int,
         verdict = "admissible"
 
     return AdmissibilityReport(
-        n_coarse=n_coarse, n_fine=n,
+        n_coarse=n_coarse, n_fine=grid.n,
         a2_coarse=a2_c, a2_estimate=a2_f, a2_growth=a2_growth,
         a2_divergent=a2_divergent, lt_rows=tuple(rows), best_t=best_t,
-        n_over_2=n_over_2, zero_count=zero_f.count,
-        touches_domain_boundary=zero_f.touches_domain_boundary,
+        n_over_2=n_over_2, zero_count=zero.count,
+        touches_domain_boundary=zero.touches_domain_boundary,
         verdict=verdict)
 
 

@@ -89,6 +89,21 @@ class TestValidation:
         with pytest.raises(InvalidNonlinearityError):
             validate_nonlinearity(NonlinearitySpec.logistic(-1.0, 1.0))
 
+    @pytest.mark.parametrize("expr", [
+        "30*s*(1-s) + 0*log(s)",        # NaN on [-beta*, 0]
+        "30*abs(s)*(1-s) + 0*sqrt(s)",  # NaN on [-beta*, 0) only
+        # NaN at s = 0.5 only: a knot of the primitive's table, not a sample
+        "30*abs(s)*(1-s) + 0*log(abs(s - 0.5))",
+    ])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_valued_f_rejected(self, expr):
+        # NaN fails every comparison: without a finiteness test such an f
+        # passes the sign checks and stalls the line search.
+        bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
+        with pytest.raises(InvalidNonlinearityError, match="finite"):
+            truncate_nonlinearity(bad)
+
 
 @pytest.fixture(scope="module")
 def square_problem(square33, logistic30):

@@ -15,6 +15,13 @@ UNIT = DomainSpec.unit_box(2)
 QUADRATIC = WeightSpec.power_product([((0.5, 0.5), 0.0, 2.0)])
 
 
+def assess(spec, domain, n):
+    """Admissibility of ``spec`` with its fine level built at ``n`` nodes per axis."""
+    grid = build_grid(domain, n)
+    field = evaluate_weight(spec, grid)
+    return assess_admissibility(grid, field, detect_zero_set(field, grid))
+
+
 def radial_value(spec, r):
     return float(spec.evaluate(np.array([[r, 0.0]]))[0])
 
@@ -59,14 +66,14 @@ class TestA2:
         assert estimate_a2_constant(field, grid) == pytest.approx(1.0, abs=1e-9)
 
     def test_ring_weight_stable_across_refinement(self):
-        report = assess_admissibility(cbrt_ring_weight(), B2, 129)
+        report = assess(cbrt_ring_weight(), B2, 129)
         assert np.isfinite(report.a2_estimate)
         assert not report.a2_divergent
         # Stable within 10% between the two levels.
         assert 1.0 / 1.1 <= report.a2_growth <= 1.1
 
     def test_quadratic_zero_divergence_flagged(self):
-        report = assess_admissibility(QUADRATIC, UNIT, 129)
+        report = assess(QUADRATIC, UNIT, 129)
         assert report.a2_divergent
         assert report.a2_growth > 1.10
         assert report.verdict in ("violates-a2", "violates-lt")
@@ -101,7 +108,7 @@ class TestLt:
                 measure ** (1.0 / t) / c, rel=1e-12)
 
     def test_ring_weight_low_exponents_finite_and_stable(self):
-        report = assess_admissibility(cbrt_ring_weight(), B2, 129)
+        report = assess(cbrt_ring_weight(), B2, 129)
         rows = {row.t: row for row in report.lt_rows}
         assert rows[1.5].stable and np.isfinite(rows[1.5].norm_fine)
         assert rows[2.0].stable and np.isfinite(rows[2.0].norm_fine)
@@ -109,7 +116,7 @@ class TestLt:
         assert report.best_t is not None and report.best_t > report.n_over_2
 
     def test_quadratic_zero_grows_at_n_half(self):
-        report = assess_admissibility(QUADRATIC, UNIT, 129)
+        report = assess(QUADRATIC, UNIT, 129)
         rows = {row.t: row for row in report.lt_rows}
         # t = N/2 = 1: the true integral diverges (logarithmically), which
         # shows as steady norm growth between the levels.
@@ -175,22 +182,22 @@ class TestZeroSet:
 
 class TestAdmissibilityVerdicts:
     def test_ring_admissible(self):
-        report = assess_admissibility(cbrt_ring_weight(), B2, 65)
+        report = assess(cbrt_ring_weight(), B2, 65)
         assert report.verdict == "admissible"
 
     def test_quadratic_rejected_under_a2_family(self):
-        report = assess_admissibility(QUADRATIC, UNIT, 129)
+        report = assess(QUADRATIC, UNIT, 129)
         assert report.verdict in ("violates-a2", "violates-lt")
 
     def test_boundary_touching_zero_set_rejected(self):
         spec = WeightSpec.expression(
             "sqrt((x - 0.5)**2 + where(y < 0.5, (0.5 - y)**2, 0))")
-        report = assess_admissibility(spec, UNIT, 65)
+        report = assess(spec, UNIT, 65)
         assert report.verdict == "zero-set-touches-boundary"
 
     def test_nested_rings_admissible(self):
         spec = WeightSpec.power_product(
             [((0.0, 0.0), r, 0.6) for r in (0.5, 1.0, 1.5)], scale=0.5)
-        report = assess_admissibility(spec, B2, 65)
+        report = assess(spec, B2, 65)
         assert report.verdict == "admissible"
         assert report.best_t > 1.0
