@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -62,11 +63,19 @@ class ToleranceConfig:
     t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
-        for name in ("zero_threshold", "zero_band", "grad_tol_scale",
-                     "residual_tol_scale", "eig_tol"):
+        positive = ("zero_threshold", "zero_band", "grad_tol_scale",
+                    "residual_tol_scale", "eig_tol")
+        nonnegative = ("bounds_tol", "zero_trace_tol")
+        for name in positive + nonnegative + ("a2_growth_tol", "lt_stable_tol",
+                                              "lt_growing_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"tolerance {name} must be finite")
+        if not all(math.isfinite(t) for t in self.t_scan):
+            raise ConfigError("tolerance t_scan must be finite")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {name} must be positive")
-        for name in ("bounds_tol", "zero_trace_tol"):
+        for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"tolerance {name} must be nonnegative")
 
@@ -529,10 +538,14 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with stage("spectral"):
             eigenpairs = []
             for comp in decomposition.components:
-                eigenpairs.append(dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
-                                                    max_iter=tol.eig_max_iter))
+                eigen = dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
+                                          max_iter=tol.eig_max_iter)
+                eigenpairs.append(eigen)
+                log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
+                         "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
+                         eigen.rayleigh_residual)
                 report.f2_entries.append(check_hypothesis_f2(
-                    comp, field, nonlinearity.gamma, eigenpairs[-1]))
+                    comp, field, nonlinearity.gamma, eigen))
             failing = [_comp_label(e.component_id)
                        for e in report.f2_entries if not e.passed]
             if failing:

@@ -1,13 +1,14 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from conftest import quadratic_zero_config, ring_config
+from conftest import nested_rings_config, quadratic_zero_config, ring_config
 from oracles import reference_solution_csv, reference_solution_vtk
 
-from multibump import pipeline
+from multibump import pipeline, spectral
 from multibump.cli import main
 from multibump.errors import ConfigError, HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
@@ -76,6 +77,26 @@ class TestConfigParsing:
         data["resolution"] = 7
         with pytest.raises(ConfigError, match="resolution"):
             parse_config(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        "zero_threshold", "zero_band", "grad_tol_scale", "residual_tol_scale",
+        "bounds_tol", "zero_trace_tol", "eig_tol", "a2_growth_tol",
+        "lt_stable_tol", "lt_growing_tol", "t_scan"])
+    def test_non_finite_tolerance_rejected(self, name, value):
+        tolerance = [1.0, value] if name == "t_scan" else value
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            parse_config(unit_square(tolerances={name: tolerance}))
+
+    def test_nan_tolerance_in_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(
+            out=str(out), tolerances={"grad_tol_scale": float("nan")}))
+        assert "NaN" in path.read_text()
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "grad_tol_scale must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_roundtrip_via_file(self, tmp_path):
         path = write_config(tmp_path, ring_config(65))
@@ -300,6 +321,20 @@ class TestStageFailures:
         assert written["status"] == "numerical-failure"
         assert written["chi"] == 1
 
+    def test_factorization_failure_writes_report(self, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectral, "splu", singular)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(out=str(out)))
+        assert main(["check", "--config", str(path)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["violated_hypothesis"] is None
+        assert report["failure_message"] == (
+            "sparse LU failed on component (1, 1): Factor is exactly singular")
+
     @pytest.mark.parametrize("domain, resolution, coarse", [
         (tiny_disk(), 8, 8),        # h = 2/7: no node at the center
         (tiny_disk(0.25), 9, 5),    # h = 1/4 holds it; the coarse level's 1/2 does not
@@ -463,6 +498,21 @@ class TestVerbose:
         logged = [r.getMessage().split(":")[0].removeprefix("stage ")
                   for r in caplog.records if r.getMessage().startswith("stage ")]
         assert logged == stages
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_one_spectral_line_per_component(self, tmp_path, caplog, command):
+        caplog.set_level(logging.INFO, logger="multibump")
+        path = write_config(tmp_path, nested_rings_config(33, out=str(tmp_path / "out")))
+        assert main(["--verbose", command, "--config", str(path)]) == 0
+        lines = [r.getMessage() for r in caplog.records if "lambda1" in r.getMessage()]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(lines) == report["chi"] == 4
+        for line, entry in zip(lines, report["f2"]):
+            label = entry["component"].replace(",", ", ")
+            match = re.fullmatch(r"component (\(\d+, \d+\)): lambda1 (\S+), \d+ "
+                                 r"iterations, rayleigh residual \S+", line)
+            assert match and match[1] == label, line
+            assert float(match[2]) == pytest.approx(entry["lambda1"], rel=1e-5)
 
     def test_stopping_stage_is_logged_last(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="multibump")

@@ -76,6 +76,39 @@ def test_h_squared_error_model_on_square():
     assert errors[1] < errors[0] / 3.0
 
 
+def test_unit_cube_closed_form_on_cg_branch():
+    grid, _, comp = single_component(DomainSpec.unit_box(3), 9)
+    formula = 3.0 * (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
+    eig = dirichlet_lambda1(comp, grid)
+    assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
+
+
+# Nested rings @65 (chi = 4) before 2D components were factorized: each
+# inverse-iteration step then ran a Jacobi-CG solve to 1e-12.
+NESTED65_CG = {(1, 1): (25.05107384558559, 7), (2, 1): (42.73050725766946, 52),
+               (2, 2): (46.34573011001019, 34), (2, 3): (46.76094800642964, 15)}
+
+
+@pytest.fixture(scope="module")
+def nested65():
+    grid = build_grid(DomainSpec.ball((0.0, 0.0), 2.0), 65)
+    rings = [((0.0, 0.0), radius, 0.6) for radius in (0.5, 1.0, 1.5)]
+    field = evaluate_weight(WeightSpec.power_product(rings, scale=0.5), grid)
+    components = decompose_components(grid, detect_zero_set(field, grid)).components
+    return {comp.id: dirichlet_lambda1(comp, grid) for comp in components}
+
+
+def test_factorized_branch_matches_cg_iterations_and_lambda1(nested65):
+    assert set(nested65) == set(NESTED65_CG)
+    for comp_id, (lam, iterations) in NESTED65_CG.items():
+        assert nested65[comp_id].iterations == iterations
+        assert nested65[comp_id].lambda1 == pytest.approx(lam, rel=1e-12)
+
+
+def test_factorized_branch_rayleigh_residual(nested65):
+    assert all(eig.rayleigh_residual < 1e-12 for eig in nested65.values())
+
+
 class TestF2:
     def test_gamma30_passes_on_unit_square(self, square33):
         grid, field, _, comp = square33
