@@ -12,7 +12,7 @@ from .composition import (MultiBumpSolution, bump_histogram, compose_bumps,
                           holder_bound_report, w11_seminorm)
 from .energy import (BumpSolution, DiscreteEnergy, NonlinearitySpec,
                      SolverOptions, TruncatedNonlinearity, assemble_energy,
-                     minimize_energy, primitive_F, truncate_nonlinearity)
+                     minimize_energy, truncate_nonlinearity)
 from .errors import (ConfigError, EmptyDecompositionError,
                      EnumerationSizeError, HypothesisViolationError,
                      InvalidNonlinearityError, InvalidWeightError,
@@ -25,7 +25,7 @@ from .spectral import EigenPair, F2Entry, check_hypothesis_f2, dirichlet_lambda1
 from .topology import Component, Decomposition, decompose_components
 from .verify import (VerificationReport, VerifyTolerances, check_conclusions,
                      weak_residual)
-from .weights import (AdmissibilityOptions, AdmissibilityReport, BallFamily,
+from .weights import (AdmissibilityOptions, AdmissibilityReport,
                       WeightField, WeightSpec, ZeroSet, assess_admissibility,
                       cbrt_ring_weight, detect_zero_set, estimate_a2_constant,
                       estimate_lt_norm, evaluate_weight)
@@ -33,7 +33,7 @@ from .weights import (AdmissibilityOptions, AdmissibilityReport, BallFamily,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityOptions", "AdmissibilityReport", "BallFamily", "BOUNDARY",
+    "AdmissibilityOptions", "AdmissibilityReport", "BOUNDARY",
     "BumpSolution", "Component", "ConfigError", "Decomposition",
     "DiscreteEnergy", "DomainSpec", "EXTERIOR", "EigenPair",
     "EmptyDecompositionError", "EnumerationSizeError", "F2Entry",
@@ -49,7 +49,7 @@ __all__ = [
     "dirichlet_lambda1", "enumerate_all", "estimate_a2_constant",
     "estimate_lt_norm", "evaluate_weight", "expected_histogram",
     "extend_bump", "holder_bound_report", "load_config", "minimize_energy",
-    "parse_config", "primitive_F", "render_report", "run_pipeline",
+    "parse_config", "render_report", "run_pipeline",
     "truncate_nonlinearity", "verify_solution_file", "w11_seminorm",
     "weak_residual", "__version__",
 ]

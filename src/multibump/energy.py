@@ -10,6 +10,10 @@ F* is the primitive of the truncated nonlinearity f*: equal to f on
 truncation makes J coercive and forces the minimizer into [0, s*] without
 any clamping; the bounds emerge from stationarity alone.
 
+Every nonlinearity kind only supplies f and gets one primitive: a Simpson
+table plus Simpson's rule on the partial panel, exact on each quadrature
+panel where f is cubic, so J and its gradient agree for every kind.
+
 Minimization starts from a small positive multiple of the first Dirichlet
 eigenfunction chosen so the energy is already negative, which is possible
 exactly when the spectral margin condition (f2) holds.
@@ -45,17 +49,21 @@ class NonlinearitySpec:
     gamma: float
     s_star: float
     beta_star: float
-    evaluator: Callable | None = None
+    evaluator: Callable
     expr: str | None = None
 
     @classmethod
     def logistic(cls, gamma: float, s_star: float = 1.0,
                  beta_star: float | None = None) -> "NonlinearitySpec":
         """Default nonlinearity gamma*|s|*(1 - s/s*) capped at zero past s*."""
+        gamma, s_star = float(gamma), float(s_star)
         if beta_star is None:
             beta_star = s_star / 2.0
-        return cls(kind="logistic-default", gamma=float(gamma),
-                   s_star=float(s_star), beta_star=float(beta_star))
+
+        def logistic_f(s):
+            return np.where(s <= s_star, gamma * np.abs(s) * (1.0 - s / s_star), 0.0)
+        return cls(kind="logistic-default", gamma=gamma, s_star=s_star,
+                   beta_star=float(beta_star), evaluator=logistic_f)
 
     @classmethod
     def custom(cls, evaluator: Callable | str, gamma: float, s_star: float,
@@ -68,12 +76,7 @@ class NonlinearitySpec:
                    beta_star=float(beta_star), evaluator=evaluator, expr=expr)
 
     def f(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "logistic-default":
-            return np.where(s <= self.s_star,
-                            self.gamma * np.abs(s) * (1.0 - s / self.s_star),
-                            0.0)
-        return np.asarray(self.evaluator(s), dtype=float)
+        return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)
 
 
 def validate_nonlinearity(spec: NonlinearitySpec, samples: int = 2048,
@@ -107,76 +110,71 @@ def validate_nonlinearity(spec: NonlinearitySpec, samples: int = 2048,
 
 @dataclass(frozen=True)
 class TruncatedNonlinearity:
-    """f* and its primitive F* (F*(0) = 0, nondecreasing on [0, s*])."""
+    """f* and its primitive F* (F*(0) = 0, nondecreasing on [0, s*]).
+
+    ``knots`` are the Simpson panel ends on [-beta*, s*], uniform on each
+    side of the knot at 0, which is ``knots[zero]``; ``f_knots`` and
+    ``F_knots`` hold f and F* there.
+    """
 
     base: NonlinearitySpec
-    _table_s: np.ndarray | None = dc_field(default=None, repr=False)
-    _table_F: np.ndarray | None = dc_field(default=None, repr=False)
-
-    @property
-    def f_at_minus_beta(self) -> float:
-        return float(self.base.f(-self.base.beta_star))
+    zero: int
+    knots: np.ndarray = dc_field(repr=False)
+    f_knots: np.ndarray = dc_field(repr=False)
+    F_knots: np.ndarray = dc_field(repr=False)
 
     def f_star(self, s):
         s = np.asarray(s, dtype=float)
         b = self.base
         return np.where(s >= b.s_star, 0.0,
-                        np.where(s <= -b.beta_star, self.f_at_minus_beta, b.f(s)))
+                        np.where(s <= -b.beta_star, self.f_knots[0], b.f(s)))
 
     def F_star(self, s):
+        """Primitive of f* from 0, exact on each quadrature panel.
+
+        On [-beta*, s*], F*(s) is the tabulated value at the knot s_k below
+        s plus Simpson's rule on [s_k, s], so dF*/ds = f* up to the rule's
+        O(w^4) error on a panel of width w <= s*/1000, and to round-off
+        when f is a cubic on each panel (the logistic default is quadratic
+        on each side of 0).  F* is constant above s* and continues with
+        slope f(-beta*) below -beta*.
+        """
         s = np.asarray(s, dtype=float)
-        b = self.base
-        if b.kind == "logistic-default":
-            g, ss, bb = b.gamma, b.s_star, b.beta_star
-            top = g * ss ** 2 / 6.0
-            f_mb = g * bb * (1.0 + bb / ss)
-            F_mb = g * (-bb ** 2 / 2.0 - bb ** 3 / (3.0 * ss))
-            pos = g * (s ** 2 / 2.0 - s ** 3 / (3.0 * ss))
-            neg = g * (-(s ** 2) / 2.0 + s ** 3 / (3.0 * ss))
-            mid = np.where(s >= 0.0, pos, neg)
-            return np.where(s >= ss, top,
-                            np.where(s <= -bb, F_mb + f_mb * (s + bb), mid))
-        inner = np.interp(np.clip(s, -b.beta_star, b.s_star),
-                          self._table_s, self._table_F)
-        F_top = self._table_F[-1]
-        F_bot = self._table_F[0]
-        return np.where(s >= b.s_star, F_top,
-                        np.where(s <= -b.beta_star,
-                                 F_bot + self.f_at_minus_beta * (s + b.beta_star),
-                                 inner))
+        b, knots, zero = self.base, self.knots, self.zero
+        x = np.clip(s, -b.beta_star, b.s_star)
+        # Index of the knot below x, by arithmetic on each uniform side.
+        below = (x + b.beta_star) * (zero / b.beta_star)
+        above = zero + x * ((knots.size - 1 - zero) / b.s_star)
+        k = np.fmin(np.where(x < 0.0, below, above), knots.size - 2).astype(np.intp)
+        s_k = knots[k]
+        panel = (x - s_k) / 6.0 * (self.f_knots[k] + 4.0 * b.f(0.5 * (s_k + x)) + b.f(x))
+        return self.F_knots[k] + panel + self.f_knots[0] * np.minimum(s - x, 0.0)
 
 
-def _simpson_table(spec: NonlinearitySpec) -> tuple[np.ndarray, np.ndarray]:
-    # Cumulative primitive of f on [-beta*, s*], anchored at F(0) = 0, with
-    # 0 as a knot; composite Simpson per panel of width <= s*/1000.
+def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
+    """Validate the shape conditions and tabulate the primitive of f*.
+
+    Composite Simpson on panels of width <= s*/1000, accumulated outward
+    from the knot at 0 so that F*(0) = 0 exactly.
+    """
+    validate_nonlinearity(spec)
+
     def knots(a, b):
         panels = max(int(np.ceil((b - a) / (spec.s_star / 1000.0))), 1)
         return np.linspace(a, b, panels + 1)
 
-    s = np.unique(np.concatenate([knots(-spec.beta_star, 0.0), knots(0.0, spec.s_star)]))
-    mids = 0.5 * (s[:-1] + s[1:])
-    widths = np.diff(s)
-    panel = (widths / 6.0) * (spec.f(s[:-1]) + 4.0 * spec.f(mids) + spec.f(s[1:]))
-    cumulative = np.concatenate([[0.0], np.cumsum(panel)])
-    anchor = np.interp(0.0, s, cumulative)
-    return s, cumulative - anchor
-
-
-def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
-    """Validate the shape conditions and build f* with its primitive."""
-    validate_nonlinearity(spec)
-    if spec.kind == "logistic-default":
-        return TruncatedNonlinearity(base=spec)
-    table_s, table_F = _simpson_table(spec)
-    if not np.all(np.isfinite(table_F)):  # f is NaN or infinite at a quadrature knot
+    lower, upper = knots(-spec.beta_star, 0.0), knots(0.0, spec.s_star)
+    s = np.concatenate([lower[:-1], upper])
+    f = spec.f(s)
+    mids = spec.f(0.5 * (s[:-1] + s[1:]))
+    panel = (np.diff(s) / 6.0) * (f[:-1] + 4.0 * mids + f[1:])
+    below = panel[:lower.size - 1]
+    F = np.concatenate([-np.cumsum(below[::-1])[::-1], [0.0],
+                        np.cumsum(panel[lower.size - 1:])])
+    if not np.all(np.isfinite(F)):  # f is NaN or infinite at a quadrature knot
         raise InvalidNonlinearityError("f must be finite on [-beta*, s*]")
-    return TruncatedNonlinearity(base=spec, _table_s=table_s, _table_F=table_F)
-
-
-def primitive_F(trunc: TruncatedNonlinearity, s) -> float | np.ndarray:
-    """F*(s), the primitive of the truncated nonlinearity from 0."""
-    out = trunc.F_star(s)
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+    return TruncatedNonlinearity(base=spec, zero=lower.size - 1, knots=s,
+                                 f_knots=f, F_knots=F)
 
 
 @dataclass(frozen=True)

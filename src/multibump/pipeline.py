@@ -78,6 +78,13 @@ class ToleranceConfig:
         for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ConfigError(f"tolerance {name} must be nonnegative")
+        if self.zero_threshold >= 1:
+            raise ConfigError("tolerance zero_threshold must be below 1")
+        for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
+                          ("seed_min_exponent", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"tolerance {name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)

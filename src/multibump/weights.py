@@ -273,22 +273,15 @@ def resolvable_floor(field: WeightField, grid: Grid, zero: ZeroSet) -> np.ndarra
     return np.where(zero.mask, np.maximum(field.values, floor), field.values)
 
 
-@dataclass(frozen=True)
-class BallFamily:
-    """Sampling plan for the A2 estimate: dyadic radii, all interior centers."""
-
-    radii: tuple[float, ...] | None = None
-
-    def resolve(self, grid: Grid) -> tuple[float, ...]:
-        if self.radii is not None:
-            return self.radii
-        r_cap = grid.domain.diameter() / 2.0
-        radii = []
-        r = 2.0 * grid.h
-        while r <= r_cap:
-            radii.append(r)
-            r *= 2.0
-        return tuple(radii)
+def dyadic_radii(grid: Grid) -> tuple[float, ...]:
+    """Radii 2h, 4h, 8h, ... up to half the domain diameter."""
+    r_cap = grid.domain.diameter() / 2.0
+    radii = []
+    r = 2.0 * grid.h
+    while r <= r_cap:
+        radii.append(r)
+        r *= 2.0
+    return tuple(radii)
 
 
 def _ball_kernel(radius: float, h: float, ndim: int) -> np.ndarray:
@@ -300,35 +293,33 @@ def _ball_kernel(radius: float, h: float, ndim: int) -> np.ndarray:
 
 
 def estimate_a2_constant(field: WeightField, grid: Grid,
-                         family: BallFamily | None = None,
-                         zero: ZeroSet | None = None, p: float = 2.0) -> float:
-    """Sampled lower bound of the Muckenhoupt A_p constant (p = 2 default).
+                         radii: tuple[float, ...] | None = None,
+                         zero: ZeroSet | None = None) -> float:
+    """Sampled lower bound of the Muckenhoupt A_2 constant.
 
     Maximum over balls contained in the domain (centered at every interior
-    node, dyadic radii) of avg(a) * avg(a^(-1/(p-1)))^(p-1), both averages
-    over the floored nodal values.  The arithmetic-harmonic mean inequality
-    makes the result >= 1 for every weight.
+    node, radii ``dyadic_radii(grid)`` unless given) of avg(a) * avg(1/a),
+    both averages over the floored nodal values.  The arithmetic-harmonic
+    mean inequality makes the result >= 1 for every weight.
     """
-    if family is None:
-        family = BallFamily()
+    if radii is None:
+        radii = dyadic_radii(grid)
     if zero is None:
         zero = detect_zero_set(field, grid)
     member = grid.interior_mask
     a = resolvable_floor(field, grid, zero)
     a_in = np.where(member, a, 0.0)
-    rec_in = np.where(member, np.where(member, a, 1.0) ** (-1.0 / (p - 1.0)), 0.0)
+    rec_in = np.where(member, 1.0 / np.where(member, a, 1.0), 0.0)
     member_f = member.astype(float)
 
     best = 1.0
-    for radius in family.resolve(grid):
-        if radius < 2.0 * grid.h:
-            continue
+    for radius in radii:
         kernel = _ball_kernel(radius, grid.h, grid.ndim)
         count = np.rint(signal.fftconvolve(member_f, kernel, mode="same"))
         sum_a = signal.fftconvolve(a_in, kernel, mode="same")
         sum_rec = signal.fftconvolve(rec_in, kernel, mode="same")
         with np.errstate(invalid="ignore", divide="ignore"):
-            product = (sum_a / count) * (sum_rec / count) ** (p - 1.0)
+            product = (sum_a / count) * (sum_rec / count)
         # Containment: every lattice node of the ball is an interior node,
         # mirroring the supremum over balls inside the domain.
         contained = member & (count == float(kernel.sum()))
@@ -418,9 +409,9 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
 
     # Both levels sample the same physical radii (dyadic from the coarse
     # spacing) so the growth ratio compares like-for-like quadratures.
-    family = BallFamily(radii=BallFamily().resolve(grid_c))
-    a2_c = estimate_a2_constant(field_c, grid_c, family=family, zero=zero_c)
-    a2_f = estimate_a2_constant(field, grid, family=family, zero=zero)
+    radii = dyadic_radii(grid_c)
+    a2_c = estimate_a2_constant(field_c, grid_c, radii=radii, zero=zero_c)
+    a2_f = estimate_a2_constant(field, grid, radii=radii, zero=zero)
     a2_growth = a2_f / a2_c
     a2_divergent = bool(a2_growth > opts.a2_growth_tol or not np.isfinite(a2_f))
 

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths under test: the eigenvalue oracle
 is a dense symmetric eigensolve, the bump oracle solves the semilinear
 problem by damped fixed-point iteration with direct sparse factorizations,
-and the reference writers format every lattice node one at a time.
+the primitive of the logistic default is its closed form, and the reference
+writers format every lattice node one at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def damped_fixed_point(energy: DiscreteEnergy, seed: np.ndarray,
             return nxt
         u = nxt
     raise RuntimeError("fixed-point oracle did not converge")
+
+
+def logistic_primitive(s, gamma: float, s_star: float, beta_star: float) -> np.ndarray:
+    """Closed-form F* of the truncated logistic default gamma*|s|*(1 - s/s*)."""
+    s = np.asarray(s, dtype=float)
+    g, ss, bb = gamma, s_star, beta_star
+    top = g * ss ** 2 / 6.0
+    f_mb = g * bb * (1.0 + bb / ss)
+    F_mb = g * (-bb ** 2 / 2.0 - bb ** 3 / (3.0 * ss))
+    pos = g * (s ** 2 / 2.0 - s ** 3 / (3.0 * ss))
+    neg = g * (-(s ** 2) / 2.0 + s ** 3 / (3.0 * ss))
+    mid = np.where(s >= 0.0, pos, neg)
+    return np.where(s >= ss, top, np.where(s <= -bb, F_mb + f_mb * (s + bb), mid))
 
 
 def reference_solution_csv(path, values: np.ndarray, grid: Grid) -> None:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import nested_rings_config
-from oracles import damped_fixed_point
+from oracles import damped_fixed_point, logistic_primitive
 
 from multibump.energy import (NonlinearitySpec, SolverOptions, _newton_direction,
-                              assemble_energy, minimize_energy, primitive_F,
+                              assemble_energy, minimize_energy,
                               truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
@@ -43,14 +43,14 @@ class TestTruncation:
 
 class TestPrimitive:
     def test_zero_at_zero(self, logistic30):
-        assert primitive_F(logistic30, 0.0) == 0.0
+        assert logistic30.F_star(0.0) == 0.0
 
     def test_value_at_s_star(self, logistic30):
-        assert primitive_F(logistic30, S_STAR) == pytest.approx(GAMMA * S_STAR ** 2 / 6.0)
+        assert logistic30.F_star(S_STAR) == pytest.approx(GAMMA * S_STAR ** 2 / 6.0)
 
     def test_constant_beyond_s_star(self, logistic30):
-        top = primitive_F(logistic30, S_STAR)
-        assert primitive_F(logistic30, S_STAR + 2.7) == pytest.approx(top)
+        top = logistic30.F_star(S_STAR)
+        assert logistic30.F_star(S_STAR + 2.7) == pytest.approx(top)
 
     def test_nondecreasing_on_bump_range(self, logistic30):
         s = np.linspace(0.0, S_STAR, 500)
@@ -60,10 +60,12 @@ class TestPrimitive:
     def test_simpson_table_matches_closed_form(self):
         custom = NonlinearitySpec.custom("30*abs(s)*(1 - s)", gamma=30.0,
                                          s_star=1.0, beta_star=0.5)
-        trunc_custom = truncate_nonlinearity(custom)
-        trunc_exact = truncate_nonlinearity(NonlinearitySpec.logistic(30.0, 1.0))
-        s = np.linspace(-2.0, 2.0, 401)
-        assert np.allclose(trunc_custom.F_star(s), trunc_exact.F_star(s), atol=1e-8)
+        logistic = NonlinearitySpec.logistic(30.0, 1.0)
+        s = np.linspace(-2.0, 2.0, 400)  # mostly between the table's knots
+        exact = logistic_primitive(s, 30.0, 1.0, 0.5)
+        for spec in (custom, logistic):
+            np.testing.assert_allclose(truncate_nonlinearity(spec).F_star(s), exact,
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestValidation:

@@ -89,6 +89,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             parse_config(unit_square(tolerances={name: tolerance}))
 
+    @pytest.mark.parametrize("name, value", [
+        ("eig_max_iter", 2.5), ("eig_max_iter", 0), ("eig_max_iter", True),
+        ("max_minimize_iterations", 0), ("max_minimize_iterations", 100.0),
+        ("seed_min_exponent", -5), ("seed_min_exponent", 1.5),
+        ("zero_threshold", 1.0), ("zero_threshold", 1.5)])
+    def test_out_of_range_tolerance_exits_one(self, tmp_path, capsys, name, value):
+        path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
+                                                  tolerances={name: value}))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"error: tolerance {name} must be" in capsys.readouterr().err
+
     def test_nan_tolerance_in_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, unit_square(
@@ -198,6 +209,20 @@ class TestPipelineRuns:
         report = run_pipeline(parse_config(data))
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "f1"
+
+    def test_custom_spelling_of_logistic_solves_like_it(self):
+        """J is exact for a custom f, so Newton-CG takes the logistic steps."""
+        spellings = [{"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
+                     {"kind": "custom", "expr": "30*abs(s)*(1-s)", "gamma": 30.0,
+                      "s_star": 1.0, "beta_star": 0.5}]
+        reports = [run_pipeline(parse_config(unit_square(
+            33, nonlinearity=spelling, tolerances={"max_minimize_iterations": 200})),
+            write=False) for spelling in spellings]
+        assert reports[1].status == "ok", reports[1].failure_message
+        (logistic,), (custom,) = [report.bumps for report in reports]
+        assert (custom.iterations, custom.linear_iterations) \
+            == (logistic.iterations, logistic.linear_iterations)
+        assert custom.energy == pytest.approx(logistic.energy, rel=1e-12, abs=0.0)
 
 
 def sparse_field(grid, seed):
