@@ -90,7 +90,8 @@ def build_stiffness(grid: Grid, conductances: list[np.ndarray],
     return K, index
 
 
-def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
+def boundary_cut_fractions(grid: Grid,
+                           unknown_mask: np.ndarray | None = None) -> list[np.ndarray]:
     """Fractional edge lengths theta for edges crossing the domain boundary.
 
     For an edge with one endpoint inside the domain and one outside, theta
@@ -98,15 +99,21 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
     inside endpoint (bisection on the membership function).  Edges that do
     not cross carry theta = 1.  Lattice-aligned boundaries give theta = 1
     exactly, so cut corrections vanish on boxes.
+
+    ``unknown_mask`` (default: every interior node) limits the bisection to
+    crossing edges whose inside endpoint it marks; the others keep theta = 1.
+    An edge enters :func:`build_stiffness` only through an unknown endpoint,
+    so the stiffness over those unknowns is unchanged.
     """
     phi = grid.domain.membership_function()
     pts = grid.points()
     member = grid.interior_mask
+    owned = member if unknown_mask is None else unknown_mask
     fractions = []
     for axis in range(grid.ndim):
         lo, hi = _axis_slices(grid.ndim, axis)
         theta = np.ones(member[lo].shape)
-        cross = member[lo] ^ member[hi]
+        cross = (member[lo] ^ member[hi]) & (owned[lo] | owned[hi])
         if cross.any():
             pl = pts[lo][cross]
             ph = pts[hi][cross]
@@ -125,14 +132,16 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
     return fractions
 
 
-def cut_unit_conductances(grid: Grid) -> list[np.ndarray]:
+def cut_unit_conductances(grid: Grid,
+                          unknown_mask: np.ndarray | None = None) -> list[np.ndarray]:
     """Unit conductances with 1/theta scaling on boundary-crossing edges.
 
     Realizes the zero condition at the true boundary crossing instead of at
-    the pinned lattice node; used by the unweighted eigenproblem.
+    the pinned lattice node; used by the unweighted eigenproblem.  Only the
+    edges of ``unknown_mask`` are cut (see :func:`boundary_cut_fractions`).
     """
     conds = unit_conductances(grid)
-    for c, theta in zip(conds, boundary_cut_fractions(grid)):
+    for c, theta in zip(conds, boundary_cut_fractions(grid, unknown_mask)):
         c /= theta
     return conds
 

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .energy import BumpSolution
 from .errors import EnumerationSizeError, MissingBumpError
 from .grid import Grid
-from .weights import WeightField
 
 ComponentId = tuple[int, int]
 
@@ -39,40 +37,6 @@ def w11_seminorm(values: np.ndarray, grid: Grid) -> float:
     for axis in range(grid.ndim):
         total += float(np.sum(np.abs(np.diff(values, axis=axis))))
     return total * grid.h ** (grid.ndim - 1)
-
-
-def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> dict:
-    """Cauchy-Schwarz control of the gradient mass by the weighted energy.
-
-    Over the edges where the extended bump varies,
-
-        sum |du| h^(N-1)  <=  sqrt(sum h^N / c_e) * sqrt(sum c_e du^2 h^(N-2)),
-
-    the discrete form of bounding the W^(1,1) seminorm through the
-    reciprocal weight mass and the weighted Dirichlet energy.
-    """
-    hN = grid.cell_volume
-    w11 = 0.0
-    reciprocal_mass = 0.0
-    energy_quad = 0.0
-    for axis in range(grid.ndim):
-        du = np.diff(values, axis=axis)
-        active = du != 0.0
-        if not active.any():
-            continue
-        c = field.conductances[axis][active]
-        d = np.abs(du[active])
-        w11 += float(np.sum(d)) * grid.h ** (grid.ndim - 1)
-        reciprocal_mass += float(np.sum(hN / c))
-        energy_quad += float(np.sum(c * d ** 2)) * grid.h ** (grid.ndim - 2)
-    bound = float(np.sqrt(reciprocal_mass * energy_quad))
-    return {
-        "w11_seminorm": w11,
-        "reciprocal_mass": reciprocal_mass,
-        "weighted_energy": energy_quad,
-        "bound": bound,
-        "satisfied": w11 <= bound * (1.0 + 1e-12),
-    }
 
 
 @dataclass(frozen=True)
@@ -142,13 +106,3 @@ def enumerate_all(bumps: dict[ComponentId, BumpSolution], max_chi: int = 20,
     assert len(solutions) == 2 ** chi - 1
     return solutions
 
-
-def bump_histogram(solutions: list[MultiBumpSolution]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for sol in solutions:
-        hist[sol.n_bumps] = hist.get(sol.n_bumps, 0) + 1
-    return dict(sorted(hist.items()))
-
-
-def expected_histogram(chi: int) -> dict[int, int]:
-    return {n: comb(chi, n) for n in range(1, chi + 1)}

@@ -67,10 +67,6 @@ class DomainSpec:
         return cls(kind="box", dimension=len(lo), lo=lo, hi=hi)
 
     @classmethod
-    def unit_box(cls, ndim: int = 2) -> "DomainSpec":
-        return cls.box((0.0,) * ndim, (1.0,) * ndim)
-
-    @classmethod
     def ball(cls, center, radius: float) -> "DomainSpec":
         center = tuple(float(v) for v in center)
         r = float(radius)
@@ -162,10 +158,6 @@ class Grid:
     @property
     def boundary_mask(self) -> np.ndarray:
         return self.classes == BOUNDARY
-
-    @property
-    def interior_count(self) -> int:
-        return int(np.count_nonzero(self.classes == INTERIOR))
 
     @property
     def cell_volume(self) -> float:

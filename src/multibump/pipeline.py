@@ -7,6 +7,11 @@ enumeration and verification.  The first stage that fails stops the run;
 one table maps its exception to the report's status and, for a failed
 hypothesis, the violated condition.  Partial reports are still written.
 
+The setup of the last configuration is kept for the next call: a solve
+and the re-verification of each file it wrote share one grid, weight field
+and zero set.  The memo holds one entry, keyed on the exact (``repr``)
+domain, weight, resolution, zero threshold and zero band.
+
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are kept in
 memory and logged (one line per stage), never serialized.
@@ -22,7 +27,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -478,11 +483,30 @@ _STOPS = {
 
 
 def _setup(config: RunConfig):
-    """Grid, weight field and zero set at the configured resolution."""
-    grid = build_grid(config.domain, config.resolution)
-    field = evaluate_weight(config.weight, grid)
+    """Grid, weight field and zero set at the configured resolution.
+
+    Shared with the previous call when its inputs are exactly the same (see
+    :func:`_lattice_setup`); every array in the result is read-only.
+    """
     tol = config.tolerances
-    zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
+    inputs = (config.domain, config.weight, config.resolution,
+              tol.zero_threshold, tol.zero_band)
+    return _lattice_setup(repr(inputs), *inputs)
+
+
+@lru_cache(maxsize=1)
+def _lattice_setup(exact_key: str, domain: DomainSpec, weight: WeightSpec,
+                   resolution: int, zero_threshold: float, zero_band: float):
+    """One-entry memo of the setup over exactly the inputs it depends on.
+
+    ``exact_key`` is the ``repr`` of the other arguments.  Float ``repr``
+    round-trips, so inputs that compare equal but print differently, such
+    as a box corner at ``-0.0`` and at ``0.0``, get their own setup.  A
+    failed setup raises and is not cached.
+    """
+    grid = build_grid(domain, resolution)
+    field = evaluate_weight(weight, grid)
+    zero = detect_zero_set(field, grid, eps_zero=zero_threshold, band=zero_band)
     return grid, field, zero
 
 
@@ -625,6 +649,11 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> None:
 
 
 def verify_solution_file(config: RunConfig, field_file: str | Path) -> VerificationReport:
-    """Re-verify an exported solution CSV against its configuration."""
+    """Re-verify an exported solution CSV against its configuration.
+
+    The grid, weight field and zero set come from the one-entry setup memo,
+    so verifying many files of one configuration, or the files of the run
+    that just solved it, builds them once.
+    """
     grid, field, zero = _setup(config)
     return _verify(config, read_solution_csv(field_file, grid), grid, field, zero)

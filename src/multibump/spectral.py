@@ -64,7 +64,7 @@ def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
     """
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown.ravel()[component.nodes] = True
-    K, _ = build_stiffness(grid, cut_unit_conductances(grid), unknown,
+    K, _ = build_stiffness(grid, cut_unit_conductances(grid, unknown), unknown,
                            scale=1.0 / grid.h ** 2)
     p = K.shape[0]
     if p == 0:

@@ -47,13 +47,6 @@ def weak_residual(values: np.ndarray, field: WeightField, nonlinearity,
     return float(np.max(np.abs(residual[where])))
 
 
-def residual_field(values: np.ndarray, field: WeightField, nonlinearity,
-                   grid: Grid) -> np.ndarray:
-    """Nodal stationarity defect on the full lattice (diagnostics)."""
-    operator = apply_operator(values, field.conductances, grid)
-    return operator - _reaction(nonlinearity, values) * grid.cell_volume
-
-
 @dataclass(frozen=True)
 class VerifyTolerances:
     """Verdict thresholds; the residual tolerance scales like one nodal load."""

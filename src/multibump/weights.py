@@ -181,7 +181,8 @@ class WeightField:
 
     Values are stored on the full lattice (zero at exterior nodes, which
     never enter any sum); ``a_max`` is the maximum over the non-exterior
-    nodes, the discrete stand-in for the closure of the domain.
+    nodes, the discrete stand-in for the closure of the domain.  Values and
+    conductances are read-only, so one field can be shared between runs.
     """
 
     spec: WeightSpec
@@ -191,6 +192,8 @@ class WeightField:
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        for conductance in self.conductances:
+            conductance.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -445,15 +448,3 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
         touches_domain_boundary=zero.touches_domain_boundary,
         verdict=verdict)
 
-
-def cbrt_ring_weight() -> WeightSpec:
-    """Radial weight on the ball of radius 2 vanishing on the circle r = 1.
-
-    Cube-root zero on the interior circle, square-root zero on the outer
-    boundary: an admissible weight splitting the ball into two components
-    (disk and annulus).
-    """
-    return WeightSpec.radial(
-        center=(0.0, 0.0),
-        pieces=((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
-        zero_radii=(1.0,))

@@ -1,15 +1,47 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from multibump import pipeline
 from multibump.energy import NonlinearitySpec, truncate_nonlinearity
-from multibump.grid import DomainSpec, build_grid
+from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
 from multibump.topology import decompose_components
-from multibump.weights import (WeightSpec, cbrt_ring_weight, detect_zero_set,
-                               evaluate_weight)
+from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
+
+
+@pytest.fixture(autouse=True)
+def fresh_setup_memo():
+    """Start every test without a remembered pipeline setup.
+
+    Otherwise whether a test rebuilds the grid, weight and zero set would
+    depend on which test ran before it.
+    """
+    pipeline._lattice_setup.cache_clear()
+
+
+def unit_box(ndim: int = 2) -> DomainSpec:
+    return DomainSpec.box((0.0,) * ndim, (1.0,) * ndim)
+
+
+def interior_count(grid: Grid) -> int:
+    return int(np.count_nonzero(grid.classes == INTERIOR))
+
+
+def cbrt_ring_weight() -> WeightSpec:
+    """Radial weight on the ball of radius 2 vanishing on the circle r = 1.
+
+    Cube-root zero on the interior circle, square-root zero on the outer
+    boundary: an admissible weight splitting the ball into two components
+    (disk and annulus).
+    """
+    return WeightSpec.radial(
+        center=(0.0, 0.0),
+        pieces=((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
+        zero_radii=(1.0,))
 
 
 def ring_config(resolution: int = 129, gamma: float = 10.0, out: str = "out",
@@ -69,7 +101,7 @@ def quadratic_zero_config(resolution: int = 129, out: str = "out") -> dict:
 @pytest.fixture(scope="session")
 def square33():
     """Unit square at n=33 with constant weight: grid, field, zero, component."""
-    grid = build_grid(DomainSpec.unit_box(2), 33)
+    grid = build_grid(unit_box(2), 33)
     field = evaluate_weight(WeightSpec.constant(1.0), grid)
     zero = detect_zero_set(field, grid)
     decomposition = decompose_components(grid, zero)

@@ -4,18 +4,25 @@ These deliberately avoid the code paths under test: the eigenvalue oracle
 is a dense symmetric eigensolve, the bump oracle solves the semilinear
 problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, and the reference
-writers format every lattice node one at a time.
+writers format every lattice node one at a time.  The remaining helpers are
+checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
+n-bump histograms and the nodal residual field.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from multibump.assembly import build_stiffness, cut_unit_conductances
-from multibump.energy import DiscreteEnergy
+from multibump.assembly import (apply_operator, build_stiffness,
+                                cut_unit_conductances)
+from multibump.composition import MultiBumpSolution
+from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
 from multibump.topology import Component
+from multibump.weights import WeightField
 
 
 def dense_lambda1(component: Component, grid: Grid) -> float:
@@ -82,3 +89,55 @@ def reference_solution_vtk(path, values: np.ndarray, grid: Grid) -> None:
         handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         for value in values.ravel(order="F"):
             handle.write(f"{float(value)!r}\n")
+
+
+def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> dict:
+    """Cauchy-Schwarz control of the gradient mass by the weighted energy.
+
+    Over the edges where the extended bump varies,
+
+        sum |du| h^(N-1)  <=  sqrt(sum h^N / c_e) * sqrt(sum c_e du^2 h^(N-2)),
+
+    the discrete form of bounding the W^(1,1) seminorm through the
+    reciprocal weight mass and the weighted Dirichlet energy.
+    """
+    hN = grid.cell_volume
+    w11 = 0.0
+    reciprocal_mass = 0.0
+    energy_quad = 0.0
+    for axis in range(grid.ndim):
+        du = np.diff(values, axis=axis)
+        active = du != 0.0
+        if not active.any():
+            continue
+        c = field.conductances[axis][active]
+        d = np.abs(du[active])
+        w11 += float(np.sum(d)) * grid.h ** (grid.ndim - 1)
+        reciprocal_mass += float(np.sum(hN / c))
+        energy_quad += float(np.sum(c * d ** 2)) * grid.h ** (grid.ndim - 2)
+    bound = float(np.sqrt(reciprocal_mass * energy_quad))
+    return {
+        "w11_seminorm": w11,
+        "reciprocal_mass": reciprocal_mass,
+        "weighted_energy": energy_quad,
+        "bound": bound,
+        "satisfied": w11 <= bound * (1.0 + 1e-12),
+    }
+
+
+def bump_histogram(solutions: list[MultiBumpSolution]) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for sol in solutions:
+        hist[sol.n_bumps] = hist.get(sol.n_bumps, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def expected_histogram(chi: int) -> dict[int, int]:
+    return {n: comb(chi, n) for n in range(1, chi + 1)}
+
+
+def residual_field(values: np.ndarray, field: WeightField,
+                   nonlinearity: NonlinearitySpec, grid: Grid) -> np.ndarray:
+    """Nodal stationarity defect on the full lattice."""
+    operator = apply_operator(values, field.conductances, grid)
+    return operator - nonlinearity.f(values) * grid.cell_volume

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import nested_rings_config, quadratic_zero_config, ring_config
+from conftest import (nested_rings_config, quadratic_zero_config, ring_config,
+                      unit_box)
 from oracles import damped_fixed_point, dense_lambda1
 
 from multibump.energy import (NonlinearitySpec, assemble_energy,
@@ -91,13 +92,13 @@ def test_criterion_3_eigenvalue_accuracy():
         comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
         return grid, comp, dirichlet_lambda1(comp, grid).lambda1
 
-    _, _, lam_square = lam(DomainSpec.unit_box(2), 129)
+    _, _, lam_square = lam(unit_box(2), 129)
     err_square = abs(lam_square - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2)
 
     _, _, lam_disk = lam(DomainSpec.ball((0.0, 0.0), 1.0), 129)
     err_disk = abs(lam_disk - 5.7832) / 5.7832
 
-    grid9, comp9, lam9 = lam(DomainSpec.unit_box(2), 9)
+    grid9, comp9, lam9 = lam(unit_box(2), 9)
     formula = (4.0 / grid9.h ** 2) * 2.0 * np.sin(np.pi * grid9.h / 2.0) ** 2
     dense = dense_lambda1(comp9, grid9)
     err_dense = abs(dense - formula) / formula
@@ -121,7 +122,7 @@ def test_criterion_4_gradient_consistency(spec):
     the reaction term f*(u) h^N comparable to it, so a primitive F* whose
     derivative is not f* shows.
     """
-    grid = build_grid(DomainSpec.unit_box(2), 33)
+    grid = build_grid(unit_box(2), 33)
     field = evaluate_weight(WeightSpec.constant(1.0), grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
     trunc = truncate_nonlinearity(spec)
@@ -230,7 +231,7 @@ def test_criterion_7_scaling_invariance(tmp_path):
 def test_criterion_8_manufactured_convergence():
     """Stencil residual on the manufactured problem drops >= 3x per halving."""
     def residual(n):
-        grid = build_grid(DomainSpec.unit_box(2), n)
+        grid = build_grid(unit_box(2), n)
         field = evaluate_weight(WeightSpec.constant(1.0), grid)
         pts = grid.points()
         u = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nested_rings_config
+from conftest import nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
 from multibump.energy import (NonlinearitySpec, SolverOptions, _newton_direction,
@@ -9,7 +9,7 @@ from multibump.energy import (NonlinearitySpec, SolverOptions, _newton_direction
                               truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
-from multibump.grid import DomainSpec, build_grid
+from multibump.grid import build_grid
 from multibump.pipeline import parse_config
 from multibump.spectral import dirichlet_lambda1
 from multibump.topology import decompose_components
@@ -207,7 +207,7 @@ class TestMinimization:
     def test_outer_iterations_do_not_grow_with_resolution(self, logistic30):
         counts = []
         for n in (33, 65, 129):
-            grid = build_grid(DomainSpec.unit_box(2), n)
+            grid = build_grid(unit_box(2), n)
             field = evaluate_weight(WeightSpec.constant(1.0), grid)
             comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
             energy = assemble_energy(comp, field, logistic30, grid)

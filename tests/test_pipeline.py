@@ -1,6 +1,11 @@
+import argparse
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +13,14 @@ import pytest
 from conftest import nested_rings_config, quadratic_zero_config, ring_config
 from oracles import reference_solution_csv, reference_solution_vtk
 
+import multibump
 from multibump import pipeline, spectral
-from multibump.cli import main
+from multibump.cli import _apply_overrides, main
 from multibump.errors import ConfigError, HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
-from multibump.pipeline import (RunReport, load_config, parse_config,
-                                read_solution_csv, render_report, run_pipeline,
-                                verify_solution_file, write_outputs,
+from multibump.pipeline import (RunReport, check_hypotheses, load_config,
+                                parse_config, read_solution_csv, render_report,
+                                run_pipeline, verify_solution_file, write_outputs,
                                 write_solution_csv, write_solution_vtk)
 
 
@@ -307,6 +313,98 @@ class TestOutputs:
         vtk = (out / "solution_001.vtk").read_text().splitlines()
         assert vtk[0].startswith("# vtk DataFile")
         assert any(line.startswith("DIMENSIONS 17 17 1") for line in vtk)
+
+
+@pytest.fixture
+def weight_evaluations(monkeypatch):
+    """Resolution of every grid the pipeline's own setup evaluates the weight on."""
+    resolutions = []
+    evaluate = pipeline.evaluate_weight
+
+    def counted(spec, grid):
+        resolutions.append(grid.n)
+        return evaluate(spec, grid)
+
+    monkeypatch.setattr(pipeline, "evaluate_weight", counted)
+    return resolutions
+
+
+# Boxes whose corner is -0.0, which compares equal to 0.0 but prints apart:
+# in the VTK origin for ``lo``, in the last CSV coordinates for ``hi``.
+SIGNED_ZERO_BOXES = {
+    "lo": ({"kind": "box", "lo": [-0.0, -0.0], "hi": [1.0, 1.0]},
+           "solution_001.vtk", "ORIGIN -0.0 -0.0 0.0\n"),
+    "hi": ({"kind": "box", "lo": [-1.0, -1.0], "hi": [-0.0, -0.0]},
+           "solution_001.csv", "\n-0.0,-0.0,0.0\n"),
+}
+
+# Solve each (config, output directory) pair of the arguments in turn.
+FRESH_SOLVES = """
+import sys
+from multibump.cli import main
+args = sys.argv[1:]
+for config, out in zip(args[::2], args[1::2]):
+    assert main(["solve", "--config", config, "--out", out]) == 0
+"""
+
+
+class TestSetupMemo:
+    def test_solve_and_read_back_evaluate_the_weight_once(self, tmp_path,
+                                                          weight_evaluations):
+        config = parse_config(nested_rings_config(33, out=str(tmp_path)))
+        report = run_pipeline(config)
+        assert len(report.solutions) == 15
+        for record in report.solutions:
+            assert verify_solution_file(config, tmp_path / record.filename).passed
+        assert weight_evaluations == [33]
+
+    @pytest.mark.parametrize("change", ["zero_band", "resolution", "signed-zero lo"])
+    def test_configs_that_differ_get_their_own_setup(self, change, weight_evaluations):
+        base = parse_config(unit_square())
+        other = {
+            "zero_band": lambda: parse_config(unit_square(tolerances={"zero_band": 0.5})),
+            "resolution": lambda: _apply_overrides(base, argparse.Namespace(resolution=33)),
+            "signed-zero lo": lambda: parse_config(
+                unit_square(domain=SIGNED_ZERO_BOXES["lo"][0])),
+        }[change]()
+        first, again, second = (pipeline._setup(c) for c in (base, base, other))
+        assert again is first
+        assert second is not first
+        assert len(weight_evaluations) == 2
+        assert repr(second[0].domain) == repr(other.domain)
+        assert second[0].n == other.resolution
+        assert second[2].band == other.tolerances.zero_band
+
+    def test_signed_zero_boxes_write_what_a_fresh_process_writes(self, tmp_path):
+        fresh_args = []
+        for corner, (domain, _, _) in SIGNED_ZERO_BOXES.items():
+            plain = json.loads(json.dumps(domain).replace("-0.0", "0.0"))
+            run_pipeline(parse_config(unit_square(out=str(tmp_path / f"plain-{corner}"),
+                                                  domain=plain, export_vtk=True)))
+            data = unit_square(out=str(tmp_path / corner), domain=domain, export_vtk=True)
+            run_pipeline(parse_config(data))
+            fresh_args += [str(write_config(tmp_path, data, f"{corner}.json")),
+                           str(tmp_path / f"fresh-{corner}")]
+        # The two boxes differ in nonzero corners too, so the fresh process
+        # cannot share a setup between them under any key.
+        env = dict(os.environ, PYTHONPATH=str(Path(multibump.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", FRESH_SOLVES, *fresh_args], check=True,
+                       env=env, capture_output=True, timeout=120)
+        for corner, (_, name, signed_line) in SIGNED_ZERO_BOXES.items():
+            written = sorted(p.name for p in (tmp_path / corner).iterdir())
+            assert written == sorted(p.name for p in (tmp_path / f"fresh-{corner}").iterdir())
+            for file in written:
+                assert (tmp_path / corner / file).read_bytes() \
+                    == (tmp_path / f"fresh-{corner}" / file).read_bytes()
+            assert signed_line in (tmp_path / corner / name).read_text()
+            assert signed_line not in (tmp_path / f"plain-{corner}" / name).read_text()
+
+    def test_invalid_weight_is_not_remembered(self, weight_evaluations):
+        config = parse_config(unit_square(
+            weight={"kind": "custom-expression", "expr": "x - 0.5"}))
+        assert check_hypotheses(config).status == "invalid-weight"
+        assert check_hypotheses(config).status == "invalid-weight"
+        assert weight_evaluations == [17, 17]
 
 
 class TestStageFailures:

@@ -1,8 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import nested_rings_config, unit_box
 from oracles import dense_lambda1
 
+from multibump import pipeline, spectral
+from multibump.assembly import boundary_cut_fractions, cut_unit_conductances
 from multibump.grid import DomainSpec, build_grid
 from multibump.spectral import check_hypothesis_f2, dirichlet_lambda1
 from multibump.topology import decompose_components
@@ -24,7 +30,7 @@ def discrete_square_lambda1(h: float) -> float:
 
 
 def test_unit_square_converges_to_two_pi_squared():
-    grid, _, comp = single_component(DomainSpec.unit_box(2), 129)
+    grid, _, comp = single_component(unit_box(2), 129)
     eig = dirichlet_lambda1(comp, grid)
     assert eig.lambda1 == pytest.approx(LAMBDA1_SQUARE, rel=5e-3)
 
@@ -36,7 +42,7 @@ def test_unit_disk_converges_to_bessel_value():
 
 
 def test_square_closed_form_matches_dense_oracle():
-    grid, _, comp = single_component(DomainSpec.unit_box(2), 9)
+    grid, _, comp = single_component(unit_box(2), 9)
     formula = discrete_square_lambda1(grid.h)
     assert dense_lambda1(comp, grid) == pytest.approx(formula, rel=1e-10)
     eig = dirichlet_lambda1(comp, grid)
@@ -44,7 +50,7 @@ def test_square_closed_form_matches_dense_oracle():
 
 
 def test_rayleigh_quotient_consistency():
-    grid, _, comp = single_component(DomainSpec.unit_box(2), 33)
+    grid, _, comp = single_component(unit_box(2), 33)
     eig = dirichlet_lambda1(comp, grid)
     assert eig.rayleigh_residual < 1e-6
 
@@ -57,7 +63,7 @@ def test_eigenfunction_strictly_positive_max_one():
 
 
 def test_lambda1_monotone_under_domain_inclusion():
-    big, _, comp_big = single_component(DomainSpec.unit_box(2), 65)
+    big, _, comp_big = single_component(unit_box(2), 65)
     small, _, comp_small = single_component(
         DomainSpec.box((0.2, 0.2), (0.8, 0.8)), 65)
     lam_big = dirichlet_lambda1(comp_big, big).lambda1
@@ -68,7 +74,7 @@ def test_lambda1_monotone_under_domain_inclusion():
 def test_h_squared_error_model_on_square():
     errors = []
     for n in (17, 33):
-        grid, _, comp = single_component(DomainSpec.unit_box(2), n)
+        grid, _, comp = single_component(unit_box(2), n)
         eig = dirichlet_lambda1(comp, grid)
         assert eig.lambda1 == pytest.approx(discrete_square_lambda1(grid.h), rel=1e-6)
         errors.append(abs(eig.lambda1 - LAMBDA1_SQUARE))
@@ -77,7 +83,7 @@ def test_h_squared_error_model_on_square():
 
 
 def test_unit_cube_closed_form_on_cg_branch():
-    grid, _, comp = single_component(DomainSpec.unit_box(3), 9)
+    grid, _, comp = single_component(unit_box(3), 9)
     formula = 3.0 * (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
     eig = dirichlet_lambda1(comp, grid)
     assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
@@ -107,6 +113,33 @@ def test_factorized_branch_matches_cg_iterations_and_lambda1(nested65):
 
 def test_factorized_branch_rayleigh_residual(nested65):
     assert all(eig.rayleigh_residual < 1e-12 for eig in nested65.values())
+
+
+SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
+
+
+@pytest.mark.parametrize("case", ["nested-rings-65", "shell3d-17"])
+def test_cuts_on_the_components_own_edges_match_full_lattice_cuts(case, monkeypatch):
+    if case == "nested-rings-65":
+        config = pipeline.parse_config(nested_rings_config(65))
+    else:
+        config = dataclasses.replace(pipeline.load_config(SHELL3D), resolution=17)
+    grid, _, zero = pipeline._setup(config)
+    components = decompose_components(grid, zero).components
+    own = [dirichlet_lambda1(comp, grid) for comp in components]
+    monkeypatch.setattr(spectral, "cut_unit_conductances",
+                        lambda grid, unknown: cut_unit_conductances(grid))
+    full = [dirichlet_lambda1(comp, grid) for comp in components]
+    assert [(e.lambda1, e.iterations, e.rayleigh_residual) for e in own] \
+        == [(e.lambda1, e.iterations, e.rayleigh_residual) for e in full]
+    # Only the outermost component owns edges that cross the domain boundary.
+    cut = []
+    for comp in components:
+        unknown = np.zeros(grid.shape, dtype=bool)
+        unknown.ravel()[comp.nodes] = True
+        cut.append(any(np.any(theta != 1.0)
+                       for theta in boundary_cut_fractions(grid, unknown)))
+    assert sum(cut) == 1
 
 
 class TestF2:

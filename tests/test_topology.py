@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import unit_box
+
 from multibump.errors import EmptyDecompositionError, HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components
@@ -78,7 +80,7 @@ def test_zero_set_touching_boundary_raises(ring65):
     grid, *_ = ring65
     spec = WeightSpec.expression(
         "sqrt((x - 0.5)**2 + where(y < 0.5, (0.5 - y)**2, 0))")
-    box = build_grid(DomainSpec.unit_box(2), 33)
+    box = build_grid(unit_box(2), 33)
     field = evaluate_weight(spec, box)
     zero = detect_zero_set(field, box)
     with pytest.raises(HypothesisViolationError) as err:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import unit_box
+from oracles import residual_field
+
 from multibump.composition import extend_bump
 from multibump.energy import assemble_energy, minimize_energy
-from multibump.grid import DomainSpec, build_grid
+from multibump.grid import build_grid
 from multibump.spectral import dirichlet_lambda1
-from multibump.verify import (VerifyTolerances, check_conclusions,
-                              residual_field, weak_residual)
+from multibump.verify import VerifyTolerances, check_conclusions, weak_residual
 from multibump.weights import WeightSpec, evaluate_weight
 
 
@@ -17,7 +19,7 @@ def manufactured_residual(n: int) -> float:
     -div(a grad u) = f(u) for f(s) = 2 pi^2 s, so the discrete residual is
     pure truncation error of the stencil.
     """
-    grid = build_grid(DomainSpec.unit_box(2), n)
+    grid = build_grid(unit_box(2), n)
     field = evaluate_weight(WeightSpec.constant(1.0), grid)
     points = grid.points()
     u = np.sin(np.pi * points[..., 0]) * np.sin(np.pi * points[..., 1])

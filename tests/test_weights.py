@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cbrt_ring_weight, interior_count, unit_box
+
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
-from multibump.weights import (WeightSpec, assess_admissibility,
-                               cbrt_ring_weight, detect_zero_set,
+from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
                                estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight)
 
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
-UNIT = DomainSpec.unit_box(2)
+UNIT = unit_box(2)
 QUADRATIC = WeightSpec.power_product([((0.5, 0.5), 0.0, 2.0)])
 
 
@@ -102,7 +103,7 @@ class TestLt:
         grid = build_grid(UNIT, 33)
         c = 4.0
         field = evaluate_weight(WeightSpec.constant(c), grid)
-        measure = grid.interior_count * grid.cell_volume
+        measure = interior_count(grid) * grid.cell_volume
         for t in (1.0, 2.0, 3.5):
             assert estimate_lt_norm(field, grid, t) == pytest.approx(
                 measure ** (1.0 / t) / c, rel=1e-12)
@@ -140,6 +141,14 @@ class TestLt:
         grid, field, zero, _ = ring65
         with pytest.raises(ValueError):
             estimate_lt_norm(field, grid, 0.5, zero=zero)
+
+
+def test_weight_field_arrays_are_read_only(square33):
+    _, field, _, _ = square33
+    with pytest.raises(ValueError):
+        field.conductances[0][0] = 2.0
+    with pytest.raises(ValueError):
+        field.values[0] = 2.0
 
 
 class TestZeroSet:
