@@ -18,17 +18,10 @@ from itertools import combinations
 import numpy as np
 
 from .energy import BumpSolution
-from .errors import EnumerationSizeError, MissingBumpError
+from .errors import EnumerationSizeError
 from .grid import Grid
 
 ComponentId = tuple[int, int]
-
-
-def extend_bump(bump: BumpSolution, grid: Grid) -> np.ndarray:
-    """Extend a component bump by zero to the full lattice."""
-    field = np.zeros(grid.shape)
-    field.ravel()[bump.nodes] = bump.values
-    return field
 
 
 def w11_seminorm(values: np.ndarray, grid: Grid) -> float:
@@ -60,49 +53,24 @@ class MultiBumpSolution:
             flat[bump.nodes] = bump.values
         return values
 
-    @property
-    def min_value(self) -> float:
-        return min(0.0, min(self.bumps[c].min_value for c in self.subset))
-
-    @property
-    def max_value(self) -> float:
-        return max(0.0, max(self.bumps[c].max_value for c in self.subset))
-
     def label(self) -> str:
         return "+".join(f"({i},{l})" for i, l in self.subset)
 
 
-def compose_bumps(bumps: dict[ComponentId, BumpSolution], subset) -> MultiBumpSolution:
-    """Compose the bumps of a nonempty component subset into one solution."""
-    subset = tuple(sorted(subset))
-    if not subset:
-        raise MissingBumpError("the empty subset is the trivial solution; excluded")
-    for comp_id in subset:
-        if comp_id not in bumps:
-            raise MissingBumpError(f"no converged bump for component {comp_id}")
-    energy = float(sum(bumps[c].energy for c in subset))
-    return MultiBumpSolution(subset=subset,
-                             bumps={c: bumps[c] for c in subset},
-                             energy=energy)
-
-
-def enumerate_all(bumps: dict[ComponentId, BumpSolution], max_chi: int = 20,
-                  allow_large: bool = False) -> list[MultiBumpSolution]:
+def enumerate_all(bumps: dict[ComponentId, BumpSolution],
+                  max_chi: int) -> list[MultiBumpSolution]:
     """All 2^chi - 1 solutions, ordered by (n_bumps, lexicographic subset).
 
-    Refuses chi > max_chi unless ``allow_large`` is set; the n-bump counts
-    equal the binomial coefficients by construction.
+    Refuses chi > max_chi; the n-bump counts equal the binomial
+    coefficients by construction.
     """
     chi = len(bumps)
-    if chi > max_chi and not allow_large:
+    if chi > max_chi:
         raise EnumerationSizeError(
             f"chi = {chi} would enumerate 2^{chi} - 1 solutions; "
-            f"pass allow_large to exceed max_chi = {max_chi}")
+            f"the guard max_chi (--max-chi) is {max_chi}")
     ids = sorted(bumps)
-    solutions = []
-    for n in range(1, chi + 1):
-        for subset in combinations(ids, n):
-            solutions.append(compose_bumps(bumps, subset))
-    assert len(solutions) == 2 ** chi - 1
-    return solutions
+    return [MultiBumpSolution(subset=subset, bumps={c: bumps[c] for c in subset},
+                              energy=float(sum(bumps[c].energy for c in subset)))
+            for n in range(1, chi + 1) for subset in combinations(ids, n)]
 

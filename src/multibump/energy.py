@@ -32,6 +32,7 @@ from .errors import (HypothesisViolationError, InvalidNonlinearityError,
 from .expressions import compile_expression
 from .grid import Grid
 from .spectral import EigenPair
+from .tolerances import ToleranceConfig
 from .topology import Component
 from .weights import WeightField
 
@@ -79,9 +80,13 @@ class NonlinearitySpec:
         return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)
 
 
-def validate_nonlinearity(spec: NonlinearitySpec, samples: int = 2048,
-                          slope_rtol: float = 0.05) -> None:
-    """Sampled check of the shape conditions (f1); raises on violation."""
+def validate_nonlinearity(spec: NonlinearitySpec) -> None:
+    """Sampled check of the shape conditions (f1); raises on violation.
+
+    f is sampled at 2048 points on each side of 0, and its slope at 0+ must
+    match gamma to 5%.
+    """
+    samples = 2048
     if spec.gamma <= 0 or spec.s_star <= 0 or spec.beta_star <= 0:
         raise InvalidNonlinearityError(
             "gamma, s_star and beta_star must all be positive")
@@ -103,7 +108,7 @@ def validate_nonlinearity(spec: NonlinearitySpec, samples: int = 2048,
     if np.min(spec.f(lower)) <= 0.0:
         raise InvalidNonlinearityError("f must be strictly positive on [-beta*, 0)")
     slope = float(spec.f(delta)) / delta
-    if abs(slope - spec.gamma) > slope_rtol * spec.gamma:
+    if abs(slope - spec.gamma) > 0.05 * spec.gamma:
         raise InvalidNonlinearityError(
             f"slope of f at 0+ is {slope:.6g}, declared gamma is {spec.gamma:.6g}")
 
@@ -216,18 +221,6 @@ def assemble_energy(component: Component, field: WeightField,
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Newton iteration and seeding controls for bump minimization."""
-
-    grad_tol_scale: float = 1e-8
-    max_iterations: int = 100000
-    seed_min_exponent: int = 30
-
-    def grad_tolerance(self, gamma: float, cell_volume: float) -> float:
-        return self.grad_tol_scale * gamma * cell_volume
-
-
-@dataclass(frozen=True)
 class BumpSolution:
     """Converged nonnegative minimizer on one component.
 
@@ -277,15 +270,15 @@ def _newton_direction(K, shift, g: np.ndarray, eta: float) -> tuple[np.ndarray, 
 
 
 def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
-                    options: SolverOptions | None = None) -> BumpSolution:
+                    tol: ToleranceConfig = ToleranceConfig()) -> BumpSolution:
     """Line-search Newton-CG (Nocedal & Wright, Alg. 7.1) from a negative seed.
 
     Refuses to run when the spectral margin (f2) fails on this component,
     since the seed J(s e1) < 0 is then not available.  Each step solves
     H d = g, H = K - diag(f*'(u)) h^N, to relative residual
     min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
+    Converged when max|g| <= grad_tol_scale * gamma * h^N.
     """
-    opts = options or SolverOptions()
     b = energy.trunc.base
     if b.gamma / eigen.lambda1 <= energy.a_max_closure:
         raise HypothesisViolationError(
@@ -294,7 +287,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
             f"{b.gamma / eigen.lambda1:.6g}")
 
     s0 = b.s_star
-    smallest = b.s_star * 2.0 ** (-opts.seed_min_exponent)
+    smallest = b.s_star * 2.0 ** (-tol.seed_min_exponent)
     while (J := energy.value(s0 * eigen.e1)) >= 0.0:
         s0 *= 0.5
         if s0 < smallest:
@@ -302,7 +295,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 f"no negative-energy seed on component {energy.component.id}; "
                 "the (f2) margin is too small at this resolution")
 
-    tol = opts.grad_tolerance(b.gamma, energy.cell_volume)
+    grad_tol = tol.grad_tol_scale * b.gamma * energy.cell_volume
     K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     # f*' only shapes the Newton direction; the line search and the gradient
     # test decide correctness, so a central difference is accurate enough.
@@ -310,11 +303,11 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     u = s0 * eigen.e1
     g0 = float(np.linalg.norm(energy.gradient(u)))
     linear_iterations = 0
-    for iteration in range(opts.max_iterations):
+    for iteration in range(tol.max_minimize_iterations):
         Ku = K @ u
         g = Ku - trunc.f_star(u) * hN
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
+        if gnorm <= grad_tol:
             return BumpSolution(
                 component_id=energy.component.id, nodes=energy.component.nodes,
                 values=u, energy=J, grad_norm=gnorm,
@@ -340,5 +333,5 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         u, J = trial, J + change
 
     raise NumericalFailureError(
-        f"Newton-CG did not reach gradient tolerance {tol:.3g} within "
-        f"{opts.max_iterations} iterations on component {energy.component.id}")
+        f"Newton-CG did not reach gradient tolerance {grad_tol:.3g} within "
+        f"{tol.max_minimize_iterations} iterations on component {energy.component.id}")

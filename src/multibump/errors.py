@@ -44,9 +44,5 @@ class EnumerationSizeError(SolverError):
     """Subset enumeration refused because 2^chi would be too large."""
 
 
-class MissingBumpError(SolverError):
-    """A requested subset references a component without a converged bump."""
-
-
 class ConfigError(SolverError):
     """Run configuration file is malformed or contains unknown keys."""

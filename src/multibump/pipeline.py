@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -33,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .composition import MultiBumpSolution, enumerate_all
-from .energy import (BumpSolution, NonlinearitySpec, SolverOptions,
-                     assemble_energy, minimize_energy, truncate_nonlinearity)
+from .energy import (BumpSolution, NonlinearitySpec, assemble_energy,
+                     minimize_energy, truncate_nonlinearity)
 from .errors import (ConfigError, EmptyDecompositionError,
                      EnumerationSizeError, HypothesisViolationError,
                      InvalidNonlinearityError, InvalidWeightError,
@@ -42,60 +41,18 @@ from .errors import (ConfigError, EmptyDecompositionError,
                      SeedFailureError)
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
+from .tolerances import ToleranceConfig
 from .topology import decompose_components
-from .verify import VerificationReport, VerifyTolerances, check_conclusions
-from .weights import (AdmissibilityOptions, AdmissibilityReport, WeightSpec,
-                      assess_admissibility, detect_zero_set, evaluate_weight)
+from .verify import VerificationReport, check_conclusions
+from .weights import (AdmissibilityReport, WeightSpec, assess_admissibility,
+                      detect_zero_set, evaluate_weight)
 
 log = logging.getLogger("multibump")
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    zero_threshold: float = 1e-6
-    zero_band: float = 0.75
-    grad_tol_scale: float = 1e-8
-    residual_tol_scale: float = 1e-6
-    bounds_tol: float = 1e-8
-    zero_trace_tol: float = 0.0
-    eig_tol: float = 1e-8
-    eig_max_iter: int = 500
-    max_minimize_iterations: int = 100000
-    seed_min_exponent: int = 30
-    a2_growth_tol: float = 1.10
-    lt_stable_tol: float = 1.15
-    lt_growing_tol: float = 1.05
-    t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
-
-    def __post_init__(self):
-        positive = ("zero_threshold", "zero_band", "grad_tol_scale",
-                    "residual_tol_scale", "eig_tol")
-        nonnegative = ("bounds_tol", "zero_trace_tol")
-        for name in positive + nonnegative + ("a2_growth_tol", "lt_stable_tol",
-                                              "lt_growing_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"tolerance {name} must be finite")
-        if not all(math.isfinite(t) for t in self.t_scan):
-            raise ConfigError("tolerance t_scan must be finite")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"tolerance {name} must be nonnegative")
-        if self.zero_threshold >= 1:
-            raise ConfigError("tolerance zero_threshold must be below 1")
-        for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
-                          ("seed_min_exponent", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"tolerance {name} must be an integer >= {low}")
-
-
-@dataclass(frozen=True)
 class EnumerationConfig:
     max_chi: int = 20
-    allow_large: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,7 +161,7 @@ def parse_config(data: dict) -> RunConfig:
     if "t_scan" in tol_node:
         tol_node["t_scan"] = tuple(float(t) for t in tol_node["t_scan"])
     enum_node = dict(data.get("enumeration", {}))
-    _require_keys(enum_node, {"max_chi", "allow_large"}, set(), "enumeration")
+    _require_keys(enum_node, {"max_chi"}, set(), "enumeration")
     return RunConfig(
         domain=_parse_domain(data["domain"]),
         weight=_parse_weight(data["weight"]),
@@ -489,14 +446,15 @@ def _setup(config: RunConfig):
     :func:`_lattice_setup`); every array in the result is read-only.
     """
     tol = config.tolerances
-    inputs = (config.domain, config.weight, config.resolution,
-              tol.zero_threshold, tol.zero_band)
+    # Of the tolerances, only the zero-set thresholds shape the setup.
+    zero_tol = ToleranceConfig(zero_threshold=tol.zero_threshold, zero_band=tol.zero_band)
+    inputs = (config.domain, config.weight, config.resolution, zero_tol)
     return _lattice_setup(repr(inputs), *inputs)
 
 
 @lru_cache(maxsize=1)
 def _lattice_setup(exact_key: str, domain: DomainSpec, weight: WeightSpec,
-                   resolution: int, zero_threshold: float, zero_band: float):
+                   resolution: int, zero_tol: ToleranceConfig):
     """One-entry memo of the setup over exactly the inputs it depends on.
 
     ``exact_key`` is the ``repr`` of the other arguments.  Float ``repr``
@@ -506,19 +464,7 @@ def _lattice_setup(exact_key: str, domain: DomainSpec, weight: WeightSpec,
     """
     grid = build_grid(domain, resolution)
     field = evaluate_weight(weight, grid)
-    zero = detect_zero_set(field, grid, eps_zero=zero_threshold, band=zero_band)
-    return grid, field, zero
-
-
-def _verify(config: RunConfig, values: np.ndarray, grid: Grid, field, zero) -> VerificationReport:
-    """The paper's conclusions for one candidate field, at the configured tolerances."""
-    tol, nonlinearity = config.tolerances, config.nonlinearity
-    tolerances = VerifyTolerances.from_problem(
-        nonlinearity.gamma, nonlinearity.s_star, grid,
-        residual_scale=tol.residual_tol_scale, bounds_tol=tol.bounds_tol,
-        zero_trace_tol=tol.zero_trace_tol)
-    return check_conclusions(values, field, nonlinearity, grid, zero,
-                             nonlinearity.s_star, tolerances)
+    return grid, field, detect_zero_set(field, grid, zero_tol)
 
 
 @contextmanager
@@ -550,10 +496,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with stage("setup"):
             grid, field, zero = _setup(config)
         with stage("admissibility"):
-            adm = report.admissibility = assess_admissibility(
-                grid, field, zero, AdmissibilityOptions(
-                    t_scan=tol.t_scan, a2_growth_tol=tol.a2_growth_tol,
-                    lt_stable_tol=tol.lt_stable_tol, lt_growing_tol=tol.lt_growing_tol))
+            adm = report.admissibility = assess_admissibility(grid, field, zero, tol)
             report.zero_count = adm.zero_count
             if not adm.admissible:
                 raise _FailedVerdict(
@@ -569,8 +512,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with stage("spectral"):
             eigenpairs = []
             for comp in decomposition.components:
-                eigen = dirichlet_lambda1(comp, grid, tol=tol.eig_tol,
-                                          max_iter=tol.eig_max_iter)
+                eigen = dirichlet_lambda1(comp, grid, tol)
                 eigenpairs.append(eigen)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
@@ -584,20 +526,16 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                                      "component(s) " + ", ".join(failing))
         if solve:
             with stage("minimize"):
-                options = SolverOptions(grad_tol_scale=tol.grad_tol_scale,
-                                        max_iterations=tol.max_minimize_iterations,
-                                        seed_min_exponent=tol.seed_min_exponent)
                 bumps = {}
                 for comp, eigen in zip(decomposition.components, eigenpairs):
                     energy = assemble_energy(comp, field, trunc, grid)
-                    bump = bumps[comp.id] = minimize_energy(energy, eigen, options)
+                    bump = bumps[comp.id] = minimize_energy(energy, eigen, tol)
                     report.bumps.append(bump)
                     log.info("component %s: energy %.6g, %d iterations, "
                              "%d linear iterations", comp.id, bump.energy,
                              bump.iterations, bump.linear_iterations)
             with stage("enumerate"):
-                solutions = enumerate_all(bumps, max_chi=config.enumeration.max_chi,
-                                          allow_large=config.enumeration.allow_large)
+                solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1
             with stage("verify"):
                 if out_path is not None:
@@ -612,7 +550,8 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                             write_solution_vtk(out_path / f"{stem}.vtk", values, grid)
                     report.solutions.append(SolutionRecord(
                         solution=solution, filename=filename,
-                        verification=_verify(config, values, grid, field, zero)))
+                        verification=check_conclusions(values, field, nonlinearity,
+                                                       grid, zero, tol)))
                 report.all_verified = all(r.verification.passed for r in report.solutions)
         report.status = "ok"
     except tuple(_STOPS) as exc:
@@ -656,4 +595,5 @@ def verify_solution_file(config: RunConfig, field_file: str | Path) -> Verificat
     that just solved it, builds them once.
     """
     grid, field, zero = _setup(config)
-    return _verify(config, read_solution_csv(field_file, grid), grid, field, zero)
+    return check_conclusions(read_solution_csv(field_file, grid), field,
+                             config.nonlinearity, grid, zero, config.tolerances)

@@ -21,6 +21,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .assembly import build_stiffness, cut_unit_conductances
 from .errors import NumericalFailureError
 from .grid import Grid
+from .tolerances import ToleranceConfig
 from .topology import Component
 from .weights import WeightField
 
@@ -53,14 +54,15 @@ class F2Entry:
         return self.margin > 0.0
 
 
-def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
-                      max_iter: int = 500) -> EigenPair:
+def dirichlet_lambda1(component: Component, grid: Grid,
+                      tol: ToleranceConfig = ToleranceConfig()) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     Zero boundary data on the component's shell; edges crossing the domain
     boundary carry the cut-length correction so the zero condition sits on
     the true boundary rather than the pinned lattice ring.  Converged when
-    successive eigenvalue estimates agree to ``tol`` relatively.
+    successive eigenvalue estimates agree to ``eig_tol`` relatively, within
+    ``eig_max_iter`` steps.
     """
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown.ravel()[component.nodes] = True
@@ -91,13 +93,13 @@ def dirichlet_lambda1(component: Component, grid: Grid, tol: float = 1e-8,
     x /= np.linalg.norm(x)
     lam_prev = np.inf
     lam = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, tol.eig_max_iter + 1):
         y = solve(x)
         # K y = x up to the solve's accuracy, so the Rayleigh quotient of y
         # is (y.x)/(y.y) without another matvec.
         lam = float(y @ x) / float(y @ y)
         x = y / np.linalg.norm(y)
-        if np.isfinite(lam_prev) and abs(lam - lam_prev) <= tol * abs(lam):
+        if np.isfinite(lam_prev) and abs(lam - lam_prev) <= tol.eig_tol * abs(lam):
             break
         lam_prev = lam
     else:

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .assembly import edge_conductances
 from .errors import InvalidWeightError
 from .expressions import compile_expression, point_variables
 from .grid import Grid, build_grid
+from .tolerances import ToleranceConfig
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,10 @@ class ZeroSet:
 
     The mask combines near-exact zeros (value below ``eps_zero * a_max``)
     with, when the weight declares its zero manifolds, all interior nodes
-    within ``band * h`` of a manifold.  The band guarantees that every
-    stencil edge crossing a manifold has a masked endpoint, so components
-    decouple exactly in the discrete operator.
+    within ``band * h`` of a manifold; ``eps_zero`` and ``band`` record the
+    ``zero_threshold`` and ``zero_band`` it was detected with.  The band
+    guarantees that every stencil edge crossing a manifold has a masked
+    endpoint, so components decouple exactly in the discrete operator.
     """
 
     mask: np.ndarray = dc_field(repr=False)
@@ -242,11 +244,10 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
                        conductances=edge_conductances(values))
 
 
-def detect_zero_set(field: WeightField, grid: Grid, eps_zero: float = 1e-6,
-                    band: float = 0.75) -> ZeroSet:
+def detect_zero_set(field: WeightField, grid: Grid,
+                    tol: ToleranceConfig = ToleranceConfig()) -> ZeroSet:
     """Mask interior nodes belonging to the zero set of the weight."""
-    if not 0.0 < eps_zero < 1.0:
-        raise ValueError(f"eps_zero must lie in (0, 1), got {eps_zero}")
+    eps_zero, band = tol.zero_threshold, tol.zero_band
     member = grid.interior_mask
     mask = member & (field.values < eps_zero * field.a_max)
     zd = field.spec.zero_distance(grid.points())
@@ -295,9 +296,23 @@ def _ball_kernel(radius: float, h: float, ndim: int) -> np.ndarray:
     return (dist2 <= (radius / h) ** 2).astype(float)
 
 
-def estimate_a2_constant(field: WeightField, grid: Grid,
-                         radii: tuple[float, ...] | None = None,
-                         zero: ZeroSet | None = None) -> float:
+def _ball_sums(arrays: list[np.ndarray], kernel: np.ndarray) -> list[np.ndarray]:
+    """Sum of each array over the kernel centred at every node.
+
+    The same bits as ``scipy.signal.fftconvolve(array, kernel, mode="same")``,
+    with the kernel transformed once for all arrays.
+    """
+    shape = arrays[0].shape
+    fshape = [fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, kernel.shape)]
+    spectrum = fft.rfftn(kernel, fshape)
+    centred = tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
+                    for n, k in zip(shape, kernel.shape))
+    return [fft.irfftn(fft.rfftn(array, fshape) * spectrum, fshape)[centred]
+            for array in arrays]
+
+
+def estimate_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
+                         radii: tuple[float, ...] | None = None) -> float:
     """Sampled lower bound of the Muckenhoupt A_2 constant.
 
     Maximum over balls contained in the domain (centered at every interior
@@ -307,8 +322,6 @@ def estimate_a2_constant(field: WeightField, grid: Grid,
     """
     if radii is None:
         radii = dyadic_radii(grid)
-    if zero is None:
-        zero = detect_zero_set(field, grid)
     member = grid.interior_mask
     a = resolvable_floor(field, grid, zero)
     a_in = np.where(member, a, 0.0)
@@ -318,9 +331,8 @@ def estimate_a2_constant(field: WeightField, grid: Grid,
     best = 1.0
     for radius in radii:
         kernel = _ball_kernel(radius, grid.h, grid.ndim)
-        count = np.rint(signal.fftconvolve(member_f, kernel, mode="same"))
-        sum_a = signal.fftconvolve(a_in, kernel, mode="same")
-        sum_rec = signal.fftconvolve(rec_in, kernel, mode="same")
+        count, sum_a, sum_rec = _ball_sums([member_f, a_in, rec_in], kernel)
+        count = np.rint(count)
         with np.errstate(invalid="ignore", divide="ignore"):
             product = (sum_a / count) * (sum_rec / count)
         # Containment: every lattice node of the ball is an interior node,
@@ -333,13 +345,10 @@ def estimate_a2_constant(field: WeightField, grid: Grid,
     return best
 
 
-def estimate_lt_norm(field: WeightField, grid: Grid, t: float,
-                     zero: ZeroSet | None = None) -> float:
+def estimate_lt_norm(field: WeightField, grid: Grid, t: float, zero: ZeroSet) -> float:
     """Nodal quadrature of the L^t norm of 1/a over the domain."""
     if t < 1.0:
         raise ValueError(f"t must be >= 1, got {t}")
-    if zero is None:
-        zero = detect_zero_set(field, grid)
     member = grid.interior_mask
     a = resolvable_floor(field, grid, zero)[member]
     total = float(np.sum(a ** (-t))) * grid.cell_volume
@@ -380,21 +389,13 @@ class AdmissibilityReport:
         return self.verdict == "admissible"
 
 
-@dataclass(frozen=True)
-class AdmissibilityOptions:
-    t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
-    a2_growth_tol: float = 1.10
-    lt_stable_tol: float = 1.15
-    lt_growing_tol: float = 1.05
-
-
 def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
-                         options: AdmissibilityOptions | None = None) -> AdmissibilityReport:
+                         tol: ToleranceConfig = ToleranceConfig()) -> AdmissibilityReport:
     """Two-level admissibility assessment of a weight.
 
-    The caller's grid, weight field and zero set are the fine level; the
-    coarse level, with roughly doubled spacing, is built here, its zero set
-    detected with the ``eps_zero`` and ``band`` stored on ``zero``.
+    The caller's grid, weight field and zero set (detected at ``tol``) are
+    the fine level; the coarse level, with roughly doubled spacing, is built
+    here, its zero set detected at ``tol`` too.
     Divergence of the A2 constant or of an L^t norm is read off the growth
     between the levels.  The verdict is
 
@@ -404,28 +405,27 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
     * ``violates-lt`` when no scanned exponent above N/2 has a stable norm,
     * ``admissible`` otherwise.
     """
-    opts = options or AdmissibilityOptions()
     n_coarse = max((grid.n + 1) // 2, 5)
     grid_c = build_grid(grid.domain, n_coarse)
     field_c = evaluate_weight(field.spec, grid_c)
-    zero_c = detect_zero_set(field_c, grid_c, eps_zero=zero.eps_zero, band=zero.band)
+    zero_c = detect_zero_set(field_c, grid_c, tol)
 
     # Both levels sample the same physical radii (dyadic from the coarse
     # spacing) so the growth ratio compares like-for-like quadratures.
     radii = dyadic_radii(grid_c)
-    a2_c = estimate_a2_constant(field_c, grid_c, radii=radii, zero=zero_c)
-    a2_f = estimate_a2_constant(field, grid, radii=radii, zero=zero)
+    a2_c = estimate_a2_constant(field_c, grid_c, zero_c, radii)
+    a2_f = estimate_a2_constant(field, grid, zero, radii)
     a2_growth = a2_f / a2_c
-    a2_divergent = bool(a2_growth > opts.a2_growth_tol or not np.isfinite(a2_f))
+    a2_divergent = bool(a2_growth > tol.a2_growth_tol or not np.isfinite(a2_f))
 
     rows = []
-    for t in opts.t_scan:
-        nc = estimate_lt_norm(field_c, grid_c, t, zero=zero_c)
-        nf = estimate_lt_norm(field, grid, t, zero=zero)
+    for t in tol.t_scan:
+        nc = estimate_lt_norm(field_c, grid_c, t, zero_c)
+        nf = estimate_lt_norm(field, grid, t, zero)
         growth = nf / nc
         rows.append(LtRow(t=t, norm_coarse=nc, norm_fine=nf, growth=growth,
-                          growing=bool(growth > opts.lt_growing_tol),
-                          stable=bool(np.isfinite(nf) and growth <= opts.lt_stable_tol)))
+                          growing=bool(growth > tol.lt_growing_tol),
+                          stable=bool(np.isfinite(nf) and growth <= tol.lt_stable_tol)))
 
     stable_ts = [row.t for row in rows if row.stable]
     best_t = max(stable_ts) if stable_ts else None

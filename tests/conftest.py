@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from multibump import pipeline
-from multibump.energy import NonlinearitySpec, truncate_nonlinearity
+from multibump.energy import BumpSolution, NonlinearitySpec, truncate_nonlinearity
 from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -29,6 +29,13 @@ def unit_box(ndim: int = 2) -> DomainSpec:
 
 def interior_count(grid: Grid) -> int:
     return int(np.count_nonzero(grid.classes == INTERIOR))
+
+
+def extend_bump(bump: BumpSolution, grid: Grid) -> np.ndarray:
+    """Extend a component bump by zero to the full lattice."""
+    field = np.zeros(grid.shape)
+    field.ravel()[bump.nodes] = bump.values
+    return field
 
 
 def cbrt_ring_weight() -> WeightSpec:

@@ -235,7 +235,8 @@ def test_criterion_8_manufactured_convergence():
         field = evaluate_weight(WeightSpec.constant(1.0), grid)
         pts = grid.points()
         u = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-        return weak_residual(u, field, lambda s: 2.0 * np.pi ** 2 * s, grid)
+        return weak_residual(u, field, lambda s: 2.0 * np.pi ** 2 * s, grid,
+                             detect_zero_set(field, grid))
 
     coarse, fine = residual(33), residual(65)
     ratio = coarse / fine

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import extend_bump
 from oracles import bump_histogram, expected_histogram, holder_bound_report
 
-from multibump.composition import compose_bumps, enumerate_all, extend_bump, w11_seminorm
+from multibump.composition import enumerate_all, w11_seminorm
 from multibump.energy import BumpSolution, assemble_energy, minimize_energy
-from multibump.errors import EnumerationSizeError, MissingBumpError
+from multibump.errors import EnumerationSizeError
 from multibump.grid import DomainSpec, build_grid
 from multibump.spectral import dirichlet_lambda1
 from multibump.topology import decompose_components
@@ -69,37 +70,28 @@ class TestComposition:
 
     def test_nodal_additivity_exact(self, ring_bumps):
         grid, _, _, dec, bumps = ring_bumps
-        composed = compose_bumps(bumps, [c.id for c in dec.components])
+        composed = enumerate_all(bumps, max_chi=20)[-1]
+        assert composed.subset == tuple(c.id for c in dec.components)
         total = sum(extend_bump(bumps[c.id], grid) for c in dec.components)
         assert np.array_equal(composed.field(grid), total)
 
     def test_energy_is_sum(self, ring_bumps):
         *_, bumps = ring_bumps
-        composed = compose_bumps(bumps, list(bumps))
+        composed = enumerate_all(bumps, max_chi=20)[-1]
         assert composed.energy == pytest.approx(
             sum(b.energy for b in bumps.values()), rel=1e-15)
 
     def test_bounds_inherited(self, ring_bumps):
-        *_, bumps = ring_bumps
-        composed = compose_bumps(bumps, list(bumps))
-        assert composed.min_value >= 0.0 - 1e-8
-        assert composed.max_value <= 1.0 + 1e-8
-
-    def test_empty_subset_rejected(self, ring_bumps):
-        *_, bumps = ring_bumps
-        with pytest.raises(MissingBumpError):
-            compose_bumps(bumps, [])
-
-    def test_missing_bump_rejected(self, ring_bumps):
-        *_, bumps = ring_bumps
-        with pytest.raises(MissingBumpError):
-            compose_bumps(bumps, [(9, 9)])
+        grid, *_, bumps = ring_bumps
+        values = enumerate_all(bumps, max_chi=20)[-1].field(grid)
+        assert values.min() >= 0.0 - 1e-8
+        assert values.max() <= 1.0 + 1e-8
 
 
 class TestEnumeration:
     def test_chi_two_gives_three(self, ring_bumps):
         *_, bumps = ring_bumps
-        solutions = enumerate_all(bumps)
+        solutions = enumerate_all(bumps, max_chi=20)
         assert len(solutions) == 3
         assert bump_histogram(solutions) == {1: 2, 2: 1}
 
@@ -111,7 +103,7 @@ class TestEnumeration:
         dec = decompose_components(grid, detect_zero_set(field, grid))
         assert dec.chi == 4
         bumps = synthetic_bumps(dec)
-        solutions = enumerate_all(bumps)
+        solutions = enumerate_all(bumps, max_chi=20)
         assert len(solutions) == 15
         assert bump_histogram(solutions) == {1: 4, 2: 6, 3: 4, 4: 1}
         assert expected_histogram(4) == {1: 4, 2: 6, 3: 4, 4: 1}
@@ -126,11 +118,11 @@ class TestEnumeration:
         dec = decompose_components(grid, detect_zero_set(field, grid))
         assert dec.chi == 5
         bumps = synthetic_bumps(dec)
-        assert len(enumerate_all(bumps)) == 31
+        assert len(enumerate_all(bumps, max_chi=20)) == 31
 
     def test_ordering_by_size_then_subset(self, ring_bumps):
         *_, bumps = ring_bumps
-        solutions = enumerate_all(bumps)
+        solutions = enumerate_all(bumps, max_chi=20)
         keys = [(s.n_bumps, s.subset) for s in solutions]
         assert keys == sorted(keys)
 
@@ -143,4 +135,4 @@ class TestEnumeration:
         bumps = synthetic_bumps(dec)
         with pytest.raises(EnumerationSizeError):
             enumerate_all(bumps, max_chi=3)
-        assert len(enumerate_all(bumps, max_chi=3, allow_large=True)) == 15
+        assert len(enumerate_all(bumps, max_chi=4)) == 15

@@ -4,14 +4,15 @@ import pytest
 from conftest import nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
-from multibump.energy import (NonlinearitySpec, SolverOptions, _newton_direction,
-                              assemble_energy, minimize_energy,
-                              truncate_nonlinearity, validate_nonlinearity)
+from multibump.energy import (NonlinearitySpec, _newton_direction, assemble_energy,
+                              minimize_energy, truncate_nonlinearity,
+                              validate_nonlinearity)
 from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
 from multibump.spectral import dirichlet_lambda1
+from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -152,7 +153,7 @@ class TestMinimization:
     def test_bump_on_unit_square(self, square_problem):
         _, _, eigen, energy = square_problem
         bump = minimize_energy(energy, eigen)
-        tol = SolverOptions().grad_tolerance(GAMMA, energy.cell_volume)
+        tol = ToleranceConfig().grad_tol_scale * GAMMA * energy.cell_volume
         assert bump.energy < 0.0
         assert bump.grad_norm <= tol <= 1e-8
         assert 0.0 < bump.max_value <= S_STAR + 1e-8
@@ -219,10 +220,9 @@ class TestMinimization:
         grid, field, _, dec = ring65
         cases = [(grid, field, comp, logistic10) for comp in dec.components]
         config = parse_config(nested_rings_config(33))
-        tol = config.tolerances
         grid = build_grid(config.domain, config.resolution)
         field = evaluate_weight(config.weight, grid)
-        zero = detect_zero_set(field, grid, eps_zero=tol.zero_threshold, band=tol.zero_band)
+        zero = detect_zero_set(field, grid, config.tolerances)
         nested = {c.id: c for c in decompose_components(grid, zero).components}
         # The oracle itself does not converge on the other nested components.
         cases.append((grid, field, nested[(1, 1)],

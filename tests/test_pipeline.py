@@ -115,12 +115,27 @@ class TestConfigParsing:
         assert "grad_tol_scale must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_allow_large_is_an_unknown_key(self):
+        # max_chi is the only enumeration guard.
+        with pytest.raises(ConfigError, match="allow_large"):
+            parse_config(dict(ring_config(65), enumeration={"allow_large": True}))
+
     def test_roundtrip_via_file(self, tmp_path):
         path = write_config(tmp_path, ring_config(65))
         config = load_config(path)
         assert config.resolution == 65
         assert config.domain.kind == "ball"
         assert config.nonlinearity.gamma == 10.0
+
+
+def test_import_loads_no_signal_processing_or_statistics():
+    # scipy.signal imports scipy.stats, together most of the import time.
+    code = ("import sys, multibump.pipeline; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(multibump.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert loaded.stdout == "[]\n"
 
 
 class TestPipelineRuns:

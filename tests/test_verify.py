@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import unit_box
+from conftest import extend_bump, unit_box
 from oracles import residual_field
 
-from multibump.composition import extend_bump
 from multibump.energy import assemble_energy, minimize_energy
 from multibump.grid import build_grid
 from multibump.spectral import dirichlet_lambda1
-from multibump.verify import VerifyTolerances, check_conclusions, weak_residual
-from multibump.weights import WeightSpec, evaluate_weight
+from multibump.verify import check_conclusions, weak_residual
+from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 
 def manufactured_residual(n: int) -> float:
@@ -24,13 +23,14 @@ def manufactured_residual(n: int) -> float:
     points = grid.points()
     u = np.sin(np.pi * points[..., 0]) * np.sin(np.pi * points[..., 1])
     u[~(grid.interior_mask | grid.boundary_mask)] = 0.0
-    return weak_residual(u, field, lambda s: 2.0 * np.pi ** 2 * s, grid)
+    return weak_residual(u, field, lambda s: 2.0 * np.pi ** 2 * s, grid,
+                         detect_zero_set(field, grid))
 
 
 def test_zero_field_zero_residual(square33, logistic30):
     grid, field, zero, _ = square33
     values = np.zeros(grid.shape)
-    assert weak_residual(values, field, logistic30.base, grid, zero=zero) == 0.0
+    assert weak_residual(values, field, logistic30.base.f, grid, zero) == 0.0
 
 
 def test_manufactured_residual_drops_by_three_when_halving():
@@ -47,9 +47,9 @@ def test_composed_residual_equals_max_of_parts(ring65, logistic10):
         energy = assemble_energy(comp, field, logistic10, grid)
         bump = minimize_energy(energy, eig)
         extensions.append(extend_bump(bump, grid))
-    parts = [weak_residual(ext, field, logistic10.base, grid, zero=zero)
-             for ext in extensions]
-    total = weak_residual(sum(extensions), field, logistic10.base, grid, zero=zero)
+    f = logistic10.base.f
+    parts = [weak_residual(ext, field, f, grid, zero) for ext in extensions]
+    total = weak_residual(sum(extensions), field, f, grid, zero)
     assert total == pytest.approx(max(parts), rel=1e-12)
 
 
@@ -72,9 +72,7 @@ def test_residual_additive_for_disjoint_supports(ring65, logistic10):
 class TestConclusions:
     def run_checks(self, square33, logistic30, values):
         grid, field, zero, _ = square33
-        tols = VerifyTolerances.from_problem(30.0, 1.0, grid)
-        return check_conclusions(values, field, logistic30.base, grid, zero,
-                                 1.0, tols)
+        return check_conclusions(values, field, logistic30.base, grid, zero)
 
     def test_converged_bump_passes_everything(self, square33, logistic30):
         grid, field, zero, comp = square33

@@ -7,6 +7,7 @@ from conftest import cbrt_ring_weight, interior_count, unit_box
 
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
+from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
                                estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight)
@@ -64,7 +65,8 @@ class TestA2:
     def test_constant_weight_estimate_is_one(self):
         grid = build_grid(UNIT, 33)
         field = evaluate_weight(WeightSpec.constant(2.0), grid)
-        assert estimate_a2_constant(field, grid) == pytest.approx(1.0, abs=1e-9)
+        zero = detect_zero_set(field, grid)
+        assert estimate_a2_constant(field, grid, zero) == pytest.approx(1.0, abs=1e-9)
 
     def test_ring_weight_stable_across_refinement(self):
         report = assess(cbrt_ring_weight(), B2, 129)
@@ -93,8 +95,8 @@ class TestA2:
             WeightSpec.radial((0.0, 0.0),
                               ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
                               zero_radii=(1.0,), scale=lam), grid)
-        a2_base = estimate_a2_constant(base, grid)
-        a2_scaled = estimate_a2_constant(scaled, grid)
+        a2_base = estimate_a2_constant(base, grid, detect_zero_set(base, grid))
+        a2_scaled = estimate_a2_constant(scaled, grid, detect_zero_set(scaled, grid))
         assert a2_scaled == pytest.approx(a2_base, rel=1e-9)
 
 
@@ -103,9 +105,10 @@ class TestLt:
         grid = build_grid(UNIT, 33)
         c = 4.0
         field = evaluate_weight(WeightSpec.constant(c), grid)
+        zero = detect_zero_set(field, grid)
         measure = interior_count(grid) * grid.cell_volume
         for t in (1.0, 2.0, 3.5):
-            assert estimate_lt_norm(field, grid, t) == pytest.approx(
+            assert estimate_lt_norm(field, grid, t, zero) == pytest.approx(
                 measure ** (1.0 / t) / c, rel=1e-12)
 
     def test_ring_weight_low_exponents_finite_and_stable(self):
@@ -184,8 +187,9 @@ class TestZeroSet:
     def test_mask_monotone_in_threshold(self, eps, factor):
         grid = build_grid(B2, 33)
         field = evaluate_weight(cbrt_ring_weight(), grid)
-        small = detect_zero_set(field, grid, eps_zero=eps)
-        large = detect_zero_set(field, grid, eps_zero=min(eps * factor, 0.5))
+        small = detect_zero_set(field, grid, ToleranceConfig(zero_threshold=eps))
+        large = detect_zero_set(field, grid,
+                                ToleranceConfig(zero_threshold=min(eps * factor, 0.5)))
         assert not np.any(small.mask & ~large.mask)
 
 
