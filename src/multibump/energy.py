@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import build_stiffness
 from .errors import (HypothesisViolationError, InvalidNonlinearityError,
                      NumericalFailureError, SeedFailureError)
 from .expressions import compile_expression
@@ -208,13 +207,13 @@ def assemble_energy(component: Component, field: WeightField,
                     trunc: TruncatedNonlinearity, grid: Grid) -> DiscreteEnergy:
     """Assemble J on a component (weighted stiffness + lumped reaction).
 
-    Mass lumping makes the gradient exactly K u - f*(u) h^N, the true
-    derivative of the discrete value.
+    K is the weight's operator restricted to the component's nodes.  Mass
+    lumping makes the gradient exactly K u - f*(u) h^N, the true derivative
+    of the discrete value.
     """
-    unknown = np.zeros(grid.shape, dtype=bool)
-    unknown.ravel()[component.nodes] = True
-    K, _ = build_stiffness(grid, field.conductances, unknown)
-    closure = np.concatenate([component.nodes, component.shell])
+    nodes = component.nodes
+    K = field.operator[nodes][:, nodes]
+    closure = np.concatenate([nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
                           cell_volume=grid.cell_volume, a_max_closure=a_max)

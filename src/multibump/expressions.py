@@ -8,6 +8,8 @@ reach arbitrary Python.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _SAFE_FUNCTIONS = {
@@ -34,15 +36,21 @@ _SAFE_FUNCTIONS = {
 }
 
 
+@lru_cache(maxsize=256)
 def compile_expression(expr: str, variables: tuple[str, ...]):
     """Compile ``expr`` into a vectorized callable of the named variables.
 
-    Raises ``SyntaxError`` early rather than at first evaluation.
+    Raises ``ValueError`` for bad syntax or a name that is neither a
+    variable nor an allowed function, at compile time rather than at first
+    evaluation.  Each expression is compiled once per process.
     """
-    code = compile(expr, "<expression>", "eval")
+    try:
+        code = compile(expr, "<expression>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
     for name in code.co_names:
         if name not in _SAFE_FUNCTIONS and name not in variables:
-            raise NameError(f"name {name!r} is not allowed in expression {expr!r}")
+            raise ValueError(f"name {name!r} is not allowed in expression {expr!r}")
 
     def evaluator(*args):
         if len(args) != len(variables):
@@ -50,9 +58,13 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
         ns = dict(zip(variables, args))
         return eval(code, {"__builtins__": {}}, {**_SAFE_FUNCTIONS, **ns})
 
-    evaluator.expression = expr
-    evaluator.variables = variables
     return evaluator
+
+
+def evaluate_expression(expr: str, points: np.ndarray) -> np.ndarray:
+    """``expr`` at points of shape (..., N), in the variables of R^N."""
+    evaluator = compile_expression(expr, point_variables(points.shape[-1]))
+    return np.asarray(evaluator(*np.moveaxis(points, -1, 0)), dtype=float)
 
 
 def point_variables(ndim: int) -> tuple[str, ...]:

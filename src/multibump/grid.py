@@ -20,12 +20,13 @@ outside the boundary, a first-order treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ResolutionTooCoarseError
-from .expressions import compile_expression, point_variables
+from .expressions import compile_expression, evaluate_expression, point_variables
 
 EXTERIOR = 0
 INTERIOR = 1
@@ -59,6 +60,10 @@ class DomainSpec:
         widths = np.asarray(self.hi, float) - np.asarray(self.lo, float)
         if np.any(widths <= 0):
             raise ValueError("bounding box must have positive extent on every axis")
+        if np.max(widths) - np.min(widths) > 1e-9 * np.max(widths):
+            raise ValueError("bounding box must be a hypercube (equal axis extents)")
+        if self.expression is not None:
+            compile_expression(self.expression, point_variables(self.dimension))
 
     @classmethod
     def box(cls, lo, hi) -> "DomainSpec":
@@ -103,14 +108,7 @@ class DomainSpec:
 
             return phi
         if self.kind == "custom-implicit":
-            evaluator = compile_expression(self.expression,
-                                           point_variables(self.dimension))
-
-            def phi(points):
-                coords = tuple(points[..., d] for d in range(points.shape[-1]))
-                return np.asarray(evaluator(*coords), dtype=float)
-
-            return phi
+            return partial(evaluate_expression, self.expression)
         raise ValueError(f"unknown domain kind {self.kind!r}")
 
     def diameter(self) -> float:
@@ -191,10 +189,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
     """
     if n < 2:
         raise ResolutionTooCoarseError(f"need at least 2 nodes per axis, got {n}")
-    widths = np.asarray(domain.hi, float) - np.asarray(domain.lo, float)
-    if np.max(widths) - np.min(widths) > 1e-9 * np.max(widths):
-        raise ValueError("bounding box must be a hypercube (equal axis extents)")
-    h = float(widths[0]) / (n - 1)
+    h = (domain.hi[0] - domain.lo[0]) / (n - 1)
 
     mesh = np.meshgrid(*_lattice_axes(domain, n), indexing="ij")
     points = np.stack(mesh, axis=-1)

@@ -40,7 +40,8 @@ from .errors import (ConfigError, EmptyDecompositionError,
                      NumericalFailureError, ResolutionTooCoarseError,
                      SeedFailureError)
 from .grid import DomainSpec, Grid, build_grid
-from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
+from .spectral import (F2Entry, check_hypothesis_f2, dirichlet_lambda1,
+                       dirichlet_laplacian)
 from .tolerances import ToleranceConfig
 from .topology import decompose_components
 from .verify import VerificationReport, check_conclusions
@@ -145,30 +146,43 @@ def _parse_nonlinearity(node: dict) -> NonlinearitySpec:
     raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
 
+def _parse_tolerances(node: dict) -> ToleranceConfig:
+    node = dict(node)
+    _require_keys(node, set(ToleranceConfig.__dataclass_fields__), set(), "tolerances")
+    if "t_scan" in node:
+        node["t_scan"] = tuple(float(t) for t in node["t_scan"])
+    return ToleranceConfig(**node)
+
+
+def _section(name: str, parse, *args):
+    """``parse(*args)``, with a malformed value reported as a ConfigError naming ``name``."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
 _TOP_KEYS = {"domain", "weight", "nonlinearity", "resolution", "output_dir",
              "tolerances", "enumeration", "export_vtk"}
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate and parse a configuration tree; unknown keys are errors."""
+    """Validate and parse a configuration tree; unknown keys and bad expressions are errors."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     _require_keys(data, _TOP_KEYS, {"domain", "weight", "nonlinearity", "resolution"},
                   "<root>")
-    tol_node = dict(data.get("tolerances", {}))
-    allowed_tols = set(ToleranceConfig.__dataclass_fields__)
-    _require_keys(tol_node, allowed_tols, set(), "tolerances")
-    if "t_scan" in tol_node:
-        tol_node["t_scan"] = tuple(float(t) for t in tol_node["t_scan"])
     enum_node = dict(data.get("enumeration", {}))
     _require_keys(enum_node, {"max_chi"}, set(), "enumeration")
+    domain = _section("domain", _parse_domain, data["domain"])
+    weight = _section("weight", _parse_weight, data["weight"])
+    _section("weight", weight.compile, domain.dimension)
     return RunConfig(
-        domain=_parse_domain(data["domain"]),
-        weight=_parse_weight(data["weight"]),
-        nonlinearity=_parse_nonlinearity(data["nonlinearity"]),
-        resolution=int(data["resolution"]),
+        domain=domain, weight=weight,
+        nonlinearity=_section("nonlinearity", _parse_nonlinearity, data["nonlinearity"]),
+        resolution=_section("resolution", int, data["resolution"]),
         output_dir=str(data.get("output_dir", "out")),
-        tolerances=ToleranceConfig(**tol_node),
+        tolerances=_section("tolerances", _parse_tolerances, data.get("tolerances", {})),
         enumeration=EnumerationConfig(**enum_node),
         export_vtk=bool(data.get("export_vtk", False)),
         raw=data)
@@ -511,8 +525,9 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             trunc = truncate_nonlinearity(nonlinearity)
         with stage("spectral"):
             eigenpairs = []
+            laplacian = dirichlet_laplacian(grid)
             for comp in decomposition.components:
-                eigen = dirichlet_lambda1(comp, grid, tol)
+                eigen = dirichlet_lambda1(comp, grid, laplacian, tol)
                 eigenpairs.append(eigen)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .assembly import build_stiffness, cut_unit_conductances
+from .assembly import boundary_cut_fractions, lattice_operator
 from .errors import NumericalFailureError
 from .grid import Grid
 from .tolerances import ToleranceConfig
@@ -54,23 +54,28 @@ class F2Entry:
         return self.margin > 0.0
 
 
-def dirichlet_lambda1(component: Component, grid: Grid,
+def dirichlet_laplacian(grid: Grid):
+    """The lattice's unit-conductance operator over h^2, built once per run.
+
+    An edge crossing the domain boundary at theta*h from its inside end has
+    conductance 1/theta, so the zero condition sits on the true boundary
+    rather than on the pinned lattice ring.
+    """
+    conductances = [1.0 / theta for theta in boundary_cut_fractions(grid)]
+    return lattice_operator(grid, conductances, scale=1.0 / grid.h ** 2)
+
+
+def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
                       tol: ToleranceConfig = ToleranceConfig()) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
-    Zero boundary data on the component's shell; edges crossing the domain
-    boundary carry the cut-length correction so the zero condition sits on
-    the true boundary rather than the pinned lattice ring.  Converged when
-    successive eigenvalue estimates agree to ``eig_tol`` relatively, within
-    ``eig_max_iter`` steps.
+    ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
+    it to the component's nodes gives zero boundary data on its shell.
+    Converged when successive eigenvalue estimates agree to ``eig_tol``
+    relatively, within ``eig_max_iter`` steps.
     """
-    unknown = np.zeros(grid.shape, dtype=bool)
-    unknown.ravel()[component.nodes] = True
-    K, _ = build_stiffness(grid, cut_unit_conductances(grid, unknown), unknown,
-                           scale=1.0 / grid.h ** 2)
+    K = laplacian[component.nodes][:, component.nodes]
     p = K.shape[0]
-    if p == 0:
-        raise NumericalFailureError(f"component {component.id} has no nodes")
 
     if grid.ndim == 2:
         try:

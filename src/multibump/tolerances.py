@@ -47,6 +47,8 @@ class ToleranceConfig:
                 raise ConfigError(f"tolerance {name} must be nonnegative")
         if self.zero_threshold >= 1:
             raise ConfigError("tolerance zero_threshold must be below 1")
+        if any(t < 1 for t in self.t_scan):
+            raise ConfigError("tolerance t_scan must be >= 1")
         for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
                           ("seed_min_exponent", 0)):
             value = getattr(self, name)

@@ -25,7 +25,7 @@ from .weights import ZeroSet
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component: its nodes, boundary shell and manifold count.
+    """One connected component: its nodes and boundary shell.
 
     ``id`` is the pair (i, l): i boundary manifolds, l-th such component in
     scan order.  ``nodes`` and ``shell`` are flat lattice indices in C scan
@@ -35,7 +35,6 @@ class Component:
     id: tuple[int, int]
     nodes: np.ndarray
     shell: np.ndarray
-    boundary_manifold_count: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -51,12 +50,6 @@ class Decomposition:
     components: list[Component]
     chi: int
     j_counts: dict[int, int]
-
-    def component(self, comp_id: tuple[int, int]) -> Component:
-        for comp in self.components:
-            if comp.id == comp_id:
-                return comp
-        raise KeyError(f"no component with id {comp_id}")
 
 
 def _count_boundary_manifolds(shell_mask: np.ndarray, grid: Grid) -> int:
@@ -97,6 +90,6 @@ def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
     for count, nodes, shell in raw:
         j_counts[count] = j_counts.get(count, 0) + 1
         components.append(Component(id=(count, j_counts[count]), nodes=nodes,
-                                    shell=shell, boundary_manifold_count=count))
+                                    shell=shell))
     components.sort(key=lambda c: c.id)
     return Decomposition(components=components, chi=chi, j_counts=dict(sorted(j_counts.items())))

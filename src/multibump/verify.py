@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import apply_operator
 from .composition import w11_seminorm
 from .energy import NonlinearitySpec
 from .grid import Grid
@@ -35,9 +34,9 @@ def weak_residual(values: np.ndarray, field: WeightField, f: Callable,
     field supplies its own values at pinned nodes, so extended and composed
     candidates verify directly.
     """
-    operator = apply_operator(values, field.conductances, grid)
-    residual = operator - f(values) * grid.cell_volume
-    where = grid.interior_mask & ~zero.mask
+    where = (grid.interior_mask & ~zero.mask).ravel()
+    flat = values.ravel()
+    residual = field.operator @ flat - f(flat) * grid.cell_volume
     return float(np.max(np.abs(residual[where])))
 
 

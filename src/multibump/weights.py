@@ -25,9 +25,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import fft, ndimage
 
-from .assembly import edge_conductances
+from .assembly import edge_conductances, lattice_operator
 from .errors import InvalidWeightError
-from .expressions import compile_expression, point_variables
+from .expressions import compile_expression, evaluate_expression, point_variables
 from .grid import Grid, build_grid
 from .tolerances import ToleranceConfig
 
@@ -94,6 +94,14 @@ class WeightSpec:
         return cls(kind="custom-expression", expr=str(expr), zero_expr=zero_expr,
                    scale=float(scale), reference=f"a(x) = {scale} * ({expr})")
 
+    def compile(self, ndim: int) -> None:
+        """Compile every expression for points in R^ndim; ``ValueError`` on a bad one."""
+        for _, expr in self.pieces:
+            compile_expression(expr, ("r",))
+        for expr in (self.expr, self.zero_expr):
+            if expr is not None:
+                compile_expression(expr, point_variables(ndim))
+
     def _radial_profile(self):
         evaluators = [(r_hi, compile_expression(expr, ("r",)))
                       for r_hi, expr in self.pieces]
@@ -128,9 +136,7 @@ class WeightSpec:
                 out = out * d ** alpha
             return out
         if self.kind == "custom-expression":
-            ev = compile_expression(self.expr, point_variables(points.shape[-1]))
-            coords = tuple(points[..., d] for d in range(points.shape[-1]))
-            return self.scale * np.asarray(ev(*coords), dtype=float)
+            return self.scale * evaluate_expression(self.expr, points)
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def zero_distance(self, points: np.ndarray) -> np.ndarray | None:
@@ -152,9 +158,7 @@ class WeightSpec:
         if self.kind == "custom-expression":
             if self.zero_expr is None:
                 return None
-            ev = compile_expression(self.zero_expr, point_variables(points.shape[-1]))
-            coords = tuple(points[..., d] for d in range(points.shape[-1]))
-            return np.asarray(ev(*coords), dtype=float)
+            return evaluate_expression(self.zero_expr, points)
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def _detect_zero_radii(self, samples: int = 4096) -> tuple[float, ...]:
@@ -178,23 +182,25 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class WeightField:
-    """Nodal weight values plus derived edge conductances on one grid.
+    """Nodal weight values plus their diffusion operator on one grid.
 
     Values are stored on the full lattice (zero at exterior nodes, which
     never enter any sum); ``a_max`` is the maximum over the non-exterior
-    nodes, the discrete stand-in for the closure of the domain.  Values and
-    conductances are read-only, so one field can be shared between runs.
+    nodes, the discrete stand-in for the closure of the domain.
+    ``operator`` is :func:`~multibump.assembly.lattice_operator` of the
+    arithmetic-mean edge conductances.  Values and the operator's arrays
+    are read-only, so one field can be shared between runs.
     """
 
     spec: WeightSpec
     values: np.ndarray = dc_field(repr=False)
     a_max: float
-    conductances: list[np.ndarray] = dc_field(repr=False)
+    operator: object = dc_field(repr=False)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        for conductance in self.conductances:
-            conductance.setflags(write=False)
+        for array in (self.values, self.operator.data, self.operator.indices,
+                      self.operator.indptr):
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,7 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     if a_max <= 0.0:
         raise InvalidWeightError(f"weight {spec.reference} vanishes identically")
     return WeightField(spec=spec, values=values, a_max=a_max,
-                       conductances=edge_conductances(values))
+                       operator=lattice_operator(grid, edge_conductances(values)))
 
 
 def detect_zero_set(field: WeightField, grid: Grid,
@@ -346,9 +352,7 @@ def estimate_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
 
 
 def estimate_lt_norm(field: WeightField, grid: Grid, t: float, zero: ZeroSet) -> float:
-    """Nodal quadrature of the L^t norm of 1/a over the domain."""
-    if t < 1.0:
-        raise ValueError(f"t must be >= 1, got {t}")
+    """Nodal quadrature of the L^t norm of 1/a over the domain (t >= 1)."""
     member = grid.interior_mask
     a = resolvable_floor(field, grid, zero)[member]
     total = float(np.sum(a ** (-t))) * grid.cell_volume

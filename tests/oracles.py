@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the solver against.
 
-These deliberately avoid the code paths under test: the eigenvalue oracle
-is a dense symmetric eigensolve, the bump oracle solves the semilinear
+These deliberately avoid the code paths under test: the reference
+operator is assembled one stencil edge at a time, the eigenvalue oracle is
+a dense symmetric eigensolve of it, the bump oracle solves the semilinear
 problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, and the reference
 writers format every lattice node one at a time.  The remaining helpers are
@@ -14,10 +15,10 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from multibump.assembly import (apply_operator, build_stiffness,
-                                cut_unit_conductances)
+from multibump.assembly import boundary_cut_fractions, edge_conductances
 from multibump.composition import MultiBumpSolution
 from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
@@ -25,12 +26,43 @@ from multibump.topology import Component
 from multibump.weights import WeightField
 
 
+def reference_operator(conductances: list[np.ndarray], grid: Grid,
+                       scale: float) -> sparse.csr_matrix:
+    """The edge operator over the whole lattice, assembled one edge at a time.
+
+    Each stencil edge (i, j) with conductance c adds c*scale to entries
+    (i, i) and (j, j) and subtracts it from (i, j) and (j, i).
+    """
+    node = np.arange(grid.classes.size).reshape(grid.shape)
+    entries: dict[tuple[int, int], float] = {}
+    for axis, conductance in enumerate(conductances):
+        for lo in np.ndindex(conductance.shape):
+            hi = tuple(k + (d == axis) for d, k in enumerate(lo))
+            i, j = int(node[lo]), int(node[hi])
+            w = float(conductance[lo]) * scale
+            for key, value in (((i, i), w), ((j, j), w), ((i, j), -w), ((j, i), -w)):
+                entries[key] = entries.get(key, 0.0) + value
+    rows, cols = zip(*entries)
+    return sparse.csr_matrix((list(entries.values()), (rows, cols)),
+                             shape=(node.size, node.size))
+
+
+def weighted_reference_operator(field: WeightField, grid: Grid) -> sparse.csr_matrix:
+    """:func:`reference_operator` of the weight's arithmetic-mean conductances."""
+    return reference_operator(edge_conductances(field.values), grid,
+                              grid.h ** (grid.ndim - 2))
+
+
+def laplacian_reference_operator(grid: Grid) -> sparse.csr_matrix:
+    """:func:`reference_operator` of the cut-corrected unit conductances, over h^2."""
+    return reference_operator([1.0 / theta for theta in boundary_cut_fractions(grid)],
+                              grid, 1.0 / grid.h ** 2)
+
+
 def dense_lambda1(component: Component, grid: Grid) -> float:
     """Smallest Dirichlet eigenvalue by dense symmetric eigensolve."""
-    unknown = np.zeros(grid.shape, dtype=bool)
-    unknown.ravel()[component.nodes] = True
-    K, _ = build_stiffness(grid, cut_unit_conductances(grid), unknown,
-                           scale=1.0 / grid.h ** 2)
+    nodes = component.nodes
+    K = laplacian_reference_operator(grid)[nodes][:, nodes]
     return float(np.linalg.eigvalsh(K.toarray())[0])
 
 
@@ -110,7 +142,7 @@ def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> d
         active = du != 0.0
         if not active.any():
             continue
-        c = field.conductances[axis][active]
+        c = edge_conductances(field.values)[axis][active]
         d = np.abs(du[active])
         w11 += float(np.sum(d)) * grid.h ** (grid.ndim - 1)
         reciprocal_mass += float(np.sum(hN / c))
@@ -139,5 +171,5 @@ def expected_histogram(chi: int) -> dict[int, int]:
 def residual_field(values: np.ndarray, field: WeightField,
                    nonlinearity: NonlinearitySpec, grid: Grid) -> np.ndarray:
     """Nodal stationarity defect on the full lattice."""
-    operator = apply_operator(values, field.conductances, grid)
-    return operator - nonlinearity.f(values) * grid.cell_volume
+    operator = weighted_reference_operator(field, grid) @ values.ravel()
+    return operator.reshape(grid.shape) - nonlinearity.f(values) * grid.cell_volume

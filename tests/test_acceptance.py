@@ -19,7 +19,7 @@ from multibump.energy import (NonlinearitySpec, assemble_energy,
 from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import parse_config, run_pipeline
-from multibump.spectral import dirichlet_lambda1
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.topology import decompose_components
 from multibump.verify import weak_residual
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -90,7 +90,8 @@ def test_criterion_3_eigenvalue_accuracy():
         grid = build_grid(domain, n)
         field = evaluate_weight(WeightSpec.constant(1.0), grid)
         comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
-        return grid, comp, dirichlet_lambda1(comp, grid).lambda1
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+        return grid, comp, eig.lambda1
 
     _, _, lam_square = lam(unit_box(2), 129)
     err_square = abs(lam_square - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2)
@@ -160,7 +161,7 @@ def test_criterion_4_gradient_consistency(spec):
 def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
     """Descent minimizer matches the damped fixed-point oracle to 1e-4."""
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid)
+    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     energy = assemble_energy(comp, field, logistic30, grid)
     bump = minimize_energy(energy, eigen)
     oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
@@ -172,7 +173,7 @@ def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
 def test_criterion_6_hypothesis_gates(tmp_path, square33, logistic10):
     """(i) f2 refusal, (ii) a2 divergence abort, (iii) a1 abort."""
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid)
+    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     energy = assemble_energy(comp, field, logistic10, grid)
     try:
         minimize_energy(energy, eigen)

@@ -1,0 +1,71 @@
+"""The lattice operator against a reference assembled one edge at a time."""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import nested_rings_config
+from oracles import laplacian_reference_operator, weighted_reference_operator
+
+from multibump import pipeline
+from multibump.assembly import _axis_slices, boundary_cut_fractions, edge_conductances
+from multibump.grid import build_grid
+from multibump.spectral import dirichlet_laplacian
+from multibump.topology import decompose_components
+from multibump.weights import detect_zero_set, evaluate_weight
+
+SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
+
+
+@pytest.fixture(scope="module", params=["nested-rings-17", "shell3d-9"])
+def lattice(request):
+    """Grid, weight field and components of a curved 2D and a 3D problem."""
+    if request.param == "nested-rings-17":
+        config = pipeline.parse_config(nested_rings_config(17))
+    else:
+        config = dataclasses.replace(pipeline.load_config(SHELL3D), resolution=9)
+    grid = build_grid(config.domain, config.resolution)
+    field = evaluate_weight(config.weight, grid)
+    zero = detect_zero_set(field, grid, config.tolerances)
+    return grid, field, decompose_components(grid, zero).components
+
+
+def operators(kind, grid, field):
+    """(operator under test, reference, conductances, scale) of one kind."""
+    if kind == "weighted":
+        return (field.operator, weighted_reference_operator(field, grid),
+                edge_conductances(field.values), grid.h ** (grid.ndim - 2))
+    return (dirichlet_laplacian(grid), laplacian_reference_operator(grid),
+            [1.0 / theta for theta in boundary_cut_fractions(grid)], 1.0 / grid.h ** 2)
+
+
+@pytest.mark.parametrize("kind", ["weighted", "laplacian"])
+def test_restriction_to_each_component_matches_the_reference(lattice, kind):
+    grid, field, components = lattice
+    operator, reference, _, _ = operators(kind, grid, field)
+    assert operator.indices.dtype == operator.indptr.dtype == np.int32
+    assert len(components) > 1
+    for comp in components:
+        K = operator[comp.nodes][:, comp.nodes].toarray()
+        expected = reference[comp.nodes][:, comp.nodes].toarray()
+        assert np.max(np.abs(K - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["weighted", "laplacian"])
+def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
+    grid, field, _ = lattice
+    operator, _, conductances, scale = operators(kind, grid, field)
+    # Nonzero everywhere, pinned and exterior nodes included.
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, grid.shape)
+    flux_form = np.zeros(grid.shape)
+    for axis, conductance in enumerate(conductances):
+        lo, hi = _axis_slices(grid.ndim, axis)
+        flux = conductance * (u[lo] - u[hi]) * scale
+        flux_form[lo] += flux
+        flux_form[hi] -= flux
+    product = (operator @ u.ravel()).reshape(grid.shape)
+    size = (abs(operator) @ np.abs(u.ravel())).reshape(grid.shape)
+    interior = grid.interior_mask
+    assert np.all(np.abs(product - flux_form)[interior] <= 1e-14 * size[interior])

@@ -8,7 +8,7 @@ from multibump.composition import enumerate_all, w11_seminorm
 from multibump.energy import BumpSolution, assemble_energy, minimize_energy
 from multibump.errors import EnumerationSizeError
 from multibump.grid import DomainSpec, build_grid
-from multibump.spectral import dirichlet_lambda1
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -17,8 +17,9 @@ from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 def ring_bumps(ring65, logistic10):
     grid, field, zero, dec = ring65
     bumps = {}
+    laplacian = dirichlet_laplacian(grid)
     for comp in dec.components:
-        eigen = dirichlet_lambda1(comp, grid)
+        eigen = dirichlet_lambda1(comp, grid, laplacian)
         energy = assemble_energy(comp, field, logistic10, grid)
         bumps[comp.id] = minimize_energy(energy, eigen)
     return grid, field, zero, dec, bumps

@@ -11,7 +11,7 @@ from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
-from multibump.spectral import dirichlet_lambda1
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -111,7 +111,7 @@ class TestValidation:
 @pytest.fixture(scope="module")
 def square_problem(square33, logistic30):
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid)
+    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     energy = assemble_energy(comp, field, logistic30, grid)
     return grid, comp, eigen, energy
 
@@ -176,7 +176,7 @@ class TestMinimization:
 
     def test_refuses_when_f2_fails(self, square33, logistic10):
         grid, field, zero, comp = square33
-        eigen = dirichlet_lambda1(comp, grid)
+        eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         energy = assemble_energy(comp, field, logistic10, grid)
         with pytest.raises(HypothesisViolationError) as err:
             minimize_energy(energy, eigen)
@@ -184,7 +184,7 @@ class TestMinimization:
 
     def test_truncation_depth_is_inert(self, square33):
         grid, field, zero, comp = square33
-        eigen = dirichlet_lambda1(comp, grid)
+        eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         bumps = []
         for beta in (S_STAR / 2.0, S_STAR / 4.0):
             trunc = truncate_nonlinearity(
@@ -212,7 +212,8 @@ class TestMinimization:
             field = evaluate_weight(WeightSpec.constant(1.0), grid)
             comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
             energy = assemble_energy(comp, field, logistic30, grid)
-            counts.append(minimize_energy(energy, dirichlet_lambda1(comp, grid)).iterations)
+            eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+            counts.append(minimize_energy(energy, eigen).iterations)
         assert max(counts) <= 8
         assert max(counts) - min(counts) <= 1
 
@@ -228,7 +229,7 @@ class TestMinimization:
         cases.append((grid, field, nested[(1, 1)],
                       truncate_nonlinearity(config.nonlinearity)))
         for grid, field, comp, trunc in cases:
-            eigen = dirichlet_lambda1(comp, grid)
+            eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
             energy = assemble_energy(comp, field, trunc, grid)
             bump = minimize_energy(energy, eigen)
             oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)

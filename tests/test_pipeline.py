@@ -99,7 +99,7 @@ class TestConfigParsing:
         ("eig_max_iter", 2.5), ("eig_max_iter", 0), ("eig_max_iter", True),
         ("max_minimize_iterations", 0), ("max_minimize_iterations", 100.0),
         ("seed_min_exponent", -5), ("seed_min_exponent", 1.5),
-        ("zero_threshold", 1.0), ("zero_threshold", 1.5)])
+        ("zero_threshold", 1.0), ("zero_threshold", 1.5), ("t_scan", [0.5])])
     def test_out_of_range_tolerance_exits_one(self, tmp_path, capsys, name, value):
         path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
                                                   tolerances={name: value}))
@@ -566,6 +566,35 @@ class TestCli:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [
+        {"domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0, 1.0]}},
+        {"domain": {"kind": "box", "lo": [0.0], "hi": [1.0]}},
+        {"domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [2.0, 1.0]}},
+        {"domain": {"kind": "box", "lo": ["a", 0.0], "hi": [1.0, 1.0]}},
+        {"domain": dict(tiny_disk(), expression="x**2 + q**2 - 1")},
+        {"domain": dict(tiny_disk(), expression="x**2 + y**")},
+        {"resolution": "abc"},
+        {"weight": {"kind": "constant", "value": "x"}},
+        {"weight": {"kind": "custom-expression", "expr": "1 + z"}},
+        {"weight": {"kind": "custom-expression", "expr": "1 +"}},
+        {"weight": {"kind": "custom-expression", "expr": "1.0", "zero_expr": "open(x)"}},
+        {"nonlinearity": {"kind": "custom", "expr": "s +", "gamma": 30.0,
+                          "s_star": 1.0, "beta_star": 0.5}},
+    ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
+            "domain-name", "domain-syntax", "resolution-not-a-number",
+            "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
+            "nonlinearity-syntax"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
+                                                           command, changes):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(out=str(out), **changes))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 BOUNDARY_ZERO = {"kind": "custom-expression",

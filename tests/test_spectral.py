@@ -1,6 +1,3 @@
-import dataclasses
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -8,9 +5,10 @@ from conftest import nested_rings_config, unit_box
 from oracles import dense_lambda1
 
 from multibump import pipeline, spectral
-from multibump.assembly import boundary_cut_fractions, cut_unit_conductances
+from multibump.assembly import boundary_cut_fractions
 from multibump.grid import DomainSpec, build_grid
-from multibump.spectral import check_hypothesis_f2, dirichlet_lambda1
+from multibump.spectral import (check_hypothesis_f2, dirichlet_lambda1,
+                                dirichlet_laplacian)
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -31,13 +29,13 @@ def discrete_square_lambda1(h: float) -> float:
 
 def test_unit_square_converges_to_two_pi_squared():
     grid, _, comp = single_component(unit_box(2), 129)
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert eig.lambda1 == pytest.approx(LAMBDA1_SQUARE, rel=5e-3)
 
 
 def test_unit_disk_converges_to_bessel_value():
     grid, _, comp = single_component(DomainSpec.ball((0.0, 0.0), 1.0), 129)
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert eig.lambda1 == pytest.approx(LAMBDA1_DISK, rel=1e-2)
 
 
@@ -45,19 +43,19 @@ def test_square_closed_form_matches_dense_oracle():
     grid, _, comp = single_component(unit_box(2), 9)
     formula = discrete_square_lambda1(grid.h)
     assert dense_lambda1(comp, grid) == pytest.approx(formula, rel=1e-10)
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
 
 
 def test_rayleigh_quotient_consistency():
     grid, _, comp = single_component(unit_box(2), 33)
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert eig.rayleigh_residual < 1e-6
 
 
 def test_eigenfunction_strictly_positive_max_one():
     grid, _, comp = single_component(DomainSpec.ball((0.0, 0.0), 1.0), 33)
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert np.max(eig.e1) == pytest.approx(1.0)
     assert np.min(eig.e1) > 0.0
 
@@ -66,8 +64,9 @@ def test_lambda1_monotone_under_domain_inclusion():
     big, _, comp_big = single_component(unit_box(2), 65)
     small, _, comp_small = single_component(
         DomainSpec.box((0.2, 0.2), (0.8, 0.8)), 65)
-    lam_big = dirichlet_lambda1(comp_big, big).lambda1
-    lam_small = dirichlet_lambda1(comp_small, small).lambda1
+    lam_big = dirichlet_lambda1(comp_big, big, dirichlet_laplacian(big)).lambda1
+    lam_small = dirichlet_lambda1(comp_small, small,
+                                  dirichlet_laplacian(small)).lambda1
     assert lam_small > lam_big
 
 
@@ -75,7 +74,7 @@ def test_h_squared_error_model_on_square():
     errors = []
     for n in (17, 33):
         grid, _, comp = single_component(unit_box(2), n)
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         assert eig.lambda1 == pytest.approx(discrete_square_lambda1(grid.h), rel=1e-6)
         errors.append(abs(eig.lambda1 - LAMBDA1_SQUARE))
     # Halving h divides the discretization error by about four.
@@ -85,7 +84,7 @@ def test_h_squared_error_model_on_square():
 def test_unit_cube_closed_form_on_cg_branch():
     grid, _, comp = single_component(unit_box(3), 9)
     formula = 3.0 * (4.0 / grid.h ** 2) * np.sin(np.pi * grid.h / 2.0) ** 2
-    eig = dirichlet_lambda1(comp, grid)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
     assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
 
 
@@ -101,7 +100,8 @@ def nested65():
     rings = [((0.0, 0.0), radius, 0.6) for radius in (0.5, 1.0, 1.5)]
     field = evaluate_weight(WeightSpec.power_product(rings, scale=0.5), grid)
     components = decompose_components(grid, detect_zero_set(field, grid)).components
-    return {comp.id: dirichlet_lambda1(comp, grid) for comp in components}
+    laplacian = dirichlet_laplacian(grid)
+    return {comp.id: dirichlet_lambda1(comp, grid, laplacian) for comp in components}
 
 
 def test_factorized_branch_matches_cg_iterations_and_lambda1(nested65):
@@ -115,37 +115,23 @@ def test_factorized_branch_rayleigh_residual(nested65):
     assert all(eig.rayleigh_residual < 1e-12 for eig in nested65.values())
 
 
-SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
+def test_one_check_on_nested_rings_bisects_the_boundary_crossings_once(monkeypatch):
+    calls = []
 
+    def counted(grid):
+        calls.append(grid.n)
+        return boundary_cut_fractions(grid)
 
-@pytest.mark.parametrize("case", ["nested-rings-65", "shell3d-17"])
-def test_cuts_on_the_components_own_edges_match_full_lattice_cuts(case, monkeypatch):
-    if case == "nested-rings-65":
-        config = pipeline.parse_config(nested_rings_config(65))
-    else:
-        config = dataclasses.replace(pipeline.load_config(SHELL3D), resolution=17)
-    grid, _, zero = pipeline._setup(config)
-    components = decompose_components(grid, zero).components
-    own = [dirichlet_lambda1(comp, grid) for comp in components]
-    monkeypatch.setattr(spectral, "cut_unit_conductances",
-                        lambda grid, unknown: cut_unit_conductances(grid))
-    full = [dirichlet_lambda1(comp, grid) for comp in components]
-    assert [(e.lambda1, e.iterations, e.rayleigh_residual) for e in own] \
-        == [(e.lambda1, e.iterations, e.rayleigh_residual) for e in full]
-    # Only the outermost component owns edges that cross the domain boundary.
-    cut = []
-    for comp in components:
-        unknown = np.zeros(grid.shape, dtype=bool)
-        unknown.ravel()[comp.nodes] = True
-        cut.append(any(np.any(theta != 1.0)
-                       for theta in boundary_cut_fractions(grid, unknown)))
-    assert sum(cut) == 1
+    monkeypatch.setattr(spectral, "boundary_cut_fractions", counted)
+    report = pipeline.check_hypotheses(pipeline.parse_config(nested_rings_config(65)))
+    assert (report.status, report.chi) == ("ok", 4)
+    assert calls == [65]
 
 
 class TestF2:
     def test_gamma30_passes_on_unit_square(self, square33):
         grid, field, _, comp = square33
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         entry = check_hypothesis_f2(comp, field, 30.0, eig)
         # gamma / lambda1 about 1.52 versus a_M = 1.
         assert entry.a_max == pytest.approx(1.0)
@@ -154,20 +140,20 @@ class TestF2:
 
     def test_gamma10_fails_on_unit_square(self, square33):
         grid, field, _, comp = square33
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         entry = check_hypothesis_f2(comp, field, 10.0, eig)
         assert entry.gamma / entry.lambda1 == pytest.approx(0.507, rel=2e-2)
         assert not entry.passed
 
     def test_small_weight_always_passes(self, square33):
         grid, _, _, comp = square33
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         tiny = evaluate_weight(WeightSpec.constant(1e-3), grid)
         entry = check_hypothesis_f2(comp, tiny, 10.0, eig)
         assert entry.passed
 
     def test_nonpositive_gamma_rejected(self, square33):
         grid, field, _, comp = square33
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         with pytest.raises(ValueError):
             check_hypothesis_f2(comp, field, 0.0, eig)

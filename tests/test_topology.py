@@ -14,8 +14,8 @@ def test_ring_weight_disk_plus_annulus(ring65):
     grid, field, zero, dec = ring65
     assert dec.chi == 2
     assert dec.j_counts == {1: 1, 2: 1}
-    disk = dec.component((1, 1))
-    annulus = dec.component((2, 1))
+    disk, annulus = dec.components
+    assert (disk.id, annulus.id) == ((1, 1), (2, 1))
     # The disk component is the region inside the zero circle.
     disk_r = np.linalg.norm(grid.points().reshape(-1, 2)[disk.nodes], axis=-1)
     assert np.max(disk_r) < 1.0
@@ -45,7 +45,6 @@ def test_domain_with_hole_and_three_curves():
 def test_constant_weight_single_component(square33):
     grid, field, zero, component = square33
     assert component.id == (1, 1)
-    assert component.boundary_manifold_count == 1
     assert component.node_count == 31 * 31
 
 

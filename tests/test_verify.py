@@ -6,7 +6,7 @@ from oracles import residual_field
 
 from multibump.energy import assemble_energy, minimize_energy
 from multibump.grid import build_grid
-from multibump.spectral import dirichlet_lambda1
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.verify import check_conclusions, weak_residual
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -43,7 +43,7 @@ def test_composed_residual_equals_max_of_parts(ring65, logistic10):
     grid, field, zero, dec = ring65
     extensions = []
     for comp in dec.components:
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         energy = assemble_energy(comp, field, logistic10, grid)
         bump = minimize_energy(energy, eig)
         extensions.append(extend_bump(bump, grid))
@@ -76,7 +76,7 @@ class TestConclusions:
 
     def test_converged_bump_passes_everything(self, square33, logistic30):
         grid, field, zero, comp = square33
-        eig = dirichlet_lambda1(comp, grid)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
         energy = assemble_energy(comp, field, logistic30, grid)
         bump = minimize_energy(energy, eig)
         values = extend_bump(bump, grid)

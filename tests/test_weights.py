@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import cbrt_ring_weight, interior_count, unit_box
 
-from multibump.errors import InvalidWeightError
+from multibump.errors import ConfigError, InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
@@ -57,8 +57,11 @@ class TestEvaluation:
         grid = build_grid(UNIT, 9)
         field = evaluate_weight(WeightSpec.expression("1.0 + x"), grid)
         v = field.values
-        expected = 0.5 * (v[:-1, :] + v[1:, :])
-        assert np.allclose(field.conductances[0], expected)
+        expected = 0.5 * (v[:-1, 1:-1] + v[1:, 1:-1])
+        # Every axis-0 edge off the side columns has an interior endpoint.
+        node = np.arange(v.size).reshape(v.shape)
+        coupling = -field.operator[node[:-1, 1:-1].ravel(), node[1:, 1:-1].ravel()]
+        assert np.allclose(np.asarray(coupling).reshape(expected.shape), expected)
 
 
 class TestA2:
@@ -140,16 +143,16 @@ class TestLt:
             assert estimate_lt_norm(doubled, grid, t, zero=zero2) == pytest.approx(
                 0.5 * estimate_lt_norm(field, grid, t, zero=zero), rel=1e-9)
 
-    def test_t_below_one_rejected(self, ring65):
-        grid, field, zero, _ = ring65
-        with pytest.raises(ValueError):
-            estimate_lt_norm(field, grid, 0.5, zero=zero)
+    def test_t_below_one_rejected(self):
+        # The scanned exponents come from the run's tolerances.
+        with pytest.raises(ConfigError, match="t_scan must be >= 1"):
+            ToleranceConfig(t_scan=(1.0, 0.5))
 
 
 def test_weight_field_arrays_are_read_only(square33):
     _, field, _, _ = square33
     with pytest.raises(ValueError):
-        field.conductances[0][0] = 2.0
+        field.operator.data[0] = 2.0
     with pytest.raises(ValueError):
         field.values[0] = 2.0
 
