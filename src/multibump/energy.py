@@ -50,7 +50,6 @@ class NonlinearitySpec:
     s_star: float
     beta_star: float
     evaluator: Callable
-    expr: str | None = None
 
     @classmethod
     def logistic(cls, gamma: float, s_star: float = 1.0,
@@ -66,14 +65,12 @@ class NonlinearitySpec:
                    beta_star=float(beta_star), evaluator=logistic_f)
 
     @classmethod
-    def custom(cls, evaluator: Callable | str, gamma: float, s_star: float,
+    def custom(cls, expr: str, gamma: float, s_star: float,
                beta_star: float) -> "NonlinearitySpec":
-        expr = None
-        if isinstance(evaluator, str):
-            expr = evaluator
-            evaluator = compile_expression(evaluator, ("s",))
+        """f given by the expression ``expr`` in ``s``."""
         return cls(kind="custom", gamma=float(gamma), s_star=float(s_star),
-                   beta_star=float(beta_star), evaluator=evaluator, expr=expr)
+                   beta_star=float(beta_star),
+                   evaluator=compile_expression(expr, ("s",)))
 
     def f(self, s):
         return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)

@@ -42,11 +42,11 @@ from .errors import (ConfigError, EmptyDecompositionError,
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import (F2Entry, check_hypothesis_f2, dirichlet_lambda1,
                        dirichlet_laplacian)
-from .tolerances import ToleranceConfig
+from .tolerances import ToleranceConfig, is_count
 from .topology import decompose_components
 from .verify import VerificationReport, check_conclusions
-from .weights import (AdmissibilityReport, WeightSpec, assess_admissibility,
-                      detect_zero_set, evaluate_weight)
+from .weights import (AdmissibilityReport, PowerFactor, RadialPiece, WeightSpec,
+                      assess_admissibility, detect_zero_set, evaluate_weight)
 
 log = logging.getLogger("multibump")
 
@@ -55,9 +55,20 @@ log = logging.getLogger("multibump")
 class EnumerationConfig:
     max_chi: int = 20
 
+    def __post_init__(self):
+        if not is_count(self.max_chi, 1):
+            raise ConfigError("invalid enumeration: max_chi must be an integer >= 1, "
+                              f"got {self.max_chi!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's configuration, checked whenever it is built.
+
+    ``parse_config`` and the CLI overrides (``dataclasses.replace``) pass the
+    same checks.  ``raw`` is the parsed tree that :meth:`digest` hashes.
+    """
+
     domain: DomainSpec
     weight: WeightSpec
     nonlinearity: NonlinearitySpec
@@ -69,89 +80,60 @@ class RunConfig:
     raw: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.resolution < 8:
-            raise ConfigError(f"resolution must be >= 8, got {self.resolution}")
+        for name, valid, rule in (
+                ("resolution", is_count(self.resolution, 8), "an integer >= 8"),
+                ("output_dir", isinstance(self.output_dir, str), "a string"),
+                ("export_vtk", isinstance(self.export_vtk, bool), "a boolean")):
+            if not valid:
+                raise ConfigError(f"invalid {name}: must be {rule}, "
+                                  f"got {getattr(self, name)!r}")
+        _section("weight", self.weight.compile, self.domain.dimension)
 
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _require_keys(mapping: dict, allowed: set[str], required: set[str], path: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
-    missing = required - set(mapping)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} under '{path}'")
+# Section -> kind -> constructor; a section without kinds has one
+# constructor.  A section's keys other than ``kind`` are its constructor's
+# keyword arguments, so the constructor's signature is the one list of a
+# kind's keys and their defaults.
+_SECTIONS = {
+    "domain": {"box": DomainSpec.box, "ball": DomainSpec.ball,
+               "custom-implicit": DomainSpec.implicit},
+    "weight": {"constant": WeightSpec.constant, "radial-piecewise": WeightSpec.radial,
+               "product-of-powers": WeightSpec.power_product,
+               "custom-expression": WeightSpec.expression},
+    "nonlinearity": {"logistic-default": NonlinearitySpec.logistic,
+                     "custom": NonlinearitySpec.custom},
+    "tolerances": ToleranceConfig,
+    "enumeration": EnumerationConfig,
+}
+_DEFAULT_KIND = {"nonlinearity": "logistic-default"}
+# List-valued keys whose items are mappings of an item type's fields.
+_ITEMS = {"pieces": RadialPiece, "factors": PowerFactor}
 
 
-def _parse_domain(node: dict) -> DomainSpec:
-    kind = node.get("kind")
-    if kind == "box":
-        _require_keys(node, {"kind", "lo", "hi"}, {"kind", "lo", "hi"}, "domain")
-        return DomainSpec.box(node["lo"], node["hi"])
-    if kind == "ball":
-        _require_keys(node, {"kind", "center", "radius"}, {"kind", "center", "radius"}, "domain")
-        return DomainSpec.ball(node["center"], node["radius"])
-    if kind == "custom-implicit":
-        _require_keys(node, {"kind", "expression", "lo", "hi"},
-                      {"kind", "expression", "lo", "hi"}, "domain")
-        return DomainSpec.implicit(node["expression"], node["lo"], node["hi"])
-    raise ConfigError(f"unknown domain kind {kind!r}")
+def _mapping(node) -> dict:
+    """A copy of ``node``; ``TypeError`` unless it is a mapping."""
+    if not isinstance(node, dict):
+        raise TypeError(f"expected a mapping, got {node!r}")
+    return dict(node)
 
 
-def _parse_weight(node: dict) -> WeightSpec:
-    kind = node.get("kind")
-    if kind == "constant":
-        _require_keys(node, {"kind", "value"}, {"kind", "value"}, "weight")
-        return WeightSpec.constant(node["value"])
-    if kind == "radial-piecewise":
-        _require_keys(node, {"kind", "center", "pieces", "zero_radii", "scale"},
-                      {"kind", "center", "pieces"}, "weight")
-        pieces = []
-        for i, piece in enumerate(node["pieces"]):
-            _require_keys(piece, {"r_max", "expr"}, {"r_max", "expr"}, f"weight.pieces[{i}]")
-            pieces.append((piece["r_max"], piece["expr"]))
-        return WeightSpec.radial(node["center"], pieces,
-                                 zero_radii=node.get("zero_radii"),
-                                 scale=node.get("scale", 1.0))
-    if kind == "product-of-powers":
-        _require_keys(node, {"kind", "factors", "scale"}, {"kind", "factors"}, "weight")
-        factors = []
-        for i, factor in enumerate(node["factors"]):
-            _require_keys(factor, {"center", "radius", "power"},
-                          {"center", "radius", "power"}, f"weight.factors[{i}]")
-            factors.append((factor["center"], factor["radius"], factor["power"]))
-        return WeightSpec.power_product(factors, scale=node.get("scale", 1.0))
-    if kind == "custom-expression":
-        _require_keys(node, {"kind", "expr", "zero_expr", "scale"}, {"kind", "expr"}, "weight")
-        return WeightSpec.expression(node["expr"], zero_expr=node.get("zero_expr"),
-                                     scale=node.get("scale", 1.0))
-    raise ConfigError(f"unknown weight kind {kind!r}")
-
-
-def _parse_nonlinearity(node: dict) -> NonlinearitySpec:
-    kind = node.get("kind", "logistic-default")
-    if kind == "logistic-default":
-        _require_keys(node, {"kind", "gamma", "s_star", "beta_star"},
-                      {"kind", "gamma"}, "nonlinearity")
-        return NonlinearitySpec.logistic(node["gamma"], node.get("s_star", 1.0),
-                                         node.get("beta_star"))
-    if kind == "custom":
-        _require_keys(node, {"kind", "expr", "gamma", "s_star", "beta_star"},
-                      {"kind", "expr", "gamma", "s_star", "beta_star"}, "nonlinearity")
-        return NonlinearitySpec.custom(node["expr"], node["gamma"],
-                                       node["s_star"], node["beta_star"])
-    raise ConfigError(f"unknown nonlinearity kind {kind!r}")
-
-
-def _parse_tolerances(node: dict) -> ToleranceConfig:
-    node = dict(node)
-    _require_keys(node, set(ToleranceConfig.__dataclass_fields__), set(), "tolerances")
-    if "t_scan" in node:
-        node["t_scan"] = tuple(float(t) for t in node["t_scan"])
-    return ToleranceConfig(**node)
+def _build(section: str, node):
+    """The object a section of the configuration tree describes (see ``_SECTIONS``)."""
+    args = _mapping(node)
+    constructor = _SECTIONS[section]
+    if isinstance(constructor, dict):
+        kind = args.pop("kind", _DEFAULT_KIND.get(section))
+        if kind not in constructor:
+            raise ValueError(f"unknown {section} kind {kind!r}")
+        constructor = constructor[kind]
+    for key, item in _ITEMS.items():
+        if key in args:
+            args[key] = [item(**_mapping(entry)) for entry in args[key]]
+    return constructor(**args)
 
 
 def _section(name: str, parse, *args):
@@ -162,30 +144,17 @@ def _section(name: str, parse, *args):
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
-_TOP_KEYS = {"domain", "weight", "nonlinearity", "resolution", "output_dir",
-             "tolerances", "enumeration", "export_vtk"}
-
-
 def parse_config(data: dict) -> RunConfig:
-    """Validate and parse a configuration tree; unknown keys and bad expressions are errors."""
+    """Validate and parse a configuration tree; unknown keys and bad expressions are errors.
+
+    The root's keys are :class:`RunConfig`'s fields; each section named in
+    ``_SECTIONS`` is built by :func:`_build`.
+    """
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    _require_keys(data, _TOP_KEYS, {"domain", "weight", "nonlinearity", "resolution"},
-                  "<root>")
-    enum_node = dict(data.get("enumeration", {}))
-    _require_keys(enum_node, {"max_chi"}, set(), "enumeration")
-    domain = _section("domain", _parse_domain, data["domain"])
-    weight = _section("weight", _parse_weight, data["weight"])
-    _section("weight", weight.compile, domain.dimension)
-    return RunConfig(
-        domain=domain, weight=weight,
-        nonlinearity=_section("nonlinearity", _parse_nonlinearity, data["nonlinearity"]),
-        resolution=_section("resolution", int, data["resolution"]),
-        output_dir=str(data.get("output_dir", "out")),
-        tolerances=_section("tolerances", _parse_tolerances, data.get("tolerances", {})),
-        enumeration=EnumerationConfig(**enum_node),
-        export_vtk=bool(data.get("export_vtk", False)),
-        raw=data)
+    fields = {name: _section(name, _build, name, node) if name in _SECTIONS else node
+              for name, node in data.items()}
+    return _section("configuration", lambda: RunConfig(**fields, raw=data))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -401,9 +370,12 @@ def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
     """Load a solution CSV and check it matches the grid's lattice."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:  # a cell that is not a number, or a row of another length
+        data = np.empty((0, 0))
     expected = grid.n ** grid.ndim
-    if data.ndim != 2 or data.shape != (expected, grid.ndim + 1):
+    if data.shape != (expected, grid.ndim + 1):
         raise ConfigError(
             f"{path}: expected {expected} rows x {grid.ndim + 1} columns")
     points = grid.points().reshape(-1, grid.ndim)

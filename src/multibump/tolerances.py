@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def is_count(value, low: int) -> bool:
+    """True for an integer of at least ``low``; a bool or a float is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     zero_threshold: float = 1e-6
@@ -30,6 +35,7 @@ class ToleranceConfig:
     t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "t_scan", tuple(float(t) for t in self.t_scan))
         positive = ("zero_threshold", "zero_band", "grad_tol_scale",
                     "residual_tol_scale", "eig_tol")
         nonnegative = ("bounds_tol", "zero_trace_tol")
@@ -51,6 +57,5 @@ class ToleranceConfig:
             raise ConfigError("tolerance t_scan must be >= 1")
         for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
                           ("seed_min_exponent", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not is_count(getattr(self, name), low):
                 raise ConfigError(f"tolerance {name} must be an integer >= {low}")

@@ -21,6 +21,7 @@ divergent integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft, ndimage
@@ -30,6 +31,12 @@ from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .grid import Grid, build_grid
 from .tolerances import ToleranceConfig
+
+
+# One item of a radial weight's ``pieces`` and of a product weight's ``factors``.
+RadialPiece = NamedTuple("RadialPiece", [("r_max", float), ("expr", str)])
+PowerFactor = NamedTuple("PowerFactor", [("center", tuple), ("radius", float),
+                                         ("power", float)])
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,22 @@ class WeightSpec:
                    scale=float(scale), reference=f"a(x) = {scale} * ({expr})")
 
     def compile(self, ndim: int) -> None:
-        """Compile every expression for points in R^ndim; ``ValueError`` on a bad one."""
+        """Check the spec for points in R^ndim; ``ValueError`` on a bad part.
+
+        A radial or product weight needs a piece or factor, every piece a
+        finite positive ``r_max`` (else the profile leaves radii unset),
+        every centre ``ndim`` coordinates, and every expression must compile.
+        """
+        items = {"radial-piecewise": "pieces", "product-of-powers": "factors"}.get(self.kind)
+        if items and not getattr(self, items):
+            raise ValueError(f"{items} must not be empty")
+        if not all(0 < r_max < np.inf for r_max, _ in self.pieces):
+            raise ValueError("every r_max must be positive and finite")
+        centres = [ctr for ctr, _, _ in self.factors]
+        for ctr in centres if self.center is None else centres + [self.center]:
+            if len(ctr) != ndim:
+                raise ValueError(f"centre {list(ctr)} has {len(ctr)} coordinates; "
+                                 f"the domain has {ndim}")
         for _, expr in self.pieces:
             compile_expression(expr, ("r",))
         for expr in (self.expr, self.zero_expr):

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import logging
 import os
@@ -16,12 +18,15 @@ from oracles import reference_solution_csv, reference_solution_vtk
 import multibump
 from multibump import pipeline, spectral
 from multibump.cli import _apply_overrides, main
+from multibump.energy import NonlinearitySpec
 from multibump.errors import ConfigError, HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
                                 run_pipeline, verify_solution_file, write_outputs,
                                 write_solution_csv, write_solution_vtk)
+from multibump.tolerances import ToleranceConfig
+from multibump.weights import WeightSpec
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -51,6 +56,83 @@ def tiny_disk(center=0.0):
     return {"kind": "custom-implicit",
             "expression": f"(x - {center})**2 + (y - {center})**2 - 0.0001",
             "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+
+
+# A value other than the default for every tolerance, in field order.
+ALL_TOLERANCES = {
+    "zero_threshold": 1e-5, "zero_band": 0.5, "grad_tol_scale": 1e-9,
+    "residual_tol_scale": 1e-7, "bounds_tol": 1e-9, "zero_trace_tol": 1e-12,
+    "eig_tol": 1e-9, "eig_max_iter": 400, "max_minimize_iterations": 5000,
+    "seed_min_exponent": 20, "a2_growth_tol": 1.2, "lt_stable_tol": 1.25,
+    "lt_growing_tol": 1.01, "t_scan": (1.0, 2.5)}
+
+# Each section kind of the config schema with every key its constructor
+# takes, optional ones included, and the spec a positional call builds.
+FULL_SECTIONS = {
+    ("domain", "box"): ({"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                        DomainSpec.box((0.0, 0.0), (1.0, 1.0))),
+    ("domain", "ball"): ({"center": [0.5, 0.5], "radius": 0.5},
+                         DomainSpec.ball((0.5, 0.5), 0.5)),
+    ("domain", "custom-implicit"): (
+        {"expression": "x**2 + y**2 - 1", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        DomainSpec.implicit("x**2 + y**2 - 1", (-1.0, -1.0), (1.0, 1.0))),
+    ("weight", "constant"): ({"value": 2.0}, WeightSpec.constant(2.0)),
+    ("weight", "radial-piecewise"): (
+        {"center": [0.5, 0.5], "pieces": [{"r_max": 0.25, "expr": "0.25 - r"},
+                                          {"r_max": 0.75, "expr": "r - 0.25"}],
+         "zero_radii": [0.25], "scale": 2.0},
+        WeightSpec.radial((0.5, 0.5), [(0.25, "0.25 - r"), (0.75, "r - 0.25")],
+                          (0.25,), 2.0)),
+    ("weight", "product-of-powers"): (
+        {"factors": [{"center": [0.5, 0.5], "radius": 0.25, "power": 0.5}], "scale": 2.0},
+        WeightSpec.power_product([((0.5, 0.5), 0.25, 0.5)], 2.0)),
+    ("weight", "custom-expression"): (
+        {"expr": "abs(x - 0.5)", "zero_expr": "abs(x - 0.5)", "scale": 2.0},
+        WeightSpec.expression("abs(x - 0.5)", "abs(x - 0.5)", 2.0)),
+    ("nonlinearity", "logistic-default"): (
+        {"gamma": 30.0, "s_star": 2.0, "beta_star": 0.5},
+        NonlinearitySpec.logistic(30.0, 2.0, 0.5)),
+    ("nonlinearity", "custom"): (
+        {"expr": "30*abs(s)*(1 - s)", "gamma": 30.0, "s_star": 1.0, "beta_star": 0.5},
+        NonlinearitySpec.custom("30*abs(s)*(1 - s)", 30.0, 1.0, 0.5)),
+    ("tolerances", None): (ALL_TOLERANCES, ToleranceConfig(*ALL_TOLERANCES.values())),
+    ("enumeration", None): ({"max_chi": 5}, pipeline.EnumerationConfig(5)),
+}
+
+
+def section_keys(section, kind):
+    """Parameter names of the constructor ``pipeline`` builds a section kind with."""
+    table = pipeline._SECTIONS[section]
+    return set(inspect.signature(table if kind is None else table[kind]).parameters)
+
+
+def same_spec(parsed, direct):
+    """Equal fields; nonlinearities, whose f may be a fresh closure, equal f values."""
+    if isinstance(direct, NonlinearitySpec):
+        s = np.linspace(-1.0, 2.0, 13)
+        return (np.array_equal(parsed.f(s), direct.f(s)) and
+                dataclasses.replace(parsed, evaluator=None)
+                == dataclasses.replace(direct, evaluator=None))
+    return parsed == direct
+
+
+class TestConfigSchema:
+    def test_every_section_kind_is_covered(self):
+        kinds = {(section, kind) for section, table in pipeline._SECTIONS.items()
+                 for kind in (table if isinstance(table, dict) else [None])}
+        assert set(FULL_SECTIONS) == kinds
+
+    @pytest.mark.parametrize("section, kind", list(FULL_SECTIONS),
+                             ids=[kind or section for section, kind in FULL_SECTIONS])
+    def test_section_keys_are_constructor_arguments(self, section, kind):
+        node, direct = FULL_SECTIONS[section, kind]
+        assert set(node) == section_keys(section, kind)
+        for key, item in pipeline._ITEMS.items():
+            assert all(set(entry) == set(item._fields) for entry in node.get(key, []))
+        if kind is not None:
+            node = dict(node, kind=kind)
+        assert same_spec(getattr(parse_config(unit_square(**{section: node})), section),
+                         direct)
 
 
 class TestConfigParsing:
@@ -291,11 +373,18 @@ class TestOutputs:
     def test_csv_grid_mismatch_rejected(self, tmp_path, square33):
         grid, *_ = square33
         other = build_grid(grid.domain, 17)
-        values = np.zeros(other.shape)
-        path = tmp_path / "field.csv"
-        write_solution_csv(path, values, other)
-        with pytest.raises(ConfigError):
-            read_solution_csv(path, grid)
+        write_solution_csv(tmp_path / "other-grid.csv", np.zeros(other.shape), other)
+        write_solution_csv(tmp_path / "field.csv", np.zeros(grid.shape), grid)
+        lines = (tmp_path / "field.csv").read_text().splitlines()
+        for name, row in [("non-numeric-cell", "0.0,0.0,abc"), ("short-row", "0.0,0.0"),
+                          ("long-row", "0.0,0.0,0.0,0.0")]:
+            damaged = lines[:5] + [row] + lines[6:]
+            (tmp_path / f"{name}.csv").write_text("\n".join(damaged) + "\n")
+        for name in ["other-grid", "non-numeric-cell", "short-row", "long-row"]:
+            path = tmp_path / f"{name}.csv"
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{path}: expected 1089 rows x 3 columns")):
+                read_solution_csv(path, grid)
 
     def test_solution_files_and_verify_roundtrip(self, tmp_path):
         out = tmp_path / "out"
@@ -581,20 +670,54 @@ class TestCli:
         {"weight": {"kind": "custom-expression", "expr": "1.0", "zero_expr": "open(x)"}},
         {"nonlinearity": {"kind": "custom", "expr": "s +", "gamma": 30.0,
                           "s_star": 1.0, "beta_star": 0.5}},
+        {"enumeration": {"max_chi": "x"}},
+        {"enumeration": {"max_chi": -1}},
+        {"enumeration": {"max_chi": True}},
+        {"enumeration": [1]},
+        {"weight": {"kind": "product-of-powers",
+                    "factors": [{"center": [0.5, 0.5, 0.5], "radius": 0.0, "power": 0.5}]}},
+        {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+         "weight": {"kind": "radial-piecewise", "center": [0.0, 0.0, 0.0],
+                    "pieces": [{"r_max": 1.0, "expr": "1 - r"}]}},
+        {"domain": 5},
+        {"weight": [1]},
+        {"nonlinearity": 5},
+        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5], "pieces": ["x"]}},
+        {"weight": {"kind": "product-of-powers", "factors": [[0.5, 0.5]]}},
+        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5], "pieces": []}},
+        {"weight": {"kind": "product-of-powers", "factors": []}},
+        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5],
+                    "pieces": [{"r_max": -1.0, "expr": "1 + r"}]}},
+        {"resolution": 17.9},
+        {"export_vtk": "no"},
+        {"output_dir": None},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
-            "nonlinearity-syntax"])
+            "nonlinearity-syntax", "max-chi-string", "max-chi-negative",
+            "max-chi-bool", "enumeration-list", "factor-centre-3d",
+            "radial-centre-3d", "domain-number", "weight-list",
+            "nonlinearity-number", "piece-string", "factor-list", "no-pieces",
+            "no-factors", "r-max-negative", "resolution-float", "export-vtk-string",
+            "output-dir-null"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
-                                                           command, changes):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, unit_square(out=str(out), **changes))
+                                                           monkeypatch, command,
+                                                           changes):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"), **changes))
         assert main([command, "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid ")
-        assert "Traceback" not in err
-        assert not out.exists()
+        assert re.fullmatch(r"error: invalid \w+: .*\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("override", [["--max-chi", "0"], ["--resolution", "7"]],
+                             ids=["max-chi", "resolution"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_out_of_range_override_exits_one(self, tmp_path, capsys, command, override):
+        path = write_config(tmp_path, unit_square(out=str(tmp_path / "out")))
+        assert main([command, "--config", str(path)] + override) == 1
+        assert re.fullmatch(r"error: invalid \w+: .*\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [path]
 
 
 BOUNDARY_ZERO = {"kind": "custom-expression",
