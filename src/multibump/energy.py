@@ -31,7 +31,7 @@ from .errors import (HypothesisViolationError, InvalidNonlinearityError,
 from .expressions import compile_expression
 from .grid import Grid
 from .spectral import EigenPair
-from .tolerances import ToleranceConfig
+from .tolerances import ToleranceConfig, real
 from .topology import Component
 from .weights import WeightField
 
@@ -55,21 +55,21 @@ class NonlinearitySpec:
     def logistic(cls, gamma: float, s_star: float = 1.0,
                  beta_star: float | None = None) -> "NonlinearitySpec":
         """Default nonlinearity gamma*|s|*(1 - s/s*) capped at zero past s*."""
-        gamma, s_star = float(gamma), float(s_star)
+        gamma, s_star = real(gamma, "gamma"), real(s_star, "s_star")
         if beta_star is None:
             beta_star = s_star / 2.0
 
         def logistic_f(s):
             return np.where(s <= s_star, gamma * np.abs(s) * (1.0 - s / s_star), 0.0)
         return cls(kind="logistic-default", gamma=gamma, s_star=s_star,
-                   beta_star=float(beta_star), evaluator=logistic_f)
+                   beta_star=real(beta_star, "beta_star"), evaluator=logistic_f)
 
     @classmethod
     def custom(cls, expr: str, gamma: float, s_star: float,
                beta_star: float) -> "NonlinearitySpec":
         """f given by the expression ``expr`` in ``s``."""
-        return cls(kind="custom", gamma=float(gamma), s_star=float(s_star),
-                   beta_star=float(beta_star),
+        return cls(kind="custom", gamma=real(gamma, "gamma"),
+                   s_star=real(s_star, "s_star"), beta_star=real(beta_star, "beta_star"),
                    evaluator=compile_expression(expr, ("s",)))
 
     def f(self, s):

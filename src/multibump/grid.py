@@ -27,6 +27,7 @@ from scipy import ndimage
 
 from .errors import ResolutionTooCoarseError
 from .expressions import compile_expression, evaluate_expression, point_variables
+from .tolerances import real
 
 EXTERIOR = 0
 INTERIOR = 1
@@ -67,14 +68,14 @@ class DomainSpec:
 
     @classmethod
     def box(cls, lo, hi) -> "DomainSpec":
-        lo = tuple(float(v) for v in lo)
-        hi = tuple(float(v) for v in hi)
+        lo = tuple(real(v, "lo") for v in lo)
+        hi = tuple(real(v, "hi") for v in hi)
         return cls(kind="box", dimension=len(lo), lo=lo, hi=hi)
 
     @classmethod
     def ball(cls, center, radius: float) -> "DomainSpec":
-        center = tuple(float(v) for v in center)
-        r = float(radius)
+        center = tuple(real(v, "center") for v in center)
+        r = real(radius, "radius")
         lo = tuple(c - r for c in center)
         hi = tuple(c + r for c in center)
         return cls(kind="ball", dimension=len(center), lo=lo, hi=hi,
@@ -82,8 +83,8 @@ class DomainSpec:
 
     @classmethod
     def implicit(cls, expression: str, lo, hi) -> "DomainSpec":
-        lo = tuple(float(v) for v in lo)
-        hi = tuple(float(v) for v in hi)
+        lo = tuple(real(v, "lo") for v in lo)
+        hi = tuple(real(v, "hi") for v in hi)
         return cls(kind="custom-implicit", dimension=len(lo), lo=lo, hi=hi,
                    expression=expression)
 

@@ -10,7 +10,9 @@ hypothesis, the violated condition.  Partial reports are still written.
 The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
 and zero set.  The memo holds one entry, keyed on the exact (``repr``)
-domain, weight, resolution, zero threshold and zero band.
+domain, weight, resolution, zero threshold and zero band.  The verify
+stage of a solve holds the text of its solution files (``_RunText``), so
+each coordinate and each value is formatted once per run.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are kept in
@@ -25,6 +27,7 @@ import logging
 import time
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -82,7 +85,8 @@ class RunConfig:
     def __post_init__(self):
         for name, valid, rule in (
                 ("resolution", is_count(self.resolution, 8), "an integer >= 8"),
-                ("output_dir", isinstance(self.output_dir, str), "a string"),
+                ("output_dir", isinstance(self.output_dir, str) and self.output_dir != "",
+                 "a non-empty string"),
                 ("export_vtk", isinstance(self.export_vtk, bool), "a boolean")):
             if not valid:
                 raise ConfigError(f"invalid {name}: must be {rule}, "
@@ -336,36 +340,78 @@ def report_to_dict(report: RunReport) -> dict:
     return out
 
 
-def _nonzero_reprs(flat: np.ndarray) -> tuple[list[int], list[str]]:
-    """Indices and ``repr`` of the entries of ``flat`` other than +0.0.
+class _RunText:
+    """The text of a run's solution files on ``grid``, each part formatted once.
 
-    Exact zeros, the bulk of a zero-extended field, are written as one
-    shared ``"0.0"`` literal by the callers; ``-0.0`` keeps its sign.
+    ``prefixes`` holds each node's CSV coordinates after the first, and
+    ``zero_rows`` those followed by ``0.0``.  ``bits`` and ``lines`` hold per
+    node the last nonzero value written there and its line (``repr`` and
+    newline) as fixed-width bytes: as Python strings, a run's lines would
+    stay in the allocator's arenas and raise the next run's peak RSS.
+    ``_run`` opens one for its verify stage; any other call gets its own.
     """
-    flat = np.asarray(flat, dtype=float)
-    index = np.flatnonzero((flat != 0) | np.signbit(flat))
-    return index.tolist(), [repr(v) for v in flat[index].tolist()]
+
+    _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
+
+    def __init__(self, grid: Grid):
+        labels = [[repr(c).encode() + b"," for c in axis.tolist()] for axis in grid.axes]
+        prefixes = np.array([b""], dtype=object)
+        for axis_labels in labels[1:]:
+            prefixes = (prefixes[:, None] + np.array(axis_labels, dtype=object)).ravel()
+        self.grid, self.first = grid, labels[0]
+        self.header = ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u\n"]).encode()
+        self.prefixes = np.tile(prefixes, grid.n)
+        self.zero_rows = np.tile(prefixes + b"0.0\n", grid.n)
+        self.bits = np.zeros(grid.classes.size, np.int64)
+        self.lines = np.zeros(grid.classes.size, "S25")  # a float's repr has at most 24 characters
+
+    @classmethod
+    @contextmanager
+    def open(cls, grid: Grid):
+        token = cls._current.set(cls(grid))
+        try:
+            yield
+        finally:
+            cls._current.reset(token)
+
+    @classmethod
+    def of(cls, grid: Grid) -> _RunText:
+        text = cls._current.get()
+        return text if text is not None and text.grid is grid else cls(grid)
+
+    def values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """C-order mask of the entries other than +0.0, and ``lines`` (valid there).
+
+        Only nodes whose bits changed are formatted, each distinct value
+        once: bits keep -0.0, subnormals and NaN exact, and +0.0 leaves a
+        node's line alone.
+        """
+        bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+        nonzero = bits != 0
+        stale = nonzero & (bits != self.bits)
+        self.bits[stale] = bits[stale]
+        new, where = np.unique(bits[stale], return_inverse=True)
+        self.lines[stale] = np.array([repr(v) + "\n" for v in new.view(float).tolist()],
+                                     dtype="S25")[where]
+        return nonzero, self.lines
 
 
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
     """Nodal field as CSV: coordinate columns then u, full lattice scan order.
 
-    Written one axis-0 slab at a time, with each coordinate formatted once
-    per call, so transient memory stays at one slab.
+    Coordinates and values come from the run's text (:class:`_RunText`),
+    which holds per node one int64, one 25-byte line and two row pointers
+    for the verify stage, so each is formatted once per run.  A call adds
+    one pointer per node and one row object per nonzero node.
     """
-    header = ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u"])
-    labels = [[repr(c) + "," for c in axis.tolist()] for axis in grid.axes]
-    prefixes = [""]
-    for axis_labels in labels[1:]:
-        prefixes = [p + c for p in prefixes for c in axis_labels]
-    zero_rows = np.array([p + "0.0\n" for p in prefixes], dtype=object)
-    with open(path, "w") as handle:
-        handle.write(header + "\n")
-        for label, slab in zip(labels[0], values.reshape(grid.n, -1)):
-            rows = zero_rows.copy()
-            index, reprs = _nonzero_reprs(slab)
-            rows[index] = [prefixes[i] + r + "\n" for i, r in zip(index, reprs)]
-            handle.write(label + label.join(rows))
+    text = _RunText.of(grid)
+    nonzero, lines = text.values(values)
+    rows = text.zero_rows.copy()
+    rows[nonzero] = text.prefixes[nonzero] + lines[nonzero].astype(object)
+    with open(path, "wb") as handle:
+        handle.write(text.header)
+        for label, slab in zip(text.first, rows.reshape(grid.n, -1)):
+            handle.write(label + label.join(slab.tolist()))
 
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
@@ -397,10 +443,10 @@ def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
         handle.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
         handle.write(f"POINT_DATA {values.size}\n")
         handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        lines = np.full(values.size, "0.0\n", dtype=object)
-        index, reprs = _nonzero_reprs(values.ravel(order="F"))
-        lines[index] = [r + "\n" for r in reprs]
-        handle.write("".join(lines))
+        nonzero, lines = _RunText.of(grid).values(values)
+        rows = np.full(values.size, b"0.0\n", dtype=object)
+        rows[nonzero] = lines[nonzero].astype(object)
+        handle.write(b"".join(rows.reshape(grid.shape).ravel(order="F").tolist()).decode())
 
 
 class _FailedVerdict(HypothesisViolationError):
@@ -524,7 +570,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             with stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1
-            with stage("verify"):
+            with stage("verify"), _RunText.open(grid):
                 if out_path is not None:
                     out_path.mkdir(parents=True, exist_ok=True)
                 for rank, solution in enumerate(solutions, start=1):

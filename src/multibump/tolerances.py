@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ConfigError
 
@@ -15,6 +16,13 @@ from .errors import ConfigError
 def is_count(value, low: int) -> bool:
     """True for an integer of at least ``low``; a bool or a float is not one."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -35,16 +43,13 @@ class ToleranceConfig:
     t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "t_scan", tuple(float(t) for t in self.t_scan))
+        object.__setattr__(self, "t_scan", tuple(real(t, "tolerance t_scan") for t in self.t_scan))
         positive = ("zero_threshold", "zero_band", "grad_tol_scale",
                     "residual_tol_scale", "eig_tol")
         nonnegative = ("bounds_tol", "zero_trace_tol")
         for name in positive + nonnegative + ("a2_growth_tol", "lt_stable_tol",
                                               "lt_growing_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"tolerance {name} must be finite")
-        if not all(math.isfinite(t) for t in self.t_scan):
-            raise ConfigError("tolerance t_scan must be finite")
+            object.__setattr__(self, name, real(getattr(self, name), f"tolerance {name}"))
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerance {name} must be positive")

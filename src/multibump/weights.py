@@ -30,7 +30,7 @@ from .assembly import edge_conductances, lattice_operator
 from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .grid import Grid, build_grid
-from .tolerances import ToleranceConfig
+from .tolerances import ToleranceConfig, real
 
 
 # One item of a radial weight's ``pieces`` and of a product weight's ``factors``.
@@ -75,31 +75,33 @@ class WeightSpec:
 
     @classmethod
     def constant(cls, value: float) -> "WeightSpec":
-        return cls(kind="constant", value=float(value),
+        return cls(kind="constant", value=real(value, "value"),
                    reference=f"a(x) = {value}")
 
     @classmethod
     def radial(cls, center, pieces, zero_radii=None, scale: float = 1.0) -> "WeightSpec":
-        pieces = tuple((float(r), str(e)) for r, e in pieces)
+        pieces = tuple((real(r, "r_max"), str(e)) for r, e in pieces)
         ref = ", ".join(f"{e} for r <= {r}" for r, e in pieces)
-        return cls(kind="radial-piecewise", center=tuple(float(c) for c in center),
-                   pieces=pieces, scale=float(scale),
-                   zero_radii=None if zero_radii is None else tuple(float(r) for r in zero_radii),
+        if zero_radii is not None:
+            zero_radii = tuple(real(r, "zero_radii") for r in zero_radii)
+        return cls(kind="radial-piecewise", center=tuple(real(c, "center") for c in center),
+                   pieces=pieces, scale=real(scale, "scale"), zero_radii=zero_radii,
                    reference=f"a(r) = {scale} * ({ref})")
 
     @classmethod
     def power_product(cls, factors, scale: float = 1.0) -> "WeightSpec":
-        factors = tuple((tuple(float(c) for c in ctr), float(rho), float(alpha))
+        factors = tuple((tuple(real(c, "center") for c in ctr), real(rho, "radius"),
+                         real(alpha, "power"))
                         for ctr, rho, alpha in factors)
         ref = " * ".join(f"||x-{c}|-{rho}|^{alpha}" for c, rho, alpha in factors)
-        return cls(kind="product-of-powers", factors=factors, scale=float(scale),
+        return cls(kind="product-of-powers", factors=factors, scale=real(scale, "scale"),
                    reference=f"a(x) = {scale} * {ref}")
 
     @classmethod
     def expression(cls, expr: str, zero_expr: str | None = None,
                    scale: float = 1.0) -> "WeightSpec":
         return cls(kind="custom-expression", expr=str(expr), zero_expr=zero_expr,
-                   scale=float(scale), reference=f"a(x) = {scale} * ({expr})")
+                   scale=real(scale, "scale"), reference=f"a(x) = {scale} * ({expr})")
 
     def compile(self, ndim: int) -> None:
         """Check the spec for points in R^ndim; ``ValueError`` on a bad part.
@@ -354,21 +356,22 @@ def estimate_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
     a = resolvable_floor(field, grid, zero)
     a_in = np.where(member, a, 0.0)
     rec_in = np.where(member, 1.0 / np.where(member, a, 1.0), 0.0)
-    member_f = member.astype(float)
+    # Squared lattice distance from each node to the nearest node that is not
+    # an interior node; the padding stands for every node beyond the lattice.
+    clearance = ndimage.distance_transform_edt(np.pad(member, 1))[(slice(1, -1),) * grid.ndim]
+    clearance2 = np.rint(clearance ** 2)
 
     best = 1.0
     for radius in radii:
-        kernel = _ball_kernel(radius, grid.h, grid.ndim)
-        count, sum_a, sum_rec = _ball_sums([member_f, a_in, rec_in], kernel)
-        count = np.rint(count)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            product = (sum_a / count) * (sum_rec / count)
         # Containment: every lattice node of the ball is an interior node,
         # mirroring the supremum over balls inside the domain.
-        contained = member & (count == float(kernel.sum()))
+        contained = clearance2 > (radius / grid.h) ** 2
         if not contained.any():
             continue
-        product = np.where(contained, product, -np.inf)
+        kernel = _ball_kernel(radius, grid.h, grid.ndim)
+        sum_a, sum_rec = _ball_sums([a_in, rec_in], kernel)
+        count = float(kernel.sum())
+        product = np.where(contained, (sum_a / count) * (sum_rec / count), -np.inf)
         best = max(best, float(np.max(product)))
     return best
 

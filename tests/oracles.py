@@ -4,14 +4,16 @@ These deliberately avoid the code paths under test: the reference
 operator is assembled one stencil edge at a time, the eigenvalue oracle is
 a dense symmetric eigensolve of it, the bump oracle solves the semilinear
 problem by damped fixed-point iteration with direct sparse factorizations,
-the primitive of the logistic default is its closed form, and the reference
-writers format every lattice node one at a time.  The remaining helpers are
+the primitive of the logistic default is its closed form, the A_2 oracle
+averages one lattice ball at a time, and the reference writers format every
+lattice node one at a time.  The remaining helpers are
 checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
 n-bump histograms and the nodal residual field.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -23,7 +25,7 @@ from multibump.composition import MultiBumpSolution
 from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
 from multibump.topology import Component
-from multibump.weights import WeightField
+from multibump.weights import WeightField, ZeroSet, resolvable_floor
 
 
 def reference_operator(conductances: list[np.ndarray], grid: Grid,
@@ -121,6 +123,29 @@ def reference_solution_vtk(path, values: np.ndarray, grid: Grid) -> None:
         handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         for value in values.ravel(order="F"):
             handle.write(f"{float(value)!r}\n")
+
+
+def reference_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
+                          radii: tuple[float, ...]) -> float:
+    """A_2 estimate over every lattice ball whose nodes are all interior nodes.
+
+    Each ball is enumerated node by node, at every member node and radius,
+    and averaged directly; balls reaching past the lattice are not contained.
+    """
+    member = grid.interior_mask
+    a = resolvable_floor(field, grid, zero)
+    best = 1.0
+    for radius in radii:
+        m = int(np.floor(radius / grid.h))
+        offsets = np.array([o for o in product(range(-m, m + 1), repeat=grid.ndim)
+                            if sum(k * k for k in o) <= (radius / grid.h) ** 2])
+        for node in np.argwhere(member):
+            ball = node + offsets
+            if ball.min() < 0 or ball.max() >= grid.n or not member[tuple(ball.T)].all():
+                continue
+            values = a[tuple(ball.T)]
+            best = max(best, float(np.mean(values) * np.mean(1.0 / values)))
+    return best
 
 
 def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> dict:

@@ -419,6 +419,69 @@ class TestOutputs:
         assert any(line.startswith("DIMENSIONS 17 17 1") for line in vtk)
 
 
+def write_both(tmp_path, stem, values, grid):
+    """Write ``values`` with both writers and with both reference writers."""
+    for writer, reference, suffix in [(write_solution_csv, reference_solution_csv, "csv"),
+                                      (write_solution_vtk, reference_solution_vtk, "vtk")]:
+        writer(tmp_path / f"{stem}.{suffix}", values, grid)
+        reference(tmp_path / f"{stem}-ref.{suffix}", values, grid)
+        assert (tmp_path / f"{stem}.{suffix}").read_bytes() \
+            == (tmp_path / f"{stem}-ref.{suffix}").read_bytes()
+
+
+class TestRunText:
+    def test_fields_on_the_open_grid_and_another_match_the_reference(self, tmp_path):
+        g1 = build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)
+        g2 = build_grid(DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 9)
+        first = sparse_field(g1, 1)
+        flat = first.reshape(-1).copy()
+        positive, zero = np.flatnonzero(flat > 0), np.flatnonzero(flat.view(np.int64) == 0)
+        flat[positive[0]] += 0.125           # a new value
+        flat[positive[1]] = 0.0              # back to +0.0
+        flat[positive[2]] = -0.0             # a node's line becomes "-0.0"
+        flat[zero[0]] = 5e-324               # a node without a line gets one
+        changed = flat.reshape(g1.shape)
+        with pipeline._RunText.open(g1):
+            for stem, values, grid in [("first", first, g1), ("other-grid", sparse_field(g2, 2), g2),
+                                       ("changed", changed, g1), ("first-again", first, g1)]:
+                write_both(tmp_path, stem, values, grid)
+
+    def test_solves_in_one_process_write_the_reference_files(self, tmp_path):
+        configs = {name: parse_config(dict(make(33, out=str(tmp_path / name)), export_vtk=True))
+                   for name, make in [("nested", nested_rings_config), ("ring", ring_config),
+                                      ("nested-again", nested_rings_config)]}
+        reports = {name: run_pipeline(config) for name, config in configs.items()}
+        grid = pipeline._setup(configs["nested"])[0]
+        # The reports differ in the digest, which covers output_dir.
+        files = sorted(p.name for p in (tmp_path / "nested").glob("solution_*"))
+        assert len(files) == 2 * 15
+        for name in files:
+            assert (tmp_path / "nested" / name).read_bytes() \
+                == (tmp_path / "nested-again" / name).read_bytes()
+        for record in reports["nested"].solutions:
+            reference_solution_csv(tmp_path / "reference.csv", record.solution.field(grid), grid)
+            assert (tmp_path / "reference.csv").read_bytes() \
+                == (tmp_path / "nested" / record.filename).read_bytes()
+
+    def test_each_bump_value_is_formatted_once_per_run(self, tmp_path, monkeypatch):
+        config = parse_config(dict(nested_rings_config(33, out=str(tmp_path)), export_vtk=True))
+        grid = pipeline._setup(config)[0]
+        coordinates = {c for axis in grid.axes for c in axis.tolist()}
+        formatted = []
+
+        def counted(obj):
+            if isinstance(obj, float) and obj not in coordinates:
+                formatted.append(obj)
+            return repr(obj)
+
+        monkeypatch.setattr(pipeline, "repr", counted, raising=False)
+        report = run_pipeline(config)
+        bumps = [r.solution.field(grid).view(np.int64) for r in report.solutions
+                 if r.solution.n_bumps == 1]
+        assert len(bumps) == 4 and len(report.solutions) == 15
+        assert 0 < len(formatted) <= sum(np.unique(b[b != 0]).size for b in bumps)
+
+
 @pytest.fixture
 def weight_evaluations(monkeypatch):
     """Resolution of every grid the pipeline's own setup evaluates the weight on."""
@@ -691,6 +754,13 @@ class TestCli:
         {"resolution": 17.9},
         {"export_vtk": "no"},
         {"output_dir": None},
+        {"output_dir": ""},
+        {"nonlinearity": {"kind": "logistic-default", "gamma": True, "s_star": 1.0}},
+        {"domain": {"kind": "ball", "center": [0.5, 0.5], "radius": True}},
+        {"domain": {"kind": "box", "lo": [False, 0.0], "hi": [1.0, 1.0]}},
+        {"weight": {"kind": "constant", "value": True}},
+        {"tolerances": {"zero_threshold": True}},
+        {"tolerances": {"t_scan": [1.0, True]}},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
@@ -699,7 +769,8 @@ class TestCli:
             "radial-centre-3d", "domain-number", "weight-list",
             "nonlinearity-number", "piece-string", "factor-list", "no-pieces",
             "no-factors", "r-max-negative", "resolution-float", "export-vtk-string",
-            "output-dir-null"])
+            "output-dir-null", "output-dir-empty", "gamma-bool", "radius-bool",
+            "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,

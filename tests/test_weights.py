@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cbrt_ring_weight, interior_count, unit_box
+from oracles import reference_a2_constant
 
 from multibump.errors import ConfigError, InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
-                               estimate_a2_constant, estimate_lt_norm,
+                               dyadic_radii, estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight)
 
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
@@ -83,6 +84,22 @@ class TestA2:
         assert report.a2_divergent
         assert report.a2_growth > 1.10
         assert report.verdict in ("violates-a2", "violates-lt")
+
+    @pytest.mark.parametrize("domain, spec, n", [
+        (B2, cbrt_ring_weight(), 17),
+        (UNIT, WeightSpec.expression("1 + 4*x*y"), 17),
+        (DomainSpec.ball((0.0, 0.0, 0.0), 1.0),
+         WeightSpec.power_product([((0.0, 0.0, 0.0), 0.5, 0.5)]), 9),
+    ], ids=["ring", "box", "shell3d"])
+    def test_matches_ball_by_ball_reference(self, domain, spec, n):
+        # The dyadic radii are exact multiples of h, so balls whose edge
+        # lands exactly on the first non-interior node are among those checked.
+        grid = build_grid(domain, n)
+        field = evaluate_weight(spec, grid)
+        zero = detect_zero_set(field, grid)
+        radii = dyadic_radii(grid)
+        assert estimate_a2_constant(field, grid, zero, radii) == pytest.approx(
+            reference_a2_constant(field, grid, zero, radii), rel=1e-12)
 
     def test_estimate_at_least_one_for_degenerate_weight(self, ring65):
         grid, field, zero, _ = ring65
