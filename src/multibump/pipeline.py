@@ -10,9 +10,11 @@ hypothesis, the violated condition.  Partial reports are still written.
 The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
 and zero set.  The memo holds one entry, keyed on the exact (``repr``)
-domain, weight, resolution, zero threshold and zero band.  The verify
-stage of a solve holds the text of its solution files (``_RunText``), so
-each coordinate and each value is formatted once per run.
+domain, weight, resolution, zero threshold and zero band.  A run's first
+solution file puts the text of its files (``_RunText``) in the caller's
+context until the next run, so each coordinate and value is formatted once
+per run, and a file read back that is, byte for byte, a text it can write is
+not parsed; any other file is parsed with ``np.loadtxt``.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are kept in
@@ -347,8 +349,9 @@ class _RunText:
     ``zero_rows`` those followed by ``0.0``.  ``bits`` and ``lines`` hold per
     node the last nonzero value written there and its line (``repr`` and
     newline) as fixed-width bytes: as Python strings, a run's lines would
-    stay in the allocator's arenas and raise the next run's peak RSS.
-    ``_run`` opens one for its verify stage; any other call gets its own.
+    stay in the allocator's arenas and raise the next run's peak RSS.  The
+    first write on a grid puts a new one in the caller's context, where the
+    read-back of the files written on that grid finds it until the next run.
     """
 
     _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
@@ -366,18 +369,11 @@ class _RunText:
         self.lines = np.zeros(grid.classes.size, "S25")  # a float's repr has at most 24 characters
 
     @classmethod
-    @contextmanager
-    def open(cls, grid: Grid):
-        token = cls._current.set(cls(grid))
-        try:
-            yield
-        finally:
-            cls._current.reset(token)
-
-    @classmethod
     def of(cls, grid: Grid) -> _RunText:
         text = cls._current.get()
-        return text if text is not None and text.grid is grid else cls(grid)
+        if text is None or text.grid is not grid:
+            cls._current.set(text := cls(grid))
+        return text
 
     def values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """C-order mask of the entries other than +0.0, and ``lines`` (valid there).
@@ -395,27 +391,57 @@ class _RunText:
                                      dtype="S25")[where]
         return nonzero, self.lines
 
+    def csv(self, nonzero: np.ndarray):
+        """The CSV text with ``lines`` where ``nonzero`` and ``0.0`` elsewhere, by slabs."""
+        rows = self.zero_rows.copy()
+        rows[nonzero] = self.prefixes[nonzero] + self.lines[nonzero].astype(object)
+        yield self.header
+        for label, slab in zip(self.first, rows.reshape(self.grid.n, -1)):
+            yield label + label.join(slab.tolist())
+
+    def parse(self, raw: bytes) -> np.ndarray | None:
+        """The field of ``raw`` if :meth:`csv` gives it for some mask, else None.
+
+        A row ending in ``,0.0`` is +0.0, any other its node's line, and
+        ``repr`` round-trips: a text equal to theirs holds exactly their values.
+        """
+        data = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))[1:]
+        if ends.size != self.bits.size:
+            return None
+        tails = np.lib.stride_tricks.sliding_window_view(data, 4)[ends - 4]
+        nonzero = (tails != np.frombuffer(b",0.0", np.uint8)).any(axis=1)
+        start = 0
+        for chunk in self.csv(nonzero):
+            if not raw.startswith(chunk, start):
+                return None
+            start += len(chunk)
+        return np.where(nonzero, self.bits, 0).view(float).reshape(
+            self.grid.shape) if start == len(raw) else None
+
 
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
     """Nodal field as CSV: coordinate columns then u, full lattice scan order.
 
     Coordinates and values come from the run's text (:class:`_RunText`),
-    which holds per node one int64, one 25-byte line and two row pointers
-    for the verify stage, so each is formatted once per run.  A call adds
-    one pointer per node and one row object per nonzero node.
+    which holds per node one int64, one 25-byte line and two row pointers,
+    so each is formatted once per run.  A call adds one pointer per node
+    and one row object per nonzero node.
     """
     text = _RunText.of(grid)
-    nonzero, lines = text.values(values)
-    rows = text.zero_rows.copy()
-    rows[nonzero] = text.prefixes[nonzero] + lines[nonzero].astype(object)
     with open(path, "wb") as handle:
-        handle.write(text.header)
-        for label, slab in zip(text.first, rows.reshape(grid.n, -1)):
-            handle.write(label + label.join(slab.tolist()))
+        handle.writelines(text.csv(text.values(values)[0]))
 
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
-    """Load a solution CSV and check it matches the grid's lattice."""
+    """Load a solution CSV and check it matches the grid's lattice.
+
+    A text that this context's :class:`_RunText` on ``grid`` can write is not parsed.
+    """
+    text = _RunText._current.get()
+    if text is not None and text.grid is grid:
+        if (values := text.parse(Path(path).read_bytes())) is not None:
+            return values
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:  # a cell that is not a number, or a row of another length
@@ -523,6 +549,8 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         domain_kind=config.domain.kind, weight_reference=config.weight.reference,
         gamma=nonlinearity.gamma, s_star=nonlinearity.s_star)
     stage = partial(_stage, report.timings)
+    # Kept under this solve, the last run's text would raise its peak RSS.
+    _RunText._current.set(None)
     start = time.perf_counter()
     try:
         with stage("setup"):
@@ -570,7 +598,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             with stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1
-            with stage("verify"), _RunText.open(grid):
+            with stage("verify"):
                 if out_path is not None:
                     out_path.mkdir(parents=True, exist_ok=True)
                 for rank, solution in enumerate(solutions, start=1):

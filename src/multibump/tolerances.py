@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from .errors import ConfigError
-
 
 def is_count(value, low: int) -> bool:
     """True for an integer of at least ``low``; a bool or a float is not one."""
@@ -52,15 +50,15 @@ class ToleranceConfig:
             object.__setattr__(self, name, real(getattr(self, name), f"tolerance {name}"))
         for name in positive:
             if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
+                raise ValueError(f"tolerance {name} must be positive")
         for name in nonnegative:
             if getattr(self, name) < 0:
-                raise ConfigError(f"tolerance {name} must be nonnegative")
+                raise ValueError(f"tolerance {name} must be nonnegative")
         if self.zero_threshold >= 1:
-            raise ConfigError("tolerance zero_threshold must be below 1")
+            raise ValueError("tolerance zero_threshold must be below 1")
         if any(t < 1 for t in self.t_scan):
-            raise ConfigError("tolerance t_scan must be >= 1")
+            raise ValueError("tolerance t_scan must be >= 1")
         for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
                           ("seed_min_exponent", 0)):
             if not is_count(getattr(self, name), low):
-                raise ConfigError(f"tolerance {name} must be an integer >= {low}")
+                raise ValueError(f"tolerance {name} must be an integer >= {low}")

@@ -75,17 +75,18 @@ class WeightSpec:
 
     @classmethod
     def constant(cls, value: float) -> "WeightSpec":
-        return cls(kind="constant", value=real(value, "value"),
-                   reference=f"a(x) = {value}")
+        value = real(value, "value")
+        return cls(kind="constant", value=value, reference=f"a(x) = {value}")
 
     @classmethod
     def radial(cls, center, pieces, zero_radii=None, scale: float = 1.0) -> "WeightSpec":
         pieces = tuple((real(r, "r_max"), str(e)) for r, e in pieces)
+        scale = real(scale, "scale")
         ref = ", ".join(f"{e} for r <= {r}" for r, e in pieces)
         if zero_radii is not None:
             zero_radii = tuple(real(r, "zero_radii") for r in zero_radii)
         return cls(kind="radial-piecewise", center=tuple(real(c, "center") for c in center),
-                   pieces=pieces, scale=real(scale, "scale"), zero_radii=zero_radii,
+                   pieces=pieces, scale=scale, zero_radii=zero_radii,
                    reference=f"a(r) = {scale} * ({ref})")
 
     @classmethod
@@ -94,14 +95,16 @@ class WeightSpec:
                          real(alpha, "power"))
                         for ctr, rho, alpha in factors)
         ref = " * ".join(f"||x-{c}|-{rho}|^{alpha}" for c, rho, alpha in factors)
-        return cls(kind="product-of-powers", factors=factors, scale=real(scale, "scale"),
+        scale = real(scale, "scale")
+        return cls(kind="product-of-powers", factors=factors, scale=scale,
                    reference=f"a(x) = {scale} * {ref}")
 
     @classmethod
     def expression(cls, expr: str, zero_expr: str | None = None,
                    scale: float = 1.0) -> "WeightSpec":
-        return cls(kind="custom-expression", expr=str(expr), zero_expr=zero_expr,
-                   scale=real(scale, "scale"), reference=f"a(x) = {scale} * ({expr})")
+        expr, scale = str(expr), real(scale, "scale")
+        return cls(kind="custom-expression", expr=expr, zero_expr=zero_expr,
+                   scale=scale, reference=f"a(x) = {scale} * ({expr})")
 
     def compile(self, ndim: int) -> None:
         """Check the spec for points in R^ndim; ``ValueError`` on a bad part.

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestConfigParsing:
         path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
                                                   tolerances={name: value}))
         assert main(["solve", "--config", str(path)]) == 1
-        assert f"error: tolerance {name} must be" in capsys.readouterr().err
+        assert f"error: invalid tolerances: tolerance {name} must be" in capsys.readouterr().err
 
     def test_nan_tolerance_in_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -430,7 +431,7 @@ def write_both(tmp_path, stem, values, grid):
 
 
 class TestRunText:
-    def test_fields_on_the_open_grid_and_another_match_the_reference(self, tmp_path):
+    def test_fields_on_one_grid_and_another_match_the_reference(self, tmp_path):
         g1 = build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)
         g2 = build_grid(DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 9)
         first = sparse_field(g1, 1)
@@ -441,10 +442,10 @@ class TestRunText:
         flat[positive[2]] = -0.0             # a node's line becomes "-0.0"
         flat[zero[0]] = 5e-324               # a node without a line gets one
         changed = flat.reshape(g1.shape)
-        with pipeline._RunText.open(g1):
-            for stem, values, grid in [("first", first, g1), ("other-grid", sparse_field(g2, 2), g2),
-                                       ("changed", changed, g1), ("first-again", first, g1)]:
-                write_both(tmp_path, stem, values, grid)
+        for stem, values, grid in [("first", first, g1), ("changed", changed, g1),
+                                   ("other-grid", sparse_field(g2, 2), g2),
+                                   ("changed-again", changed, g1), ("first-again", first, g1)]:
+            write_both(tmp_path, stem, values, grid)
 
     def test_solves_in_one_process_write_the_reference_files(self, tmp_path):
         configs = {name: parse_config(dict(make(33, out=str(tmp_path / name)), export_vtk=True))
@@ -483,6 +484,118 @@ class TestRunText:
 
 
 @pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Paths ``np.loadtxt`` parses, and the unpatched function."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(path, *args, **kwargs):
+        calls.append(Path(path).name)
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls, loadtxt
+
+
+def parsed_values(loadtxt, path, grid):
+    return loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, -1].reshape(grid.shape)
+
+
+def edit_rows(text: str, edit) -> str:
+    """``text`` with ``edit(fields)`` applied to the first row holding a nonzero ``u``."""
+    rows = text.split("\n")
+    row = next(k for k, line in enumerate(rows[1:], start=1) if not line.endswith(",0.0"))
+    rows[row] = ",".join(edit(rows[row].split(",")))
+    return "\n".join(rows)
+
+
+# A solution file of the run, changed in ways that keep or change its values.
+EDITS = {
+    "value-2.0": lambda text: edit_rows(text, lambda f: f[:-1] + ["2.0"]),
+    "value-2.00": lambda text: edit_rows(text, lambda f: f[:-1] + ["2.00"]),
+    "coordinate-0.50": lambda text: text.replace("\n0.5,", "\n0.50,", 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+}
+
+
+class TestReadBack:
+    def solve(self, tmp_path, gamma=30.0):
+        data = nested_rings_config(33, out=str(tmp_path / f"gamma-{gamma}"))
+        data["nonlinearity"]["gamma"] = gamma
+        config = parse_config(data)
+        return config, run_pipeline(config), pipeline._setup(config)[0]
+
+    def test_own_files_are_not_parsed(self, tmp_path, loadtxt_calls):
+        calls, loadtxt = loadtxt_calls
+        config, report, grid = self.solve(tmp_path)
+        out = Path(config.output_dir)
+        paths = [out / record.filename for record in report.solutions]
+        assert len(paths) == 15
+        for path in paths:
+            assert np.array_equal(read_solution_csv(path, grid).view(np.int64),
+                                  parsed_values(loadtxt, path, grid).view(np.int64))
+            assert verify_solution_file(config, path).passed
+        special = sparse_field(grid, 3)  # -0.0, subnormals, exponent forms
+        write_solution_csv(out / "special.csv", special, grid)
+        assert np.array_equal(read_solution_csv(out / "special.csv", grid).view(np.int64),
+                              special.view(np.int64))
+        assert calls == []
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_other_files_are_parsed_once(self, tmp_path, loadtxt_calls, edit):
+        calls, loadtxt = loadtxt_calls
+        config, report, grid = self.solve(tmp_path)
+        written = Path(config.output_dir) / report.solutions[-1].filename
+        path = tmp_path / f"{edit}.csv"
+        path.write_bytes(EDITS[edit](written.read_text()).encode())
+        assert path.read_bytes() != written.read_bytes()
+        assert np.array_equal(read_solution_csv(path, grid), parsed_values(loadtxt, path, grid))
+        assert calls == [path.name]
+        # Reading a changed file leaves the run's text as it was.
+        for record in report.solutions:
+            values = record.solution.field(grid)
+            write_solution_csv(tmp_path / "again.csv", values, grid)
+            reference_solution_csv(tmp_path / "reference.csv", values, grid)
+            assert (tmp_path / "again.csv").read_bytes() \
+                == (tmp_path / "reference.csv").read_bytes()
+
+    def test_earlier_solve_on_the_same_grid_is_parsed(self, tmp_path, loadtxt_calls):
+        calls, loadtxt = loadtxt_calls
+        earlier, report, grid = self.solve(tmp_path)
+        later, _, later_grid = self.solve(tmp_path, gamma=31.0)
+        assert later_grid is grid
+        path = Path(earlier.output_dir) / report.solutions[-1].filename
+        assert np.array_equal(read_solution_csv(path, grid), parsed_values(loadtxt, path, grid))
+        assert calls == [path.name]
+
+    def test_row_merged_over_a_node_never_written_is_parsed(self, tmp_path, loadtxt_calls):
+        calls, _ = loadtxt_calls
+        grid = build_grid(DomainSpec.box((0.0, 0.0), (1.0, 1.0)), 9)
+        values = np.full(grid.shape, 0.5)
+        values[0, 0] = 0.0  # the first write on this grid, so node 0 has no line
+        path = tmp_path / "merged.csv"
+        write_solution_csv(path, values, grid)
+        # Row 0 loses its value and newline; one more row keeps the count.
+        text = path.read_text().replace(",0.0\n", ",", 1) + "0.5\n"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="expected 81 rows x 3 columns"):
+            read_solution_csv(path, grid)
+        assert calls == [path.name]
+
+    def test_fresh_context_parses(self, tmp_path, loadtxt_calls):
+        calls, loadtxt = loadtxt_calls
+        config, report, grid = self.solve(tmp_path)
+        path = Path(config.output_dir) / report.solutions[-1].filename
+        read = {}
+        thread = threading.Thread(target=lambda: read.update(values=read_solution_csv(path, grid)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert np.array_equal(read["values"], parsed_values(loadtxt, path, grid))
+        assert calls == [path.name]
+
+
+@pytest.fixture
 def weight_evaluations(monkeypatch):
     """Resolution of every grid the pipeline's own setup evaluates the weight on."""
     resolutions = []
@@ -515,6 +628,15 @@ for config, out in zip(args[::2], args[1::2]):
 """
 
 
+def as_floats(node):
+    """``node`` with every integer (not bool) of the tree a float."""
+    if isinstance(node, dict):
+        return {key: as_floats(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [as_floats(value) for value in node]
+    return float(node) if isinstance(node, int) and not isinstance(node, bool) else node
+
+
 class TestSetupMemo:
     def test_solve_and_read_back_evaluate_the_weight_once(self, tmp_path,
                                                           weight_evaluations):
@@ -524,6 +646,30 @@ class TestSetupMemo:
         for record in report.solutions:
             assert verify_solution_file(config, tmp_path / record.filename).passed
         assert weight_evaluations == [33]
+
+    @pytest.mark.parametrize("weight", [
+        {"kind": "constant", "value": 1},
+        {"kind": "radial-piecewise", "center": [0, 0], "pieces": [{"r_max": 2, "expr": "1"}],
+         "scale": 2},
+        {"kind": "product-of-powers", "factors": [{"center": [0, 0], "radius": 1, "power": 1}],
+         "scale": 2},
+        {"kind": "custom-expression", "expr": "1 + x", "scale": 2},
+    ], ids=lambda weight: weight["kind"])
+    def test_integer_and_float_spellings_are_one_weight(self, tmp_path, weight,
+                                                        weight_evaluations):
+        spelled = {"int": weight, "float": as_floats(weight)}
+        assert json.dumps(spelled["int"]) != json.dumps(spelled["float"])
+        configs = {name: unit_square(weight=w, out=str(tmp_path / name))
+                   for name, w in spelled.items()}
+        assert parse_config(configs["int"]).weight == parse_config(configs["float"]).weight
+        reports = {}
+        for name, data in configs.items():
+            main(["check", "--config", str(write_config(tmp_path, data, f"{name}.json"))])
+            # Only the digest of the configuration text tells the reports apart.
+            reports[name] = [line for line in (tmp_path / name / "report.txt").read_text()
+                             .splitlines() if not line.startswith("config-digest")]
+        assert reports["int"] == reports["float"]
+        assert weight_evaluations == [17]
 
     @pytest.mark.parametrize("change", ["zero_band", "resolution", "signed-zero lo"])
     def test_configs_that_differ_get_their_own_setup(self, change, weight_evaluations):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import cbrt_ring_weight, interior_count, unit_box
 from oracles import reference_a2_constant
 
-from multibump.errors import ConfigError, InvalidWeightError
+from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
@@ -162,7 +162,7 @@ class TestLt:
 
     def test_t_below_one_rejected(self):
         # The scanned exponents come from the run's tolerances.
-        with pytest.raises(ConfigError, match="t_scan must be >= 1"):
+        with pytest.raises(ValueError, match="t_scan must be >= 1"):
             ToleranceConfig(t_scan=(1.0, 0.5))
 
 
