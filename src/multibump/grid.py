@@ -12,9 +12,10 @@ lattice covering its bounding box.  Node classification:
 Membership uses a strict inequality at node centers, so lattice nodes that
 fall exactly on the boundary (the generic case for axis-aligned boxes)
 become Dirichlet nodes.  On a box that reproduces the classical Dirichlet
-stencil with (n-2)^N unknowns and its closed-form eigenvalues exactly; on a
-curved domain the zero condition is imposed on the first lattice ring
-outside the boundary, a first-order treatment.
+stencil with (n-2)^N unknowns and its closed-form eigenvalues exactly.  On a
+curved domain the energy and the verification impose the zero condition on
+the first lattice ring outside the boundary, a first-order treatment; the
+spectral operator puts it on the true boundary with cut conductances 1/theta.
 """
 
 from __future__ import annotations

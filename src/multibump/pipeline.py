@@ -13,8 +13,8 @@ and zero set.  The memo holds one entry, keyed on the exact (``repr``)
 domain, weight, resolution, zero threshold and zero band.  A run's first
 solution file puts the text of its files (``_RunText``) in the caller's
 context until the next run, so each coordinate and value is formatted once
-per run, and a file read back that is, byte for byte, a text it can write is
-not parsed; any other file is parsed with ``np.loadtxt``.
+per run, and a file read back whose SHA-256 is that of a file the run wrote
+is not parsed; any other file is parsed with ``np.loadtxt``.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are kept in
@@ -349,9 +349,11 @@ class _RunText:
     ``zero_rows`` those followed by ``0.0``.  ``bits`` and ``lines`` hold per
     node the last nonzero value written there and its line (``repr`` and
     newline) as fixed-width bytes: as Python strings, a run's lines would
-    stay in the allocator's arenas and raise the next run's peak RSS.  The
-    first write on a grid puts a new one in the caller's context, where the
-    read-back of the files written on that grid finds it until the next run.
+    stay in the allocator's arenas and raise the next run's peak RSS.
+    ``files`` maps the SHA-256 of a file written on ``grid`` to its packed
+    nonzero mask until :meth:`values` forgets it.  The first write on a grid
+    puts a new one in the caller's context, where the read-back of the files
+    written on it finds it until the next run.
     """
 
     _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
@@ -362,11 +364,12 @@ class _RunText:
         for axis_labels in labels[1:]:
             prefixes = (prefixes[:, None] + np.array(axis_labels, dtype=object)).ravel()
         self.grid, self.first = grid, labels[0]
-        self.header = ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u\n"]).encode()
+        self.header = (_csv_header(grid) + "\n").encode()
         self.prefixes = np.tile(prefixes, grid.n)
         self.zero_rows = np.tile(prefixes + b"0.0\n", grid.n)
         self.bits = np.zeros(grid.classes.size, np.int64)
         self.lines = np.zeros(grid.classes.size, "S25")  # a float's repr has at most 24 characters
+        self.files: dict[bytes, np.ndarray] = {}
 
     @classmethod
     def of(cls, grid: Grid) -> _RunText:
@@ -380,44 +383,23 @@ class _RunText:
 
         Only nodes whose bits changed are formatted, each distinct value
         once: bits keep -0.0, subnormals and NaN exact, and +0.0 leaves a
-        node's line alone.
+        node's line alone.  A change at a nonzero node forgets ``files``, so
+        each file left in it holds ``bits`` on its mask and +0.0 elsewhere.
         """
         bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
         nonzero = bits != 0
         stale = nonzero & (bits != self.bits)
+        if self.bits[stale].any():
+            self.files.clear()
         self.bits[stale] = bits[stale]
         new, where = np.unique(bits[stale], return_inverse=True)
         self.lines[stale] = np.array([repr(v) + "\n" for v in new.view(float).tolist()],
                                      dtype="S25")[where]
         return nonzero, self.lines
 
-    def csv(self, nonzero: np.ndarray):
-        """The CSV text with ``lines`` where ``nonzero`` and ``0.0`` elsewhere, by slabs."""
-        rows = self.zero_rows.copy()
-        rows[nonzero] = self.prefixes[nonzero] + self.lines[nonzero].astype(object)
-        yield self.header
-        for label, slab in zip(self.first, rows.reshape(self.grid.n, -1)):
-            yield label + label.join(slab.tolist())
 
-    def parse(self, raw: bytes) -> np.ndarray | None:
-        """The field of ``raw`` if :meth:`csv` gives it for some mask, else None.
-
-        A row ending in ``,0.0`` is +0.0, any other its node's line, and
-        ``repr`` round-trips: a text equal to theirs holds exactly their values.
-        """
-        data = np.frombuffer(raw, np.uint8)
-        ends = np.flatnonzero(data == ord("\n"))[1:]
-        if ends.size != self.bits.size:
-            return None
-        tails = np.lib.stride_tricks.sliding_window_view(data, 4)[ends - 4]
-        nonzero = (tails != np.frombuffer(b",0.0", np.uint8)).any(axis=1)
-        start = 0
-        for chunk in self.csv(nonzero):
-            if not raw.startswith(chunk, start):
-                return None
-            start += len(chunk)
-        return np.where(nonzero, self.bits, 0).view(float).reshape(
-            self.grid.shape) if start == len(raw) else None
+def _csv_header(grid: Grid) -> str:
+    return ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u"])
 
 
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
@@ -426,22 +408,41 @@ def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
     Coordinates and values come from the run's text (:class:`_RunText`),
     which holds per node one int64, one 25-byte line and two row pointers,
     so each is formatted once per run.  A call adds one pointer per node
-    and one row object per nonzero node.
+    and one row object per nonzero node, and records the file's SHA-256.
     """
     text = _RunText.of(grid)
+    nonzero, lines = text.values(values)
+    rows = text.zero_rows.copy()
+    rows[nonzero] = text.prefixes[nonzero] + lines[nonzero].astype(object)
+    digest = hashlib.sha256(text.header)
     with open(path, "wb") as handle:
-        handle.writelines(text.csv(text.values(values)[0]))
+        handle.write(text.header)
+        for label, slab in zip(text.first, rows.reshape(grid.n, -1)):
+            chunk = label + label.join(slab.tolist())
+            digest.update(chunk)
+            handle.write(chunk)
+    # A small object made while the rows (and ``slab``, a view of them) live
+    # would hold one of their 1 MiB allocator arenas and raise the next peak RSS.
+    del rows, slab
+    text.files[digest.digest()] = np.packbits(nonzero)
 
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
-    """Load a solution CSV and check it matches the grid's lattice.
+    """Load a solution CSV and check its header and that it matches the grid's lattice.
 
-    A text that this context's :class:`_RunText` on ``grid`` can write is not parsed.
+    A file whose SHA-256 is that of a file this context's :class:`_RunText`
+    on ``grid`` wrote holds that file's values, which are returned unparsed.
     """
     text = _RunText._current.get()
     if text is not None and text.grid is grid:
-        if (values := text.parse(Path(path).read_bytes())) is not None:
-            return values
+        mask = text.files.get(hashlib.sha256(Path(path).read_bytes()).digest())
+        if mask is not None:
+            nonzero = np.unpackbits(mask, count=text.bits.size).view(bool)
+            return np.where(nonzero, text.bits, 0).view(float).reshape(grid.shape)
+    header = _csv_header(grid)
+    with open(path, "rb") as handle:
+        if handle.readline().rstrip(b"\r\n") != header.encode():
+            raise ConfigError(f"{path}: expected header {header}")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:  # a cell that is not a number, or a row of another length

@@ -594,6 +594,54 @@ class TestReadBack:
         assert np.array_equal(read["values"], parsed_values(loadtxt, path, grid))
         assert calls == [path.name]
 
+    @pytest.mark.parametrize("before, after", [(0.5, 0.625), (0.5, -0.0), (-0.0, 0.5)],
+                             ids=["new-value", "to-negative-zero", "from-negative-zero"])
+    def test_changing_a_nonzero_node_forgets_earlier_files(self, tmp_path, loadtxt_calls,
+                                                           before, after):
+        calls, loadtxt = loadtxt_calls
+        grid = build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)
+        first = sparse_field(grid, 1)
+        node = np.flatnonzero(first > 0)[0]
+        first.flat[node] = before
+        second = first.copy()
+        second.flat[node] = after
+        for name, values in [("first", first), ("second", second)]:
+            write_solution_csv(tmp_path / f"{name}.csv", values, grid)
+        assert np.array_equal(read_solution_csv(tmp_path / "first.csv", grid).view(np.int64),
+                              parsed_values(loadtxt, tmp_path / "first.csv", grid)
+                              .view(np.int64))
+        assert np.array_equal(read_solution_csv(tmp_path / "second.csv", grid).view(np.int64),
+                              second.view(np.int64))
+        assert calls == ["first.csv"]
+
+    def test_writing_zeros_or_new_nodes_keeps_earlier_files(self, tmp_path, loadtxt_calls):
+        calls, _ = loadtxt_calls
+        grid = build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)
+        first = sparse_field(grid, 1)
+        flat = first.reshape(-1).view(np.int64)
+        held, free = np.flatnonzero(flat != 0), np.flatnonzero(flat == 0)
+        later = first.copy().reshape(-1)
+        later[held[::2]] = 0.0  # +0.0 where the first file holds a value
+        later[free[:5]] = [0.25, -0.0, 5e-324, 1e16, 0.5]  # first values at other nodes
+        later = later.reshape(grid.shape)
+        for name, values in [("first", first), ("later", later)]:
+            write_solution_csv(tmp_path / f"{name}.csv", values, grid)
+        for name, values in [("first", first), ("later", later)]:
+            assert np.array_equal(read_solution_csv(tmp_path / f"{name}.csv", grid)
+                                  .view(np.int64), values.view(np.int64))
+        assert calls == []
+
+    def test_file_with_another_header_fails_verify(self, tmp_path, capsys):
+        config, report, grid = self.solve(tmp_path)
+        written = Path(config.output_dir) / "solution_015.csv"
+        path = tmp_path / "header-abc.csv"
+        path.write_text("a,b,c\n" + written.read_text().split("\n", 1)[1])
+        config_path = write_config(tmp_path, nested_rings_config(33, out=config.output_dir))
+        assert main(["verify", "--config", str(config_path), str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: expected header x1,x2,u\n"
+        with pytest.raises(ConfigError, match="expected header x1,x2,u"):
+            read_solution_csv(path, grid)
+
 
 @pytest.fixture
 def weight_evaluations(monkeypatch):
