@@ -11,10 +11,10 @@ The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
 and zero set.  The memo holds one entry, keyed on the exact (``repr``)
 domain, weight, resolution, zero threshold and zero band.  A run's first
-solution file puts the text of its files (``_RunText``) in the caller's
-context until the next run, so each coordinate and value is formatted once
-per run, and a file read back whose SHA-256 is that of a file the run wrote
-is not parsed; any other file is parsed with ``np.loadtxt``.
+solution file puts the text of its files (``_RunText``, fixed-width bytes)
+in the caller's context until the next run, so each coordinate and value
+is formatted once per run; a file read back whose SHA-256 is that of a file
+the run wrote is not parsed, and any other file goes to ``np.loadtxt``.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are kept in
@@ -31,7 +31,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -345,28 +345,24 @@ def report_to_dict(report: RunReport) -> dict:
 class _RunText:
     """The text of a run's solution files on ``grid``, each part formatted once.
 
-    ``prefixes`` holds each node's CSV coordinates after the first, and
-    ``zero_rows`` those followed by ``0.0``.  ``bits`` and ``lines`` hold per
-    node the last nonzero value written there and its line (``repr`` and
-    newline) as fixed-width bytes: as Python strings, a run's lines would
-    stay in the allocator's arenas and raise the next run's peak RSS.
-    ``files`` maps the SHA-256 of a file written on ``grid`` to its packed
-    nonzero mask until :meth:`values` forgets it.  The first write on a grid
-    puts a new one in the caller's context, where the read-back of the files
-    written on it finds it until the next run.
+    Its text is fixed-width, NUL-padded ``bytes_``: ``first`` holds the
+    axis-0 coordinates and ``rest`` every combination of the others in C
+    order, each followed by a comma.  ``bits`` and ``lines`` hold per node
+    the last nonzero value written there and its line (``repr`` and
+    newline).  ``files`` maps the SHA-256 of a file written on ``grid`` to
+    its packed nonzero mask until :meth:`values` forgets it.  The first
+    write on a grid puts a new one in the caller's context, where the
+    read-back of the files written on it finds it until the next run.
     """
 
     _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
 
     def __init__(self, grid: Grid):
-        labels = [[repr(c).encode() + b"," for c in axis.tolist()] for axis in grid.axes]
-        prefixes = np.array([b""], dtype=object)
-        for axis_labels in labels[1:]:
-            prefixes = (prefixes[:, None] + np.array(axis_labels, dtype=object)).ravel()
-        self.grid, self.first = grid, labels[0]
+        first, *others = [np.array([repr(c) + "," for c in axis.tolist()], dtype="S")
+                          for axis in grid.axes]
+        self.grid, self.first = grid, first
+        self.rest = reduce(lambda rest, axis: np.char.add(rest[:, None], axis).ravel(), others)
         self.header = (_csv_header(grid) + "\n").encode()
-        self.prefixes = np.tile(prefixes, grid.n)
-        self.zero_rows = np.tile(prefixes + b"0.0\n", grid.n)
         self.bits = np.zeros(grid.classes.size, np.int64)
         self.lines = np.zeros(grid.classes.size, "S25")  # a float's repr has at most 24 characters
         self.files: dict[bytes, np.ndarray] = {}
@@ -379,11 +375,11 @@ class _RunText:
         return text
 
     def values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """C-order mask of the entries other than +0.0, and ``lines`` (valid there).
+        """C-order mask of the entries other than +0.0, and every node's line (``0.0`` there).
 
         Only nodes whose bits changed are formatted, each distinct value
-        once: bits keep -0.0, subnormals and NaN exact, and +0.0 leaves a
-        node's line alone.  A change at a nonzero node forgets ``files``, so
+        once: bits keep -0.0, subnormals and NaN exact, and +0.0 leaves
+        ``lines`` alone.  A change at a nonzero node forgets ``files``, so
         each file left in it holds ``bits`` on its mask and +0.0 elsewhere.
         """
         bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
@@ -395,7 +391,19 @@ class _RunText:
         new, where = np.unique(bits[stale], return_inverse=True)
         self.lines[stale] = np.array([repr(v) + "\n" for v in new.view(float).tolist()],
                                      dtype="S25")[where]
-        return nonzero, self.lines
+        lines = self.lines.copy()
+        lines[~nonzero] = b"0.0\n"
+        return nonzero, lines
+
+
+# Rows the CSV writer joins at once (whole axis-0 slabs, at least one); bounds its table in 3D.
+_BLOCK_ROWS = 1 << 14
+
+
+def _joined(*columns: np.ndarray) -> np.ndarray:
+    """The bytes of ``columns`` (fixed-width, broadcast together) row by row, padding dropped."""
+    table = np.rec.fromarrays(np.broadcast_arrays(*columns)).view(np.uint8, np.ndarray)
+    return table[table != 0]
 
 
 def _csv_header(grid: Grid) -> str:
@@ -405,25 +413,22 @@ def _csv_header(grid: Grid) -> str:
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
     """Nodal field as CSV: coordinate columns then u, full lattice scan order.
 
-    Coordinates and values come from the run's text (:class:`_RunText`),
-    which holds per node one int64, one 25-byte line and two row pointers,
-    so each is formatted once per run.  A call adds one pointer per node
-    and one row object per nonzero node, and records the file's SHA-256.
+    Coordinates and values come from the run's text (:class:`_RunText`), so
+    each is formatted once per run.  A call joins at most ``_BLOCK_ROWS``
+    rows (or one axis-0 slab) at a time, and records the file's SHA-256.
     """
     text = _RunText.of(grid)
     nonzero, lines = text.values(values)
-    rows = text.zero_rows.copy()
-    rows[nonzero] = text.prefixes[nonzero] + lines[nonzero].astype(object)
+    step = max(_BLOCK_ROWS // text.rest.size, 1)
     digest = hashlib.sha256(text.header)
     with open(path, "wb") as handle:
         handle.write(text.header)
-        for label, slab in zip(text.first, rows.reshape(grid.n, -1)):
-            chunk = label + label.join(slab.tolist())
+        for start in range(0, grid.n, step):
+            block = slice(start, start + step)
+            chunk = _joined(text.first[block, None], text.rest,
+                            lines.reshape(grid.n, -1)[block])
             digest.update(chunk)
             handle.write(chunk)
-    # A small object made while the rows (and ``slab``, a view of them) live
-    # would hold one of their 1 MiB allocator arenas and raise the next peak RSS.
-    del rows, slab
     text.files[digest.digest()] = np.packbits(nonzero)
 
 
@@ -458,22 +463,17 @@ def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
 
 
 def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
-    """Legacy-ASCII rectilinear export for visualization tools."""
+    """Legacy-ASCII rectilinear export: the run's lines (:class:`_RunText`) in Fortran order."""
     dims = list(grid.shape) + [1] * (3 - grid.ndim)
     origin = list(grid.domain.lo) + [0.0] * (3 - grid.ndim)
-    with open(path, "w") as handle:
-        handle.write("# vtk DataFile Version 3.0\n")
-        handle.write("multibump solution field\n")
-        handle.write("ASCII\nDATASET STRUCTURED_POINTS\n")
-        handle.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
-        handle.write(f"ORIGIN {origin[0]!r} {origin[1]!r} {origin[2]!r}\n")
-        handle.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
-        handle.write(f"POINT_DATA {values.size}\n")
-        handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        nonzero, lines = _RunText.of(grid).values(values)
-        rows = np.full(values.size, b"0.0\n", dtype=object)
-        rows[nonzero] = lines[nonzero].astype(object)
-        handle.write(b"".join(rows.reshape(grid.shape).ravel(order="F").tolist()).decode())
+    lines = _RunText.of(grid).values(values)[1]
+    with open(path, "wb") as handle:
+        handle.write("# vtk DataFile Version 3.0\nmultibump solution field\nASCII\n"
+                     f"DATASET STRUCTURED_POINTS\nDIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n"
+                     f"ORIGIN {origin[0]!r} {origin[1]!r} {origin[2]!r}\n"
+                     f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\nPOINT_DATA {values.size}\n"
+                     "SCALARS u double 1\nLOOKUP_TABLE default\n".encode())
+        handle.write(_joined(lines.reshape(grid.shape).ravel(order="F")))
 
 
 class _FailedVerdict(HypothesisViolationError):

@@ -344,19 +344,18 @@ def _ball_sums(arrays: list[np.ndarray], kernel: np.ndarray) -> list[np.ndarray]
             for array in arrays]
 
 
-def estimate_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
+def estimate_a2_constant(a: np.ndarray, grid: Grid,
                          radii: tuple[float, ...] | None = None) -> float:
     """Sampled lower bound of the Muckenhoupt A_2 constant.
 
     Maximum over balls contained in the domain (centered at every interior
     node, radii ``dyadic_radii(grid)`` unless given) of avg(a) * avg(1/a),
-    both averages over the floored nodal values.  The arithmetic-harmonic
+    both averages over ``a``, the floored nodal values.  The arithmetic-harmonic
     mean inequality makes the result >= 1 for every weight.
     """
     if radii is None:
         radii = dyadic_radii(grid)
     member = grid.interior_mask
-    a = resolvable_floor(field, grid, zero)
     a_in = np.where(member, a, 0.0)
     rec_in = np.where(member, 1.0 / np.where(member, a, 1.0), 0.0)
     # Squared lattice distance from each node to the nearest node that is not
@@ -379,11 +378,9 @@ def estimate_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
     return best
 
 
-def estimate_lt_norm(field: WeightField, grid: Grid, t: float, zero: ZeroSet) -> float:
-    """Nodal quadrature of the L^t norm of 1/a over the domain (t >= 1)."""
-    member = grid.interior_mask
-    a = resolvable_floor(field, grid, zero)[member]
-    total = float(np.sum(a ** (-t))) * grid.cell_volume
+def estimate_lt_norm(a: np.ndarray, grid: Grid, t: float) -> float:
+    """Nodal quadrature of the L^t norm of 1/a (floored values) over the domain (t >= 1)."""
+    total = float(np.sum(a[grid.interior_mask] ** (-t))) * grid.cell_volume
     return total ** (1.0 / t)
 
 
@@ -441,19 +438,21 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
     grid_c = build_grid(grid.domain, n_coarse)
     field_c = evaluate_weight(field.spec, grid_c)
     zero_c = detect_zero_set(field_c, grid_c, tol)
+    floor_c = resolvable_floor(field_c, grid_c, zero_c)
+    floor_f = resolvable_floor(field, grid, zero)
 
     # Both levels sample the same physical radii (dyadic from the coarse
     # spacing) so the growth ratio compares like-for-like quadratures.
     radii = dyadic_radii(grid_c)
-    a2_c = estimate_a2_constant(field_c, grid_c, zero_c, radii)
-    a2_f = estimate_a2_constant(field, grid, zero, radii)
+    a2_c = estimate_a2_constant(floor_c, grid_c, radii)
+    a2_f = estimate_a2_constant(floor_f, grid, radii)
     a2_growth = a2_f / a2_c
     a2_divergent = bool(a2_growth > tol.a2_growth_tol or not np.isfinite(a2_f))
 
     rows = []
     for t in tol.t_scan:
-        nc = estimate_lt_norm(field_c, grid_c, t, zero_c)
-        nf = estimate_lt_norm(field, grid, t, zero)
+        nc = estimate_lt_norm(floor_c, grid_c, t)
+        nf = estimate_lt_norm(floor_f, grid, t)
         growth = nf / nc
         rows.append(LtRow(t=t, norm_coarse=nc, norm_fine=nf, growth=growth,
                           growing=bool(growth > tol.lt_growing_tol),

@@ -131,22 +131,26 @@ class TestEnergyAssembly:
         _, _, eigen, energy = square_problem
         assert energy.value(1000.0 * S_STAR * eigen.e1) > 0.0
 
-    def test_gradient_matches_finite_differences(self, square_problem):
-        grid, _, _, energy = square_problem
-        rng = np.random.default_rng(7)
-        step = 1e-6 * S_STAR
-        for _ in range(10):
-            u = rng.uniform(-BETA, S_STAR + 1.0, size=energy.size)
-            grad = energy.gradient(u)
-            probe = rng.integers(0, energy.size, size=64)
-            fd = np.empty(probe.size)
-            for k, i in enumerate(probe):
-                up, um = u.copy(), u.copy()
-                up[i] += step
-                um[i] -= step
-                fd[k] = (energy.value(up) - energy.value(um)) / (2.0 * step)
-            scale = np.max(np.abs(grad))
-            assert np.max(np.abs(grad[probe] - fd)) <= 1e-5 * scale
+    def test_gradient_matches_finite_differences(self, square33, square_problem):
+        """For the logistic default and for a non-polynomial custom f."""
+        grid, field, _, comp = square33
+        custom = truncate_nonlinearity(NonlinearitySpec.custom(
+            "30*abs(sin(s))*(1 - s)", GAMMA, S_STAR, BETA))
+        for energy in (square_problem[3], assemble_energy(comp, field, custom, grid)):
+            rng = np.random.default_rng(7)
+            step = 1e-6 * S_STAR
+            for _ in range(10):
+                u = rng.uniform(-BETA, S_STAR + 1.0, size=energy.size)
+                grad = energy.gradient(u)
+                probe = rng.integers(0, energy.size, size=64)
+                fd = np.empty(probe.size)
+                for k, i in enumerate(probe):
+                    up, um = u.copy(), u.copy()
+                    up[i] += step
+                    um[i] -= step
+                    fd[k] = (energy.value(up) - energy.value(um)) / (2.0 * step)
+                scale = np.max(np.abs(grad))
+                assert np.max(np.abs(grad[probe] - fd)) <= 1e-5 * scale
 
 
 class TestMinimization:

@@ -354,13 +354,32 @@ class TestOutputs:
     def test_writer_matches_per_node_reference(self, tmp_path, domain, n,
                                                writer, reference):
         grid = build_grid(domain, n)
+        # Non-finite values, and the longest repr of a float (24 characters).
+        limit = sparse_field(grid, 3)
+        widest = -2.2250738585072014e-308
+        assert len(repr(widest)) == 24
+        limit.reshape(-1)[[0, 7, -8, -1]] = [np.nan, np.inf, -np.inf, widest]
         for seed, values in enumerate([np.zeros(grid.shape),
                                        sparse_field(grid, 1),
-                                       sparse_field(grid, 2)]):
+                                       sparse_field(grid, 2),
+                                       limit]):
             writer(tmp_path / f"new{seed}", values, grid)
             reference(tmp_path / f"ref{seed}", values, grid)
             assert (tmp_path / f"new{seed}").read_bytes() \
                 == (tmp_path / f"ref{seed}").read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 40])
+    def test_csv_written_in_blocks_matches_the_reference(self, tmp_path, monkeypatch,
+                                                         block_rows):
+        """Blocks of one and of several axis-0 slabs, in 2D and 3D."""
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block_rows)
+        for name, grid in [("box", build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)),
+                           ("ball", build_grid(DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 5))]:
+            values = sparse_field(grid, 1)
+            write_solution_csv(tmp_path / f"{name}.csv", values, grid)
+            reference_solution_csv(tmp_path / f"{name}-ref.csv", values, grid)
+            assert (tmp_path / f"{name}.csv").read_bytes() \
+                == (tmp_path / f"{name}-ref.csv").read_bytes()
 
     def test_csv_roundtrip(self, tmp_path, square33):
         grid, *_ = square33

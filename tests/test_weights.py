@@ -11,7 +11,7 @@ from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
                                dyadic_radii, estimate_a2_constant, estimate_lt_norm,
-                               evaluate_weight)
+                               evaluate_weight, resolvable_floor)
 
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
 UNIT = unit_box(2)
@@ -70,7 +70,8 @@ class TestA2:
         grid = build_grid(UNIT, 33)
         field = evaluate_weight(WeightSpec.constant(2.0), grid)
         zero = detect_zero_set(field, grid)
-        assert estimate_a2_constant(field, grid, zero) == pytest.approx(1.0, abs=1e-9)
+        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid) \
+            == pytest.approx(1.0, abs=1e-9)
 
     def test_ring_weight_stable_across_refinement(self):
         report = assess(cbrt_ring_weight(), B2, 129)
@@ -98,12 +99,12 @@ class TestA2:
         field = evaluate_weight(spec, grid)
         zero = detect_zero_set(field, grid)
         radii = dyadic_radii(grid)
-        assert estimate_a2_constant(field, grid, zero, radii) == pytest.approx(
-            reference_a2_constant(field, grid, zero, radii), rel=1e-12)
+        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid, radii) \
+            == pytest.approx(reference_a2_constant(field, grid, zero, radii), rel=1e-12)
 
     def test_estimate_at_least_one_for_degenerate_weight(self, ring65):
         grid, field, zero, _ = ring65
-        assert estimate_a2_constant(field, grid, zero=zero) >= 1.0
+        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid) >= 1.0
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(min_value=-3.0, max_value=3.0))
@@ -115,8 +116,10 @@ class TestA2:
             WeightSpec.radial((0.0, 0.0),
                               ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
                               zero_radii=(1.0,), scale=lam), grid)
-        a2_base = estimate_a2_constant(base, grid, detect_zero_set(base, grid))
-        a2_scaled = estimate_a2_constant(scaled, grid, detect_zero_set(scaled, grid))
+        a2_base = estimate_a2_constant(
+            resolvable_floor(base, grid, detect_zero_set(base, grid)), grid)
+        a2_scaled = estimate_a2_constant(
+            resolvable_floor(scaled, grid, detect_zero_set(scaled, grid)), grid)
         assert a2_scaled == pytest.approx(a2_base, rel=1e-9)
 
 
@@ -128,7 +131,7 @@ class TestLt:
         zero = detect_zero_set(field, grid)
         measure = interior_count(grid) * grid.cell_volume
         for t in (1.0, 2.0, 3.5):
-            assert estimate_lt_norm(field, grid, t, zero) == pytest.approx(
+            assert estimate_lt_norm(resolvable_floor(field, grid, zero), grid, t) == pytest.approx(
                 measure ** (1.0 / t) / c, rel=1e-12)
 
     def test_ring_weight_low_exponents_finite_and_stable(self):
@@ -157,8 +160,9 @@ class TestLt:
                               zero_radii=(1.0,), scale=2.0), grid)
         zero2 = detect_zero_set(doubled, grid)
         for t in (1.0, 2.0):
-            assert estimate_lt_norm(doubled, grid, t, zero=zero2) == pytest.approx(
-                0.5 * estimate_lt_norm(field, grid, t, zero=zero), rel=1e-9)
+            assert estimate_lt_norm(resolvable_floor(doubled, grid, zero2), grid, t) \
+                == pytest.approx(0.5 * estimate_lt_norm(resolvable_floor(field, grid, zero),
+                                                        grid, t), rel=1e-9)
 
     def test_t_below_one_rejected(self):
         # The scanned exponents come from the run's tolerances.
