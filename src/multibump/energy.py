@@ -273,7 +273,9 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     since the seed J(s e1) < 0 is then not available.  Each step solves
     H d = g, H = K - diag(f*'(u)) h^N, to relative residual
     min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
-    Converged when max|g| <= grad_tol_scale * gamma * h^N.
+    Converged when max|g| <= grad_tol_scale * gamma * h^N and, once max u
+    is within ``bounds_tol`` of s*, the last step is at most bounds_tol/10
+    (on the kink of f* at s* a small gradient does not bound the error in u).
     """
     b = energy.trunc.base
     if b.gamma / eigen.lambda1 <= energy.a_max_closure:
@@ -295,15 +297,18 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     # f*' only shapes the Newton direction; the line search and the gradient
     # test decide correctness, so a central difference is accurate enough.
+    # It is one-sided at s* (the semismooth choice): 0 from s* up, and below
+    # s* taken at most at s* - ds, so it never straddles the kink.
     ds = 1e-6 * b.s_star
     u = s0 * eigen.e1
     g0 = float(np.linalg.norm(energy.gradient(u)))
-    linear_iterations = 0
+    linear_iterations, step = 0, np.inf
     for iteration in range(tol.max_minimize_iterations):
         Ku = K @ u
         g = Ku - trunc.f_star(u) * hN
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= grad_tol:
+        if gnorm <= grad_tol and (step <= tol.bounds_tol / 10.0
+                                  or np.max(u) < b.s_star - tol.bounds_tol):
             return BumpSolution(
                 component_id=energy.component.id, nodes=energy.component.nodes,
                 values=u, energy=J, grad_norm=gnorm,
@@ -311,7 +316,9 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 iterations=iteration, linear_iterations=linear_iterations,
                 seed_scale=s0)
         eta = min(0.5, np.sqrt(np.linalg.norm(g) / g0))
-        shift = (trunc.f_star(u + ds) - trunc.f_star(u - ds)) * (hN / (2.0 * ds))
+        v = np.minimum(u, b.s_star - ds)
+        shift = np.where(u < b.s_star, trunc.f_star(v + ds) - trunc.f_star(v - ds),
+                         0.0) * (hN / (2.0 * ds))
         d, steps = _newton_direction(K, shift, g, eta)
         linear_iterations += steps
         g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))
@@ -326,7 +333,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
             if change <= -1e-4 * alpha * g_d or alpha * g_d <= resolution:
                 break
             alpha *= 0.5
-        u, J = trial, J + change
+        u, J, step = trial, J + change, alpha * float(np.max(np.abs(d)))
 
     raise NumericalFailureError(
         f"Newton-CG did not reach gradient tolerance {grad_tol:.3g} within "

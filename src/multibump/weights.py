@@ -39,36 +39,62 @@ PowerFactor = NamedTuple("PowerFactor", [("center", tuple), ("radius", float),
                                          ("power", float)])
 
 
+def _radial_profile(pieces):
+    """p(r) of pieces ``(r_hi, expr)`` covering [0, r_1], (r_1, r_2], ...
+
+    r is clamped to the last ``r_hi`` so evaluation stays defined on the
+    boundary ring.  ``ValueError`` if a piece does not compile.
+    """
+    evaluators = [(r_hi, compile_expression(expr, ("r",))) for r_hi, expr in pieces]
+
+    def profile(r):
+        r = np.minimum(np.asarray(r, dtype=float), pieces[-1][0])
+        out = np.empty_like(r)
+        r_lo = -np.inf
+        for r_hi, ev in evaluators:
+            sel = (r > r_lo) & (r <= r_hi)
+            out[sel] = ev(r[sel])
+            r_lo = r_hi
+        return out
+
+    return profile
+
+
+def _interior_roots(profile, r_last: float, samples: int = 4096) -> tuple[float, ...]:
+    # Roots of the radial profile strictly inside (0, r_last), one per run
+    # of near-zero samples; a zero at the profile's outer endpoint belongs
+    # to the domain boundary and is not an interior manifold.
+    r = np.linspace(0.0, r_last, samples + 1)
+    v = profile(r)
+    tiny = v <= 1e-9 * np.max(v)
+    tiny[-2:] = False
+    idx = np.flatnonzero(tiny)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
+    return tuple(float(r[run[np.argmin(v[run])]]) for run in runs)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
-    """Closed-form description of the weight coefficient.
+    """Closed-form description of the weight coefficient, in one of two forms.
 
-    Kinds:
+    * Profile form (``expr`` None): ``scale * prod_k p_k(|x - c_k|)`` over
+      ``profiles`` ``(c_k, pieces_k)`` (see :func:`_radial_profile`), with
+      declared zero manifolds ``spheres`` ``(center, radius)``; radius 0 is
+      a point zero.  ``constant`` is the empty product; ``radial-piecewise``
+      one profile, its spheres at ``zero_radii`` or, when those are omitted,
+      at the profile's interior roots; ``product-of-powers`` one profile
+      ``abs(r - rho)**power`` per factor, its rings the spheres.
+    * Expression form (``custom-expression``): ``scale * expr`` in the
+      coordinates, with an optional ``zero_expr`` giving the distance to the
+      interior zero set (enables band detection; without it only near-exact
+      zeros are detected).
 
-    * ``constant``: ``value`` everywhere,
-    * ``radial-piecewise``: profile in r = |x - center| given by pieces
-      ``(r_hi, expr)`` covering [0, r_1], (r_1, r_2], ...; the radial
-      coordinate is clamped to the profile's range so evaluation stays
-      defined on the boundary ring,
-    * ``product-of-powers``: product over factors ``(center, ring_radius,
-      power)`` of ``| |x - c| - rho | ** power``; ring_radius 0 gives a
-      point zero,
-    * ``custom-expression``: arbitrary expression in the coordinates, with
-      an optional ``zero_expr`` giving the distance to the interior zero
-      set (enables band detection; without it only near-exact zeros are
-      detected).
-
-    ``scale`` multiplies every kind.  ``reference`` is a human-readable
-    closed-form description, auto-built when omitted.
+    ``reference`` is a human-readable closed-form description.
     """
 
-    kind: str
     scale: float = 1.0
-    value: float | None = None
-    center: tuple[float, ...] | None = None
-    pieces: tuple[tuple[float, str], ...] = ()
-    zero_radii: tuple[float, ...] | None = None
-    factors: tuple[tuple[tuple[float, ...], float, float], ...] = ()
+    profiles: tuple[tuple[tuple[float, ...], tuple[tuple[float, str], ...]], ...] = ()
+    spheres: tuple[tuple[tuple[float, ...], float], ...] = ()
     expr: str | None = None
     zero_expr: str | None = None
     reference: str = ""
@@ -76,7 +102,7 @@ class WeightSpec:
     @classmethod
     def constant(cls, value: float) -> "WeightSpec":
         value = real(value, "value")
-        return cls(kind="constant", value=value, reference=f"a(x) = {value}")
+        return cls(scale=value, reference=f"a(x) = {value}")
 
     @classmethod
     def radial(cls, center, pieces, zero_radii=None, scale: float = 1.0) -> "WeightSpec":
@@ -85,8 +111,16 @@ class WeightSpec:
         ref = ", ".join(f"{e} for r <= {r}" for r, e in pieces)
         if zero_radii is not None:
             zero_radii = tuple(real(r, "zero_radii") for r in zero_radii)
-        return cls(kind="radial-piecewise", center=tuple(real(c, "center") for c in center),
-                   pieces=pieces, scale=scale, zero_radii=zero_radii,
+        center = tuple(real(c, "center") for c in center)
+        if not pieces:
+            raise ValueError("pieces must not be empty")
+        if not all(r_max > 0 for r_max, _ in pieces):
+            raise ValueError("every r_max must be positive and finite")
+        profile = _radial_profile(pieces)  # compiles every piece
+        if zero_radii is None:
+            zero_radii = _interior_roots(profile, pieces[-1][0])
+        return cls(profiles=((center, pieces),), scale=scale,
+                   spheres=tuple((center, r) for r in zero_radii),
                    reference=f"a(r) = {scale} * ({ref})")
 
     @classmethod
@@ -96,115 +130,52 @@ class WeightSpec:
                         for ctr, rho, alpha in factors)
         ref = " * ".join(f"||x-{c}|-{rho}|^{alpha}" for c, rho, alpha in factors)
         scale = real(scale, "scale")
-        return cls(kind="product-of-powers", factors=factors, scale=scale,
+        if not factors:
+            raise ValueError("factors must not be empty")
+        return cls(profiles=tuple((c, ((np.inf, f"abs(r - {rho!r})**{alpha!r}"),))
+                                  for c, rho, alpha in factors),
+                   spheres=tuple((c, rho) for c, rho, _ in factors), scale=scale,
                    reference=f"a(x) = {scale} * {ref}")
 
     @classmethod
     def expression(cls, expr: str, zero_expr: str | None = None,
                    scale: float = 1.0) -> "WeightSpec":
         expr, scale = str(expr), real(scale, "scale")
-        return cls(kind="custom-expression", expr=expr, zero_expr=zero_expr,
+        return cls(expr=expr, zero_expr=zero_expr,
                    scale=scale, reference=f"a(x) = {scale} * ({expr})")
 
     def compile(self, ndim: int) -> None:
         """Check the spec for points in R^ndim; ``ValueError`` on a bad part.
 
-        A radial or product weight needs a piece or factor, every piece a
-        finite positive ``r_max`` (else the profile leaves radii unset),
-        every centre ``ndim`` coordinates, and every expression must compile.
+        Every centre needs ``ndim`` coordinates, and every coordinate
+        expression must compile (the constructors compile the profiles).
         """
-        items = {"radial-piecewise": "pieces", "product-of-powers": "factors"}.get(self.kind)
-        if items and not getattr(self, items):
-            raise ValueError(f"{items} must not be empty")
-        if not all(0 < r_max < np.inf for r_max, _ in self.pieces):
-            raise ValueError("every r_max must be positive and finite")
-        centres = [ctr for ctr, _, _ in self.factors]
-        for ctr in centres if self.center is None else centres + [self.center]:
-            if len(ctr) != ndim:
-                raise ValueError(f"centre {list(ctr)} has {len(ctr)} coordinates; "
+        for center, _ in self.profiles:
+            if len(center) != ndim:
+                raise ValueError(f"centre {list(center)} has {len(center)} coordinates; "
                                  f"the domain has {ndim}")
-        for _, expr in self.pieces:
-            compile_expression(expr, ("r",))
         for expr in (self.expr, self.zero_expr):
             if expr is not None:
                 compile_expression(expr, point_variables(ndim))
 
-    def _radial_profile(self):
-        evaluators = [(r_hi, compile_expression(expr, ("r",)))
-                      for r_hi, expr in self.pieces]
-        r_last = evaluators[-1][0]
-
-        def profile(r):
-            r = np.minimum(np.asarray(r, dtype=float), r_last)
-            out = np.empty_like(r)
-            r_lo = 0.0
-            for r_hi, ev in evaluators:
-                sel = (r >= r_lo - 1e-300) & (r <= r_hi) if r_lo == 0.0 \
-                    else (r > r_lo) & (r <= r_hi)
-                if np.any(sel):
-                    out[sel] = ev(r[sel])
-                r_lo = r_hi
-            return out
-
-        return profile, r_last
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the weight at points of shape (..., N)."""
-        if self.kind == "constant":
-            return np.full(points.shape[:-1], self.value * self.scale)
-        if self.kind == "radial-piecewise":
-            profile, _ = self._radial_profile()
-            r = np.linalg.norm(points - np.asarray(self.center), axis=-1)
-            return self.scale * profile(r)
-        if self.kind == "product-of-powers":
-            out = np.full(points.shape[:-1], self.scale)
-            for ctr, rho, alpha in self.factors:
-                d = np.abs(np.linalg.norm(points - np.asarray(ctr), axis=-1) - rho)
-                out = out * d ** alpha
-            return out
-        if self.kind == "custom-expression":
+        if self.expr is not None:
             return self.scale * evaluate_expression(self.expr, points)
-        raise ValueError(f"unknown weight kind {self.kind!r}")
+        out = np.full(points.shape[:-1], self.scale)
+        for center, pieces in self.profiles:
+            r = np.linalg.norm(points - np.asarray(center), axis=-1)
+            out = out * _radial_profile(pieces)(r)
+        return out
 
     def zero_distance(self, points: np.ndarray) -> np.ndarray | None:
-        """Distance to the declared interior zero set, or None if unknown."""
-        if self.kind == "constant":
-            return None
-        if self.kind == "radial-piecewise":
-            radii = self.zero_radii
-            if radii is None:
-                radii = self._detect_zero_radii()
-            if not radii:
-                return None
-            r = np.linalg.norm(points - np.asarray(self.center), axis=-1)
-            return np.min(np.abs(r[..., None] - np.asarray(radii)), axis=-1)
-        if self.kind == "product-of-powers":
-            dists = [np.abs(np.linalg.norm(points - np.asarray(ctr), axis=-1) - rho)
-                     for ctr, rho, _ in self.factors]
-            return np.min(np.stack(dists), axis=0)
-        if self.kind == "custom-expression":
-            if self.zero_expr is None:
-                return None
-            return evaluate_expression(self.zero_expr, points)
-        raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def _detect_zero_radii(self, samples: int = 4096) -> tuple[float, ...]:
-        # Roots of the radial profile strictly inside (0, r_last); a zero at
-        # the profile's outer endpoint belongs to the domain boundary and is
-        # not an interior manifold.
-        profile, r_last = self._radial_profile()
-        r = np.linspace(0.0, r_last, samples + 1)
-        v = profile(r)
-        tiny = v <= 1e-9 * np.max(v)
-        tiny[-2:] = False
-        radii = []
-        idx = np.flatnonzero(tiny)
-        if idx.size:
-            breaks = np.flatnonzero(np.diff(idx) > 1)
-            for cluster in np.split(idx, breaks + 1):
-                sub = cluster[np.argmin(v[cluster])]
-                radii.append(float(r[sub]))
-        return tuple(radii)
+        """Distance to the declared interior zero set, or None if none is declared."""
+        if self.expr is not None:
+            return None if self.zero_expr is None \
+                else evaluate_expression(self.zero_expr, points)
+        dists = [np.abs(np.linalg.norm(points - np.asarray(c), axis=-1) - rho)
+                 for c, rho in self.spheres]
+        return np.min(dists, axis=0) if dists else None
 
 
 @dataclass(frozen=True)
@@ -263,7 +234,8 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     """
     active = grid.interior_mask | grid.boundary_mask
     values = np.zeros(grid.shape)
-    sampled = spec.evaluate(grid.points()[active])
+    with np.errstate(divide="ignore", invalid="ignore"):  # rejected just below
+        sampled = spec.evaluate(grid.points()[active])
     if not np.all(np.isfinite(sampled)):
         raise InvalidWeightError(f"weight {spec.reference} evaluates to non-finite values")
     floor = -1e-12 * max(abs(spec.scale), 1.0)

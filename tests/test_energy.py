@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestValidation:
         bad = NonlinearitySpec.custom("30*abs(s)", gamma=30.0, s_star=1.0,
                                       beta_star=0.5)
         with pytest.raises(InvalidNonlinearityError):
+            validate_nonlinearity(bad)
+
+    @pytest.mark.parametrize("expr, message", [
+        ("30*abs(s)*(1 - s) + 1", "f(0) must vanish"),
+        ("30*s*(1 - s)*(s - 0.5)", "f must be strictly positive on (0, s*)"),
+    ], ids=["f-at-zero", "dip-inside"])
+    def test_shape_violation_names_its_rule(self, expr, message):
+        bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
+        with pytest.raises(InvalidNonlinearityError, match=re.escape(message)):
             validate_nonlinearity(bad)
 
     def test_nonpositive_parameters_rejected(self):

@@ -236,6 +236,13 @@ class TestPipelineRuns:
         assert len(report.solutions) == 1
         assert report.passed
 
+    def test_saturated_bump_verifies(self, tmp_path):
+        # gamma far above a_M lambda1 (about 20) pins most nodes near s*,
+        # on the kink of f*, where a small gradient alone let u pass s*.
+        report = run_pipeline(parse_config(unit_square(65, 5000.0, str(tmp_path / "out"))))
+        assert report.bumps[0].max_value > 1.0 - 1e-3
+        assert report.passed
+
     def test_quadratic_weight_aborts_naming_a2(self, tmp_path):
         config = parse_config(quadratic_zero_config(129, out=str(tmp_path / "out")))
         report = run_pipeline(config)
@@ -661,6 +668,18 @@ class TestReadBack:
         with pytest.raises(ConfigError, match="expected header x1,x2,u"):
             read_solution_csv(path, grid)
 
+    def test_file_with_shifted_coordinates_fails_verify(self, tmp_path, capsys):
+        config, report, grid = self.solve(tmp_path)
+        header, *rows = (Path(config.output_dir) / "solution_015.csv").read_text().splitlines()
+        shifted = [f"{float(x1) + grid.h / 2!r},{rest}"
+                   for x1, rest in (row.split(",", 1) for row in rows)]
+        path = tmp_path / "shifted.csv"
+        path.write_text("\n".join([header] + shifted) + "\n")
+        config_path = write_config(tmp_path, nested_rings_config(33, out=config.output_dir))
+        assert main(["verify", "--config", str(config_path), str(path)]) == 1
+        assert capsys.readouterr().err \
+            == f"error: {path}: node coordinates do not match the grid\n"
+
 
 @pytest.fixture
 def weight_evaluations(monkeypatch):
@@ -1016,6 +1035,8 @@ STOPS = {
     "f2": (unit_square(gamma=10.0), "hypothesis-violation", "f2"),
     "invalid-weight": (unit_square(weight={"kind": "custom-expression", "expr": "x - 0.5"}),
                        "invalid-weight", None),
+    "non-finite-weight": (unit_square(weight={"kind": "custom-expression", "expr": "1/x"}),
+                          "invalid-weight", None),
     "numerical-failure": (unit_square(tolerances={"eig_max_iter": 1}),
                           "numerical-failure", None),
     "enumeration-overflow": (dict(ring_config(33), enumeration={"max_chi": 1}),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import cbrt_ring_weight, interior_count, unit_box
 from oracles import reference_a2_constant
 
+from multibump import pipeline
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
@@ -16,6 +20,7 @@ from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
 UNIT = unit_box(2)
 QUADRATIC = WeightSpec.power_product([((0.5, 0.5), 0.0, 2.0)])
+RING_JSON = Path(__file__).resolve().parents[1] / "configs" / "ring.json"
 
 
 def assess(spec, domain, n):
@@ -196,6 +201,23 @@ class TestZeroSet:
         gaps = np.min(np.linalg.norm(circle[:, None, :] - points[None, :, :],
                                      axis=-1), axis=1)
         assert np.max(gaps) <= 2.0 * grid.h
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("undeclared", ["roots", "zero-expr"])
+    def test_ring_found_without_its_declared_radius(self, undeclared, n):
+        # The profile's interior root, and a zero_expr, stand in for
+        # ``zero_radii`` and give the stored ring's mask.
+        stored = json.loads(RING_JSON.read_text())
+        if undeclared == "roots":
+            weight = {k: v for k, v in stored["weight"].items() if k != "zero_radii"}
+        else:
+            weight = {"kind": "custom-expression",
+                      "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5",
+                      "zero_expr": "abs(sqrt(x**2 + y**2) - 1)"}
+        masks = [pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))[2].mask
+                 for data in (stored, dict(stored, weight=weight))]
+        assert np.count_nonzero(masks[0]) > 0
+        assert np.array_equal(masks[0], masks[1])
 
     def test_segment_to_boundary_flagged(self):
         grid = build_grid(UNIT, 33)
