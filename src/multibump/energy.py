@@ -4,11 +4,15 @@ On each component D the functional
 
     J(u) = 1/2 sum_edges c_e (u_i - u_j)^2 h^(N-2) - sum_nodes F*(u_i) h^N
 
-is minimized by line-search Newton-CG with matrix-free inner solves, where
-F* is the primitive of the truncated nonlinearity f*: equal to f on
-(-beta*, s*), frozen at f(-beta*) below -beta*, and zero above s*.  The
-truncation makes J coercive and forces the minimizer into [0, s*] without
-any clamping; the bounds emerge from stationarity alone.
+is minimized by line-search Newton-CG, where F* is the primitive of the
+truncated nonlinearity f*: equal to f on (-beta*, s*), frozen at f(-beta*)
+below -beta*, and zero above s*.  The truncation makes J coercive and
+forces the minimizer into [0, s*] without any clamping; the bounds emerge
+from stationarity alone.
+
+The inner solves are Jacobi-preconditioned CG, except that a 2D component
+switches to a sparse LU factor of K as its preconditioner once Jacobi
+shows it pays (see ``minimize_energy``); in 3D memory stays linear.
 
 Every nonlinearity kind only supplies f and gets one primitive: a Simpson
 table plus Simpson's rule on the partial panel, exact on each quadrature
@@ -30,7 +34,7 @@ from .errors import (HypothesisViolationError, InvalidNonlinearityError,
                      NumericalFailureError, SeedFailureError)
 from .expressions import compile_expression
 from .grid import Grid
-from .spectral import EigenPair
+from .spectral import EigenPair, factorize
 from .tolerances import ToleranceConfig, real
 from .topology import Component
 from .weights import WeightField
@@ -187,6 +191,7 @@ class DiscreteEnergy:
     trunc: TruncatedNonlinearity = dc_field(repr=False)
     cell_volume: float
     a_max_closure: float
+    ndim: int
 
     @property
     def size(self) -> int:
@@ -213,7 +218,19 @@ def assemble_energy(component: Component, field: WeightField,
     closure = np.concatenate([nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
-                          cell_volume=grid.cell_volume, a_max_closure=a_max)
+                          cell_volume=grid.cell_volume, a_max_closure=a_max,
+                          ndim=grid.ndim)
+
+
+# Jacobi-CG counts grow like 1/h ~ sqrt(unknowns) only where K dominates the
+# Hessian, which is where the factor of K makes them independent of h: on
+# the unit square the steps after the switch take 1/2/3/4 inner steps at
+# n = 33 to 513, and minimize takes 17/96/510 ms instead of 31/167/1239 ms at
+# n = 65/129/257 (2-core host).  Where the f*' shift dominates, as on the
+# annuli of the nested rings (<= 33 Jacobi steps per Newton step at n = 129),
+# the count stays below the bound; there CG with the factor took as many
+# steps (62 vs 72) at 4-5x the cost per step.
+FACTOR_SWITCH = 0.5
 
 
 @dataclass(frozen=True)
@@ -221,6 +238,8 @@ class BumpSolution:
     """Converged nonnegative minimizer on one component.
 
     ``values`` live on ``nodes`` (flat lattice indices of the component).
+    ``factored_from`` is the first Newton step (counted from 1) whose inner
+    solve used the LU factor of K, or None if the component never switched.
     """
 
     component_id: tuple[int, int]
@@ -233,22 +252,29 @@ class BumpSolution:
     iterations: int
     linear_iterations: int
     seed_scale: float
+    factored_from: int | None = None
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.values.setflags(write=False)
 
 
-def _newton_direction(K, shift, g: np.ndarray, eta: float) -> tuple[np.ndarray, int]:
-    """Inexact solve of (K - diag(shift)) d = g by Jacobi-preconditioned CG.
+def _newton_direction(K, shift, g: np.ndarray, eta: float,
+                      precondition: Callable | None = None) -> tuple[np.ndarray, int]:
+    """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
 
-    Stops at residual eta*|g| or at the first direction of nonpositive
-    curvature; if that is the first direction, the preconditioned gradient
-    is returned, so g.d > 0 always.  Returns d and the number of CG steps.
+    ``precondition`` maps a residual r to M^-1 r for a symmetric positive
+    definite M: Jacobi (M = diag K) by default, or the solve with an LU
+    factor of K.  Stops at residual eta*|g| or at the first direction of
+    nonpositive curvature; if that is the first direction, the
+    preconditioned gradient is returned, so g.d > 0 always.  Returns d and
+    the number of CG steps.
     """
-    inv_diag = 1.0 / K.diagonal()
+    if precondition is None:
+        inv_diag = 1.0 / K.diagonal()
+        precondition = lambda r: inv_diag * r
     d, r = np.zeros_like(g), g.copy()
-    p = z = inv_diag * r
+    p = z = precondition(r)
     rz = r @ z
     for step in range(1, g.size + 1):
         Hp = K @ p - shift * p
@@ -259,7 +285,7 @@ def _newton_direction(K, shift, g: np.ndarray, eta: float) -> tuple[np.ndarray, 
         r -= (rz / pHp) * Hp
         if np.linalg.norm(r) <= eta * np.linalg.norm(g):
             break
-        z = inv_diag * r
+        z = precondition(r)
         rz, rz_prev = r @ z, rz
         p = z + (rz / rz_prev) * p
     return d, step
@@ -276,6 +302,11 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     Converged when max|g| <= grad_tol_scale * gamma * h^N and, once max u
     is within ``bounds_tol`` of s*, the last step is at most bounds_tol/10
     (on the kink of f* at s* a small gradient does not bound the error in u).
+
+    The inner solve is Jacobi-CG until, in 2D, one step's count reaches
+    ``FACTOR_SWITCH * sqrt(unknowns)``; every later step is CG
+    preconditioned by a sparse LU factor of K, built once before the next
+    step.
     """
     b = energy.trunc.base
     if b.gamma / eigen.lambda1 <= energy.a_max_closure:
@@ -303,6 +334,9 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     u = s0 * eigen.e1
     g0 = float(np.linalg.norm(energy.gradient(u)))
     linear_iterations, step = 0, np.inf
+    switch_at = FACTOR_SWITCH * np.sqrt(energy.size) if energy.ndim == 2 else np.inf
+    precondition = factored_from = None
+    switch = False
     for iteration in range(tol.max_minimize_iterations):
         Ku = K @ u
         g = Ku - trunc.f_star(u) * hN
@@ -314,13 +348,16 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 values=u, energy=J, grad_norm=gnorm,
                 min_value=float(np.min(u)), max_value=float(np.max(u)),
                 iterations=iteration, linear_iterations=linear_iterations,
-                seed_scale=s0)
+                seed_scale=s0, factored_from=factored_from)
         eta = min(0.5, np.sqrt(np.linalg.norm(g) / g0))
         v = np.minimum(u, b.s_star - ds)
         shift = np.where(u < b.s_star, trunc.f_star(v + ds) - trunc.f_star(v - ds),
                          0.0) * (hN / (2.0 * ds))
-        d, steps = _newton_direction(K, shift, g, eta)
+        if switch and precondition is None:
+            precondition, factored_from = factorize(K, energy.component.id), iteration + 1
+        d, steps = _newton_direction(K, shift, g, eta, precondition)
         linear_iterations += steps
+        switch |= steps >= switch_at
         g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))
         F_u = trunc.F_star(u)
         # Armijo only compares round-off once alpha*g.d is below J's resolution.

@@ -594,8 +594,10 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                     bump = bumps[comp.id] = minimize_energy(energy, eigen, tol)
                     report.bumps.append(bump)
                     log.info("component %s: energy %.6g, %d iterations, "
-                             "%d linear iterations", comp.id, bump.energy,
-                             bump.iterations, bump.linear_iterations)
+                             "%d linear iterations, %s", comp.id, bump.energy,
+                             bump.iterations, bump.linear_iterations,
+                             f"LU factor from step {bump.factored_from}"
+                             if bump.factored_from else "no LU factor")
             with stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1

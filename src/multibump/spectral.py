@@ -6,14 +6,16 @@ D of the domain minus the zero set, where a_M is the maximum of the weight
 over the closure of D.  Only the lowest eigenpair is needed, so we run
 inverse power iteration on the symmetric positive definite stencil matrix K.
 Each step solves K y = x.  In 2D, K is factorized once per component by a
-fill-reducing sparse LU, whose factor stays small in 2D; in 3D the fill takes
-gigabytes at a few ten thousand unknowns, so each step runs a
-Jacobi-preconditioned conjugate-gradient solve, whose memory stays linear.
+fill-reducing sparse LU (:func:`factorize`, which the 2D Newton solve also
+uses), whose factor stays small in 2D; in 3D the fill takes gigabytes at a
+few ten thousand unknowns, so each step runs a Jacobi-preconditioned
+conjugate-gradient solve, whose memory stays linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg, splu
@@ -54,6 +56,18 @@ class F2Entry:
         return self.margin > 0.0
 
 
+def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve x -> K^-1 x by a fill-reducing sparse LU of the 2D matrix ``K``.
+
+    ``NumericalFailureError`` names the component when the factorization fails.
+    """
+    try:
+        return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1).solve
+    except RuntimeError as exc:
+        raise NumericalFailureError(
+            f"sparse LU failed on component {component_id}: {exc}") from exc
+
+
 def dirichlet_laplacian(grid: Grid):
     """The lattice's unit-conductance operator over h^2, built once per run.
 
@@ -78,11 +92,7 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     p = K.shape[0]
 
     if grid.ndim == 2:
-        try:
-            solve = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1).solve
-        except RuntimeError as exc:
-            raise NumericalFailureError(
-                f"sparse LU failed on component {component.id}: {exc}") from exc
+        solve = factorize(K, component.id)
     else:
         inv_diag = 1.0 / K.diagonal()
         M = LinearOperator((p, p), matvec=lambda v: inv_diag * v)

@@ -116,6 +116,8 @@ class WeightSpec:
             raise ValueError("pieces must not be empty")
         if not all(r_max > 0 for r_max, _ in pieces):
             raise ValueError("every r_max must be positive and finite")
+        if any(lo >= hi for (lo, _), (hi, _) in zip(pieces, pieces[1:])):
+            raise ValueError("r_max must increase from piece to piece")
         profile = _radial_profile(pieces)  # compiles every piece
         if zero_radii is None:
             zero_radii = _interior_roots(profile, pieces[-1][0])

@@ -6,6 +6,7 @@ import pytest
 from conftest import nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
+from multibump import energy as energy_module
 from multibump.energy import (NonlinearitySpec, _newton_direction, assemble_energy,
                               minimize_energy, truncate_nonlinearity,
                               validate_nonlinearity)
@@ -13,13 +14,44 @@ from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 GAMMA, S_STAR = 30.0, 1.0
 BETA = S_STAR / 2.0
+
+
+def square_energy(n, trunc, ndim=2):
+    """Constant-weight unit box at resolution n: its energy and eigenpair."""
+    grid = build_grid(unit_box(ndim), n)
+    field = evaluate_weight(WeightSpec.constant(1.0), grid)
+    comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
+    return (assemble_energy(comp, field, trunc, grid),
+            dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid)))
+
+
+@pytest.fixture(scope="module")
+def square_refinement(logistic30):
+    """The square's bump at 33/65/129 with each Newton step's inner count.
+
+    Each inner count is recorded with whether the step used the LU factor.
+    """
+    solves = []
+    with pytest.MonkeyPatch.context() as patch:
+        steps = []
+
+        def recorded(K, shift, g, eta, precondition=None):
+            d, count = _newton_direction(K, shift, g, eta, precondition)
+            steps.append((precondition is not None, count))
+            return d, count
+
+        patch.setattr(energy_module, "_newton_direction", recorded)
+        for n in (33, 65, 129):
+            steps = []
+            solves.append((minimize_energy(*square_energy(n, logistic30)), steps))
+    return solves
 
 
 class TestTruncation:
@@ -220,17 +252,33 @@ class TestMinimization:
             u = rng.uniform(-BETA, S_STAR, size=base.size)
             assert scaled.value(u) == pytest.approx(2.0 * base.value(u), rel=1e-12)
 
-    def test_outer_iterations_do_not_grow_with_resolution(self, logistic30):
-        counts = []
-        for n in (33, 65, 129):
-            grid = build_grid(unit_box(2), n)
-            field = evaluate_weight(WeightSpec.constant(1.0), grid)
-            comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
-            energy = assemble_energy(comp, field, logistic30, grid)
-            eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-            counts.append(minimize_energy(energy, eigen).iterations)
+    def test_outer_iterations_do_not_grow_with_resolution(self, square_refinement):
+        counts = [bump.iterations for bump, _ in square_refinement]
         assert max(counts) <= 8
         assert max(counts) - min(counts) <= 1
+
+    def test_inner_counts_after_the_switch_do_not_grow_with_resolution(
+            self, square_refinement):
+        factored = []
+        for bump, steps in square_refinement:
+            used = [i for i, (lu, _) in enumerate(steps, start=1) if lu]
+            # The switch holds for every later step, from the recorded one.
+            assert used == list(range(bump.factored_from, len(steps) + 1))
+            jacobi = [count for lu, count in steps if not lu]
+            assert jacobi[-1] >= 0.5 * np.sqrt(bump.nodes.size) > max(jacobi[:-1])
+            factored.append([count for lu, count in steps if lu])
+        assert factored[0] == factored[1] == factored[2]
+        assert max(factored[0]) <= 4
+
+    def test_three_dimensions_never_factor(self, logistic30, monkeypatch):
+        def refuse(K, component_id):
+            raise AssertionError("factorized a 3D component")
+
+        monkeypatch.setattr(energy_module, "factorize", refuse)
+        monkeypatch.setattr(energy_module, "FACTOR_SWITCH", 0.0)
+        assert minimize_energy(*square_energy(9, logistic30, ndim=3)).factored_from is None
+        with pytest.raises(AssertionError, match="factorized"):
+            minimize_energy(*square_energy(9, logistic30))
 
     def test_matches_oracle_on_degenerate_weights(self, ring65, logistic10):
         grid, field, _, dec = ring65
@@ -260,6 +308,18 @@ class TestNewtonDirection:
         g = energy.gradient(1e-3 * e1)
         d, steps = _newton_direction(energy.K, shift, g, 0.5)
         assert steps >= 1
+        assert g @ d > 0.0
+
+    def test_factor_of_k_preconditions_exactly(self, square_problem):
+        _, _, eigen, energy = square_problem
+        solve = factorize(energy.K, energy.component.id)
+        g = energy.gradient(0.5 * eigen.e1)
+        d, steps = _newton_direction(energy.K, np.zeros(energy.size), g, 1e-12, solve)
+        assert steps == 1
+        assert np.linalg.norm(energy.K @ d - g) <= 1e-12 * np.linalg.norm(g)
+        shift = np.full(energy.size, 2.0 * GAMMA * energy.cell_volume)
+        g = energy.gradient(1e-3 * eigen.e1)
+        d, _ = _newton_direction(energy.K, shift, g, 0.5, solve)
         assert g @ d > 0.0
 
     def test_solves_positive_definite_system_to_forcing_tolerance(self, square_problem):

@@ -857,6 +857,27 @@ class TestStageFailures:
         assert report["failure_message"] == (
             "sparse LU failed on component (1, 1): Factor is exactly singular")
 
+    def test_factorization_failure_in_minimize_writes_report(self, tmp_path, monkeypatch):
+        splu, calls = spectral.splu, []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", second_call_fails)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(33, out=str(out)))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert len(calls) == 2  # the spectral stage's factor, then minimize's
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert [entry["passed"] for entry in report["f2"]] == [True]
+        assert report["bumps"] == [] and report["solutions"] == []
+        assert report["failure_message"] == (
+            "sparse LU failed on component (1, 1): Factor is exactly singular")
+
     @pytest.mark.parametrize("domain, resolution, coarse", [
         (tiny_disk(), 8, 8),        # h = 2/7: no node at the center
         (tiny_disk(0.25), 9, 5),    # h = 1/4 holds it; the coarse level's 1/2 does not
@@ -983,6 +1004,9 @@ class TestCli:
         {"weight": {"kind": "product-of-powers", "factors": []}},
         {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5],
                     "pieces": [{"r_max": -1.0, "expr": "1 + r"}]}},
+        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5],
+                    "pieces": [{"r_max": 2.0, "expr": "1 + 0*r"},
+                               {"r_max": 1.0, "expr": "5 + 0*r"}]}},
         {"resolution": 17.9},
         {"export_vtk": "no"},
         {"output_dir": None},
@@ -1000,9 +1024,9 @@ class TestCli:
             "max-chi-bool", "enumeration-list", "factor-centre-3d",
             "radial-centre-3d", "domain-number", "weight-list",
             "nonlinearity-number", "piece-string", "factor-list", "no-pieces",
-            "no-factors", "r-max-negative", "resolution-float", "export-vtk-string",
-            "output-dir-null", "output-dir-empty", "gamma-bool", "radius-bool",
-            "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool"])
+            "no-factors", "r-max-negative", "r-max-decreasing", "resolution-float",
+            "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
+            "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,
@@ -1108,6 +1132,25 @@ class TestVerbose:
                                  r"iterations, rayleigh residual \S+", line)
             assert match and match[1] == label, line
             assert float(match[2]) == pytest.approx(entry["lambda1"], rel=1e-5)
+
+    @pytest.mark.parametrize("data, switches", [
+        (unit_square(65), ["LU factor from step 3"]),
+        # Only the disk switches; the shift dominates K on the annuli.
+        (nested_rings_config(65), ["LU factor from step 3"] + ["no LU factor"] * 3),
+    ], ids=["square", "nested-rings"])
+    def test_one_minimize_line_per_bump(self, tmp_path, caplog, data, switches):
+        caplog.set_level(logging.INFO, logger="multibump")
+        path = write_config(tmp_path, dict(data, output_dir=str(tmp_path / "out")))
+        assert main(["--verbose", "solve", "--config", str(path)]) == 0
+        lines = [r.getMessage() for r in caplog.records if "energy" in r.getMessage()]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(lines) == len(report["bumps"]) == len(switches)
+        for line, bump, switch in zip(lines, report["bumps"], switches):
+            match = re.fullmatch(r"component \(\d+, \d+\): energy \S+, (\d+) iterations, "
+                                 r"\d+ linear iterations, (.*)", line)
+            assert match and int(match[1]) == bump["iterations"], line
+            assert match[2] == switch
+        assert "factor" not in (tmp_path / "out" / "report.json").read_text().lower()
 
     def test_stopping_stage_is_logged_last(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="multibump")

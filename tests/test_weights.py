@@ -42,6 +42,12 @@ class TestEvaluation:
         # sqrt((1-r)(r-2)) at r = 1.5
         assert radial_value(spec, 1.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("second", [1.0, 2.0], ids=["decreasing", "repeated"])
+    def test_pieces_must_increase_in_r_max(self, second):
+        # Otherwise the later piece is never evaluated: these pieces gave a = 1.
+        with pytest.raises(ValueError, match="r_max must increase"):
+            WeightSpec.radial((0.0, 0.0), ((2.0, "1 + 0*r"), (second, "5 + 0*r")))
+
     def test_constant_weight_every_node(self):
         grid = build_grid(UNIT, 17)
         field = evaluate_weight(WeightSpec.constant(3.25), grid)
