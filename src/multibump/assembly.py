@@ -80,10 +80,10 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
 
     For an edge with one endpoint inside the domain and one outside, theta
     in (0, 1] locates the boundary crossing at distance theta*h from the
-    inside endpoint (bisection on the membership function).  Edges that do
-    not cross carry theta = 1.  Lattice-aligned boundaries give theta = 1
-    to round-off (the 50 bisection steps stop up to 4e-15 short of it),
-    so cut corrections on boxes are at round-off level.
+    inside endpoint.  An outside endpoint on the boundary (phi == 0) gives
+    theta = 1 exactly; the other crossings are bisected on the membership
+    function.  Edges that do not cross carry theta = 1.  Every crossing of
+    a box ends on its boundary, so a box has no cut correction at all.
     """
     phi = grid.domain.membership_function()
     pts = grid.points()
@@ -93,19 +93,18 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
         lo, hi = _axis_slices(grid.ndim, axis)
         theta = np.ones(member[lo].shape)
         cross = member[lo] ^ member[hi]
-        if cross.any():
-            pl = pts[lo][cross]
-            ph = pts[hi][cross]
-            inside_lo = member[lo][cross]
-            a = np.where(inside_lo[:, None], pl, ph)
-            b = np.where(inside_lo[:, None], ph, pl)
-            tlo = np.zeros(len(a))
-            thi = np.ones(len(a))
+        inside_lo = member[lo][cross][:, None]
+        a = np.where(inside_lo, pts[lo][cross], pts[hi][cross])
+        b = np.where(inside_lo, pts[hi][cross], pts[lo][cross])
+        cut = phi(b) != 0.0
+        if cut.any():
+            a, b = a[cut], b[cut]
+            tlo, thi = np.zeros(len(a)), np.ones(len(a))
             for _ in range(50):
                 mid = 0.5 * (tlo + thi)
                 inside = phi(a + mid[:, None] * (b - a)) < 0.0
                 tlo = np.where(inside, mid, tlo)
                 thi = np.where(inside, thi, mid)
-            theta[cross] = np.maximum(0.5 * (tlo + thi), 1e-8)
+            theta.flat[np.flatnonzero(cross)[cut]] = np.maximum(0.5 * (tlo + thi), 1e-8)
         fractions.append(theta)
     return fractions

@@ -10,9 +10,9 @@ below -beta*, and zero above s*.  The truncation makes J coercive and
 forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
-The inner solves are Jacobi-preconditioned CG, except that a 2D component
-switches to a sparse LU factor of K as its preconditioner once Jacobi
-shows it pays (see ``minimize_energy``); in 3D memory stays linear.
+The inner solves are CG preconditioned by the spectral stage's LU factor
+when it shares one, else Jacobi-CG, which a 2D component swaps for a factor
+of K once Jacobi shows it pays (``minimize_energy``); 3D memory stays linear.
 
 Every nonlinearity kind only supplies f and gets one primitive: a Simpson
 table plus Simpson's rule on the partial panel, exact on each quadrature
@@ -206,15 +206,16 @@ class DiscreteEnergy:
 
 
 def assemble_energy(component: Component, field: WeightField,
-                    trunc: TruncatedNonlinearity, grid: Grid) -> DiscreteEnergy:
+                    trunc: TruncatedNonlinearity, grid: Grid,
+                    stiffness=None) -> DiscreteEnergy:
     """Assemble J on a component (weighted stiffness + lumped reaction).
 
-    K is the weight's operator restricted to the component's nodes.  Mass
-    lumping makes the gradient exactly K u - f*(u) h^N, the true derivative
-    of the discrete value.
+    K is the weight's operator restricted to the component's nodes (or the
+    caller's ``stiffness``).  Mass lumping makes the gradient exactly
+    K u - f*(u) h^N, the true derivative of the discrete value.
     """
     nodes = component.nodes
-    K = field.operator[nodes][:, nodes]
+    K = field.operator[nodes][:, nodes] if stiffness is None else stiffness
     closure = np.concatenate([nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
@@ -223,13 +224,12 @@ def assemble_energy(component: Component, field: WeightField,
 
 
 # Jacobi-CG counts grow like 1/h ~ sqrt(unknowns) only where K dominates the
-# Hessian, which is where the factor of K makes them independent of h: on
-# the unit square the steps after the switch take 1/2/3/4 inner steps at
-# n = 33 to 513, and minimize takes 17/96/510 ms instead of 31/167/1239 ms at
-# n = 65/129/257 (2-core host).  Where the f*' shift dominates, as on the
-# annuli of the nested rings (<= 33 Jacobi steps per Newton step at n = 129),
-# the count stays below the bound; there CG with the factor took as many
-# steps (62 vs 72) at 4-5x the cost per step.
+# Hessian, which is where the factor of K makes them independent of h: on the
+# unit square, Jacobi first, the steps after the switch take 1/2/3/4 inner
+# steps at n = 33 to 513 (53 in all at n = 65, 11 with a shared factor from
+# step 1).  Where the f*' shift dominates, as on the nested rings' annuli
+# (<= 33 Jacobi steps per Newton step at n = 129), the count stays below the
+# bound; CG with the factor took as many steps there (62 vs 72), 4-5x dearer.
 FACTOR_SWITCH = 0.5
 
 
@@ -303,10 +303,10 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     is within ``bounds_tol`` of s*, the last step is at most bounds_tol/10
     (on the kink of f* at s* a small gradient does not bound the error in u).
 
-    The inner solve is Jacobi-CG until, in 2D, one step's count reaches
-    ``FACTOR_SWITCH * sqrt(unknowns)``; every later step is CG
-    preconditioned by a sparse LU factor of K, built once before the next
-    step.
+    Given ``eigen.factor`` (x -> K^-1 x), every step is CG preconditioned
+    by it.  Otherwise the inner solve is Jacobi-CG until, in 2D, one step's
+    count reaches ``FACTOR_SWITCH * sqrt(unknowns)``; every later step is CG
+    preconditioned by a sparse LU factor of K, built once before it.
     """
     b = energy.trunc.base
     if b.gamma / eigen.lambda1 <= energy.a_max_closure:
@@ -335,7 +335,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     g0 = float(np.linalg.norm(energy.gradient(u)))
     linear_iterations, step = 0, np.inf
     switch_at = FACTOR_SWITCH * np.sqrt(energy.size) if energy.ndim == 2 else np.inf
-    precondition = factored_from = None
+    precondition, factored_from = eigen.factor, (None if eigen.factor is None else 1)
     switch = False
     for iteration in range(tol.max_minimize_iterations):
         Ku = K @ u

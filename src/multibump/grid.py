@@ -11,11 +11,11 @@ lattice covering its bounding box.  Node classification:
 
 Membership uses a strict inequality at node centers, so lattice nodes that
 fall exactly on the boundary (the generic case for axis-aligned boxes)
-become Dirichlet nodes.  On a box that reproduces the classical Dirichlet
-stencil with (n-2)^N unknowns and its closed-form eigenvalues exactly.  On a
-curved domain the energy and the verification impose the zero condition on
-the first lattice ring outside the boundary, a first-order treatment; the
-spectral operator puts it on the true boundary with cut conductances 1/theta.
+become Dirichlet nodes with cut fraction exactly 1.  On a box that gives the
+classical Dirichlet stencil with (n-2)^N unknowns and its closed-form
+eigenvalues exactly.  On a curved domain the energy and the verification pin
+the zero on the first lattice ring outside (first order); the spectral
+operator's cut conductances 1/theta put it on the true boundary.
 """
 
 from __future__ import annotations

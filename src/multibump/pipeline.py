@@ -571,10 +571,14 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
         with stage("spectral"):
-            eigenpairs = []
+            eigenpairs, stiffness = [], {}
             laplacian = dirichlet_laplacian(grid)
             for comp in decomposition.components:
-                eigen = dirichlet_lambda1(comp, grid, laplacian, tol)
+                # Only a constant weight can make the stiffness a multiple of the Laplacian.
+                closure = np.concatenate([comp.nodes, comp.shell])
+                if solve and np.ptp(field.values.ravel()[closure]) == 0.0:
+                    stiffness[comp.id] = field.operator[comp.nodes][:, comp.nodes]
+                eigen = dirichlet_lambda1(comp, grid, laplacian, tol, stiffness.get(comp.id))
                 eigenpairs.append(eigen)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
@@ -589,8 +593,9 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         if solve:
             with stage("minimize"):
                 bumps = {}
-                for comp, eigen in zip(decomposition.components, eigenpairs):
-                    energy = assemble_energy(comp, field, trunc, grid)
+                for comp in decomposition.components:
+                    eigen = eigenpairs.pop(0)
+                    energy = assemble_energy(comp, field, trunc, grid, stiffness.pop(comp.id, None))
                     bump = bumps[comp.id] = minimize_energy(energy, eigen, tol)
                     report.bumps.append(bump)
                     log.info("component %s: energy %.6g, %d iterations, "
@@ -598,6 +603,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                              bump.iterations, bump.linear_iterations,
                              f"LU factor from step {bump.factored_from}"
                              if bump.factored_from else "no LU factor")
+                del eigen  # the last shared factor, held no longer than its minimize
             with stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1

@@ -9,7 +9,8 @@ Each step solves K y = x.  In 2D, K is factorized once per component by a
 fill-reducing sparse LU (:func:`factorize`, which the 2D Newton solve also
 uses), whose factor stays small in 2D; in 3D the fill takes gigabytes at a
 few ten thousand unknowns, so each step runs a Jacobi-preconditioned
-conjugate-gradient solve, whose memory stays linear.
+conjugate-gradient solve, whose memory stays linear.  A 2D stiffness that
+is a multiple of K (a constant weight, no cut edges) shares K's factor.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ class EigenPair:
 
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
+    ``factor`` is x -> S^-1 x for a stiffness S that shares K's factor.
     """
 
     component_id: tuple[int, int]
@@ -41,6 +43,7 @@ class EigenPair:
     e1: np.ndarray
     rayleigh_residual: float
     iterations: int
+    factor: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,19 @@ def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.nda
             f"sparse LU failed on component {component_id}: {exc}") from exc
 
 
+# Largest entry of S - c K relative to S's largest for S = c K; boxes give 0.
+MULTIPLE_TOL = 1e-12
+
+
+def multiple_of(S, K) -> float | None:
+    """c with S = c K on K's sparsity, to ``MULTIPLE_TOL``, or None."""
+    if np.array_equal(S.indptr, K.indptr) and np.array_equal(S.indices, K.indices):
+        c = S.data[0] / K.data[0]
+        if np.max(np.abs(S.data - c * K.data)) <= MULTIPLE_TOL * np.max(np.abs(S.data)):
+            return c
+    return None
+
+
 def dirichlet_laplacian(grid: Grid):
     """The lattice's unit-conductance operator over h^2, built once per run.
 
@@ -80,13 +96,16 @@ def dirichlet_laplacian(grid: Grid):
 
 
 def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
-                      tol: ToleranceConfig = ToleranceConfig()) -> EigenPair:
+                      tol: ToleranceConfig = ToleranceConfig(),
+                      stiffness=None) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
     it to the component's nodes gives zero boundary data on its shell.
     Converged when successive eigenvalue estimates agree to ``eig_tol``
-    relatively, within ``eig_max_iter`` steps.
+    relatively, within ``eig_max_iter`` steps.  In 2D, a ``stiffness``
+    that is c times that restriction gets the LU factor over c as the
+    result's ``factor``; any other factor is dropped on return.
     """
     K = laplacian[component.nodes][:, component.nodes]
     p = K.shape[0]
@@ -128,9 +147,10 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
         raise NumericalFailureError(
             f"first eigenfunction not strictly positive on component {component.id}")
     ray = float(x @ (K @ x)) / float(x @ x)
+    scale = multiple_of(stiffness, K) if stiffness is not None and grid.ndim == 2 else None
     return EigenPair(component_id=component.id, lambda1=lam, e1=e1,
-                     rayleigh_residual=abs(ray - lam) / lam,
-                     iterations=iteration)
+                     rayleigh_residual=abs(ray - lam) / lam, iterations=iteration,
+                     factor=None if scale is None else lambda b: solve(b) / scale)
 
 
 def check_hypothesis_f2(component: Component, field: WeightField, gamma: float,

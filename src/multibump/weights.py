@@ -60,17 +60,32 @@ def _radial_profile(pieces):
     return profile
 
 
-def _interior_roots(profile, r_last: float, samples: int = 4096) -> tuple[float, ...]:
-    # Roots of the radial profile strictly inside (0, r_last), one per run
-    # of near-zero samples; a zero at the profile's outer endpoint belongs
-    # to the domain boundary and is not an interior manifold.
-    r = np.linspace(0.0, r_last, samples + 1)
-    v = profile(r)
+def _interior_roots(profile, ends: tuple[float, ...],
+                    samples: int = 4096) -> tuple[float, ...]:
+    # Roots of the profile strictly inside (0, ends[-1]): one per run of samples
+    # below 1e-9 of the largest, at its least; then each piece's end and the
+    # golden-section minimum of |p| around each other local sample minimum, if
+    # |p| <= the default zero_threshold times the largest sample there and no
+    # root is a sample spacing near.  A zero at the outer end is the boundary's.
+    # The bound is fixed: a weight's roots do not follow a run's tolerances.
+    r = np.linspace(0.0, ends[-1], samples + 1)
+    v = np.abs(profile(r))
     tiny = v <= 1e-9 * np.max(v)
     tiny[-2:] = False
     idx = np.flatnonzero(tiny)
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
-    return tuple(float(r[run[np.argmin(v[run])]]) for run in runs)
+    roots = [float(r[run[np.argmin(v[run])]]) for run in runs]
+    i = 1 + np.flatnonzero((v[1:-2] < v[:-3]) & (v[1:-2] <= v[2:-1]) & ~tiny[1:-2])
+    lo, hi, golden = r[i - 1], r[i + 1], (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):  # shrinks two sample spacings below 1e-14 * ends[-1]
+        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        left = np.abs(profile(a)) < np.abs(profile(b))
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    for x in np.concatenate([ends[:-1], 0.5 * (lo + hi)]):
+        if abs(profile(x)) <= ToleranceConfig.zero_threshold * np.max(v) \
+                and np.all(np.abs(np.concatenate([r[tiny], roots]) - x) > r[1]):
+            roots.append(float(x))
+    return tuple(sorted(roots))
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ class WeightSpec:
             raise ValueError("r_max must increase from piece to piece")
         profile = _radial_profile(pieces)  # compiles every piece
         if zero_radii is None:
-            zero_radii = _interior_roots(profile, pieces[-1][0])
+            zero_radii = _interior_roots(profile, tuple(r for r, _ in pieces))
         return cls(profiles=((center, pieces),), scale=scale,
                    spheres=tuple((center, r) for r in zero_radii),
                    reference=f"a(r) = {scale} * ({ref})")

@@ -61,6 +61,35 @@ def laplacian_reference_operator(grid: Grid) -> sparse.csr_matrix:
                               grid, 1.0 / grid.h ** 2)
 
 
+def bisected_cut_fractions(grid: Grid) -> list[np.ndarray]:
+    """Cut fraction of each edge, every crossing bisected one at a time.
+
+    Fifty halvings of [0, 1] on the membership function from the inside
+    endpoint, the outside endpoint's position included even when it lies
+    on the boundary; edges that do not cross carry 1.
+    """
+    phi = grid.domain.membership_function()
+    points, member = grid.points(), grid.interior_mask
+    fractions = []
+    for axis in range(grid.ndim):
+        theta = np.ones(tuple(n - (d == axis) for d, n in enumerate(grid.shape)))
+        for lo in np.ndindex(theta.shape):
+            hi = tuple(k + (d == axis) for d, k in enumerate(lo))
+            if member[lo] == member[hi]:
+                continue
+            a, b = (points[lo], points[hi]) if member[lo] else (points[hi], points[lo])
+            t_in, t_out = 0.0, 1.0
+            for _ in range(50):
+                mid = 0.5 * (t_in + t_out)
+                if phi((a + mid * (b - a))[None])[0] < 0.0:
+                    t_in = mid
+                else:
+                    t_out = mid
+            theta[lo] = max(0.5 * (t_in + t_out), 1e-8)
+        fractions.append(theta)
+    return fractions
+
+
 def dense_lambda1(component: Component, grid: Grid) -> float:
     """Smallest Dirichlet eigenvalue by dense symmetric eigensolve."""
     nodes = component.nodes

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import nested_rings_config
-from oracles import laplacian_reference_operator, weighted_reference_operator
+from oracles import (bisected_cut_fractions, laplacian_reference_operator,
+                     weighted_reference_operator)
 
 from multibump import pipeline
 from multibump.assembly import _axis_slices, boundary_cut_fractions, edge_conductances
-from multibump.grid import build_grid
+from multibump.grid import DomainSpec, build_grid
 from multibump.spectral import dirichlet_laplacian
 from multibump.topology import decompose_components
 from multibump.weights import detect_zero_set, evaluate_weight
@@ -69,3 +70,37 @@ def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
     size = (abs(operator) @ np.abs(u.ravel())).reshape(grid.shape)
     interior = grid.interior_mask
     assert np.all(np.abs(product - flux_form)[interior] <= 1e-14 * size[interior])
+
+
+@pytest.mark.parametrize("domain", [
+    DomainSpec.box((0.0, 0.0), (1.0, 1.0)),
+    DomainSpec.box((0.25, -0.5), (1.75, 1.0)),
+    DomainSpec.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+], ids=["unit-square", "shifted-square", "unit-cube"])
+def test_box_cut_fractions_are_exactly_one_without_bisection(domain, monkeypatch):
+    grid = build_grid(domain, 17)
+    membership, calls = DomainSpec.membership_function, []
+
+    def counted(spec):
+        phi = membership(spec)
+        return lambda points: calls.append(points.shape[:-1]) or phi(points)
+
+    monkeypatch.setattr(DomainSpec, "membership_function", counted)
+    fractions = boundary_cut_fractions(grid)
+    assert all(np.all(theta == 1.0) for theta in fractions)
+    # One look at the outside ends of each axis's crossings, and no bisection.
+    assert len(calls) == grid.ndim
+
+
+def test_disk_cut_fractions_are_the_bisected_ones_off_the_circle():
+    grid = build_grid(DomainSpec.ball((0.0, 0.0), 2.0), 129)
+    member = grid.interior_mask
+    on_circle = np.linalg.norm(grid.points(), axis=-1) == 2.0
+    assert np.count_nonzero(on_circle) == 4
+    for axis, (theta, bisected) in enumerate(zip(boundary_cut_fractions(grid),
+                                                 bisected_cut_fractions(grid))):
+        lo, hi = _axis_slices(2, axis)
+        to_circle = (member[lo] ^ member[hi]) & (on_circle[lo] | on_circle[hi])
+        assert np.count_nonzero(to_circle) == 2
+        assert np.all(theta[to_circle] == 1.0) and np.all(bisected[to_circle] < 1.0)
+        assert np.array_equal(theta[~to_circle], bisected[~to_circle])

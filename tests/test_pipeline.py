@@ -19,14 +19,17 @@ from oracles import reference_solution_csv, reference_solution_vtk
 import multibump
 from multibump import pipeline, spectral
 from multibump.cli import _apply_overrides, main
-from multibump.energy import NonlinearitySpec
+from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
+                              truncate_nonlinearity)
 from multibump.errors import ConfigError, HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
                                 run_pipeline, verify_solution_file, write_outputs,
                                 write_solution_csv, write_solution_vtk)
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.tolerances import ToleranceConfig
+from multibump.topology import decompose_components
 from multibump.weights import WeightSpec
 
 
@@ -868,7 +871,9 @@ class TestStageFailures:
 
         monkeypatch.setattr(spectral, "splu", second_call_fails)
         out = tmp_path / "out"
-        path = write_config(tmp_path, unit_square(33, out=str(out)))
+        # A weight that is not constant gets no shared factor: minimize builds its own.
+        path = write_config(tmp_path, unit_square(33, out=str(out), weight={
+            "kind": "custom-expression", "expr": "1 + 0.5*x*y"}))
         assert main(["solve", "--config", str(path)]) == 1
         assert len(calls) == 2  # the spectral stage's factor, then minimize's
         report = json.loads((out / "report.json").read_text())
@@ -919,6 +924,71 @@ class TestStageFailures:
         }
         with pytest.raises(RuntimeError, match="bug in the truncation"):
             run_pipeline(parse_config(data))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices the run hands ``spectral.splu``."""
+    splu, calls = spectral.splu, []
+
+    def counted(K, *args, **kwargs):
+        calls.append(K.shape)
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", counted)
+    return calls
+
+
+def direct_bumps(config):
+    """Each component's bump from its own eigenpair and energy, without a shared factor."""
+    grid, field, zero = pipeline._setup(config)
+    laplacian, tol = dirichlet_laplacian(grid), config.tolerances
+    trunc = truncate_nonlinearity(config.nonlinearity)
+    return [minimize_energy(assemble_energy(comp, field, trunc, grid),
+                            dirichlet_lambda1(comp, grid, laplacian, tol), tol)
+            for comp in decompose_components(grid, zero).components]
+
+
+class TestSharedFactor:
+    def test_constant_weight_square_factorizes_once(self, splu_calls):
+        # TestVerbose checks its minimize line, `LU factor from step 1`.
+        config = parse_config(unit_square(65))
+        [shared] = run_pipeline(config, write=False).bumps
+        assert splu_calls == [(63 * 63, 63 * 63)]
+        [direct] = direct_bumps(config)
+        assert (shared.factored_from, direct.factored_from) == (1, 3)
+        assert np.max(np.abs(shared.values - direct.values)) <= 1e-13
+        assert shared.energy == pytest.approx(direct.energy, rel=1e-14)
+
+    @pytest.mark.parametrize("changes, switch", [
+        # Cut edges make the disk's stiffness differ from its Laplacian.
+        ({"domain": {"kind": "ball", "center": [0.5, 0.5], "radius": 0.5}}, 4),
+        ({"weight": {"kind": "custom-expression", "expr": "1 + 0.5*x*y"}}, 2),
+    ], ids=["disk-constant", "square-varying"])
+    def test_other_components_factorize_as_before(self, splu_calls, changes, switch):
+        config = parse_config(unit_square(65, **changes))
+        [bump] = run_pipeline(config, write=False).bumps
+        assert len(splu_calls) == 2  # the spectral stage's factor, then minimize's
+        [direct] = direct_bumps(config)
+        assert bump.factored_from == direct.factored_from == switch
+        assert np.array_equal(bump.values, direct.values)
+        assert bump.iterations == direct.iterations
+
+    def test_nested_rings_switch_as_before(self):
+        report = run_pipeline(parse_config(nested_rings_config(129)), write=False)
+        # Only the disk switches; the shift dominates K on the annuli.
+        assert {b.component_id: b.factored_from for b in report.bumps} == {
+            (1, 1): 9, (2, 1): None, (2, 2): None, (2, 3): None}
+
+    def test_three_dimensions_never_factorize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorized a 3D component")
+
+        monkeypatch.setattr(spectral, "splu", refuse)
+        cube = {"kind": "box", "lo": [0.0] * 3, "hi": [1.0] * 3}
+        report = run_pipeline(parse_config(unit_square(9, gamma=60.0, domain=cube)), write=False)
+        assert report.status == "ok"
+        assert [b.factored_from for b in report.bumps] == [None]
 
 
 class TestCli:
@@ -1134,7 +1204,8 @@ class TestVerbose:
             assert float(match[2]) == pytest.approx(entry["lambda1"], rel=1e-5)
 
     @pytest.mark.parametrize("data, switches", [
-        (unit_square(65), ["LU factor from step 3"]),
+        # The constant weight's stiffness is a multiple of the spectral K.
+        (unit_square(65), ["LU factor from step 1"]),
         # Only the disk switches; the shift dominates K on the annuli.
         (nested_rings_config(65), ["LU factor from step 3"] + ["no LU factor"] * 3),
     ], ids=["square", "nested-rings"])

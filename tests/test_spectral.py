@@ -7,8 +7,8 @@ from oracles import dense_lambda1
 from multibump import pipeline, spectral
 from multibump.assembly import boundary_cut_fractions
 from multibump.grid import DomainSpec, build_grid
-from multibump.spectral import (check_hypothesis_f2, dirichlet_lambda1,
-                                dirichlet_laplacian)
+from multibump.spectral import (MULTIPLE_TOL, check_hypothesis_f2,
+                                dirichlet_lambda1, dirichlet_laplacian, multiple_of)
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -126,6 +126,61 @@ def test_one_check_on_nested_rings_bisects_the_boundary_crossings_once(monkeypat
     report = pipeline.check_hypotheses(pipeline.parse_config(nested_rings_config(65)))
     assert (report.status, report.chi) == ("ok", 4)
     assert calls == [65]
+
+
+def restricted(domain, n, weight):
+    """Grid, component, and its weighted stiffness and Dirichlet Laplacian."""
+    grid, field, comp = single_component(domain, n, weight)
+    nodes = comp.nodes
+    return (grid, comp, field.operator[nodes][:, nodes],
+            dirichlet_laplacian(grid)[nodes][:, nodes])
+
+
+class TestSharedFactor:
+    @pytest.mark.parametrize("domain, n, a", [
+        (unit_box(2), 50, 0.3), (unit_box(2), 65, 1.0), (unit_box(2), 129, 2.5),
+        (DomainSpec.box((0.25, -0.5), (1.75, 1.0)), 65, 0.3),
+        (DomainSpec.box((-1 / 64, 3 / 64), (1 - 1 / 64, 1 + 3 / 64)), 65, 1.0),
+    ], ids=["n50-a0.3", "n65-a1", "n129-a2.5", "shifted-a0.3", "shifted-a1"])
+    def test_constant_weight_on_a_box_shares_the_factor(self, domain, n, a):
+        grid, comp, S, K = restricted(domain, n, WeightSpec.constant(a))
+        c = multiple_of(S, K)
+        assert c == pytest.approx(a * grid.h ** 2, rel=1e-15)
+        assert np.array_equal(S.data, c * K.data)  # exact, well inside the bound
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid), stiffness=S)
+        b = np.random.default_rng(1).uniform(-1.0, 1.0, S.shape[0])
+        assert np.linalg.norm(S @ eig.factor(b) - b) <= 1e-12 * np.linalg.norm(b)
+        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid)).factor is None
+
+    @pytest.mark.parametrize("domain, weight", [
+        (DomainSpec.ball((0.0, 0.0), 1.0), WeightSpec.constant(1.0)),
+        (unit_box(2), WeightSpec.expression("1 + 0.5*x*y")),
+    ], ids=["disk-constant", "square-varying"])
+    def test_other_stiffness_gets_no_factor(self, domain, weight):
+        grid, comp, S, K = restricted(domain, 33, weight)
+        assert multiple_of(S, K) is None
+        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid),
+                                 stiffness=S).factor is None
+
+    def test_three_dimensions_get_no_factor(self):
+        grid, comp, S, K = restricted(unit_box(3), 9, WeightSpec.constant(1.0))
+        assert multiple_of(S, K) is not None
+        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid),
+                                 stiffness=S).factor is None
+
+    def test_entries_within_the_bound_of_a_multiple_match(self):
+        _, _, _, K = restricted(unit_box(2), 17, WeightSpec.constant(1.0))
+        S = 2.5 * K
+        assert multiple_of(S, K) == 2.5
+        top = np.max(np.abs(S.data))
+        for offset, expected in ((0.5, 2.5), (2.0, None)):
+            perturbed = S.copy()
+            perturbed.data[7] += offset * MULTIPLE_TOL * top
+            assert multiple_of(perturbed, K) == expected
+        dropped = S.copy()
+        dropped.data[1] = 0.0
+        dropped.eliminate_zeros()
+        assert multiple_of(dropped, K) is None
 
 
 class TestF2:

@@ -225,6 +225,39 @@ class TestZeroSet:
         assert np.count_nonzero(masks[0]) > 0
         assert np.array_equal(masks[0], masks[1])
 
+    @pytest.mark.parametrize("pieces, roots", [
+        # 0.7 falls between the 4097 samples of [0, 2]: at a piece's end ...
+        (((0.7, "cbrt(0.7 - r)"), (2.0, "sqrt((r - 0.7)*(2 - r))")), (0.7,)),
+        # ... or inside a piece, where the search between samples finds it.
+        (((2.0, "abs(r - 0.7)**0.6 * (2 - r)"),), (0.7,)),
+        (((2.0, "(r - 0.7)**2 * abs(r - 1.3)**0.5"),), (0.7, 1.3)),
+    ], ids=["piece-end", "power", "two-roots"])
+    def test_root_between_samples_is_found(self, pieces, roots):
+        radii = tuple(r for _, r in WeightSpec.radial((0.0, 0.0), pieces).spheres)
+        assert radii == pytest.approx(roots, abs=1e-13)
+
+    def test_ring_between_samples_splits_the_disk_like_its_declared_radius(self):
+        pieces = [{"r_max": 0.7, "expr": "cbrt(0.7 - r)"},
+                  {"r_max": 2.0, "expr": "sqrt((r - 0.7)*(2 - r))"}]
+        weight = {"kind": "radial-piecewise", "center": [0.0, 0.0], "pieces": pieces}
+        stored = dict(json.loads(RING_JSON.read_text()), resolution=65)
+        reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
+                   for w in (weight, dict(weight, zero_radii=[0.7]))]
+        # Two components, and gamma 10 fails (f2) on the disk: exit 2 either way.
+        assert [(r.status, r.chi, r.zero_count) for r in reports] == \
+            [("hypothesis-violation", 2, 88)] * 2
+
+    def test_profile_roots_do_not_follow_the_run_zero_threshold(self):
+        # min |p| = 1e-7 between samples, below the fixed 1e-6 of the largest:
+        # a zero circle even in a run whose zero_threshold (1e-8) marks no node.
+        spec = WeightSpec.radial((0.0, 0.0), [(2.0, "(r - 0.7)**2 + 1e-7")])
+        assert [r for _, r in spec.spheres] == pytest.approx([0.7], abs=1e-9)
+        grid = build_grid(B2, 65)
+        field = evaluate_weight(spec, grid)
+        tol = ToleranceConfig(zero_threshold=1e-8)
+        assert not np.any(grid.interior_mask & (field.values < 1e-8 * field.a_max))
+        assert detect_zero_set(field, grid, tol).count > 0
+
     def test_segment_to_boundary_flagged(self):
         grid = build_grid(UNIT, 33)
         spec = WeightSpec.expression(
