@@ -10,9 +10,9 @@ below -beta*, and zero above s*.  The truncation makes J coercive and
 forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
-The inner solves are CG preconditioned by the spectral stage's LU factor
-when it shares one, else Jacobi-CG, which a 2D component swaps for a factor
-of K once Jacobi shows it pays (``minimize_energy``); 3D memory stays linear.
+The inner solves are the spectral stage's CG (``pcg``), preconditioned by its
+LU factor when it shares one, else by Jacobi, which a 2D component swaps for
+a factor of K once that pays (``minimize_energy``); 3D memory stays linear.
 
 Every nonlinearity kind only supplies f and gets one primitive: a Simpson
 table plus Simpson's rule on the partial panel, exact on each quadrature
@@ -34,7 +34,7 @@ from .errors import (HypothesisViolationError, InvalidNonlinearityError,
                      NumericalFailureError, SeedFailureError)
 from .expressions import compile_expression
 from .grid import Grid
-from .spectral import EigenPair, factorize
+from .spectral import EigenPair, factorize, pcg
 from .tolerances import ToleranceConfig, real
 from .topology import Component
 from .weights import WeightField
@@ -259,38 +259,6 @@ class BumpSolution:
         self.values.setflags(write=False)
 
 
-def _newton_direction(K, shift, g: np.ndarray, eta: float,
-                      precondition: Callable | None = None) -> tuple[np.ndarray, int]:
-    """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
-
-    ``precondition`` maps a residual r to M^-1 r for a symmetric positive
-    definite M: Jacobi (M = diag K) by default, or the solve with an LU
-    factor of K.  Stops at residual eta*|g| or at the first direction of
-    nonpositive curvature; if that is the first direction, the
-    preconditioned gradient is returned, so g.d > 0 always.  Returns d and
-    the number of CG steps.
-    """
-    if precondition is None:
-        inv_diag = 1.0 / K.diagonal()
-        precondition = lambda r: inv_diag * r
-    d, r = np.zeros_like(g), g.copy()
-    p = z = precondition(r)
-    rz = r @ z
-    for step in range(1, g.size + 1):
-        Hp = K @ p - shift * p
-        pHp = p @ Hp
-        if pHp <= 0.0:
-            return (z if step == 1 else d), step
-        d += (rz / pHp) * p
-        r -= (rz / pHp) * Hp
-        if np.linalg.norm(r) <= eta * np.linalg.norm(g):
-            break
-        z = precondition(r)
-        rz, rz_prev = r @ z, rz
-        p = z + (rz / rz_prev) * p
-    return d, step
-
-
 def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                     tol: ToleranceConfig = ToleranceConfig()) -> BumpSolution:
     """Line-search Newton-CG (Nocedal & Wright, Alg. 7.1) from a negative seed.
@@ -355,7 +323,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                          0.0) * (hN / (2.0 * ds))
         if switch and precondition is None:
             precondition, factored_from = factorize(K, energy.component.id), iteration + 1
-        d, steps = _newton_direction(K, shift, g, eta, precondition)
+        d, steps = pcg(K, shift, g, eta, precondition)
         linear_iterations += steps
         switch |= steps >= switch_at
         g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))

@@ -4,13 +4,15 @@ The spectral margin condition (f2) compares gamma, the slope of the
 nonlinearity at 0+, against a_M * lambda_1(D) for every connected component
 D of the domain minus the zero set, where a_M is the maximum of the weight
 over the closure of D.  Only the lowest eigenpair is needed, so we run
-inverse power iteration on the symmetric positive definite stencil matrix K.
-Each step solves K y = x.  In 2D, K is factorized once per component by a
+inverse power iteration on the symmetric positive definite stencil matrix K:
+each step solves K y = x, sets x = y/|y| and lambda = x.Kx, a Rayleigh
+quotient, so never below the discrete lambda_1 however inexact the solve
+(Golub & Ye, BIT 40, 2000).  In 2D, K is factorized once per component by a
 fill-reducing sparse LU (:func:`factorize`, which the 2D Newton solve also
-uses), whose factor stays small in 2D; in 3D the fill takes gigabytes at a
-few ten thousand unknowns, so each step runs a Jacobi-preconditioned
-conjugate-gradient solve, whose memory stays linear.  A 2D stiffness that
-is a multiple of K (a constant weight, no cut edges) shares K's factor.
+uses); in 3D the fill takes gigabytes at a few ten thousand unknowns, so
+each solve is the Newton solve's CG (:func:`pcg`, Jacobi) to ``INNER_RTOL``,
+whose memory stays linear.  A 2D stiffness that is a multiple of K (a
+constant weight, no cut edges) shares K's factor.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .assembly import boundary_cut_fractions, lattice_operator
 from .errors import NumericalFailureError
@@ -35,7 +37,8 @@ class EigenPair:
 
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
-    ``factor`` is x -> S^-1 x for a stiffness S that shares K's factor.
+    ``rayleigh_residual`` is |Kx - lambda x|/lambda at the last unit iterate
+    x.  ``factor`` is x -> S^-1 x for a stiffness S that shares K's factor.
     """
 
     component_id: tuple[int, int]
@@ -84,6 +87,43 @@ def multiple_of(S, K) -> float | None:
     return None
 
 
+def pcg(K, shift, g: np.ndarray, eta: float,
+        precondition: Callable | None = None) -> tuple[np.ndarray, int]:
+    """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
+
+    ``precondition`` maps a residual r to M^-1 r for a symmetric positive
+    definite M: Jacobi (M = diag K) by default, or the solve with an LU
+    factor of K.  Stops at residual eta*|g| or at the first direction of
+    nonpositive curvature; if that is the first direction, the
+    preconditioned gradient is returned, so g.d > 0 always.  Returns d and
+    the number of CG steps.
+    """
+    if precondition is None:
+        inv_diag = 1.0 / K.diagonal()
+        precondition = lambda r: inv_diag * r
+    d, r, stop = np.zeros_like(g), g.copy(), eta * np.linalg.norm(g)
+    p = z = precondition(r)
+    rz = r @ z
+    for step in range(1, g.size + 1):
+        Hp = K @ p - shift * p
+        pHp = p @ Hp
+        if pHp <= 0.0:
+            return (z if step == 1 else d), step
+        d += (rz / pHp) * p
+        r -= (rz / pHp) * Hp
+        if np.linalg.norm(r) <= stop:
+            break
+        z = precondition(r)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    return d, step
+
+
+# Relative residual of each 3D inner solve: on the 3D shell @17-81 the outer
+# steps and lambda_1 (to 1e-11) are those of solves to 1e-12.
+INNER_RTOL = 1e-6
+
+
 def dirichlet_laplacian(grid: Grid):
     """The lattice's unit-conductance operator over h^2, built once per run.
 
@@ -108,48 +148,32 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     result's ``factor``; any other factor is dropped on return.
     """
     K = laplacian[component.nodes][:, component.nodes]
-    p = K.shape[0]
-
     if grid.ndim == 2:
         solve = factorize(K, component.id)
     else:
-        inv_diag = 1.0 / K.diagonal()
-        M = LinearOperator((p, p), matvec=lambda v: inv_diag * v)
+        solve = lambda b: pcg(K, 0.0, b, INNER_RTOL)[0]
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            y, info = cg(K, b, rtol=1e-12, atol=0.0, maxiter=20 * p, M=M)
-            if info != 0:
-                raise NumericalFailureError(
-                    f"inner CG failed (info={info}) on component {component.id}")
-            return y
-
-    x = np.ones(p)
-    x /= np.linalg.norm(x)
-    lam_prev = np.inf
+    x = np.ones(K.shape[0]) / np.sqrt(K.shape[0])
     lam = np.inf
     for iteration in range(1, tol.eig_max_iter + 1):
         y = solve(x)
-        # K y = x up to the solve's accuracy, so the Rayleigh quotient of y
-        # is (y.x)/(y.y) without another matvec.
-        lam = float(y @ x) / float(y @ y)
         x = y / np.linalg.norm(y)
-        if np.isfinite(lam_prev) and abs(lam - lam_prev) <= tol.eig_tol * abs(lam):
+        Kx = K @ x
+        lam, lam_prev = float(x @ Kx), lam
+        if abs(lam - lam_prev) <= tol.eig_tol * lam:
             break
-        lam_prev = lam
     else:
         raise NumericalFailureError(
             f"inverse power iteration did not converge on component {component.id}")
 
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    e1 = x / np.max(x)
+    residual = float(np.linalg.norm(Kx - lam * x)) / lam
+    e1 = x / x[np.argmax(np.abs(x))]
     if np.min(e1) <= 0.0:
         raise NumericalFailureError(
             f"first eigenfunction not strictly positive on component {component.id}")
-    ray = float(x @ (K @ x)) / float(x @ x)
     scale = multiple_of(stiffness, K) if stiffness is not None and grid.ndim == 2 else None
     return EigenPair(component_id=component.id, lambda1=lam, e1=e1,
-                     rayleigh_residual=abs(ray - lam) / lam, iterations=iteration,
+                     rayleigh_residual=residual, iterations=iteration,
                      factor=None if scale is None else lambda b: solve(b) / scale)
 
 

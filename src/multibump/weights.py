@@ -68,6 +68,7 @@ def _interior_roots(profile, ends: tuple[float, ...],
     # |p| <= the default zero_threshold times the largest sample there and no
     # root is a sample spacing near.  A zero at the outer end is the boundary's.
     # The bound is fixed: a weight's roots do not follow a run's tolerances.
+    # Other refined minima below 1e-3 of it are refused (a cube root's stay at 5e-6).
     r = np.linspace(0.0, ends[-1], samples + 1)
     v = np.abs(profile(r))
     tiny = v <= 1e-9 * np.max(v)
@@ -81,10 +82,16 @@ def _interior_roots(profile, ends: tuple[float, ...],
         a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
         left = np.abs(profile(a)) < np.abs(profile(b))
         lo, hi = np.where(left, lo, a), np.where(left, b, hi)
-    for x in np.concatenate([ends[:-1], 0.5 * (lo + hi)]):
-        if abs(profile(x)) <= ToleranceConfig.zero_threshold * np.max(v) \
-                and np.all(np.abs(np.concatenate([r[tiny], roots]) - x) > r[1]):
+    minima = 0.5 * (lo + hi)
+    for x in np.concatenate([ends[:-1], minima]):
+        depth = abs(profile(x)) / np.max(v)
+        if np.any(np.abs(np.concatenate([r[tiny], roots]) - x) <= r[1]):
+            continue
+        if depth <= ToleranceConfig.zero_threshold:
             roots.append(float(x))
+        elif depth <= 1e-3 and x in minima:
+            raise ValueError(f"the profile falls to {depth:.2g} of its largest value at "
+                             f"r = {x:.6g}; declare zero_radii ([] if r is no zero)")
     return tuple(sorted(roots))
 
 

@@ -7,14 +7,13 @@ from conftest import nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
 from multibump import energy as energy_module
-from multibump.energy import (NonlinearitySpec, _newton_direction, assemble_energy,
-                              minimize_energy, truncate_nonlinearity,
-                              validate_nonlinearity)
+from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
+                              truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import (HypothesisViolationError,
                               InvalidNonlinearityError)
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize, pcg
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -43,11 +42,11 @@ def square_refinement(logistic30):
         steps = []
 
         def recorded(K, shift, g, eta, precondition=None):
-            d, count = _newton_direction(K, shift, g, eta, precondition)
+            d, count = pcg(K, shift, g, eta, precondition)
             steps.append((precondition is not None, count))
             return d, count
 
-        patch.setattr(energy_module, "_newton_direction", recorded)
+        patch.setattr(energy_module, "pcg", recorded)
         for n in (33, 65, 129):
             steps = []
             solves.append((minimize_energy(*square_energy(n, logistic30)), steps))
@@ -306,7 +305,7 @@ class TestNewtonDirection:
         e1 = eigen.e1
         assert e1 @ (energy.K @ e1) - e1 @ (shift * e1) < 0.0
         g = energy.gradient(1e-3 * e1)
-        d, steps = _newton_direction(energy.K, shift, g, 0.5)
+        d, steps = pcg(energy.K, shift, g, 0.5)
         assert steps >= 1
         assert g @ d > 0.0
 
@@ -314,18 +313,18 @@ class TestNewtonDirection:
         _, _, eigen, energy = square_problem
         solve = factorize(energy.K, energy.component.id)
         g = energy.gradient(0.5 * eigen.e1)
-        d, steps = _newton_direction(energy.K, np.zeros(energy.size), g, 1e-12, solve)
+        d, steps = pcg(energy.K, np.zeros(energy.size), g, 1e-12, solve)
         assert steps == 1
         assert np.linalg.norm(energy.K @ d - g) <= 1e-12 * np.linalg.norm(g)
         shift = np.full(energy.size, 2.0 * GAMMA * energy.cell_volume)
         g = energy.gradient(1e-3 * eigen.e1)
-        d, _ = _newton_direction(energy.K, shift, g, 0.5, solve)
+        d, _ = pcg(energy.K, shift, g, 0.5, solve)
         assert g @ d > 0.0
 
     def test_solves_positive_definite_system_to_forcing_tolerance(self, square_problem):
         _, _, eigen, energy = square_problem
         shift = np.zeros(energy.size)
         g = energy.gradient(0.5 * eigen.e1)
-        d, _ = _newton_direction(energy.K, shift, g, 1e-6)
+        d, _ = pcg(energy.K, shift, g, 1e-6)
         assert np.linalg.norm(energy.K @ d - g) <= 1e-6 * np.linalg.norm(g)
         assert g @ d > 0.0

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,10 +50,20 @@ def test_square_closed_form_matches_dense_oracle():
     assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
 
 
-def test_rayleigh_quotient_consistency():
-    grid, _, comp = single_component(unit_box(2), 33)
+def true_residual(eig, comp, grid) -> float:
+    """|K e1 - lambda e1| / (lambda |e1|) on the restricted Laplacian K."""
+    K = dirichlet_laplacian(grid)[comp.nodes][:, comp.nodes]
+    e1 = eig.e1
+    return float(np.linalg.norm(K @ e1 - eig.lambda1 * e1)
+                 / (eig.lambda1 * np.linalg.norm(e1)))
+
+
+@pytest.mark.parametrize("ndim, n", [(2, 33), (3, 9)], ids=["square33", "cube9"])
+def test_rayleigh_residual_is_the_true_residual(ndim, n):
+    grid, _, comp = single_component(unit_box(ndim), n)
     eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-    assert eig.rayleigh_residual < 1e-6
+    assert eig.rayleigh_residual == pytest.approx(true_residual(eig, comp, grid), rel=1e-10)
+    assert eig.rayleigh_residual > 1e-10  # the stopped iteration's, not round-off
 
 
 def test_eigenfunction_strictly_positive_max_one():
@@ -101,18 +114,53 @@ def nested65():
     field = evaluate_weight(WeightSpec.power_product(rings, scale=0.5), grid)
     components = decompose_components(grid, detect_zero_set(field, grid)).components
     laplacian = dirichlet_laplacian(grid)
-    return {comp.id: dirichlet_lambda1(comp, grid, laplacian) for comp in components}
+    return grid, {comp.id: (comp, dirichlet_lambda1(comp, grid, laplacian))
+                  for comp in components}
 
 
 def test_factorized_branch_matches_cg_iterations_and_lambda1(nested65):
-    assert set(nested65) == set(NESTED65_CG)
+    _, eigs = nested65
+    assert set(eigs) == set(NESTED65_CG)
     for comp_id, (lam, iterations) in NESTED65_CG.items():
-        assert nested65[comp_id].iterations == iterations
-        assert nested65[comp_id].lambda1 == pytest.approx(lam, rel=1e-12)
+        assert eigs[comp_id][1].iterations == iterations
+        assert eigs[comp_id][1].lambda1 == pytest.approx(lam, rel=1e-12)
 
 
-def test_factorized_branch_rayleigh_residual(nested65):
-    assert all(eig.rayleigh_residual < 1e-12 for eig in nested65.values())
+def test_factorized_branch_reports_the_true_residual(nested65):
+    grid, eigs = nested65
+    for comp, eig in eigs.values():
+        assert eig.rayleigh_residual == pytest.approx(true_residual(eig, comp, grid),
+                                                      rel=1e-10)
+        assert eig.rayleigh_residual > 1e-10
+
+
+def test_inexact_cg_branch_bounds_the_dense_oracle_from_above():
+    # Every cut fraction of the unit ball @11 is above 0.12, so the dense oracle
+    # is exact to round-off (@13 one is 1e-8: K holds 1e10, and dense solvers
+    # disagree by 3e-8).
+    grid, _, comp = single_component(DomainSpec.ball((0.0, 0.0, 0.0), 1.0), 11)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+    dense = dense_lambda1(comp, grid)
+    assert eig.lambda1 >= dense * (1.0 - 1e-12)  # a Rayleigh quotient
+    assert eig.lambda1 == pytest.approx(dense, rel=1e-9)
+
+
+SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
+# The shell @17 when every inner CG solve ran to relative residual 1e-12.
+SHELL17_EXACT = {(1, 1): (12.068525522664642, 15), (1, 2): (12.06008515505912, 9)}
+
+
+def test_inexact_cg_branch_takes_the_exact_solves_outer_steps():
+    config = dataclasses.replace(pipeline.load_config(SHELL3D), resolution=17)
+    grid = build_grid(config.domain, config.resolution)
+    zero = detect_zero_set(evaluate_weight(config.weight, grid), grid)
+    laplacian = dirichlet_laplacian(grid)
+    eigs = {comp.id: dirichlet_lambda1(comp, grid, laplacian)
+            for comp in decompose_components(grid, zero).components}
+    assert set(eigs) == set(SHELL17_EXACT)
+    for comp_id, (lam, iterations) in SHELL17_EXACT.items():
+        assert eigs[comp_id].iterations == iterations
+        assert eigs[comp_id].lambda1 == pytest.approx(lam, rel=1e-9)
 
 
 def test_one_check_on_nested_rings_bisects_the_boundary_crossings_once(monkeypatch):

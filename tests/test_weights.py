@@ -10,6 +10,7 @@ from conftest import cbrt_ring_weight, interior_count, unit_box
 from oracles import reference_a2_constant
 
 from multibump import pipeline
+from multibump.cli import main
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, build_grid
 from multibump.tolerances import ToleranceConfig
@@ -257,6 +258,31 @@ class TestZeroSet:
         tol = ToleranceConfig(zero_threshold=1e-8)
         assert not np.any(grid.interior_mask & (field.values < 1e-8 * field.a_max))
         assert detect_zero_set(field, grid, tol).count > 0
+
+    @pytest.mark.parametrize("expr", ["abs(r - 0.7)**(1/3)", "(r - 0.7)**2 + 1e-4"],
+                             ids=["cube-root", "positive-minimum"])
+    def test_near_root_that_is_no_root_is_refused(self, expr):
+        # min |p| at 0.7 is between the 1e-6 root bound and 1e-3 of the largest
+        # (about 5e-6 for the cube root): only zero_radii says if it is a zero.
+        with pytest.raises(ValueError, match=r"r = 0\.7; declare zero_radii"):
+            WeightSpec.radial((0.0, 0.0), [(2.0, expr)])
+        for declared in ((0.7,), ()):
+            spec = WeightSpec.radial((0.0, 0.0), [(2.0, expr)], zero_radii=declared)
+            assert [r for _, r in spec.spheres] == list(declared)
+        assert WeightSpec.radial((0.0, 0.0), [(2.0, "(r - 0.7)**2 + 1e-2")]).spheres == ()
+
+    def test_cube_root_ring_is_a_config_error_until_declared(self, tmp_path):
+        weight = {"kind": "radial-piecewise", "center": [0.0, 0.0],
+                  "pieces": [{"r_max": 2.0, "expr": "abs(r - 0.7)**(1/3)"}]}
+        stored = dict(json.loads(RING_JSON.read_text()), resolution=65,
+                      output_dir=str(tmp_path / "out"))
+        statuses = []
+        for w in (weight, dict(weight, zero_radii=[0.7])):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(dict(stored, weight=w)))
+            statuses.append(main(["check", "--config", str(path)]))
+        # Declared, the ring splits the disk and gamma 10 fails (f2) on it.
+        assert statuses == [1, 2]
 
     def test_segment_to_boundary_flagged(self):
         grid = build_grid(UNIT, 33)
