@@ -11,8 +11,9 @@ forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
 The inner solves are the spectral stage's CG (``pcg``), preconditioned by its
-LU factor when it shares one, else by Jacobi, which a 2D component swaps for
-a factor of K once that pays (``minimize_energy``); 3D memory stays linear.
+LU factor when the eigenpair carries one (2D, weight constant on the closure,
+no cut edge), else by Jacobi, which a 2D component swaps for a factor of K
+once that pays (``minimize_energy``); 3D memory stays linear.
 
 Every nonlinearity kind only supplies f and gets one primitive: a Simpson
 table plus Simpson's rule on the partial panel, exact on each quadrature
@@ -206,16 +207,15 @@ class DiscreteEnergy:
 
 
 def assemble_energy(component: Component, field: WeightField,
-                    trunc: TruncatedNonlinearity, grid: Grid,
-                    stiffness=None) -> DiscreteEnergy:
+                    trunc: TruncatedNonlinearity, grid: Grid) -> DiscreteEnergy:
     """Assemble J on a component (weighted stiffness + lumped reaction).
 
-    K is the weight's operator restricted to the component's nodes (or the
-    caller's ``stiffness``).  Mass lumping makes the gradient exactly
-    K u - f*(u) h^N, the true derivative of the discrete value.
+    K is the weight's operator restricted to the component's nodes.  Mass
+    lumping makes the gradient exactly K u - f*(u) h^N, the true
+    derivative of the discrete value.
     """
     nodes = component.nodes
-    K = field.operator[nodes][:, nodes] if stiffness is None else stiffness
+    K = field.operator[nodes][:, nodes]
     closure = np.concatenate([nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
@@ -224,12 +224,15 @@ def assemble_energy(component: Component, field: WeightField,
 
 
 # Jacobi-CG counts grow like 1/h ~ sqrt(unknowns) only where K dominates the
-# Hessian, which is where the factor of K makes them independent of h: on the
-# unit square, Jacobi first, the steps after the switch take 1/2/3/4 inner
-# steps at n = 33 to 513 (53 in all at n = 65, 11 with a shared factor from
-# step 1).  Where the f*' shift dominates, as on the nested rings' annuli
-# (<= 33 Jacobi steps per Newton step at n = 129), the count stays below the
-# bound; CG with the factor took as many steps there (62 vs 72), 4-5x dearer.
+# Hessian, which is where the factor of K makes them independent of h.  Minimize
+# ms with the switch / Jacobi only at n = 65, 129, 257, 513 (2-core host, best of
+# 3, one run at 513): square with a = 1 + 0.5xy 20/26, 94/232, 611/1792,
+# 4556/19027; disk of radius 1/2, a = 1, 18/23, 80/115, 453/866, 3157/7312;
+# `ring` (1,1) 7.1/7.6, 18/18, 91/121, 523/821.  Where the f*' shift dominates,
+# as on the nested rings' annuli (<= 33 Jacobi steps per Newton step at n = 129),
+# the count stays below the bound; CG with the factor took as many steps (62 vs
+# 72), 4-5x dearer.  Their disk (1,1) switches at step 9-11 of 10-12 from n = 129
+# on and loses: 8.2/6.6, 22/17, 107/89.
 FACTOR_SWITCH = 0.5
 
 

@@ -571,14 +571,10 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
         with stage("spectral"):
-            eigenpairs, stiffness = [], {}
+            eigenpairs = []
             laplacian = dirichlet_laplacian(grid)
             for comp in decomposition.components:
-                # Only a constant weight can make the stiffness a multiple of the Laplacian.
-                closure = np.concatenate([comp.nodes, comp.shell])
-                if solve and np.ptp(field.values.ravel()[closure]) == 0.0:
-                    stiffness[comp.id] = field.operator[comp.nodes][:, comp.nodes]
-                eigen = dirichlet_lambda1(comp, grid, laplacian, tol, stiffness.get(comp.id))
+                eigen = dirichlet_lambda1(comp, grid, laplacian, tol, field if solve else None)
                 eigenpairs.append(eigen)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
@@ -595,7 +591,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                 bumps = {}
                 for comp in decomposition.components:
                     eigen = eigenpairs.pop(0)
-                    energy = assemble_energy(comp, field, trunc, grid, stiffness.pop(comp.id, None))
+                    energy = assemble_energy(comp, field, trunc, grid)
                     bump = bumps[comp.id] = minimize_energy(energy, eigen, tol)
                     report.bumps.append(bump)
                     log.info("component %s: energy %.6g, %d iterations, "

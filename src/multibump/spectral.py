@@ -11,8 +11,8 @@ quotient, so never below the discrete lambda_1 however inexact the solve
 fill-reducing sparse LU (:func:`factorize`, which the 2D Newton solve also
 uses); in 3D the fill takes gigabytes at a few ten thousand unknowns, so
 each solve is the Newton solve's CG (:func:`pcg`, Jacobi) to ``INNER_RTOL``,
-whose memory stays linear.  A 2D stiffness that is a multiple of K (a
-constant weight, no cut edges) shares K's factor.
+whose memory stays linear.  A 2D weighted stiffness c K (a weight constant
+on the closure, no cut edge) shares K's factor; only :func:`dirichlet_lambda1` decides.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class EigenPair:
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
     ``rayleigh_residual`` is |Kx - lambda x|/lambda at the last unit iterate
-    x.  ``factor`` is x -> S^-1 x for a stiffness S that shares K's factor.
+    x.  ``factor`` is x -> S^-1 x for the component's weighted stiffness S
+    when S = c K in 2D (:func:`dirichlet_lambda1`), else None.
     """
 
     component_id: tuple[int, int]
@@ -74,19 +75,6 @@ def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.nda
             f"sparse LU failed on component {component_id}: {exc}") from exc
 
 
-# Largest entry of S - c K relative to S's largest for S = c K; boxes give 0.
-MULTIPLE_TOL = 1e-12
-
-
-def multiple_of(S, K) -> float | None:
-    """c with S = c K on K's sparsity, to ``MULTIPLE_TOL``, or None."""
-    if np.array_equal(S.indptr, K.indptr) and np.array_equal(S.indices, K.indices):
-        c = S.data[0] / K.data[0]
-        if np.max(np.abs(S.data - c * K.data)) <= MULTIPLE_TOL * np.max(np.abs(S.data)):
-            return c
-    return None
-
-
 def pcg(K, shift, g: np.ndarray, eta: float,
         precondition: Callable | None = None) -> tuple[np.ndarray, int]:
     """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
@@ -103,19 +91,23 @@ def pcg(K, shift, g: np.ndarray, eta: float,
         precondition = lambda r: inv_diag * r
     d, r, stop = np.zeros_like(g), g.copy(), eta * np.linalg.norm(g)
     p = z = precondition(r)
-    rz = r @ z
+    rz, work, shifted = r @ z, np.empty_like(g), np.any(shift)
     for step in range(1, g.size + 1):
-        Hp = K @ p - shift * p
+        Hp = K @ p
+        if shifted:
+            Hp -= np.multiply(shift, p, out=work)
         pHp = p @ Hp
         if pHp <= 0.0:
             return (z if step == 1 else d), step
-        d += (rz / pHp) * p
-        r -= (rz / pHp) * Hp
+        alpha = rz / pHp
+        d += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, Hp, out=Hp)
         if np.linalg.norm(r) <= stop:
             break
         z = precondition(r)
         rz, rz_prev = r @ z, rz
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev  # the first z, returned only at step 1, is free now
+        p += z
     return d, step
 
 
@@ -137,17 +129,19 @@ def dirichlet_laplacian(grid: Grid):
 
 def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
                       tol: ToleranceConfig = ToleranceConfig(),
-                      stiffness=None) -> EigenPair:
+                      field: WeightField | None = None) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
     it to the component's nodes gives zero boundary data on its shell.
     Converged when successive eigenvalue estimates agree to ``eig_tol``
-    relatively, within ``eig_max_iter`` steps.  In 2D, a ``stiffness``
-    that is c times that restriction gets the LU factor over c as the
-    result's ``factor``; any other factor is dropped on return.
+    relatively, within ``eig_max_iter`` steps.  In 2D, when the weight of
+    ``field`` is constant on the closure (nodes and shell) and no edge is
+    cut, its stiffness is c times that restriction and ``factor`` is the
+    LU solve over c; any other factor is dropped on return.
     """
-    K = laplacian[component.nodes][:, component.nodes]
+    rows = laplacian[component.nodes]
+    K = rows[:, component.nodes]
     if grid.ndim == 2:
         solve = factorize(K, component.id)
     else:
@@ -171,7 +165,12 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     if np.min(e1) <= 0.0:
         raise NumericalFailureError(
             f"first eigenfunction not strictly positive on component {component.id}")
-    scale = multiple_of(stiffness, K) if stiffness is not None and grid.ndim == 2 else None
+    scale = None
+    if field is not None and grid.ndim == 2:
+        closure = np.concatenate([component.nodes, component.shell])
+        couplings = rows.data[rows.data < 0.0]  # a cut edge's is 1/theta times the others
+        if np.ptp(field.values.ravel()[closure]) == 0.0 and np.ptp(couplings) == 0.0:
+            scale = field.operator[component.nodes[0], component.nodes[0]] / K[0, 0]
     return EigenPair(component_id=component.id, lambda1=lam, e1=e1,
                      rayleigh_residual=residual, iterations=iteration,
                      factor=None if scale is None else lambda b: solve(b) / scale)

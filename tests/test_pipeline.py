@@ -1087,6 +1087,10 @@ class TestCli:
         {"weight": {"kind": "constant", "value": True}},
         {"tolerances": {"zero_threshold": True}},
         {"tolerances": {"t_scan": [1.0, True]}},
+        {"weight": {"kind": "spline"}},
+        {"tolerances": {"eig_tol": -1e-8}},
+        {"tolerances": {"bounds_tol": -1.0}},
+        {"domain": {"kind": "box", "lo": [1.0, 1.0], "hi": [1.0, 1.0]}},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
@@ -1096,7 +1100,8 @@ class TestCli:
             "nonlinearity-number", "piece-string", "factor-list", "no-pieces",
             "no-factors", "r-max-negative", "r-max-decreasing", "resolution-float",
             "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
-            "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool"])
+            "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool",
+            "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,
@@ -1106,6 +1111,25 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 1
         assert re.fullmatch(r"error: invalid \w+: .*\n", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_config_root_must_be_a_mapping(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: configuration root must be a mapping\n"
+
+    def test_solve_writes_vtk_into_the_out_directory(self, tmp_path):
+        path = write_config(tmp_path, unit_square(17, out=str(tmp_path / "ignored")))
+        out = tmp_path / "D"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--vtk"]) == 0
+        assert (out / "solution_001.vtk").is_file()
+        assert not (tmp_path / "ignored").exists()
+
+    def test_verify_of_a_missing_file_is_an_io_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, unit_square(17, out=str(tmp_path / "out")))
+        missing = tmp_path / "missing.csv"
+        assert main(["verify", "--config", str(path), str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("io error:")
 
     @pytest.mark.parametrize("override", [["--max-chi", "0"], ["--resolution", "7"]],
                              ids=["max-chi", "resolution"])
