@@ -31,8 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, InvalidNonlinearityError,
-                     NumericalFailureError, SeedFailureError)
+from .errors import HypothesisViolationError, NumericalFailureError
 from .expressions import compile_expression
 from .grid import Grid
 from .spectral import EigenPair, factorize, pcg
@@ -82,15 +81,15 @@ class NonlinearitySpec:
 
 
 def validate_nonlinearity(spec: NonlinearitySpec) -> None:
-    """Sampled check of the shape conditions (f1); raises on violation.
+    """Sampled check of the shape conditions (f1); raises an (f1) violation.
 
     f is sampled at 2048 points on each side of 0, and its slope at 0+ must
     match gamma to 5%.
     """
     samples = 2048
     if spec.gamma <= 0 or spec.s_star <= 0 or spec.beta_star <= 0:
-        raise InvalidNonlinearityError(
-            "gamma, s_star and beta_star must all be positive")
+        raise HypothesisViolationError(
+            "f1", "gamma, s_star and beta_star must all be positive")
     inner = np.linspace(0.0, spec.s_star, samples + 2)[1:-1]
     lower = np.linspace(-spec.beta_star, 0.0, samples + 1)[:-1]
     delta = 1e-8 * spec.s_star
@@ -98,20 +97,20 @@ def validate_nonlinearity(spec: NonlinearitySpec) -> None:
     with np.errstate(all="ignore"):
         sampled = spec.f(np.concatenate([lower, [0.0, delta], inner, [spec.s_star]]))
     if not np.all(np.isfinite(sampled)):
-        raise InvalidNonlinearityError("f must be finite on [-beta*, s*]")
+        raise HypothesisViolationError("f1", "f must be finite on [-beta*, s*]")
     scale = spec.gamma * spec.s_star
     if abs(float(spec.f(0.0))) > 1e-12 * scale:
-        raise InvalidNonlinearityError("f(0) must vanish")
+        raise HypothesisViolationError("f1", "f(0) must vanish")
     if abs(float(spec.f(spec.s_star))) > 1e-9 * scale:
-        raise InvalidNonlinearityError(f"f(s*) must vanish at s* = {spec.s_star}")
+        raise HypothesisViolationError("f1", f"f(s*) must vanish at s* = {spec.s_star}")
     if np.min(spec.f(inner)) <= 0.0:
-        raise InvalidNonlinearityError("f must be strictly positive on (0, s*)")
+        raise HypothesisViolationError("f1", "f must be strictly positive on (0, s*)")
     if np.min(spec.f(lower)) <= 0.0:
-        raise InvalidNonlinearityError("f must be strictly positive on [-beta*, 0)")
+        raise HypothesisViolationError("f1", "f must be strictly positive on [-beta*, 0)")
     slope = float(spec.f(delta)) / delta
     if abs(slope - spec.gamma) > 0.05 * spec.gamma:
-        raise InvalidNonlinearityError(
-            f"slope of f at 0+ is {slope:.6g}, declared gamma is {spec.gamma:.6g}")
+        raise HypothesisViolationError(
+            "f1", f"slope of f at 0+ is {slope:.6g}, declared gamma is {spec.gamma:.6g}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
     F = np.concatenate([-np.cumsum(below[::-1])[::-1], [0.0],
                         np.cumsum(panel[lower.size - 1:])])
     if not np.all(np.isfinite(F)):  # f is NaN or infinite at a quadrature knot
-        raise InvalidNonlinearityError("f must be finite on [-beta*, s*]")
+        raise HypothesisViolationError("f1", "f must be finite on [-beta*, s*]")
     return TruncatedNonlinearity(base=spec, zero=lower.size - 1, knots=s,
                                  f_knots=f, F_knots=F)
 
@@ -291,7 +290,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     while (J := energy.value(s0 * eigen.e1)) >= 0.0:
         s0 *= 0.5
         if s0 < smallest:
-            raise SeedFailureError(
+            raise NumericalFailureError(
                 f"no negative-energy seed on component {energy.component.id}; "
                 "the (f2) margin is too small at this resolution")
 

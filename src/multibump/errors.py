@@ -1,47 +1,46 @@
-"""Exception hierarchy for the solver pipeline."""
+"""Exception hierarchy for the solver pipeline.
+
+Each report status has one class, which declares it as ``status``: a run
+that raises it stops with that status.  ``ConfigError`` (status None) stops
+the command before any report is written.
+"""
 
 
 class SolverError(Exception):
     """Base class for all errors raised by this package."""
+    status: str | None = None
 
 
 class ResolutionTooCoarseError(SolverError):
     """The grid has no interior node at the requested resolution."""
+    status = "resolution-too-coarse"
 
 
 class InvalidWeightError(SolverError):
     """Weight evaluation produced negative or non-finite values."""
-
-
-class InvalidNonlinearityError(SolverError):
-    """Nonlinearity violates the required shape conditions (f1)."""
+    status = "invalid-weight"
 
 
 class HypothesisViolationError(SolverError):
-    """One of the admissibility conditions (a1), (a2), (f1), (f2) fails.
+    """One of the conditions (a1), (a2), (f1), (f2) fails.
 
     The violated condition is recorded in :attr:`hypothesis`.
     """
+    status = "hypothesis-violation"
 
     def __init__(self, hypothesis: str, message: str):
         self.hypothesis = hypothesis
-        super().__init__(f"hypothesis ({hypothesis}) violated: {message}")
-
-
-class SeedFailureError(SolverError):
-    """No positive multiple of the first eigenfunction has negative energy."""
+        super().__init__(message)
 
 
 class NumericalFailureError(SolverError):
-    """An iterative solve did not converge within its iteration budget."""
-
-
-class EmptyDecompositionError(SolverError):
-    """Every interior node belongs to the zero set; nothing to decompose."""
+    """An iterative solve did not converge, or no negative-energy seed exists."""
+    status = "numerical-failure"
 
 
 class EnumerationSizeError(SolverError):
     """Subset enumeration refused because 2^chi would be too large."""
+    status = "enumeration-overflow"
 
 
 class ConfigError(SolverError):

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 from scipy import ndimage
 
-from .errors import ResolutionTooCoarseError
+from .errors import ConfigError, ResolutionTooCoarseError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .tolerances import real
 
@@ -187,7 +187,8 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
     """Build and classify the uniform grid with ``n`` nodes per axis.
 
     Raises :class:`ResolutionTooCoarseError` when the resolution leaves no
-    interior node.
+    interior node, and :class:`ConfigError` when a custom domain's interior
+    reaches a face of its bounding box, which leaves no Dirichlet ring there.
     """
     if n < 2:
         raise ResolutionTooCoarseError(f"need at least 2 nodes per axis, got {n}")
@@ -200,6 +201,12 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
     if not member.any():
         raise ResolutionTooCoarseError(
             f"no interior node at resolution n={n}; refine the grid")
+    # A box or ball encloses itself by construction, and a ball's tangent node
+    # can read phi < 0 by round-off alone: only a custom box is checked.
+    if domain.kind == "custom-implicit" and any(
+            np.take(member, [0, -1], axis=d).any() for d in range(domain.dimension)):
+        raise ConfigError("invalid domain: interior nodes lie on a face of the "
+                          "bounding box, which must enclose the domain")
 
     ring = ndimage.binary_dilation(member, structure=ndimage.generate_binary_structure(domain.dimension, 1))
     classes = np.full(member.shape, EXTERIOR, dtype=np.uint8)

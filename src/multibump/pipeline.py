@@ -4,8 +4,9 @@ One runner takes every run through its stages in order: setup (grid,
 weight, zero set), admissibility, decomposition, the nonlinearity (f1),
 spectral margins (f2), and for a solve bump minimization, subset
 enumeration and verification.  The first stage that fails stops the run;
-one table maps its exception to the report's status and, for a failed
-hypothesis, the violated condition.  Partial reports are still written.
+the class of its exception declares the report's status
+(:mod:`multibump.errors`) and, for a failed hypothesis, carries the violated
+condition.  Partial reports are still written.
 
 The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
@@ -39,11 +40,7 @@ import numpy as np
 from .composition import MultiBumpSolution, enumerate_all
 from .energy import (BumpSolution, NonlinearitySpec, assemble_energy,
                      minimize_energy, truncate_nonlinearity)
-from .errors import (ConfigError, EmptyDecompositionError,
-                     EnumerationSizeError, HypothesisViolationError,
-                     InvalidNonlinearityError, InvalidWeightError,
-                     NumericalFailureError, ResolutionTooCoarseError,
-                     SeedFailureError)
+from .errors import ConfigError, HypothesisViolationError, SolverError
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import (F2Entry, check_hypothesis_f2, dirichlet_lambda1,
                        dirichlet_laplacian)
@@ -476,28 +473,6 @@ def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
         handle.write(_joined(lines.reshape(grid.shape).ravel(order="F")))
 
 
-class _FailedVerdict(HypothesisViolationError):
-    """A hypothesis stage's own verdict is negative; reported with its bare message."""
-
-    def __init__(self, hypothesis: str, message: str):
-        super().__init__(hypothesis, message)
-        self.args = (message,)
-
-
-# Exception that stops a run -> (report status, violated hypothesis).  A
-# HypothesisViolationError names its own hypothesis.
-_STOPS = {
-    InvalidWeightError: ("invalid-weight", None),
-    HypothesisViolationError: ("hypothesis-violation", None),
-    EmptyDecompositionError: ("hypothesis-violation", "a1"),
-    InvalidNonlinearityError: ("hypothesis-violation", "f1"),
-    SeedFailureError: ("numerical-failure", None),
-    NumericalFailureError: ("numerical-failure", None),
-    EnumerationSizeError: ("enumeration-overflow", None),
-    ResolutionTooCoarseError: ("resolution-too-coarse", None),
-}
-
-
 def _setup(config: RunConfig):
     """Grid, weight field and zero set at the configured resolution.
 
@@ -560,7 +535,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             adm = report.admissibility = assess_admissibility(grid, field, zero, tol)
             report.zero_count = adm.zero_count
             if not adm.admissible:
-                raise _FailedVerdict(
+                raise HypothesisViolationError(
                     "a1" if adm.verdict == "zero-set-touches-boundary" else "a2",
                     f"admissibility verdict: {adm.verdict}")
         with stage("decomposition"):
@@ -584,8 +559,8 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             failing = [_comp_label(e.component_id)
                        for e in report.f2_entries if not e.passed]
             if failing:
-                raise _FailedVerdict("f2", "spectral margin non-positive on "
-                                     "component(s) " + ", ".join(failing))
+                raise HypothesisViolationError("f2", "spectral margin non-positive on "
+                                               "component(s) " + ", ".join(failing))
         if solve:
             with stage("minimize"):
                 bumps = {}
@@ -620,11 +595,11 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                                                        grid, zero, tol)))
                 report.all_verified = all(r.verification.passed for r in report.solutions)
         report.status = "ok"
-    except tuple(_STOPS) as exc:
-        report.status, hypothesis = next(row for kind, row in _STOPS.items()
-                                         if isinstance(exc, kind))
-        report.violated_hypothesis = getattr(exc, "hypothesis", hypothesis)
-        report.failure_message = str(exc)
+    except SolverError as exc:
+        if exc.status is None:
+            raise
+        report.status, report.failure_message = exc.status, str(exc)
+        report.violated_hypothesis = getattr(exc, "hypothesis", None)
     report.timings["total"] = time.perf_counter() - start
     log.info("pipeline %s in %.2fs", report.status, report.timings["total"])
     if out_path is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyDecompositionError, HypothesisViolationError
+from .errors import HypothesisViolationError
 from .grid import Grid
 from .weights import ZeroSet
 
@@ -64,7 +64,7 @@ def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
     """Flood-fill decomposition of interior-minus-zero-set nodes.
 
     Raises a hypothesis (a1) violation when the zero set touches the domain
-    boundary and :class:`EmptyDecompositionError` when nothing remains.
+    boundary or when nothing remains.
     Component ids are deterministic: labels are assigned in C scan order and
     numbered within each boundary-manifold class.
     """
@@ -73,7 +73,7 @@ def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
             "a1", "the zero set of the weight reaches the domain boundary")
     free = grid.interior_mask & ~zero.mask
     if not free.any():
-        raise EmptyDecompositionError("all interior nodes lie in the zero set")
+        raise HypothesisViolationError("a1", "all interior nodes lie in the zero set")
 
     labels, chi = ndimage.label(free, structure=grid.stencil_structure())
     raw = []

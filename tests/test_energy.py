@@ -9,8 +9,7 @@ from oracles import damped_fixed_point, logistic_primitive
 from multibump import energy as energy_module
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity, validate_nonlinearity)
-from multibump.errors import (HypothesisViolationError,
-                              InvalidNonlinearityError)
+from multibump.errors import HypothesisViolationError
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
 from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize, pcg
@@ -106,19 +105,19 @@ class TestValidation:
     def test_negative_dip_rejected(self):
         bad = NonlinearitySpec.custom("30*s*(1 - s)", gamma=30.0, s_star=1.0,
                                       beta_star=0.5)  # negative for s < 0
-        with pytest.raises(InvalidNonlinearityError):
+        with pytest.raises(HypothesisViolationError):
             validate_nonlinearity(bad)
 
     def test_wrong_slope_rejected(self):
         bad = NonlinearitySpec.custom("30*abs(s)*(1 - s)", gamma=10.0,
                                       s_star=1.0, beta_star=0.5)
-        with pytest.raises(InvalidNonlinearityError):
+        with pytest.raises(HypothesisViolationError):
             validate_nonlinearity(bad)
 
     def test_nonvanishing_upper_zero_rejected(self):
         bad = NonlinearitySpec.custom("30*abs(s)", gamma=30.0, s_star=1.0,
                                       beta_star=0.5)
-        with pytest.raises(InvalidNonlinearityError):
+        with pytest.raises(HypothesisViolationError):
             validate_nonlinearity(bad)
 
     @pytest.mark.parametrize("expr, message", [
@@ -127,11 +126,11 @@ class TestValidation:
     ], ids=["f-at-zero", "dip-inside"])
     def test_shape_violation_names_its_rule(self, expr, message):
         bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
-        with pytest.raises(InvalidNonlinearityError, match=re.escape(message)):
+        with pytest.raises(HypothesisViolationError, match=re.escape(message)):
             validate_nonlinearity(bad)
 
     def test_nonpositive_parameters_rejected(self):
-        with pytest.raises(InvalidNonlinearityError):
+        with pytest.raises(HypothesisViolationError):
             validate_nonlinearity(NonlinearitySpec.logistic(-1.0, 1.0))
 
     @pytest.mark.parametrize("expr", [
@@ -146,7 +145,7 @@ class TestValidation:
         # NaN fails every comparison: without a finiteness test such an f
         # passes the sign checks and stalls the line search.
         bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
-        with pytest.raises(InvalidNonlinearityError, match="finite"):
+        with pytest.raises(HypothesisViolationError, match="finite"):
             truncate_nonlinearity(bad)
 
 

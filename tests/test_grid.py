@@ -3,7 +3,7 @@ import pytest
 
 from conftest import interior_count, unit_box
 
-from multibump.errors import ResolutionTooCoarseError
+from multibump.errors import ConfigError, ResolutionTooCoarseError
 from multibump.grid import BOUNDARY, EXTERIOR, INTERIOR, DomainSpec, build_grid
 
 
@@ -30,6 +30,21 @@ def test_ball_interior_count_matches_area():
 def test_degenerate_resolution_raises():
     with pytest.raises(ResolutionTooCoarseError):
         build_grid(unit_box(2), 2)
+
+
+def test_custom_domain_overflowing_its_box_raises():
+    # Every node of [-1, 1]^2 lies inside the radius-2 disk: no Dirichlet ring.
+    domain = DomainSpec.implicit("x**2 + y**2 - 4", (-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(ConfigError, match="^invalid domain: "):
+        build_grid(domain, 33)
+
+
+def test_ball_with_a_tangent_node_inside_by_round_off_builds():
+    # Node 8 of the first and last x-rows touches the circle, yet phi < 0 there.
+    domain = DomainSpec.ball((2.8378101321881832, -1.4582022338196399), 0.40349108778507203)
+    grid = build_grid(domain, 17)
+    phi = domain.membership_function()
+    assert phi(grid.points()[0, 8]) < 0.0 and phi(grid.points()[16, 8]) < 0.0
 
 
 def test_classification_deterministic():

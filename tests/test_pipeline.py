@@ -21,7 +21,7 @@ from multibump import pipeline, spectral
 from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
-from multibump.errors import ConfigError, HypothesisViolationError
+from multibump.errors import ConfigError, HypothesisViolationError, SolverError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
@@ -908,7 +908,7 @@ class TestStageFailures:
         report = run_pipeline(parse_config(unit_square(out=str(tmp_path / "out"))))
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "f2"
-        assert report.failure_message == "hypothesis (f2) violated: refused by the minimizer"
+        assert report.failure_message == "refused by the minimizer"
 
     def test_nonlinearity_bug_not_reported_as_f1(self, tmp_path, monkeypatch):
         def broken(spec):
@@ -1091,6 +1091,8 @@ class TestCli:
         {"tolerances": {"eig_tol": -1e-8}},
         {"tolerances": {"bounds_tol": -1.0}},
         {"domain": {"kind": "box", "lo": [1.0, 1.0], "hi": [1.0, 1.0]}},
+        {"domain": {"kind": "custom-implicit", "expression": "x**2 + y**2 - 4",
+                    "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
@@ -1101,7 +1103,8 @@ class TestCli:
             "no-factors", "r-max-negative", "r-max-decreasing", "resolution-float",
             "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
             "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool",
-            "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty"])
+            "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty",
+            "domain-overflows-box"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,
@@ -1157,11 +1160,28 @@ STOPS = {
                           "invalid-weight", None),
     "numerical-failure": (unit_square(tolerances={"eig_max_iter": 1}),
                           "numerical-failure", None),
+    # (f2) holds by about 0.004, so only the seed s* is tried, and its J >= 0.
+    "seed-failure": (unit_square(33, gamma=19.8, tolerances={"seed_min_exponent": 0}),
+                     "numerical-failure", None),
     "enumeration-overflow": (dict(ring_config(33), enumeration={"max_chi": 1}),
                              "enumeration-overflow", None),
     "resolution-too-coarse": (unit_square(8, domain=tiny_disk()),
                               "resolution-too-coarse", None),
 }
+
+
+def test_each_status_is_declared_by_one_error_class():
+    declared = {cls.__name__: cls.status for cls in SolverError.__subclasses__()}
+    assert declared == {
+        "ResolutionTooCoarseError": "resolution-too-coarse",
+        "InvalidWeightError": "invalid-weight",
+        "HypothesisViolationError": "hypothesis-violation",
+        "NumericalFailureError": "numerical-failure",
+        "EnumerationSizeError": "enumeration-overflow",
+        "ConfigError": None}
+    statuses = [status for status in declared.values() if status is not None]
+    assert len(set(statuses)) == len(statuses)
+    assert {status for _, status, _ in STOPS.values()} == set(statuses) | {"ok"}
 
 
 class TestReportSerializer:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import unit_box
 
-from multibump.errors import EmptyDecompositionError, HypothesisViolationError
+from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components
 from multibump.weights import (WeightSpec, ZeroSet, detect_zero_set,
@@ -91,8 +91,9 @@ def test_all_nodes_masked_raises(square33):
     grid, field, _, _ = square33
     full = ZeroSet(mask=grid.interior_mask.copy(), eps_zero=0.5, band=0.75,
                    touches_domain_boundary=False)
-    with pytest.raises(EmptyDecompositionError):
+    with pytest.raises(HypothesisViolationError) as err:
         decompose_components(grid, full)
+    assert err.value.hypothesis == "a1"
 
 
 def test_four_nested_rings_give_chi_five():
