@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ResolutionTooCoarseError
 from .expressions import compile_expression, evaluate_expression, point_variables
@@ -168,9 +167,18 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def stencil_structure(self) -> np.ndarray:
-        """Face-adjacency (2N-point) structuring element."""
-        return ndimage.generate_binary_structure(self.ndim, 1)
+
+def dilate(mask: np.ndarray, box: bool = False) -> np.ndarray:
+    """``mask`` grown by one lattice step, to the 2N face neighbours or to the
+    3^N box around each node; nodes beyond the lattice count as False."""
+    grown = mask.copy()
+    for axis in range(mask.ndim):
+        # A box grows axis by axis; numpy buffers the overlapping in-place ops.
+        src = grown if box else mask
+        head, tail = ((slice(None),) * axis + (s,) for s in (slice(1, None), slice(None, -1)))
+        grown[head] |= src[tail]
+        grown[tail] |= src[head]
+    return grown
 
 
 def _lattice_axes(domain: DomainSpec, n: int) -> list[np.ndarray]:
@@ -208,7 +216,7 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
         raise ConfigError("invalid domain: interior nodes lie on a face of the "
                           "bounding box, which must enclose the domain")
 
-    ring = ndimage.binary_dilation(member, structure=ndimage.generate_binary_structure(domain.dimension, 1))
+    ring = dilate(member)
     classes = np.full(member.shape, EXTERIOR, dtype=np.uint8)
     classes[ring & ~member] = BOUNDARY
     classes[member] = INTERIOR

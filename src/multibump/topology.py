@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import HypothesisViolationError
-from .grid import Grid
+from .grid import Grid, dilate
 from .weights import ZeroSet
 
 
@@ -52,12 +53,35 @@ class Decomposition:
     j_counts: dict[int, int]
 
 
-def _count_boundary_manifolds(shell_mask: np.ndarray, grid: Grid) -> int:
-    # Thin shells step diagonally along curved manifolds; a radius-1
-    # dilation bridges those gaps before counting face-connected pieces.
-    grown = ndimage.binary_dilation(shell_mask, structure=np.ones((3,) * grid.ndim, bool))
-    _, count = ndimage.label(grown, structure=grid.stencil_structure())
-    return int(count)
+def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Face-connected pieces of ``mask``, numbered from 1 in C scan order of
+    their first node as ``scipy.ndimage.label`` numbers them, and their count."""
+    # The graph's vertices are the runs of nodes along the last axis; a layer
+    # of False past each far face ends every run with its row.
+    lattice = tuple(slice(n) for n in mask.shape)
+    padded = np.zeros([n + 1 for n in mask.shape], dtype=bool)
+    padded[lattice] = mask
+    flat = padded.ravel()
+    start, end = flat.copy(), flat.copy()
+    start[1:] &= ~flat[:-1]
+    end[:-1] &= ~flat[1:]
+    begin = np.flatnonzero(start)
+    # Runs one step apart along another axis overlap where one of them starts.
+    edges = []
+    for step in padded.strides[:-1]:
+        i = np.flatnonzero(flat[:-step] & flat[step:] & (start[:-step] | start[step:]))
+        a, b = (np.searchsorted(begin, j, "right") - 1 for j in (i, i + step))
+        edges += [(a, b), (b, a)]
+    src, dst = (np.concatenate(ends) for ends in zip(*edges))
+    order, runs = np.argsort(src), begin.size
+    graph = csr_array((np.ones(src.size), dst[order],
+                       np.searchsorted(src[order], np.arange(runs + 1))), shape=(runs, runs))
+    # The graph is symmetric, so its strong components are the pieces, found
+    # and numbered in the order of their first run.
+    count, piece = connected_components(graph, connection="strong")
+    labels = np.zeros(flat.size, dtype=np.int32)
+    labels[flat] = np.repeat(piece + 1, np.flatnonzero(end) - begin + 1)
+    return labels.reshape(padded.shape)[lattice], count
 
 
 def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
@@ -75,14 +99,16 @@ def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
     if not free.any():
         raise HypothesisViolationError("a1", "all interior nodes lie in the zero set")
 
-    labels, chi = ndimage.label(free, structure=grid.stencil_structure())
+    labels, chi = face_labels(free)
     raw = []
     for lab in range(1, chi + 1):
         mask = labels == lab
-        shell = ndimage.binary_dilation(mask, structure=grid.stencil_structure()) & ~mask
+        shell = dilate(mask) & ~mask
         # Shell nodes are zero-set or Dirichlet nodes by construction: a
-        # free interior neighbor would belong to the same component.
-        count = _count_boundary_manifolds(shell, grid)
+        # free interior neighbor would belong to the same component.  Thin
+        # shells step diagonally along curved manifolds; a radius-1 dilation
+        # bridges those gaps before counting face-connected pieces.
+        count = face_labels(dilate(shell, box=True))[1]
         raw.append((count, np.flatnonzero(mask.ravel()), np.flatnonzero(shell.ravel())))
 
     j_counts: dict[int, int] = {}

@@ -21,15 +21,15 @@ divergent integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft, ndimage
 
 from .assembly import edge_conductances, lattice_operator
 from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, dilate
 from .tolerances import ToleranceConfig, real
 
 
@@ -72,10 +72,9 @@ def _interior_roots(profile, ends: tuple[float, ...],
     r = np.linspace(0.0, ends[-1], samples + 1)
     v = np.abs(profile(r))
     tiny = v <= 1e-9 * np.max(v)
-    tiny[-2:] = False
     idx = np.flatnonzero(tiny)
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
-    roots = [float(r[run[np.argmin(v[run])]]) for run in runs]
+    roots = [float(r[run[np.argmin(v[run])]]) for run in runs if run[-1] < samples]
     i = 1 + np.flatnonzero((v[1:-2] < v[:-3]) & (v[1:-2] <= v[2:-1]) & ~tiny[1:-2])
     lo, hi, golden = r[i - 1], r[i + 1], (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(60):  # shrinks two sample spacings below 1e-14 * ends[-1]
@@ -282,8 +281,7 @@ def detect_zero_set(field: WeightField, grid: Grid,
     zd = field.spec.zero_distance(grid.points())
     if zd is not None:
         mask |= member & (zd <= band * grid.h)
-    grown = ndimage.binary_dilation(mask, structure=grid.stencil_structure())
-    touches = bool(np.any(grown & grid.boundary_mask))
+    touches = bool(np.any(dilate(mask) & grid.boundary_mask))
     return ZeroSet(mask=mask, eps_zero=eps_zero, band=band,
                    touches_domain_boundary=touches)
 
@@ -299,9 +297,11 @@ def resolvable_floor(field: WeightField, grid: Grid, zero: ZeroSet) -> np.ndarra
     neighborhood fall back to ``eps_zero * a_max``.
     """
     unmasked = grid.interior_mask & ~zero.mask
-    guarded = np.where(unmasked, field.values, np.inf)
-    local_min = ndimage.minimum_filter(guarded, size=2 * 2 + 1,
-                                       mode="constant", cval=np.inf)
+    local_min = np.pad(np.where(unmasked, field.values, np.inf), 2, constant_values=np.inf)
+    for axis in range(grid.ndim):  # the 5^N box minimum, one axis at a time
+        width = local_min.shape[axis] - 4
+        local_min = reduce(np.minimum, (local_min[(slice(None),) * axis + (slice(k, k + width),)]
+                                        for k in range(5)))
     floor = np.where(np.isfinite(local_min), local_min, zero.eps_zero * field.a_max)
     return np.where(zero.mask, np.maximum(field.values, floor), field.values)
 
@@ -317,27 +317,11 @@ def dyadic_radii(grid: Grid) -> tuple[float, ...]:
     return tuple(radii)
 
 
-def _ball_kernel(radius: float, h: float, ndim: int) -> np.ndarray:
-    m = int(np.floor(radius / h))
-    offsets = np.arange(-m, m + 1)
-    mesh = np.meshgrid(*([offsets] * ndim), indexing="ij")
-    dist2 = sum(o.astype(float) ** 2 for o in mesh)
-    return (dist2 <= (radius / h) ** 2).astype(float)
-
-
-def _ball_sums(arrays: list[np.ndarray], kernel: np.ndarray) -> list[np.ndarray]:
-    """Sum of each array over the kernel centred at every node.
-
-    The same bits as ``scipy.signal.fftconvolve(array, kernel, mode="same")``,
-    with the kernel transformed once for all arrays.
-    """
-    shape = arrays[0].shape
-    fshape = [fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, kernel.shape)]
-    spectrum = fft.rfftn(kernel, fshape)
-    centred = tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
-                    for n, k in zip(shape, kernel.shape))
-    return [fft.irfftn(fft.rfftn(array, fshape) * spectrum, fshape)[centred]
-            for array in arrays]
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a fast FFT length."""
+    powers = range(n.bit_length() + 1)
+    return min(m for m in (2**i * 3**j * 5**k for i in powers for j in powers for k in powers)
+               if m >= n)
 
 
 def estimate_a2_constant(a: np.ndarray, grid: Grid,
@@ -354,21 +338,31 @@ def estimate_a2_constant(a: np.ndarray, grid: Grid,
     member = grid.interior_mask
     a_in = np.where(member, a, 0.0)
     rec_in = np.where(member, 1.0 / np.where(member, a, 1.0), 0.0)
-    # Squared lattice distance from each node to the nearest node that is not
-    # an interior node; the padding stands for every node beyond the lattice.
-    clearance = ndimage.distance_transform_edt(np.pad(member, 1))[(slice(1, -1),) * grid.ndim]
-    clearance2 = np.rint(clearance ** 2)
+    # Circular sums over a period of at least n + 1 per axis.  A ball that
+    # leaves the lattice holds the node one step past a face on its axis line,
+    # which the extra zero layer counts as not interior; a contained ball lies
+    # inside the lattice, so its circular sums are its plain ones.
+    fshape = [_fast_len(n + 1) for n in grid.shape]
+    axes, lattice = range(grid.ndim), tuple(slice(n) for n in grid.shape)
+    spectra = [np.fft.rfftn(x, fshape, axes) for x in (member.astype(float), a_in, rec_in)]
+    # Squared lattice distance of each node from the origin, around the period.
+    dist2 = sum(np.meshgrid(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in fshape),
+                            indexing="ij", sparse=True))
 
     best = 1.0
     for radius in radii:
+        if 2 * int(radius / grid.h) + 1 > grid.n:  # wider than the lattice
+            continue
+        kernel = (dist2 <= (radius / grid.h) ** 2).astype(float)
+        spectrum = np.fft.rfftn(kernel, axes=axes)
+        sums = (np.fft.irfftn(s * spectrum, fshape, axes)[lattice] for s in spectra)
+        count = float(kernel.sum())
         # Containment: every lattice node of the ball is an interior node,
         # mirroring the supremum over balls inside the domain.
-        contained = clearance2 > (radius / grid.h) ** 2
+        contained = next(sums) > count - 0.5
         if not contained.any():
             continue
-        kernel = _ball_kernel(radius, grid.h, grid.ndim)
-        sum_a, sum_rec = _ball_sums([a_in, rec_in], kernel)
-        count = float(kernel.sum())
+        sum_a, sum_rec = sums
         product = np.where(contained, (sum_a / count) * (sum_rec / count), -np.inf)
         best = max(best, float(np.max(product)))
     return best

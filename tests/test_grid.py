@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import interior_count, unit_box
 
 from multibump.errors import ConfigError, ResolutionTooCoarseError
-from multibump.grid import BOUNDARY, EXTERIOR, INTERIOR, DomainSpec, build_grid
+from multibump.grid import BOUNDARY, EXTERIOR, INTERIOR, DomainSpec, build_grid, dilate
 
 
 def test_unit_box_n5_counts():
@@ -45,6 +46,16 @@ def test_ball_with_a_tangent_node_inside_by_round_off_builds():
     grid = build_grid(domain, 17)
     phi = domain.membership_function()
     assert phi(grid.points()[0, 8]) < 0.0 and phi(grid.points()[16, 8]) < 0.0
+
+
+@pytest.mark.parametrize("shape", [(23, 31), (9, 11, 13)], ids=["2d", "3d"])
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.7])
+def test_dilate_matches_binary_dilation(shape, density):
+    mask = np.random.default_rng(len(shape)).random(shape) < density
+    face = ndimage.generate_binary_structure(len(shape), 1)
+    assert np.array_equal(dilate(mask), ndimage.binary_dilation(mask, face))
+    assert np.array_equal(dilate(mask, box=True),
+                          ndimage.binary_dilation(mask, np.ones((3,) * len(shape), bool)))
 
 
 def test_classification_deterministic():

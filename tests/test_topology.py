@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import unit_box
 
 from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
-from multibump.topology import decompose_components
+from multibump.topology import decompose_components, face_labels
 from multibump.weights import (WeightSpec, ZeroSet, detect_zero_set,
                                evaluate_weight)
 
@@ -105,3 +106,16 @@ def test_four_nested_rings_give_chi_five():
     dec = decompose_components(grid, zero)
     assert dec.chi == 5
     assert sum(dec.j_counts.values()) == 5
+
+
+@pytest.mark.parametrize("shape", [(23, 31), (9, 11, 13)], ids=["2d", "3d"])
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.6])
+def test_face_labels_match_ndimage_label(shape, density):
+    # Same pieces, same count and the same numbering (C scan order of the
+    # first node), so component ids do not depend on the labelling code.
+    mask = np.random.default_rng(len(shape)).random(shape) < density
+    labels, count = face_labels(mask)
+    face = ndimage.generate_binary_structure(len(shape), 1)
+    expected, expected_count = ndimage.label(mask, face)
+    assert count == expected_count
+    assert np.array_equal(labels, expected)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import cbrt_ring_weight, interior_count, unit_box
 from oracles import reference_a2_constant
@@ -12,9 +13,9 @@ from oracles import reference_a2_constant
 from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import InvalidWeightError
-from multibump.grid import DomainSpec, build_grid
+from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
-from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
+from multibump.weights import (WeightSpec, ZeroSet, assess_admissibility, detect_zero_set,
                                dyadic_radii, estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight, resolvable_floor)
 
@@ -103,12 +104,26 @@ class TestA2:
         (UNIT, WeightSpec.expression("1 + 4*x*y"), 17),
         (DomainSpec.ball((0.0, 0.0, 0.0), 1.0),
          WeightSpec.power_product([((0.0, 0.0, 0.0), 0.5, 0.5)]), 9),
-    ], ids=["ring", "box", "shell3d"])
+        # Nodes 8 of the first and last x-rows touch the circle yet are
+        # interior by round-off: balls leave the lattice through them.
+        (DomainSpec.ball((2.8378101321881832, -1.4582022338196399), 0.40349108778507203),
+         WeightSpec.expression("1 + 40*(x - 2.8)**2"), 17),
+    ], ids=["ring", "box", "shell3d", "tangent"])
     def test_matches_ball_by_ball_reference(self, domain, spec, n):
         # The dyadic radii are exact multiples of h, so balls whose edge
         # lands exactly on the first non-interior node are among those checked.
         grid = build_grid(domain, n)
         field = evaluate_weight(spec, grid)
+        zero = detect_zero_set(field, grid)
+        radii = dyadic_radii(grid)
+        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid, radii) \
+            == pytest.approx(reference_a2_constant(field, grid, zero, radii), rel=1e-12)
+
+    def test_ball_leaving_the_lattice_is_not_contained(self):
+        # Every node interior, the faces too: only the nodes past the lattice
+        # keep the balls at its faces out of the estimate.
+        grid = Grid(domain=UNIT, n=17, h=1.0 / 16, classes=np.full((17, 17), INTERIOR, np.uint8))
+        field = evaluate_weight(WeightSpec.expression("1 + 40*x + y"), grid)
         zero = detect_zero_set(field, grid)
         radii = dyadic_radii(grid)
         assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid, radii) \
@@ -133,6 +148,23 @@ class TestA2:
         a2_scaled = estimate_a2_constant(
             resolvable_floor(scaled, grid, detect_zero_set(scaled, grid)), grid)
         assert a2_scaled == pytest.approx(a2_base, rel=1e-9)
+
+
+@pytest.mark.parametrize("domain, expr", [
+    (B2, "1 + x**2 + 0.5*y"),
+    (DomainSpec.ball((0.0, 0.0, 0.0), 2.0), "3 + x**2 + 0.5*y*z"),
+], ids=["2d", "3d"])
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_resolvable_floor_matches_minimum_filter(domain, expr, density):
+    grid = build_grid(domain, 33 if domain.dimension == 2 else 17)
+    field = evaluate_weight(WeightSpec.expression(expr), grid)
+    mask = grid.interior_mask & (np.random.default_rng(7).random(grid.shape) < density)
+    zero = ZeroSet(mask=mask, eps_zero=1e-6, band=0.75, touches_domain_boundary=False)
+    guarded = np.where(grid.interior_mask & ~mask, field.values, np.inf)
+    local_min = ndimage.minimum_filter(guarded, size=5, mode="constant", cval=np.inf)
+    floor = np.where(np.isfinite(local_min), local_min, zero.eps_zero * field.a_max)
+    assert np.array_equal(resolvable_floor(field, grid, zero),
+                          np.where(mask, np.maximum(field.values, floor), field.values))
 
 
 class TestLt:
@@ -247,6 +279,17 @@ class TestZeroSet:
         # Two components, and gamma 10 fails (f2) on the disk: exit 2 either way.
         assert [(r.status, r.chi, r.zero_count) for r in reports] == \
             [("hypothesis-violation", 2, 88)] * 2
+
+    def test_zero_at_the_outer_end_is_no_interior_sphere(self):
+        # (2 - r)**3 stays below 1e-9 of its largest value over the last few
+        # samples: that whole run is the boundary's zero, not a sphere inside.
+        weight = {"kind": "radial-piecewise", "center": [0.0, 0.0],
+                  "pieces": [{"r_max": 2.0, "expr": "(2 - r)**3"}]}
+        stored = dict(json.loads(RING_JSON.read_text()), resolution=65)
+        reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
+                   for w in (weight, dict(weight, zero_radii=[]))]
+        assert [(r.admissibility.verdict, r.zero_count) for r in reports] == \
+            [("zero-set-touches-boundary", 56)] * 2
 
     def test_profile_roots_do_not_follow_the_run_zero_threshold(self):
         # min |p| = 1e-7 between samples, below the fixed 1e-6 of the largest:
