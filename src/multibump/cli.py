@@ -6,7 +6,8 @@ Subcommands:
 * ``solve``  -- run the full pipeline and write report + solution fields,
 * ``verify`` -- re-verify an exported solution CSV against its config,
 * ``report`` -- print the text report rendered from a stored report.json
-  (the same bytes as the run's report.txt).
+  (the same bytes as the run's report.txt); a file that is not a report
+  is an error.
 
 Exit status is 0 only when every verdict of the run is true; a violated
 hypothesis exits 2, any other stop 1.  ``--verbose`` logs one line per
@@ -74,7 +75,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.report_json) as handle:
-        sys.stdout.write(render_report(json.load(handle)))
+        try:
+            text = render_report(json.load(handle))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise SolverError(f"{args.report_json}: not a report: {exc!r}") from exc
+    sys.stdout.write(text)
     return 0
 
 

@@ -19,9 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import HypothesisViolationError
 from .grid import Grid, dilate
-from .weights import ZeroSet
 
 
 @dataclass(frozen=True)
@@ -84,20 +82,13 @@ def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels.reshape(padded.shape)[lattice], count
 
 
-def decompose_components(grid: Grid, zero: ZeroSet) -> Decomposition:
-    """Flood-fill decomposition of interior-minus-zero-set nodes.
+def decompose_components(grid: Grid, zero: np.ndarray) -> Decomposition:
+    """Flood-fill decomposition of the interior nodes off the zero-set mask ``zero``.
 
-    Raises a hypothesis (a1) violation when the zero set touches the domain
-    boundary or when nothing remains.
     Component ids are deterministic: labels are assigned in C scan order and
     numbered within each boundary-manifold class.
     """
-    if zero.touches_domain_boundary:
-        raise HypothesisViolationError(
-            "a1", "the zero set of the weight reaches the domain boundary")
-    free = grid.interior_mask & ~zero.mask
-    if not free.any():
-        raise HypothesisViolationError("a1", "all interior nodes lie in the zero set")
+    free = grid.interior_mask & ~zero
 
     labels, chi = face_labels(free)
     raw = []

@@ -22,11 +22,11 @@ from .composition import w11_seminorm
 from .energy import NonlinearitySpec
 from .grid import Grid
 from .tolerances import ToleranceConfig
-from .weights import WeightField, ZeroSet
+from .weights import WeightField
 
 
 def weak_residual(values: np.ndarray, field: WeightField, f: Callable,
-                  grid: Grid, zero: ZeroSet) -> float:
+                  grid: Grid, zero: np.ndarray) -> float:
     """Max-norm stationarity defect over interior nodes off the zero set.
 
     ``f`` is any callable s -> f(s) returning an array, such as
@@ -34,7 +34,7 @@ def weak_residual(values: np.ndarray, field: WeightField, f: Callable,
     field supplies its own values at pinned nodes, so extended and composed
     candidates verify directly.
     """
-    where = (grid.interior_mask & ~zero.mask).ravel()
+    where = (grid.interior_mask & ~zero).ravel()
     flat = values.ravel()
     residual = field.operator @ flat - f(flat) * grid.cell_volume
     return float(np.max(np.abs(residual[where])))
@@ -57,7 +57,7 @@ class VerificationReport:
 
 
 def check_conclusions(values: np.ndarray, field: WeightField,
-                      nonlinearity: NonlinearitySpec, grid: Grid, zero: ZeroSet,
+                      nonlinearity: NonlinearitySpec, grid: Grid, zero: np.ndarray,
                       tol: ToleranceConfig = ToleranceConfig()) -> VerificationReport:
     """Populate the full verification report for one candidate field.
 
@@ -69,7 +69,7 @@ def check_conclusions(values: np.ndarray, field: WeightField,
     s_star = nonlinearity.s_star
     residual_tol = tol.residual_tol_scale * nonlinearity.gamma * s_star * grid.cell_volume
     res = weak_residual(values, field, nonlinearity.f, grid, zero)
-    pinned = zero.mask | grid.boundary_mask
+    pinned = zero | grid.boundary_mask
     zero_trace = float(np.max(np.abs(values[pinned]))) if pinned.any() else 0.0
     vmin = float(np.min(values))
     vmax = float(np.max(values))

@@ -224,31 +224,6 @@ class WeightField:
             array.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ZeroSet:
-    """Nodes treated as part of the zero set of the weight.
-
-    The mask combines near-exact zeros (value below ``eps_zero * a_max``)
-    with, when the weight declares its zero manifolds, all interior nodes
-    within ``band * h`` of a manifold; ``eps_zero`` and ``band`` record the
-    ``zero_threshold`` and ``zero_band`` it was detected with.  The band
-    guarantees that every stencil edge crossing a manifold has a masked
-    endpoint, so components decouple exactly in the discrete operator.
-    """
-
-    mask: np.ndarray = dc_field(repr=False)
-    eps_zero: float
-    band: float
-    touches_domain_boundary: bool
-
-    def __post_init__(self):
-        self.mask.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-
 def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     """Evaluate the weight at all non-exterior nodes.
 
@@ -273,20 +248,25 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
 
 
 def detect_zero_set(field: WeightField, grid: Grid,
-                    tol: ToleranceConfig = ToleranceConfig()) -> ZeroSet:
-    """Mask interior nodes belonging to the zero set of the weight."""
-    eps_zero, band = tol.zero_threshold, tol.zero_band
-    member = grid.interior_mask
-    mask = member & (field.values < eps_zero * field.a_max)
+                    tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
+    """Read-only mask of the interior nodes in the zero set of the weight.
+
+    The mask combines near-exact zeros (value below ``zero_threshold *
+    a_max``) with, when the weight declares its zero manifolds, all interior
+    nodes within ``zero_band * h`` of a manifold.  The band guarantees that
+    every stencil edge crossing a manifold has a masked endpoint, so
+    components decouple exactly in the discrete operator.
+    """
+    mask = grid.interior_mask & (field.values < tol.zero_threshold * field.a_max)
     zd = field.spec.zero_distance(grid.points())
     if zd is not None:
-        mask |= member & (zd <= band * grid.h)
-    touches = bool(np.any(dilate(mask) & grid.boundary_mask))
-    return ZeroSet(mask=mask, eps_zero=eps_zero, band=band,
-                   touches_domain_boundary=touches)
+        mask |= grid.interior_mask & (zd <= tol.zero_band * grid.h)
+    mask.setflags(write=False)
+    return mask
 
 
-def resolvable_floor(field: WeightField, grid: Grid, zero: ZeroSet) -> np.ndarray:
+def resolvable_floor(field: WeightField, grid: Grid, zero: np.ndarray,
+                     tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
     """Weight values with zero-set nodes lifted to their resolvable scale.
 
     A node in the zero-set mask contributes to reciprocal integrals through
@@ -294,16 +274,16 @@ def resolvable_floor(field: WeightField, grid: Grid, zero: ZeroSet) -> np.ndarra
     lattice steps.  This mimics cutting the integral off at the scale the
     grid can resolve: genuinely divergent integrals keep growing under
     refinement, convergent ones stabilize.  Nodes with a fully masked
-    neighborhood fall back to ``eps_zero * a_max``.
+    neighborhood fall back to ``zero_threshold * a_max``.
     """
-    unmasked = grid.interior_mask & ~zero.mask
+    unmasked = grid.interior_mask & ~zero
     local_min = np.pad(np.where(unmasked, field.values, np.inf), 2, constant_values=np.inf)
     for axis in range(grid.ndim):  # the 5^N box minimum, one axis at a time
         width = local_min.shape[axis] - 4
         local_min = reduce(np.minimum, (local_min[(slice(None),) * axis + (slice(k, k + width),)]
                                         for k in range(5)))
-    floor = np.where(np.isfinite(local_min), local_min, zero.eps_zero * field.a_max)
-    return np.where(zero.mask, np.maximum(field.values, floor), field.values)
+    floor = np.where(np.isfinite(local_min), local_min, tol.zero_threshold * field.a_max)
+    return np.where(zero, np.maximum(field.values, floor), field.values)
 
 
 def dyadic_radii(grid: Grid) -> tuple[float, ...]:
@@ -408,18 +388,19 @@ class AdmissibilityReport:
         return self.verdict == "admissible"
 
 
-def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
+def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
                          tol: ToleranceConfig = ToleranceConfig()) -> AdmissibilityReport:
     """Two-level admissibility assessment of a weight.
 
-    The caller's grid, weight field and zero set (detected at ``tol``) are
-    the fine level; the coarse level, with roughly doubled spacing, is built
-    here, its zero set detected at ``tol`` too.
+    The caller's grid, weight field and zero-set mask (detected at ``tol``)
+    are the fine level; the coarse level, with roughly doubled spacing, is
+    built here, its zero set detected at ``tol`` too.
     Divergence of the A2 constant or of an L^t norm is read off the growth
     between the levels.  The verdict is
 
-    * ``zero-set-touches-boundary`` when the detected zero set meets the
-      Dirichlet ring (condition (a1) fails),
+    * ``zero-set-touches-boundary`` when the fine zero set meets the
+      Dirichlet ring, as one that holds every interior node always does
+      (condition (a1) fails; nothing else decides it),
     * ``violates-a2`` when the A2 estimate grows beyond tolerance,
     * ``violates-lt`` when no scanned exponent above N/2 has a stable norm,
     * ``admissible`` otherwise.
@@ -428,8 +409,8 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
     grid_c = build_grid(grid.domain, n_coarse)
     field_c = evaluate_weight(field.spec, grid_c)
     zero_c = detect_zero_set(field_c, grid_c, tol)
-    floor_c = resolvable_floor(field_c, grid_c, zero_c)
-    floor_f = resolvable_floor(field, grid, zero)
+    floor_c = resolvable_floor(field_c, grid_c, zero_c, tol)
+    floor_f = resolvable_floor(field, grid, zero, tol)
 
     # Both levels sample the same physical radii (dyadic from the coarse
     # spacing) so the growth ratio compares like-for-like quadratures.
@@ -452,7 +433,8 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
     best_t = max(stable_ts) if stable_ts else None
     n_over_2 = grid.ndim / 2.0
 
-    if zero.touches_domain_boundary:
+    touches = bool(np.any(dilate(zero) & grid.boundary_mask))
+    if touches:
         verdict = "zero-set-touches-boundary"
     elif a2_divergent:
         verdict = "violates-a2"
@@ -465,7 +447,7 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: ZeroSet,
         n_coarse=n_coarse, n_fine=grid.n,
         a2_coarse=a2_c, a2_estimate=a2_f, a2_growth=a2_growth,
         a2_divergent=a2_divergent, lt_rows=tuple(rows), best_t=best_t,
-        n_over_2=n_over_2, zero_count=zero.count,
-        touches_domain_boundary=zero.touches_domain_boundary,
+        n_over_2=n_over_2, zero_count=int(np.count_nonzero(zero)),
+        touches_domain_boundary=touches,
         verdict=verdict)
 

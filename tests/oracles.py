@@ -25,7 +25,7 @@ from multibump.composition import MultiBumpSolution
 from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
 from multibump.topology import Component
-from multibump.weights import WeightField, ZeroSet, resolvable_floor
+from multibump.weights import WeightField, resolvable_floor
 
 
 def reference_operator(conductances: list[np.ndarray], grid: Grid,
@@ -154,7 +154,7 @@ def reference_solution_vtk(path, values: np.ndarray, grid: Grid) -> None:
             handle.write(f"{float(value)!r}\n")
 
 
-def reference_a2_constant(field: WeightField, grid: Grid, zero: ZeroSet,
+def reference_a2_constant(field: WeightField, grid: Grid, zero: np.ndarray,
                           radii: tuple[float, ...]) -> float:
     """A_2 estimate over every lattice ball whose nodes are all interior nodes.
 

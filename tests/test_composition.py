@@ -48,7 +48,7 @@ class TestExtension:
         grid, _, zero, dec, bumps = ring_bumps
         comp = dec.components[0]
         extended = extend_bump(bumps[comp.id], grid)
-        assert np.all(extended[zero.mask] == 0.0)
+        assert np.all(extended[zero] == 0.0)
         assert np.all(extended[grid.boundary_mask] == 0.0)
         other = dec.components[1]
         assert np.all(extended.ravel()[other.nodes] == 0.0)

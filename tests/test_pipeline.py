@@ -30,7 +30,7 @@ from multibump.pipeline import (RunReport, check_hypotheses, load_config,
 from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
-from multibump.weights import WeightSpec
+from multibump.weights import WeightSpec, detect_zero_set
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -765,12 +765,16 @@ class TestSetupMemo:
 
     @pytest.mark.parametrize("change", ["zero_band", "resolution", "signed-zero lo"])
     def test_configs_that_differ_get_their_own_setup(self, change, weight_evaluations):
-        base = parse_config(unit_square())
+        # A declared ring, so that the zero band shows in the mask.
+        ring = {"kind": "radial-piecewise", "center": [0.5, 0.5],
+                "pieces": [{"r_max": 0.75, "expr": "abs(r - 0.3)"}], "zero_radii": [0.3]}
+        base = parse_config(unit_square(weight=ring))
         other = {
-            "zero_band": lambda: parse_config(unit_square(tolerances={"zero_band": 0.5})),
+            "zero_band": lambda: parse_config(unit_square(weight=ring,
+                                                          tolerances={"zero_band": 0.5})),
             "resolution": lambda: _apply_overrides(base, argparse.Namespace(resolution=33)),
             "signed-zero lo": lambda: parse_config(
-                unit_square(domain=SIGNED_ZERO_BOXES["lo"][0])),
+                unit_square(weight=ring, domain=SIGNED_ZERO_BOXES["lo"][0])),
         }[change]()
         first, again, second = (pipeline._setup(c) for c in (base, base, other))
         assert again is first
@@ -778,7 +782,10 @@ class TestSetupMemo:
         assert len(weight_evaluations) == 2
         assert repr(second[0].domain) == repr(other.domain)
         assert second[0].n == other.resolution
-        assert second[2].band == other.tolerances.zero_band
+        grid, field, zero = second
+        assert np.array_equal(zero, detect_zero_set(field, grid, other.tolerances))
+        if change == "zero_band":
+            assert not np.array_equal(zero, first[2])
 
     def test_signed_zero_boxes_write_what_a_fresh_process_writes(self, tmp_path):
         fresh_args = []
@@ -830,6 +837,22 @@ class TestStageFailures:
         assert report["violated_hypothesis"] is None
         assert "status: invalid-weight" in (out / "report.txt").read_text()
         assert main(["check", "--config", str(path)]) == 1
+
+    def test_zero_set_on_every_interior_node_stops_at_admissibility(self, tmp_path, capsys):
+        # Such a zero set meets the Dirichlet ring, so (a1) fails before the
+        # decomposition, which would find no component.
+        out = tmp_path / "out"
+        weight = {"kind": "custom-expression",
+                  "expr": "where(x*(1 - x)*y*(1 - y) > 0, 1e-9, 1)"}
+        path = write_config(tmp_path, unit_square(weight=weight, out=str(out)))
+        assert main(["check", "--config", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "violated-hypothesis: (a1)" in lines
+        assert "failure: admissibility verdict: zero-set-touches-boundary" in lines
+        assert "zero-set-nodes: 225" in lines
+        report = json.loads((out / "report.json").read_text())
+        assert report["zero_count"] == 225
+        assert report["chi"] is None
 
     def test_eigensolver_failure_writes_report(self, tmp_path):
         out = tmp_path / "out"
@@ -1038,6 +1061,17 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(out / "report.json")]) == 0
         assert capsys.readouterr().out == (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("text", ['{"status": "ok"}', "{not json", "[1, 2]"],
+                             ids=["mapping", "not-json", "list"])
+    def test_report_of_a_file_that_is_no_report_is_an_error(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: not a report: .*\n",
+                            captured.err)
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

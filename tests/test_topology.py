@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import unit_box
-
-from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components, face_labels
-from multibump.weights import (WeightSpec, ZeroSet, detect_zero_set,
-                               evaluate_weight)
+from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 
 def test_ring_weight_disk_plus_annulus(ring65):
@@ -51,7 +47,7 @@ def test_constant_weight_single_component(square33):
 
 def test_components_partition_free_nodes(ring65):
     grid, field, zero, dec = ring65
-    free = grid.interior_mask & ~zero.mask
+    free = grid.interior_mask & ~zero
     seen = np.zeros(grid.classes.size, dtype=int)
     for comp in dec.components:
         seen[comp.nodes] += 1
@@ -61,7 +57,7 @@ def test_components_partition_free_nodes(ring65):
 
 def test_shell_contains_no_component_nodes(ring65):
     grid, field, zero, dec = ring65
-    pinned = zero.mask.ravel() | grid.boundary_mask.ravel()
+    pinned = zero.ravel() | grid.boundary_mask.ravel()
     for comp in dec.components:
         assert comp.shell.size > 0
         assert np.all(pinned[comp.shell])
@@ -74,27 +70,6 @@ def test_decomposition_deterministic(ring65):
     assert [c.id for c in a.components] == [c.id for c in b.components]
     for ca, cb in zip(a.components, b.components):
         assert np.array_equal(ca.nodes, cb.nodes)
-
-
-def test_zero_set_touching_boundary_raises(ring65):
-    grid, *_ = ring65
-    spec = WeightSpec.expression(
-        "sqrt((x - 0.5)**2 + where(y < 0.5, (0.5 - y)**2, 0))")
-    box = build_grid(unit_box(2), 33)
-    field = evaluate_weight(spec, box)
-    zero = detect_zero_set(field, box)
-    with pytest.raises(HypothesisViolationError) as err:
-        decompose_components(box, zero)
-    assert err.value.hypothesis == "a1"
-
-
-def test_all_nodes_masked_raises(square33):
-    grid, field, _, _ = square33
-    full = ZeroSet(mask=grid.interior_mask.copy(), eps_zero=0.5, band=0.75,
-                   touches_domain_boundary=False)
-    with pytest.raises(HypothesisViolationError) as err:
-        decompose_components(grid, full)
-    assert err.value.hypothesis == "a1"
 
 
 def test_four_nested_rings_give_chi_five():

@@ -65,7 +65,7 @@ def test_residual_additive_for_disjoint_supports(ring65, logistic10):
     combined = residual_field(fields[0] + fields[1], field, f, grid)
     separate = residual_field(fields[0], field, f, grid) \
         + residual_field(fields[1], field, f, grid)
-    inside = grid.interior_mask & ~zero.mask
+    inside = grid.interior_mask & ~zero
     assert np.allclose(combined[inside], separate[inside], atol=1e-12)
 
 

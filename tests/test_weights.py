@@ -15,7 +15,7 @@ from multibump.cli import main
 from multibump.errors import InvalidWeightError
 from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
-from multibump.weights import (WeightSpec, ZeroSet, assess_admissibility, detect_zero_set,
+from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
                                dyadic_radii, estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight, resolvable_floor)
 
@@ -159,11 +159,12 @@ def test_resolvable_floor_matches_minimum_filter(domain, expr, density):
     grid = build_grid(domain, 33 if domain.dimension == 2 else 17)
     field = evaluate_weight(WeightSpec.expression(expr), grid)
     mask = grid.interior_mask & (np.random.default_rng(7).random(grid.shape) < density)
-    zero = ZeroSet(mask=mask, eps_zero=1e-6, band=0.75, touches_domain_boundary=False)
     guarded = np.where(grid.interior_mask & ~mask, field.values, np.inf)
     local_min = ndimage.minimum_filter(guarded, size=5, mode="constant", cval=np.inf)
-    floor = np.where(np.isfinite(local_min), local_min, zero.eps_zero * field.a_max)
-    assert np.array_equal(resolvable_floor(field, grid, zero),
+    # A threshold this high lifts the nodes whose whole box is masked above their values.
+    tol = ToleranceConfig(zero_threshold=0.5)
+    floor = np.where(np.isfinite(local_min), local_min, tol.zero_threshold * field.a_max)
+    assert np.array_equal(resolvable_floor(field, grid, mask, tol),
                           np.where(mask, np.maximum(field.values, floor), field.values))
 
 
@@ -220,6 +221,12 @@ def test_weight_field_arrays_are_read_only(square33):
         field.operator.data[0] = 2.0
     with pytest.raises(ValueError):
         field.values[0] = 2.0
+    # The setup memo shares the zero-set mask between a solve and its re-verification.
+    zero = pipeline._setup(pipeline.parse_config(dict(json.loads(RING_JSON.read_text()),
+                                                      resolution=17)))[2]
+    assert zero.dtype == bool and zero.any()
+    with pytest.raises(ValueError):
+        zero[np.nonzero(zero)] = False
 
 
 class TestZeroSet:
@@ -227,12 +234,12 @@ class TestZeroSet:
         grid = build_grid(UNIT, 17)
         field = evaluate_weight(WeightSpec.constant(1.0), grid)
         zero = detect_zero_set(field, grid)
-        assert zero.count == 0
-        assert not zero.touches_domain_boundary
+        assert not zero.any()
+        assert not assess_admissibility(grid, field, zero).touches_domain_boundary
 
     def test_ring_mask_hausdorff_close_to_circle(self, ring65):
         grid, field, zero, _ = ring65
-        points = grid.points()[zero.mask]
+        points = grid.points()[zero]
         radii = np.linalg.norm(points, axis=-1)
         assert np.max(np.abs(radii - 1.0)) <= 2.0 * grid.h
         angles = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
@@ -253,7 +260,7 @@ class TestZeroSet:
             weight = {"kind": "custom-expression",
                       "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5",
                       "zero_expr": "abs(sqrt(x**2 + y**2) - 1)"}
-        masks = [pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))[2].mask
+        masks = [pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))[2]
                  for data in (stored, dict(stored, weight=weight))]
         assert np.count_nonzero(masks[0]) > 0
         assert np.array_equal(masks[0], masks[1])
@@ -300,7 +307,7 @@ class TestZeroSet:
         field = evaluate_weight(spec, grid)
         tol = ToleranceConfig(zero_threshold=1e-8)
         assert not np.any(grid.interior_mask & (field.values < 1e-8 * field.a_max))
-        assert detect_zero_set(field, grid, tol).count > 0
+        assert np.count_nonzero(detect_zero_set(field, grid, tol)) > 0
 
     @pytest.mark.parametrize("expr", ["abs(r - 0.7)**(1/3)", "(r - 0.7)**2 + 1e-4"],
                              ids=["cube-root", "positive-minimum"])
@@ -332,8 +339,8 @@ class TestZeroSet:
         spec = WeightSpec.expression(
             "sqrt((x - 0.5)**2 + where(y < 0.5, (0.5 - y)**2, 0))")
         field = evaluate_weight(spec, grid)
-        zero = detect_zero_set(field, grid)
-        assert zero.touches_domain_boundary
+        assert assess_admissibility(grid, field, detect_zero_set(field, grid)) \
+            .touches_domain_boundary
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(min_value=1e-8, max_value=1e-2),
@@ -344,7 +351,7 @@ class TestZeroSet:
         small = detect_zero_set(field, grid, ToleranceConfig(zero_threshold=eps))
         large = detect_zero_set(field, grid,
                                 ToleranceConfig(zero_threshold=min(eps * factor, 0.5)))
-        assert not np.any(small.mask & ~large.mask)
+        assert not np.any(small & ~large)
 
 
 class TestAdmissibilityVerdicts:
