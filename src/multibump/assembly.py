@@ -53,7 +53,7 @@ def lattice_operator(grid: Grid, conductances: list[np.ndarray],
     """
     if scale is None:
         scale = grid.h ** (grid.ndim - 2)
-    ndim, n, size = grid.ndim, grid.n, grid.classes.size
+    ndim, n, size = grid.ndim, grid.n, grid.interior_mask.size
     interior = grid.interior_mask
     # Column k of a node's row in ``band`` holds its coupling to the node at
     # offsets[k]: -axis 0, ..., -axis N-1, itself, +axis N-1, ..., +axis 0.

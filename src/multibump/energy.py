@@ -27,7 +27,6 @@ exactly when the spectral margin condition (f2) holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -46,14 +45,17 @@ class NonlinearitySpec:
 
     Required shape: f(0) = 0 with a strict local minimum at 0, f > 0 on
     (0, s*) with f(s*) = 0, f > 0 on [-beta*, 0), and finite one-sided
-    slope gamma = lim f(s)/s as s -> 0+.
+    slope gamma = lim f(s)/s as s -> 0+.  ``expr`` is f as a formula in ``s``.
     """
 
     kind: str
     gamma: float
     s_star: float
     beta_star: float
-    evaluator: Callable
+    expr: str
+
+    def __post_init__(self):
+        compile_expression(self.expr, ("s",))  # a bad expression is a configuration error
 
     @classmethod
     def logistic(cls, gamma: float, s_star: float = 1.0,
@@ -62,11 +64,10 @@ class NonlinearitySpec:
         gamma, s_star = real(gamma, "gamma"), real(s_star, "s_star")
         if beta_star is None:
             beta_star = s_star / 2.0
-
-        def logistic_f(s):
-            return np.where(s <= s_star, gamma * np.abs(s) * (1.0 - s / s_star), 0.0)
         return cls(kind="logistic-default", gamma=gamma, s_star=s_star,
-                   beta_star=real(beta_star, "beta_star"), evaluator=logistic_f)
+                   beta_star=real(beta_star, "beta_star"),
+                   expr=f"where(s <= {s_star!r}, "
+                        f"{gamma!r} * abs(s) * (1.0 - s / {s_star!r}), 0.0)")
 
     @classmethod
     def custom(cls, expr: str, gamma: float, s_star: float,
@@ -74,10 +75,11 @@ class NonlinearitySpec:
         """f given by the expression ``expr`` in ``s``."""
         return cls(kind="custom", gamma=real(gamma, "gamma"),
                    s_star=real(s_star, "s_star"), beta_star=real(beta_star, "beta_star"),
-                   evaluator=compile_expression(expr, ("s",)))
+                   expr=expr)
 
     def f(self, s):
-        return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)
+        f = compile_expression(self.expr, ("s",))
+        return np.asarray(f(np.asarray(s, dtype=float)), dtype=float)
 
 
 def validate_nonlinearity(spec: NonlinearitySpec) -> None:

@@ -1,13 +1,16 @@
 """Uniform structured grids over implicitly defined bounded domains.
 
 The solver discretizes a bounded domain in R^N (N >= 2) on a uniform tensor
-lattice covering its bounding box.  Node classification:
+lattice covering its bounding box.  Each domain is a formula phi (negative
+inside) that :mod:`multibump.expressions` evaluates.  The grid stores two
+node masks:
 
-* ``INTERIOR``  -- node center strictly inside the domain; these carry all
+* interior -- node center strictly inside the domain; these carry all
   unknowns,
-* ``BOUNDARY``  -- node center on or outside the boundary but adjacent (in
-  the 2N-point stencil) to an interior node; pinned to 0 in every solve,
-* ``EXTERIOR``  -- everything else; excluded from all linear algebra.
+* boundary -- node center on or outside the boundary but adjacent (in
+  the 2N-point stencil) to an interior node; pinned to 0 in every solve.
+
+Every other node is excluded from all linear algebra.
 
 Membership uses a strict inequality at node centers, so lattice nodes that
 fall exactly on the boundary (the generic case for axis-aligned boxes)
@@ -21,7 +24,7 @@ operator's cut conductances 1/theta put it on the true boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -29,29 +32,24 @@ from .errors import ConfigError, ResolutionTooCoarseError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .tolerances import real
 
-EXTERIOR = 0
-INTERIOR = 1
-BOUNDARY = 2
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Implicit description of a bounded domain.
 
-    ``kind`` is one of ``"box"``, ``"ball"``, ``"custom-implicit"``.  A
-    custom domain supplies ``expression``, a signed-distance-like formula in
-    the coordinates (negative inside), together with an explicit bounding
-    box.  The bounding box must be a hypercube so that a single lattice
-    spacing serves every axis.
+    ``kind`` is one of ``"box"``, ``"ball"``, ``"custom-implicit"``.  Every
+    kind is its ``expression``, a signed-distance-like formula in the
+    coordinates (negative inside), over a bounding box.  A custom domain
+    gives both; a box writes its max-norm distance and a ball its Euclidean
+    one, every number as ``repr`` so the formula is exact.  The bounding box
+    must be a hypercube so that a single lattice spacing serves every axis.
     """
 
     kind: str
     dimension: int
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    center: tuple[float, ...] | None = None
-    radius: float | None = None
-    expression: str | None = None
+    expression: str
+    radius: float | None = None  # a ball's diameter is 2r; hi - lo can miss it by an ulp
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -63,14 +61,20 @@ class DomainSpec:
             raise ValueError("bounding box must have positive extent on every axis")
         if np.max(widths) - np.min(widths) > 1e-9 * np.max(widths):
             raise ValueError("bounding box must be a hypercube (equal axis extents)")
-        if self.expression is not None:
-            compile_expression(self.expression, point_variables(self.dimension))
+        compile_expression(self.expression, point_variables(self.dimension))
 
     @classmethod
     def box(cls, lo, hi) -> "DomainSpec":
         lo = tuple(real(v, "lo") for v in lo)
         hi = tuple(real(v, "hi") for v in hi)
-        return cls(kind="box", dimension=len(lo), lo=lo, hi=hi)
+        names = point_variables(len(lo))
+        # Max is exact, and of equal sides it keeps the last: every lo side
+        # before every hi side gives a zero at a corner the sign it had in numpy.
+        # A box without axes gets "", which the dimension check refuses first.
+        sides = ([f"{a!r} - {x}" for a, x in zip(lo, names)]
+                 + [f"{x} - {b!r}" for x, b in zip(names, hi)]) or [""]
+        return cls(kind="box", dimension=len(lo), lo=lo, hi=hi,
+                   expression=reduce(lambda left, right: f"maximum({left}, {right})", sides))
 
     @classmethod
     def ball(cls, center, radius: float) -> "DomainSpec":
@@ -78,8 +82,10 @@ class DomainSpec:
         r = real(radius, "radius")
         lo = tuple(c - r for c in center)
         hi = tuple(c + r for c in center)
+        squares = " + ".join(f"({x} - {c!r})**2"
+                             for x, c in zip(point_variables(len(center)), center))
         return cls(kind="ball", dimension=len(center), lo=lo, hi=hi,
-                   center=center, radius=r)
+                   expression=f"sqrt({squares}) - {r!r}", radius=r)
 
     @classmethod
     def implicit(cls, expression: str, lo, hi) -> "DomainSpec":
@@ -90,27 +96,7 @@ class DomainSpec:
 
     def membership_function(self):
         """Return phi(points) < 0 inside; points has shape (..., N)."""
-        if self.kind == "box":
-            lo = np.asarray(self.lo)
-            hi = np.asarray(self.hi)
-
-            def phi(points):
-                below = np.max(lo - points, axis=-1)
-                above = np.max(points - hi, axis=-1)
-                return np.maximum(below, above)
-
-            return phi
-        if self.kind == "ball":
-            center = np.asarray(self.center)
-            radius = self.radius
-
-            def phi(points):
-                return np.linalg.norm(points - center, axis=-1) - radius
-
-            return phi
-        if self.kind == "custom-implicit":
-            return partial(evaluate_expression, self.expression)
-        raise ValueError(f"unknown domain kind {self.kind!r}")
+        return partial(evaluate_expression, self.expression)
 
     def diameter(self) -> float:
         """Diameter proxy used to cap sampling radii (bounding-box diagonal)."""
@@ -124,19 +110,21 @@ class DomainSpec:
 class Grid:
     """Classified uniform lattice over the bounding box of a domain.
 
-    ``classes`` has shape ``(n,) * N`` with values EXTERIOR/INTERIOR/BOUNDARY.
-    Node coordinates along axis d are ``axes[d]``; the full lattice is their
-    tensor product in C order (axis 0 slowest).  Immutable after
-    construction; safe for concurrent reads.
+    ``interior_mask`` and ``boundary_mask`` are disjoint ``bool`` arrays of
+    shape ``(n,) * N``.  Node coordinates along axis d are ``axes[d]``; the
+    full lattice is their tensor product in C order (axis 0 slowest).
+    Immutable after construction; safe for concurrent reads.
     """
 
     domain: DomainSpec
     n: int
     h: float
-    classes: np.ndarray = field(repr=False)
+    interior_mask: np.ndarray = field(repr=False)
+    boundary_mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.classes.setflags(write=False)
+        self.interior_mask.setflags(write=False)
+        self.boundary_mask.setflags(write=False)
 
     @property
     def ndim(self) -> int:
@@ -144,19 +132,11 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.classes.shape
+        return self.interior_mask.shape
 
     @property
     def axes(self) -> list[np.ndarray]:
         return _lattice_axes(self.domain, self.n)
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self.classes == INTERIOR
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return self.classes == BOUNDARY
 
     @property
     def cell_volume(self) -> float:
@@ -216,8 +196,5 @@ def build_grid(domain: DomainSpec, n: int) -> Grid:
         raise ConfigError("invalid domain: interior nodes lie on a face of the "
                           "bounding box, which must enclose the domain")
 
-    ring = dilate(member)
-    classes = np.full(member.shape, EXTERIOR, dtype=np.uint8)
-    classes[ring & ~member] = BOUNDARY
-    classes[member] = INTERIOR
-    return Grid(domain=domain, n=n, h=h, classes=classes)
+    return Grid(domain=domain, n=n, h=h, interior_mask=member,
+                boundary_mask=dilate(member) & ~member)

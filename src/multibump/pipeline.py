@@ -18,8 +18,8 @@ is formatted once per run; a file read back whose SHA-256 is that of a file
 the run wrote is not parsed, and any other file goes to ``np.loadtxt``.
 
 All outputs are deterministic: reruns with an identical configuration
-produce byte-identical report and solution files.  Timings are kept in
-memory and logged (one line per stage), never serialized.
+produce byte-identical report and solution files.  Timings are only
+logged (one line per stage), never kept or serialized.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,9 @@ class RunConfig:
             if not valid:
                 raise ConfigError(f"invalid {name}: must be {rule}, "
                                   f"got {getattr(self, name)!r}")
+        if self.export_vtk and self.domain.dimension > 3:  # legacy VTK points have 3 axes
+            raise ConfigError("invalid export_vtk: VTK export needs a 2D or 3D domain, "
+                              f"got {self.domain.dimension}D")
         _section("weight", self.weight.compile, self.domain.dimension)
 
     def digest(self) -> str:
@@ -178,7 +181,7 @@ class SolutionRecord:
 
 @dataclass
 class RunReport:
-    """Everything one run produced; serialized without timings."""
+    """Everything one run produced."""
 
     config_digest: str
     resolution: int
@@ -190,7 +193,6 @@ class RunReport:
     violated_hypothesis: str | None = None
     failure_message: str | None = None
     admissibility: AdmissibilityReport | None = None
-    zero_count: int | None = None
     chi: int | None = None
     j_counts: dict[int, int] | None = None
     component_sizes: dict[str, int] | None = None
@@ -199,7 +201,6 @@ class RunReport:
     solutions: list[SolutionRecord] = dc_field(default_factory=list)
     expected_solutions: int | None = None
     all_verified: bool | None = None
-    timings: dict[str, float] = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -295,7 +296,7 @@ def render_report(data: dict) -> str:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready structure of a report (no timings, keys sorted downstream).
+    """JSON-ready structure of a report (keys sorted downstream).
 
     The one serialization: ``report.json`` is this dict and ``report.txt``
     is :func:`render_report` of it.
@@ -310,7 +311,6 @@ def report_to_dict(report: RunReport) -> dict:
         "status": report.status,
         "violated_hypothesis": report.violated_hypothesis,
         "failure_message": report.failure_message,
-        "zero_count": report.zero_count,
         "chi": report.chi,
         "j_counts": {str(k): v for k, v in (report.j_counts or {}).items()} or None,
         "component_sizes": report.component_sizes,
@@ -360,8 +360,8 @@ class _RunText:
         self.grid, self.first = grid, first
         self.rest = reduce(lambda rest, axis: np.char.add(rest[:, None], axis).ravel(), others)
         self.header = (_csv_header(grid) + "\n").encode()
-        self.bits = np.zeros(grid.classes.size, np.int64)
-        self.lines = np.zeros(grid.classes.size, "S25")  # a float's repr has at most 24 characters
+        self.bits = np.zeros(grid.interior_mask.size, np.int64)
+        self.lines = np.zeros(self.bits.size, "S25")  # a float's repr has at most 24 characters
         self.files: dict[bytes, np.ndarray] = {}
 
     @classmethod
@@ -502,14 +502,13 @@ def _lattice_setup(exact_key: str, domain: DomainSpec, weight: WeightSpec,
 
 
 @contextmanager
-def _stage(timings: dict[str, float], name: str):
-    """Time one stage into ``timings`` and log it, whether or not it stops the run."""
+def _stage(name: str):
+    """Log one stage's wall time, whether or not it stops the run."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        timings[name] = time.perf_counter() - start
-        log.info("stage %s: %.3fs", name, timings[name])
+        log.info("stage %s: %.3fs", name, time.perf_counter() - start)
 
 
 def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunReport:
@@ -524,28 +523,26 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         config_digest=config.digest(), resolution=config.resolution,
         domain_kind=config.domain.kind, weight_reference=config.weight.reference,
         gamma=nonlinearity.gamma, s_star=nonlinearity.s_star)
-    stage = partial(_stage, report.timings)
     # Kept under this solve, the last run's text would raise its peak RSS.
     _RunText._current.set(None)
     start = time.perf_counter()
     try:
-        with stage("setup"):
+        with _stage("setup"):
             grid, field, zero = _setup(config)
-        with stage("admissibility"):
+        with _stage("admissibility"):
             adm = report.admissibility = assess_admissibility(grid, field, zero, tol)
-            report.zero_count = adm.zero_count
             if not adm.admissible:
                 raise HypothesisViolationError(
                     "a1" if adm.verdict == "zero-set-touches-boundary" else "a2",
                     f"admissibility verdict: {adm.verdict}")
-        with stage("decomposition"):
+        with _stage("decomposition"):
             decomposition = decompose_components(grid, zero)
             report.chi, report.j_counts = decomposition.chi, decomposition.j_counts
             report.component_sizes = {_comp_label(c.id): c.node_count
                                       for c in decomposition.components}
-        with stage("nonlinearity"):
+        with _stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
-        with stage("spectral"):
+        with _stage("spectral"):
             eigenpairs = []
             laplacian = dirichlet_laplacian(grid)
             for comp in decomposition.components:
@@ -562,7 +559,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                 raise HypothesisViolationError("f2", "spectral margin non-positive on "
                                                "component(s) " + ", ".join(failing))
         if solve:
-            with stage("minimize"):
+            with _stage("minimize"):
                 bumps = {}
                 for comp in decomposition.components:
                     eigen = eigenpairs.pop(0)
@@ -575,10 +572,10 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                              f"LU factor from step {bump.factored_from}"
                              if bump.factored_from else "no LU factor")
                 del eigen  # the last shared factor, held no longer than its minimize
-            with stage("enumerate"):
+            with _stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1
-            with stage("verify"):
+            with _stage("verify"):
                 if out_path is not None:
                     out_path.mkdir(parents=True, exist_ok=True)
                 for rank, solution in enumerate(solutions, start=1):
@@ -600,8 +597,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             raise
         report.status, report.failure_message = exc.status, str(exc)
         report.violated_hypothesis = getattr(exc, "hypothesis", None)
-    report.timings["total"] = time.perf_counter() - start
-    log.info("pipeline %s in %.2fs", report.status, report.timings["total"])
+    log.info("pipeline %s in %.2fs", report.status, time.perf_counter() - start)
     if out_path is not None:
         write_outputs(report, out_path)
     return report
@@ -620,7 +616,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path | None = None,
 
 
 def write_outputs(report: RunReport, out_dir: str | Path) -> None:
-    """Write report.json and its text rendering report.txt (no timings)."""
+    """Write report.json and its text rendering report.txt."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     data = report_to_dict(report)

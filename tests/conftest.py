@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from multibump import pipeline
 from multibump.energy import BumpSolution, NonlinearitySpec, truncate_nonlinearity
-from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
+from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -28,7 +28,7 @@ def unit_box(ndim: int = 2) -> DomainSpec:
 
 
 def interior_count(grid: Grid) -> int:
-    return int(np.count_nonzero(grid.classes == INTERIOR))
+    return int(np.count_nonzero(grid.interior_mask))
 
 
 def extend_bump(bump: BumpSolution, grid: Grid) -> np.ndarray:

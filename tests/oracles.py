@@ -4,7 +4,8 @@ These deliberately avoid the code paths under test: the reference
 operator is assembled one stencil edge at a time, the eigenvalue oracle is
 a dense symmetric eigensolve of it, the bump oracle solves the semilinear
 problem by damped fixed-point iteration with direct sparse factorizations,
-the primitive of the logistic default is its closed form, the A_2 oracle
+the primitive of the logistic default is its closed form, box and ball
+domains are their closed-form distances in numpy, the A_2 oracle
 averages one lattice ball at a time, and the reference writers format every
 lattice node one at a time.  The remaining helpers are
 checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
@@ -35,7 +36,7 @@ def reference_operator(conductances: list[np.ndarray], grid: Grid,
     Each stencil edge (i, j) with conductance c adds c*scale to entries
     (i, i) and (j, j) and subtracts it from (i, j) and (j, i).
     """
-    node = np.arange(grid.classes.size).reshape(grid.shape)
+    node = np.arange(grid.interior_mask.size).reshape(grid.shape)
     entries: dict[tuple[int, int], float] = {}
     for axis, conductance in enumerate(conductances):
         for lo in np.ndindex(conductance.shape):
@@ -88,6 +89,19 @@ def bisected_cut_fractions(grid: Grid) -> list[np.ndarray]:
             theta[lo] = max(0.5 * (t_in + t_out), 1e-8)
         fractions.append(theta)
     return fractions
+
+
+def box_phi(lo, hi):
+    """Max-norm distance to the box [lo, hi], negative inside, on points (..., N)."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    return lambda points: np.maximum(np.max(lo - points, axis=-1),
+                                     np.max(points - hi, axis=-1))
+
+
+def ball_phi(center, radius: float):
+    """Euclidean distance to the sphere about ``center``, negative inside."""
+    center = np.asarray(center, float)
+    return lambda points: np.linalg.norm(points - center, axis=-1) - radius
 
 
 def dense_lambda1(component: Component, grid: Grid) -> float:

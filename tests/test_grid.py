@@ -3,23 +3,25 @@ import pytest
 from scipy import ndimage
 
 from conftest import interior_count, unit_box
+from oracles import ball_phi, box_phi
 
+from multibump.assembly import boundary_cut_fractions
 from multibump.errors import ConfigError, ResolutionTooCoarseError
-from multibump.grid import BOUNDARY, EXTERIOR, INTERIOR, DomainSpec, build_grid, dilate
+from multibump.grid import DomainSpec, build_grid, dilate
 
 
 def test_unit_box_n5_counts():
     grid = build_grid(unit_box(2), 5)
-    assert grid.classes.size == 25
+    assert grid.interior_mask.size == grid.boundary_mask.size == 25
     assert interior_count(grid) == 9
 
 
 def test_unit_box_boundary_nodes_pinned_not_interior():
     grid = build_grid(unit_box(2), 5)
     # Lattice nodes on the box faces sit exactly on the boundary.
-    assert grid.classes[0, 2] == BOUNDARY
-    assert grid.classes[2, 0] == BOUNDARY
-    assert grid.classes[2, 2] == INTERIOR
+    assert grid.boundary_mask[0, 2] and not grid.interior_mask[0, 2]
+    assert grid.boundary_mask[2, 0] and not grid.interior_mask[2, 0]
+    assert grid.interior_mask[2, 2] and not grid.boundary_mask[2, 2]
 
 
 def test_ball_interior_count_matches_area():
@@ -62,7 +64,8 @@ def test_classification_deterministic():
     domain = DomainSpec.ball((0.25, -0.5), 1.5)
     a = build_grid(domain, 41)
     b = build_grid(domain, 41)
-    assert np.array_equal(a.classes, b.classes)
+    assert np.array_equal(a.interior_mask, b.interior_mask)
+    assert np.array_equal(a.boundary_mask, b.boundary_mask)
     assert a.h == b.h
 
 
@@ -76,14 +79,13 @@ def test_refinement_fraction_converges_to_volume_ratio():
 
 def test_interior_nodes_fully_surrounded():
     grid = build_grid(DomainSpec.ball((0.0, 0.0), 1.0), 33)
-    classes = grid.classes
-    interior = classes == INTERIOR
+    interior, pinned = grid.interior_mask, grid.interior_mask | grid.boundary_mask
     for axis in (0, 1):
         for shift in (1, -1):
-            neighbor = np.roll(classes, shift, axis=axis)
+            neighbor = np.roll(pinned, shift, axis=axis)
             # Rolling wraps around, but no interior node touches the lattice
             # edge for this domain, so wrapped entries never meet interior.
-            assert not np.any(interior & (neighbor == EXTERIOR))
+            assert not np.any(interior & ~neighbor)
 
 
 def test_spacing_definition():
@@ -115,6 +117,11 @@ def test_dimension_below_two_rejected():
         DomainSpec.box((0.0,), (1.0,))
 
 
+def test_box_without_axes_rejected_by_its_dimension():
+    with pytest.raises(ValueError, match="^dimension must be >= 2, got 0$"):
+        DomainSpec.box((), ())
+
+
 def test_ball_3d_classification():
     grid = build_grid(DomainSpec.ball((0.0, 0.0, 0.0), 1.0), 17)
     estimate = 4.0 / 3.0 * np.pi / grid.h ** 3
@@ -129,3 +136,49 @@ def test_custom_implicit_annulus():
     grid = build_grid(domain, 65)
     area = np.pi * (1.0 ** 2 - 0.4 ** 2)
     assert abs(interior_count(grid) - area / grid.h ** 2) <= 0.03 * area / grid.h ** 2
+
+
+def closed_form_cases():
+    """Boxes and balls with their closed-form phi, at a resolution each."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for ndim, n in ((2, 33), (3, 17)):
+        for k in range(3):
+            lo = rng.uniform(-2.0, 2.0, ndim)
+            hi = lo + rng.uniform(0.3, 3.0)
+            cases[f"box{ndim}d-{k}"] = (DomainSpec.box(lo, hi), box_phi(lo, hi), n)
+            center, radius = rng.uniform(-2.0, 2.0, ndim), rng.uniform(0.2, 2.0)
+            cases[f"ball{ndim}d-{k}"] = (DomainSpec.ball(center, radius),
+                                         ball_phi(center, radius), n)
+            # Shifted by multiples of 1/64, as the benchmark shifts its square.
+            shift = rng.integers(-32, 32, ndim) / 64
+            cases[f"shifted{ndim}d-{k}"] = (DomainSpec.box(shift, shift + 1.0),
+                                            box_phi(shift, shift + 1.0), n)
+        lo = (0.0,) * (ndim - 1) + (-0.0,)
+        cases[f"negzero{ndim}d"] = (DomainSpec.box(lo, (1.0,) * ndim),
+                                    box_phi(lo, (1.0,) * ndim), n)
+    center, radius = (2.8378101321881832, -1.4582022338196399), 0.40349108778507203
+    cases["tangent"] = (DomainSpec.ball(center, radius), ball_phi(center, radius), 17)
+    return cases
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(closed_form_cases()))
+def test_formula_domains_match_their_closed_forms(case, monkeypatch):
+    domain, phi, n = closed_form_cases()[case]
+    grid = build_grid(domain, n)
+    assert same_bits(domain.membership_function()(grid.points()), phi(grid.points()))
+    formula = boundary_cut_fractions(grid)
+    monkeypatch.setattr(DomainSpec, "membership_function", lambda self: phi)
+    assert all(map(same_bits, formula, boundary_cut_fractions(grid)))
+
+
+def test_grid_masks_are_read_only():
+    grid = build_grid(DomainSpec.ball((0.0, 0.0), 1.0), 17)
+    for mask in (grid.interior_mask, grid.boundary_mask):
+        with pytest.raises(ValueError):
+            mask[8, 8] = not mask[8, 8]

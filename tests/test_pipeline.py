@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import inspect
 import json
 import logging
@@ -110,16 +109,6 @@ def section_keys(section, kind):
     return set(inspect.signature(table if kind is None else table[kind]).parameters)
 
 
-def same_spec(parsed, direct):
-    """Equal fields; nonlinearities, whose f may be a fresh closure, equal f values."""
-    if isinstance(direct, NonlinearitySpec):
-        s = np.linspace(-1.0, 2.0, 13)
-        return (np.array_equal(parsed.f(s), direct.f(s)) and
-                dataclasses.replace(parsed, evaluator=None)
-                == dataclasses.replace(direct, evaluator=None))
-    return parsed == direct
-
-
 class TestConfigSchema:
     def test_every_section_kind_is_covered(self):
         kinds = {(section, kind) for section, table in pipeline._SECTIONS.items()
@@ -135,8 +124,7 @@ class TestConfigSchema:
             assert all(set(entry) == set(item._fields) for entry in node.get(key, []))
         if kind is not None:
             node = dict(node, kind=kind)
-        assert same_spec(getattr(parse_config(unit_square(**{section: node})), section),
-                         direct)
+        assert getattr(parse_config(unit_square(**{section: node})), section) == direct
 
 
 class TestConfigParsing:
@@ -163,6 +151,17 @@ class TestConfigParsing:
         del data["nonlinearity"]
         with pytest.raises(ConfigError, match="nonlinearity"):
             parse_config(data)
+
+    @pytest.mark.parametrize("ndim", [2, 3, 4])
+    def test_vtk_export_needs_two_or_three_dimensions(self, ndim):
+        # Legacy VTK structured points hold three axes; a 4D field would not fit.
+        data = unit_square(domain={"kind": "box", "lo": [0.0] * ndim, "hi": [1.0] * ndim},
+                           export_vtk=True)
+        if ndim == 4:
+            with pytest.raises(ConfigError, match="^invalid export_vtk: .*4D"):
+                parse_config(data)
+        else:
+            assert parse_config(data).export_vtk
 
     def test_resolution_floor(self):
         data = ring_config(65)
@@ -851,7 +850,7 @@ class TestStageFailures:
         assert "failure: admissibility verdict: zero-set-touches-boundary" in lines
         assert "zero-set-nodes: 225" in lines
         report = json.loads((out / "report.json").read_text())
-        assert report["zero_count"] == 225
+        assert "zero_count" not in report and report["admissibility"]["zero_count"] == 225
         assert report["chi"] is None
 
     def test_eigensolver_failure_writes_report(self, tmp_path):
@@ -1130,6 +1129,7 @@ class TestCli:
         {"domain": {"kind": "box", "lo": [1.0, 1.0], "hi": [1.0, 1.0]}},
         {"domain": {"kind": "custom-implicit", "expression": "x**2 + y**2 - 4",
                     "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+        {"domain": {"kind": "box", "lo": [0.0] * 4, "hi": [1.0] * 4}, "export_vtk": True},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
@@ -1141,7 +1141,7 @@ class TestCli:
             "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
             "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool",
             "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty",
-            "domain-overflows-box"])
+            "domain-overflows-box", "export-vtk-4d"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,
@@ -1164,6 +1164,15 @@ class TestCli:
         assert main(["solve", "--config", str(path), "--out", str(out), "--vtk"]) == 0
         assert (out / "solution_001.vtk").is_file()
         assert not (tmp_path / "ignored").exists()
+
+    def test_solve_vtk_of_a_4d_domain_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        domain = {"kind": "box", "lo": [0.0] * 4, "hi": [1.0] * 4}
+        path = write_config(tmp_path, unit_square(9, 60.0, out=str(out), domain=domain))
+        assert main(["solve", "--config", str(path), "--vtk"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid export_vtk: ") and captured.out == ""
+        assert not out.exists()
 
     def test_verify_of_a_missing_file_is_an_io_error(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_square(17, out=str(tmp_path / "out")))

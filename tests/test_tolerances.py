@@ -72,7 +72,7 @@ def one_node(mask_of, value):
 # or None when it only has to differ from the default)
 CASES = {
     "zero_threshold": (0.5, verdict, "zero-set-touches-boundary"),
-    "zero_band": (2.0, lambda tol: check(tol).zero_count, None),
+    "zero_band": (2.0, lambda tol: check(tol).admissibility.zero_count, None),
     "grad_tol_scale": (1e-2, lambda tol: [b.iterations for b in solve(tol).bumps], None),
     "residual_tol_scale": (1e-30, lambda tol: solve(tol).all_verified, False),
     "bounds_tol": (1e-9, conclusion("nonnegative", one_node(

@@ -48,7 +48,7 @@ def test_constant_weight_single_component(square33):
 def test_components_partition_free_nodes(ring65):
     grid, field, zero, dec = ring65
     free = grid.interior_mask & ~zero
-    seen = np.zeros(grid.classes.size, dtype=int)
+    seen = np.zeros(grid.interior_mask.size, dtype=int)
     for comp in dec.components:
         seen[comp.nodes] += 1
     assert np.all(seen[free.ravel()] == 1)

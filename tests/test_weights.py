@@ -13,7 +13,7 @@ from oracles import reference_a2_constant
 from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import InvalidWeightError
-from multibump.grid import INTERIOR, DomainSpec, Grid, build_grid
+from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
                                dyadic_radii, estimate_a2_constant, estimate_lt_norm,
@@ -122,7 +122,8 @@ class TestA2:
     def test_ball_leaving_the_lattice_is_not_contained(self):
         # Every node interior, the faces too: only the nodes past the lattice
         # keep the balls at its faces out of the estimate.
-        grid = Grid(domain=UNIT, n=17, h=1.0 / 16, classes=np.full((17, 17), INTERIOR, np.uint8))
+        grid = Grid(domain=UNIT, n=17, h=1.0 / 16, interior_mask=np.ones((17, 17), bool),
+                    boundary_mask=np.zeros((17, 17), bool))
         field = evaluate_weight(WeightSpec.expression("1 + 40*x + y"), grid)
         zero = detect_zero_set(field, grid)
         radii = dyadic_radii(grid)
@@ -284,7 +285,7 @@ class TestZeroSet:
         reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
                    for w in (weight, dict(weight, zero_radii=[0.7]))]
         # Two components, and gamma 10 fails (f2) on the disk: exit 2 either way.
-        assert [(r.status, r.chi, r.zero_count) for r in reports] == \
+        assert [(r.status, r.chi, r.admissibility.zero_count) for r in reports] == \
             [("hypothesis-violation", 2, 88)] * 2
 
     def test_zero_at_the_outer_end_is_no_interior_sphere(self):
@@ -295,7 +296,7 @@ class TestZeroSet:
         stored = dict(json.loads(RING_JSON.read_text()), resolution=65)
         reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
                    for w in (weight, dict(weight, zero_radii=[]))]
-        assert [(r.admissibility.verdict, r.zero_count) for r in reports] == \
+        assert [(r.admissibility.verdict, r.admissibility.zero_count) for r in reports] == \
             [("zero-set-touches-boundary", 56)] * 2
 
     def test_profile_roots_do_not_follow_the_run_zero_threshold(self):
