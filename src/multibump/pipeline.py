@@ -11,11 +11,11 @@ condition.  Partial reports are still written.
 The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
 and zero set.  The memo holds one entry, keyed on the exact (``repr``)
-domain, weight, resolution, zero threshold and zero band.  A run's first
-solution file puts the text of its files (``_RunText``, fixed-width bytes)
-in the caller's context until the next run, so each coordinate and value
-is formatted once per run; a file read back whose SHA-256 is that of a file
-the run wrote is not parsed, and any other file goes to ``np.loadtxt``.
+domain, weight, resolution, zero threshold and zero band.  A run formats
+each CSV row once per state (``_RunText``) and splices its files from runs
+of those rows; a file read back whose SHA-256 is that of a file the run
+wrote is not parsed.  Each bump and the full subset are checked against K;
+no edge joins two components, so other subsets take their bumps' largest.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are only
@@ -27,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import mmap
 import time
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .spectral import (F2Entry, check_hypothesis_f2, dirichlet_lambda1,
                        dirichlet_laplacian)
 from .tolerances import ToleranceConfig, is_count
 from .topology import decompose_components
-from .verify import VerificationReport, check_conclusions
+from .verify import VerificationReport, check_conclusions, conclusions
 from .weights import (AdmissibilityReport, PowerFactor, RadialPiece, WeightSpec,
                       assess_admissibility, detect_zero_set, evaluate_weight)
 
@@ -340,28 +341,28 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 class _RunText:
-    """The text of a run's solution files on ``grid``, each part formatted once.
+    """The rows of a run's solution files on ``grid``, each formatted once per state.
 
-    Its text is fixed-width, NUL-padded ``bytes_``: ``first`` holds the
-    axis-0 coordinates and ``rest`` every combination of the others in C
-    order, each followed by a comma.  ``bits`` and ``lines`` hold per node
-    the last nonzero value written there and its line (``repr`` and
-    newline).  ``files`` maps the SHA-256 of a file written on ``grid`` to
-    its packed nonzero mask until :meth:`values` forgets it.  The first
-    write on a grid puts a new one in the caller's context, where the
-    read-back of the files written on it finds it until the next run.
+    A row is a node's coordinates and line (``repr``, newline) for +0.0
+    (state 0) or for the value whose bits ``bits`` holds (state 1).  ``text``
+    has room for every row in both states after 24 spare bytes; only the rows
+    formatted so far (compact, in node order by blocks of n^2) take memory.
+    ``starts`` and ``sizes`` locate them (start -1: none), and ``files`` maps
+    each file's SHA-256 to its packed nonzero mask.  The first write on a grid
+    puts one in the caller's context, for the read-back, until the next run.
     """
 
     _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
 
     def __init__(self, grid: Grid):
-        first, *others = [np.array([repr(c) + "," for c in axis.tolist()], dtype="S")
-                          for axis in grid.axes]
-        self.grid, self.first = grid, first
-        self.rest = reduce(lambda rest, axis: np.char.add(rest[:, None], axis).ravel(), others)
+        self.grid, size = grid, grid.interior_mask.size
+        self.coordinates = [np.array([repr(c) + "," for c in axis.tolist()], dtype="S")
+                            for axis in grid.axes]
         self.header = (_csv_header(grid) + "\n").encode()
-        self.bits = np.zeros(grid.interior_mask.size, np.int64)
-        self.lines = np.zeros(self.bits.size, "S25")  # a float's repr has at most 24 characters
+        self.text = mmap.mmap(-1, 24 + 2 * size * 25 * (grid.ndim + 1))  # <= 25 bytes a cell
+        self.used, self.bits = 24, np.zeros(size, np.int64)
+        self.starts = np.full((2, size), -1, np.int32 if len(self.text) < 2**31 else np.int64)
+        self.sizes = np.zeros((2, size), np.uint16)
         self.files: dict[bytes, np.ndarray] = {}
 
     @classmethod
@@ -371,36 +372,39 @@ class _RunText:
             cls._current.set(text := cls(grid))
         return text
 
-    def values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """C-order mask of the entries other than +0.0, and every node's line (``0.0`` there).
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """C-order mask of the entries other than +0.0, after formatting the rows it lacks.
 
-        Only nodes whose bits changed are formatted, each distinct value
-        once: bits keep -0.0, subnormals and NaN exact, and +0.0 leaves
-        ``lines`` alone.  A change at a nonzero node forgets ``files``, so
-        each file left in it holds ``bits`` on its mask and +0.0 elsewhere.
+        Bits keep -0.0 and NaN apart.  A new value at a node that held another
+        forgets ``files`` and every row, so each file in ``files`` holds ``bits``.
         """
         bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
         nonzero = bits != 0
         stale = nonzero & (bits != self.bits)
-        if self.bits[stale].any():
+        if self.bits[stale].any():  # so no node ever needs a third row: start over
             self.files.clear()
-        self.bits[stale] = bits[stale]
-        new, where = np.unique(bits[stale], return_inverse=True)
-        self.lines[stale] = np.array([repr(v) + "\n" for v in new.view(float).tolist()],
-                                     dtype="S25")[where]
-        lines = self.lines.copy()
-        lines[~nonzero] = b"0.0\n"
-        return nonzero, lines
-
-
-# Rows the CSV writer joins at once (whole axis-0 slabs, at least one); bounds its table in 3D.
-_BLOCK_ROWS = 1 << 14
-
-
-def _joined(*columns: np.ndarray) -> np.ndarray:
-    """The bytes of ``columns`` (fixed-width, broadcast together) row by row, padding dropped."""
-    table = np.rec.fromarrays(np.broadcast_arrays(*columns)).view(np.uint8, np.ndarray)
-    return table[table != 0]
+            self.starts[:], self.used = -1, 24
+        np.copyto(self.bits, bits, where=stale)
+        missing = np.flatnonzero(np.where(nonzero, self.starts[1] < 0, self.starts[0] < 0))
+        for start in range(0, missing.size, self.grid.n ** 2):  # distinct values once a block
+            nodes = missing[start:start + self.grid.n ** 2]
+            valued = nonzero[nodes]
+            new, where = np.unique(bits[nodes[valued]], return_inverse=True)
+            new = np.array([repr(v) + "\n" for v in new.view(float).tolist()] + ["0.0\n"],
+                           dtype="S")
+            line = np.full(nodes.size, new.size - 1)
+            line[valued] = where
+            index = np.unravel_index(nodes, self.grid.shape)
+            table = np.rec.fromarrays([axis[i] for axis, i in zip(self.coordinates, index)]
+                                      + [new[line]]).view(np.uint8, np.ndarray)
+            joined = table[table != 0]  # the rows, their padding dropped
+            ends = self.used + 1 + np.flatnonzero(joined == ord("\n"))
+            self.text[self.used:ends[-1]] = joined
+            state = valued.view(np.int8), nodes
+            self.sizes[state] = sizes = np.diff(ends, prepend=self.used)
+            self.starts[state] = ends - sizes
+            self.used = int(ends[-1])
+        return nonzero
 
 
 def _csv_header(grid: Grid) -> str:
@@ -410,20 +414,21 @@ def _csv_header(grid: Grid) -> str:
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
     """Nodal field as CSV: coordinate columns then u, full lattice scan order.
 
-    Coordinates and values come from the run's text (:class:`_RunText`), so
-    each is formatted once per run.  A call joins at most ``_BLOCK_ROWS``
-    rows (or one axis-0 slab) at a time, and records the file's SHA-256.
+    Spliced from the runs of its rows that lie side by side in the run's text
+    (:class:`_RunText`), by blocks of n^2 rows; records the file's SHA-256.
     """
     text = _RunText.of(grid)
-    nonzero, lines = text.values(values)
-    step = max(_BLOCK_ROWS // text.rest.size, 1)
+    nonzero = text.rows(values)
     digest = hashlib.sha256(text.header)
-    with open(path, "wb") as handle:
+    with open(path, "wb") as handle, memoryview(text.text) as view:
         handle.write(text.header)
-        for start in range(0, grid.n, step):
-            block = slice(start, start + step)
-            chunk = _joined(text.first[block, None], text.rest,
-                            lines.reshape(grid.n, -1)[block])
+        for start in range(0, nonzero.size, grid.n ** 2):
+            block = slice(start, start + grid.n ** 2)
+            first = np.where(nonzero[block], text.starts[1, block], text.starts[0, block])
+            last = first + np.where(nonzero[block], text.sizes[1, block], text.sizes[0, block])
+            cut = np.flatnonzero(first[1:] != last[:-1])  # where a run of adjacent rows ends
+            chunk = b"".join([view[a:b] for a, b in zip(
+                [int(first[0])] + first[cut + 1].tolist(), last[cut].tolist() + [int(last[-1])])])
             digest.update(chunk)
             handle.write(chunk)
     text.files[digest.digest()] = np.packbits(nonzero)
@@ -454,23 +459,27 @@ def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
         raise ConfigError(
             f"{path}: expected {expected} rows x {grid.ndim + 1} columns")
     points = grid.points().reshape(-1, grid.ndim)
-    if not np.allclose(data[:, :grid.ndim], points, atol=1e-9 * grid.h):
+    if not np.allclose(data[:, :grid.ndim], points, rtol=0.0, atol=1e-9 * grid.h):
         raise ConfigError(f"{path}: node coordinates do not match the grid")
     return data[:, -1].reshape(grid.shape)
 
 
 def write_solution_vtk(path: Path, values: np.ndarray, grid: Grid) -> None:
-    """Legacy-ASCII rectilinear export: the run's lines (:class:`_RunText`) in Fortran order."""
+    """Legacy-ASCII rectilinear export: the rows' ends after their last comma, Fortran order."""
     dims = list(grid.shape) + [1] * (3 - grid.ndim)
     origin = list(grid.domain.lo) + [0.0] * (3 - grid.ndim)
-    lines = _RunText.of(grid).values(values)[1]
+    text = _RunText.of(grid)
+    state = text.rows(values).view(np.int8), np.arange(values.size)
+    tails = np.lib.stride_tricks.sliding_window_view(np.frombuffer(text.text, np.uint8), 25)[
+        (text.starts[state] + text.sizes[state] - 25).reshape(grid.shape).ravel(order="F")]
+    tails[np.logical_or.accumulate(tails[:, ::-1] == ord(","), axis=1)[:, ::-1]] = 0
     with open(path, "wb") as handle:
         handle.write("# vtk DataFile Version 3.0\nmultibump solution field\nASCII\n"
                      f"DATASET STRUCTURED_POINTS\nDIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n"
                      f"ORIGIN {origin[0]!r} {origin[1]!r} {origin[2]!r}\n"
                      f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\nPOINT_DATA {values.size}\n"
                      "SCALARS u double 1\nLOOKUP_TABLE default\n".encode())
-        handle.write(_joined(lines.reshape(grid.shape).ravel(order="F")))
+        handle.write(tails[tails != 0])
 
 
 def _setup(config: RunConfig):
@@ -578,6 +587,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             with _stage("verify"):
                 if out_path is not None:
                     out_path.mkdir(parents=True, exist_ok=True)
+                residuals = {}  # by subset, of the fields checked against K
                 for rank, solution in enumerate(solutions, start=1):
                     values = solution.field(grid)
                     stem = f"solution_{rank:03d}"
@@ -586,10 +596,14 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                         write_solution_csv(out_path / filename, values, grid)
                         if config.export_vtk:
                             write_solution_vtk(out_path / f"{stem}.vtk", values, grid)
+                    if solution.n_bumps > 1 and rank < len(solutions):  # no edge joins bumps
+                        residual = float(np.max([residuals[c,] for c in solution.subset]))
+                        verified = conclusions(values, residual, nonlinearity, grid, zero, tol)
+                    else:  # each bump, and the full subset against K itself
+                        verified = check_conclusions(values, field, nonlinearity, grid, zero, tol)
+                        residuals[solution.subset] = verified.residual_norm
                     report.solutions.append(SolutionRecord(
-                        solution=solution, filename=filename,
-                        verification=check_conclusions(values, field, nonlinearity,
-                                                       grid, zero, tol)))
+                        solution=solution, filename=filename, verification=verified))
                 report.all_verified = all(r.verification.passed for r in report.solutions)
         report.status = "ok"
     except SolverError as exc:

@@ -59,7 +59,14 @@ class VerificationReport:
 def check_conclusions(values: np.ndarray, field: WeightField,
                       nonlinearity: NonlinearitySpec, grid: Grid, zero: np.ndarray,
                       tol: ToleranceConfig = ToleranceConfig()) -> VerificationReport:
-    """Populate the full verification report for one candidate field.
+    """Populate the full verification report for one candidate field."""
+    return conclusions(values, weak_residual(values, field, nonlinearity.f, grid, zero),
+                       nonlinearity, grid, zero, tol)
+
+
+def conclusions(values: np.ndarray, residual: float, nonlinearity: NonlinearitySpec, grid: Grid,
+                zero: np.ndarray, tol: ToleranceConfig = ToleranceConfig()) -> VerificationReport:
+    """The verification report of a field whose weak residual is ``residual``.
 
     The residual passes up to ``residual_tol_scale * gamma * s* * h^N``,
     one nodal load's worth; the bounds up to ``bounds_tol`` outside
@@ -68,18 +75,17 @@ def check_conclusions(values: np.ndarray, field: WeightField,
     """
     s_star = nonlinearity.s_star
     residual_tol = tol.residual_tol_scale * nonlinearity.gamma * s_star * grid.cell_volume
-    res = weak_residual(values, field, nonlinearity.f, grid, zero)
     pinned = zero | grid.boundary_mask
     zero_trace = float(np.max(np.abs(values[pinned]))) if pinned.any() else 0.0
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     verdicts = {
-        "residual": res <= residual_tol,
+        "residual": residual <= residual_tol,
         "nonnegative": vmin >= -tol.bounds_tol,
         "upper_bound": vmax <= s_star + tol.bounds_tol,
         "zero_trace": zero_trace <= tol.zero_trace_tol,
     }
-    return VerificationReport(residual_norm=res, min_value=vmin, max_value=vmax,
+    return VerificationReport(residual_norm=residual, min_value=vmin, max_value=vmax,
                               zero_trace_max=zero_trace,
                               w11_seminorm=w11_seminorm(values, grid),
                               verdicts=verdicts)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import logging
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import nested_rings_config, quadratic_zero_config, ring_config
 from oracles import reference_solution_csv, reference_solution_vtk
@@ -29,6 +31,7 @@ from multibump.pipeline import (RunReport, check_hypotheses, load_config,
 from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
+from multibump.verify import check_conclusions
 from multibump.weights import WeightSpec, detect_zero_set
 
 
@@ -380,18 +383,30 @@ class TestOutputs:
             assert (tmp_path / f"new{seed}").read_bytes() \
                 == (tmp_path / f"ref{seed}").read_bytes()
 
-    @pytest.mark.parametrize("block_rows", [1, 40])
-    def test_csv_written_in_blocks_matches_the_reference(self, tmp_path, monkeypatch,
-                                                         block_rows):
-        """Blocks of one and of several axis-0 slabs, in 2D and 3D."""
-        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block_rows)
-        for name, grid in [("box", build_grid(DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17)),
-                           ("ball", build_grid(DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 5))]:
-            values = sparse_field(grid, 1)
-            write_solution_csv(tmp_path / f"{name}.csv", values, grid)
-            reference_solution_csv(tmp_path / f"{name}-ref.csv", values, grid)
-            assert (tmp_path / f"{name}.csv").read_bytes() \
-                == (tmp_path / f"{name}-ref.csv").read_bytes()
+    @pytest.mark.parametrize("domain, n", [
+        (DomainSpec.box((0.1, -0.3), (1.1, 0.7)), 17),
+        (DomainSpec.ball((0.1, 0.2, -0.3), 0.7), 9),
+    ], ids=["box2d", "ball3d"])
+    def test_csv_spliced_from_earlier_rows_matches_the_reference(self, tmp_path, domain, n):
+        """Files whose rows were formatted by earlier files, in any order."""
+        grid = build_grid(domain, n)
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 4, grid.shape)  # 0: the zero set, 1-3: three bumps
+        bumps = [np.where(labels == k, rng.uniform(0.0, 1.0, grid.shape), 0.0)
+                 for k in (1, 2, 3)]
+        composed = sum(bumps)
+        changed = composed.copy()
+        changed.flat[np.flatnonzero(labels == 2)[:3]] += 0.125  # new values at valued nodes
+        special = composed.copy()
+        widest = -2.2250738585072014e-308
+        assert len(repr(widest)) == 24
+        special.flat[np.flatnonzero(labels)[[0, 4, -1]]] = [-0.0, np.nan, widest]
+        special.flat[0] = widest  # the lattice's first row, at the start of its batch
+        for stem, values in [("composed", composed), ("first", bumps[0]),
+                             ("second", bumps[1]), ("third", bumps[2]),
+                             ("changed", changed), ("zeros", np.zeros(grid.shape)),
+                             ("special", special), ("composed-again", composed)]:
+            write_both(tmp_path, stem, values, grid)
 
     def test_csv_roundtrip(self, tmp_path, square33):
         grid, *_ = square33
@@ -685,6 +700,89 @@ class TestReadBack:
         assert capsys.readouterr().err \
             == f"error: {path}: node coordinates do not match the grid\n"
 
+    @pytest.mark.parametrize("corner, n", [(1000.0, 129), (10000.0, 65)])
+    def test_far_box_file_shifted_by_one_node_fails(self, tmp_path, corner, n):
+        """1e-5 of these coordinates exceeds h: only the absolute 1e-9 h applies."""
+        grid = build_grid(DomainSpec.box((corner, corner), (corner + 1.0, corner + 1.0)), n)
+        path = tmp_path / "field.csv"
+        write_solution_csv(path, np.zeros(grid.shape), grid)
+        header, *rows = path.read_text().splitlines()
+        (tmp_path / "crlf.csv").write_text("\r\n".join([header] + rows) + "\r\n")
+        assert np.array_equal(read_solution_csv(tmp_path / "crlf.csv", grid), np.zeros(grid.shape))
+        shifted = [f"{float(x1) + grid.h!r},{rest}"
+                   for x1, rest in (row.split(",", 1) for row in rows)]
+        path.write_text("\n".join([header] + shifted) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: node coordinates do not match the grid")):
+            read_solution_csv(path, grid)
+
+
+NESTED_RINGS_JSON = Path(__file__).resolve().parents[1] / "configs" / "nested_rings.json"
+
+
+class TestComposedVerification:
+    """A run checks each bump and the full subset against K; the rest compose."""
+
+    def run(self):
+        config = dataclasses.replace(load_config(NESTED_RINGS_JSON), resolution=33)
+        return config, run_pipeline(config, write=False)
+
+    def test_every_report_equals_the_dense_check(self):
+        config, report = self.run()
+        grid, field, zero = pipeline._setup(config)
+        assert len(report.solutions) == 15
+        for record in report.solutions:
+            dense = check_conclusions(record.solution.field(grid), field, config.nonlinearity,
+                                      grid, zero, config.tolerances)
+            assert np.float64(record.verification.residual_norm).tobytes() \
+                == np.float64(dense.residual_norm).tobytes()
+            assert record.verification == dense
+        assert report.all_verified
+
+    @staticmethod
+    def couple(monkeypatch, entries):
+        """Add ``entries`` ((row, column) -> value) to the operator the run verifies with.
+
+        ``K`` on a component is the operator's restriction to its nodes, so
+        entries between components leave every bump as it was.
+        """
+        setup = pipeline._setup
+
+        def coupled(config):
+            grid, field, zero = setup(config)
+            (rows, columns), values = zip(*entries), list(entries.values())
+            extra = scipy.sparse.csr_matrix((values, (rows, columns)), shape=field.operator.shape)
+            return grid, dataclasses.replace(field, operator=field.operator + extra), zero
+
+        monkeypatch.setattr(pipeline, "_setup", coupled)
+
+    def test_an_edge_between_two_components_fails_the_run(self, monkeypatch):
+        _, clean = self.run()
+        a, b = (bump.nodes[np.argmax(bump.values)] for bump in clean.bumps[:2])
+        self.couple(monkeypatch, {(a, b): -1.0, (b, a): -1.0})
+        _, report = self.run()
+        assert [bump.values.tolist() for bump in report.bumps] \
+            == [bump.values.tolist() for bump in clean.bumps]
+        full = report.solutions[-1].verification
+        assert not full.verdicts["residual"] and full.residual_norm > 0.1
+        assert report.all_verified is False and not report.passed
+
+    def test_couplings_each_within_tolerance_fail_only_the_full_subset(self, monkeypatch):
+        """Each bump passes and a composed max passes; the dense full subset does not."""
+        config, clean = self.run()
+        tol = config.tolerances.residual_tol_scale * config.nonlinearity.gamma \
+            * config.nonlinearity.s_star * pipeline._setup(config)[0].cell_volume
+        first, second, third = clean.bumps[:3]
+        row = second.nodes[np.argmax(second.values)]
+        entries = {(row, bump.nodes[k]): -0.6 * tol / bump.values[k]
+                   for bump in (first, third) for k in [np.argmax(bump.values)]}
+        self.couple(monkeypatch, entries)
+        _, report = self.run()
+        failed = [record.solution.label() for record in report.solutions
+                  if not record.verification.passed]
+        assert failed == ["(1,1)+(1,2)+(1,3)+(1,4)"]
+        assert report.solutions[-1].verification.residual_norm > tol
+        assert report.all_verified is False
 
 @pytest.fixture
 def weight_evaluations(monkeypatch):
