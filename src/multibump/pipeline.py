@@ -562,6 +562,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                          eigen.rayleigh_residual)
                 report.f2_entries.append(check_hypothesis_f2(
                     comp, field, nonlinearity.gamma, eigen))
+            del laplacian  # only this stage reads it
             failing = [_comp_label(e.component_id)
                        for e in report.f2_entries if not e.passed]
             if failing:

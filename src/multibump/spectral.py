@@ -3,16 +3,15 @@
 The spectral margin condition (f2) compares gamma, the slope of the
 nonlinearity at 0+, against a_M * lambda_1(D) for every connected component
 D of the domain minus the zero set, where a_M is the maximum of the weight
-over the closure of D.  Only the lowest eigenpair is needed, so we run
-inverse power iteration on the symmetric positive definite stencil matrix K:
-each step solves K y = x, sets x = y/|y| and lambda = x.Kx, a Rayleigh
-quotient, so never below the discrete lambda_1 however inexact the solve
-(Golub & Ye, BIT 40, 2000).  In 2D, K is factorized once per component by a
-fill-reducing sparse LU (:func:`factorize`, which the 2D Newton solve also
-uses); in 3D the fill takes gigabytes at a few ten thousand unknowns, so
-each solve is the Newton solve's CG (:func:`pcg`, Jacobi) to ``INNER_RTOL``,
-whose memory stays linear.  A 2D weighted stiffness c K (a weight constant
-on the closure, no cut edge) shares K's factor; only :func:`dirichlet_lambda1` decides.
+over the closure of D.  Each step on the stencil matrix K takes the
+Rayleigh-Ritz minimum on span{x, T(Kx - lambda x), the last step's
+direction}, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
+so lambda is a Rayleigh quotient, never below the discrete lambda_1.  In 2D,
+T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`,
+which the 2D Newton solve also uses); in 3D that fill takes gigabytes at a
+few ten thousand unknowns, so T is Jacobi.  A 2D weighted stiffness c K (a
+weight constant on the closure, no cut edge) shares K's factor; only
+:func:`dirichlet_lambda1` decides.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ class EigenPair:
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
     ``rayleigh_residual`` is |Kx - lambda x|/lambda at the last unit iterate
-    x.  ``factor`` is x -> S^-1 x for the component's weighted stiffness S
-    when S = c K in 2D (:func:`dirichlet_lambda1`), else None.
+    x, after ``iterations`` Rayleigh-Ritz steps.  ``factor`` is x -> S^-1 x
+    for the component's weighted stiffness S when S = c K in 2D, else None.
     """
 
     component_id: tuple[int, int]
@@ -111,11 +110,6 @@ def pcg(K, shift, g: np.ndarray, eta: float,
     return d, step
 
 
-# Relative residual of each 3D inner solve: on the 3D shell @17-81 the outer
-# steps and lambda_1 (to 1e-11) are those of solves to 1e-12.
-INNER_RTOL = 1e-6
-
-
 def dirichlet_laplacian(grid: Grid):
     """The lattice's unit-conductance operator over h^2, built once per run.
 
@@ -133,33 +127,48 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
-    it to the component's nodes gives zero boundary data on its shell.
-    Converged when successive eigenvalue estimates agree to ``eig_tol``
-    relatively, within ``eig_max_iter`` steps.  In 2D, when the weight of
-    ``field`` is constant on the closure (nodes and shell) and no edge is
-    cut, its stiffness is c times that restriction and ``factor`` is the
-    LU solve over c; any other factor is dropped on return.
+    it to the component's nodes gives zero boundary data on its shell.  The
+    steps stop once their contraction puts lambda within ``eig_tol`` of the
+    discrete lambda_1, relatively; after ``eig_max_iter`` steps they fail.
+    In 2D, when the weight of ``field`` is constant on the closure (nodes and
+    shell) and no edge is cut, its stiffness is c times that restriction and
+    ``factor`` is the LU solve over c; any other factor is dropped on return.
     """
     rows = laplacian[component.nodes]
     K = rows[:, component.nodes]
     if grid.ndim == 2:
-        solve = factorize(K, component.id)
-    else:
-        solve = lambda b: pcg(K, 0.0, b, INNER_RTOL)[0]
-
-    x = np.ones(K.shape[0]) / np.sqrt(K.shape[0])
-    lam = np.inf
+        solve = precondition = factorize(K, component.id)
+    else:  # Jacobi: a 3D factor's fill grows too fast
+        inv_diag = 1.0 / K.diagonal()
+        precondition = lambda r: inv_diag * r
+    S, KS = np.empty((3, K.shape[0])), np.empty((3, K.shape[0]))  # rows x, w, p; K times them
+    S[0] = 1.0 / np.sqrt(K.shape[0])
+    KS[0] = K @ S[0]
+    lam, step, m = S[0] @ KS[0], 0.0, 2
     for iteration in range(1, tol.eig_max_iter + 1):
-        y = solve(x)
-        x = y / np.linalg.norm(y)
-        Kx = K @ x
-        lam, lam_prev = float(x @ Kx), lam
-        if abs(lam - lam_prev) <= tol.eig_tol * lam:
+        S[1] = precondition(KS[0] - lam * S[0])
+        KS[1] = K @ S[1]
+        G, A = (np.array([S[:m] @ v for v in V[:m]]) for V in (S, KS))
+        # Z: an orthonormal basis of the span, in which a zero or dependent w or p drops out
+        d = 1.0 / np.sqrt(np.diag(G) + (np.diag(G) == 0.0))
+        g, Q = np.linalg.eigh(d[:, None] * G * d)
+        Z = d[:, None] * Q[:, g > 1e-12 * g[-1]] / np.sqrt(g[g > 1e-12 * g[-1]])
+        theta, Y = np.linalg.eigh(Z.T @ A @ Z)
+        y = Z @ Y[:, 0]
+        S[2], KS[2] = y[1:m] @ S[1:m], y[1:m] @ KS[1:m]
+        S[0], KS[0] = y[0] * S[0] + S[2], y[0] * KS[0] + KS[2]
+        lam, step_prev, step, m = theta[0], step, lam - theta[0], 3
+        # Steps contracting by rho = step/step_prev leave about step*rho/(1 - rho) of
+        # lam - lambda_1; a hundredth of eig_tol covers the uneven contraction of Jacobi.
+        if step <= 0.0 or step ** 2 <= (step_prev - step) * 0.01 * tol.eig_tol * lam:
             break
     else:
         raise NumericalFailureError(
-            f"inverse power iteration did not converge on component {component.id}")
+            f"Rayleigh-Ritz iteration did not converge on component {component.id}")
 
+    x = S[0] / np.linalg.norm(S[0])
+    Kx = K @ x
+    lam = float(x @ Kx)
     residual = float(np.linalg.norm(Kx - lam * x)) / lam
     e1 = x / x[np.argmax(np.abs(x))]
     if np.min(e1) <= 0.0:

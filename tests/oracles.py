@@ -1,9 +1,9 @@
 """Independent oracles the test suite checks the solver against.
 
 These deliberately avoid the code paths under test: the reference
-operator is assembled one stencil edge at a time, the eigenvalue oracle is
-a dense symmetric eigensolve of it, the bump oracle solves the semilinear
-problem by damped fixed-point iteration with direct sparse factorizations,
+operator is assembled one stencil edge at a time, the eigenvalue oracles
+are a dense symmetric eigensolve of it and shift-invert Lanczos (a sparse LU
+solve per step), the bump oracle solves the semilinear problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, box and ball
 domains are their closed-form distances in numpy, the A_2 oracle
 averages one lattice ball at a time, and the reference writers format every
@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
 from multibump.assembly import boundary_cut_fractions, edge_conductances
 from multibump.composition import MultiBumpSolution
@@ -109,6 +109,11 @@ def dense_lambda1(component: Component, grid: Grid) -> float:
     nodes = component.nodes
     K = laplacian_reference_operator(grid)[nodes][:, nodes]
     return float(np.linalg.eigvalsh(K.toarray())[0])
+
+
+def shift_invert_lambda1(K) -> float:
+    """Smallest eigenvalue of the sparse SPD ``K`` by shift-invert Lanczos about 0."""
+    return float(eigsh(K.tocsc(), k=1, sigma=0.0, which="LM", tol=1e-14)[0][0])
 
 
 def damped_fixed_point(energy: DiscreteEnergy, seed: np.ndarray,

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import nested_rings_config, unit_box
-from oracles import dense_lambda1
+from conftest import nested_rings_config, ring_config, unit_box
+from oracles import dense_lambda1, shift_invert_lambda1
 
 from multibump import pipeline, spectral
 from multibump.assembly import boundary_cut_fractions
@@ -72,6 +72,18 @@ def test_eigenfunction_strictly_positive_max_one():
     assert np.min(eig.e1) > 0.0
 
 
+@pytest.mark.parametrize("ndim, n", [(2, 3), (2, 4), (3, 3), (3, 4)],
+                         ids=["square3", "square4", "cube3", "cube4"])
+def test_a_start_that_is_an_eigenvector_stops_after_one_step(ndim, n):
+    # One interior node, or a symmetric 2^N block whose constant start is the
+    # eigenvector: w (and then p) is zero or round-off and drops out of the step.
+    grid, _, comp = single_component(unit_box(ndim), n)
+    eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+    assert eig.iterations == 1
+    assert eig.lambda1 == pytest.approx(dense_lambda1(comp, grid), rel=1e-14)
+    assert eig.e1 == pytest.approx(np.ones(comp.node_count), rel=1e-14)
+
+
 def test_lambda1_monotone_under_domain_inclusion():
     big, _, comp_big = single_component(unit_box(2), 65)
     small, _, comp_small = single_component(
@@ -100,10 +112,9 @@ def test_unit_cube_closed_form_on_cg_branch():
     assert eig.lambda1 == pytest.approx(formula, rel=1e-6)
 
 
-# Nested rings @65 (chi = 4) before 2D components were factorized: each
-# inverse-iteration step then ran a Jacobi-CG solve to 1e-12.
-NESTED65_CG = {(1, 1): (25.05107384558559, 7), (2, 1): (42.73050725766946, 52),
-               (2, 2): (46.34573011001019, 34), (2, 3): (46.76094800642964, 15)}
+# Nested rings @65 (chi = 4): Rayleigh-Ritz steps and lambda_1.
+NESTED65 = {(1, 1): (25.051073843371675, 4), (2, 1): (42.73050500503633, 9),
+            (2, 2): (46.34572952085233, 7), (2, 3): (46.76094783232944, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +128,16 @@ def nested65():
                   for comp in components}
 
 
-def test_factorized_branch_matches_cg_iterations_and_lambda1(nested65):
-    _, eigs = nested65
-    assert set(eigs) == set(NESTED65_CG)
-    for comp_id, (lam, iterations) in NESTED65_CG.items():
-        assert eigs[comp_id][1].iterations == iterations
-        assert eigs[comp_id][1].lambda1 == pytest.approx(lam, rel=1e-12)
+def test_factorized_branch_steps_and_lambda1(nested65):
+    grid, eigs = nested65
+    laplacian = dirichlet_laplacian(grid)
+    assert set(eigs) == set(NESTED65)
+    for comp_id, (lam, iterations) in NESTED65.items():
+        comp, eig = eigs[comp_id]
+        assert eig.iterations == iterations
+        assert eig.lambda1 == pytest.approx(lam, rel=1e-12)
+        oracle = shift_invert_lambda1(laplacian[comp.nodes][:, comp.nodes])
+        assert eig.lambda1 == pytest.approx(oracle, rel=1e-10)
 
 
 def test_factorized_branch_reports_the_true_residual(nested65):
@@ -144,22 +159,63 @@ def test_inexact_cg_branch_bounds_the_dense_oracle_from_above():
     assert eig.lambda1 == pytest.approx(dense, rel=1e-9)
 
 
-SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
-# The shell @17 when every inner CG solve ran to relative residual 1e-12.
-SHELL17_EXACT = {(1, 1): (12.068525522664642, 15), (1, 2): (12.06008515505912, 9)}
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+SHELL3D = BENCH_CONFIGS / "shell3d.json"
+# The shell @17: Jacobi-preconditioned Rayleigh-Ritz steps and lambda_1.
+SHELL17 = {(1, 1): (12.068525463856162, 19), (1, 2): (12.060085154096416, 12)}
 
 
-def test_inexact_cg_branch_takes_the_exact_solves_outer_steps():
+def test_jacobi_branch_steps_and_lambda1_on_the_shell():
     config = dataclasses.replace(pipeline.load_config(SHELL3D), resolution=17)
     grid = build_grid(config.domain, config.resolution)
     zero = detect_zero_set(evaluate_weight(config.weight, grid), grid)
     laplacian = dirichlet_laplacian(grid)
-    eigs = {comp.id: dirichlet_lambda1(comp, grid, laplacian)
-            for comp in decompose_components(grid, zero).components}
-    assert set(eigs) == set(SHELL17_EXACT)
-    for comp_id, (lam, iterations) in SHELL17_EXACT.items():
-        assert eigs[comp_id].iterations == iterations
-        assert eigs[comp_id].lambda1 == pytest.approx(lam, rel=1e-9)
+    components = {comp.id: comp for comp in decompose_components(grid, zero).components}
+    assert set(components) == set(SHELL17)
+    for comp_id, (lam, iterations) in SHELL17.items():
+        eig = dirichlet_lambda1(components[comp_id], grid, laplacian)
+        assert eig.iterations == iterations
+        assert eig.lambda1 == pytest.approx(lam, rel=1e-12)
+        dense = dense_lambda1(components[comp_id], grid)
+        assert eig.lambda1 >= dense * (1.0 - 1e-12)
+        assert eig.lambda1 == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("workload", ["nested-output", "square-descent"])
+def test_every_lambda1_matches_shift_invert_eigsh(workload):
+    # Nested rings @129 and the square @65; on the annuli lambda_2/lambda_1 is
+    # only 1.008 and 1.014, where a stop on successive lambda quits early.
+    config = pipeline.load_config(BENCH_CONFIGS / f"{workload}.json")
+    grid = build_grid(config.domain, config.resolution)
+    zero = detect_zero_set(evaluate_weight(config.weight, grid), grid)
+    laplacian = dirichlet_laplacian(grid)
+    for comp in decompose_components(grid, zero).components:
+        lam = dirichlet_lambda1(comp, grid, laplacian, config.tolerances).lambda1
+        oracle = shift_invert_lambda1(laplacian[comp.nodes][:, comp.nodes])
+        assert lam >= oracle * (1.0 - 1e-13)  # a Rayleigh quotient
+        assert lam == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("eig_tol", [1e-1, 1e-3, 1e-8])
+@pytest.mark.parametrize("n", [33, 65, 129])
+@pytest.mark.parametrize("make_config", [ring_config, nested_rings_config],
+                         ids=["ring", "nested_rings"])
+def test_check_keeps_a_strictly_positive_e1_at_any_eig_tol(make_config, n, eig_tol,
+                                                          monkeypatch):
+    # Unlike K^-1 x, a Ritz combination is not positive by construction.
+    minima = []
+
+    def recorded(*args, **kwargs):
+        eig = dirichlet_lambda1(*args, **kwargs)
+        minima.append(float(np.min(eig.e1)))
+        return eig
+
+    monkeypatch.setattr(pipeline, "dirichlet_lambda1", recorded)
+    config = make_config(n)
+    config["tolerances"] = {"eig_tol": eig_tol}
+    report = pipeline.check_hypotheses(pipeline.parse_config(config))
+    assert report.status == "ok"
+    assert len(minima) == report.chi and min(minima) > 0.0
 
 
 def test_one_check_on_nested_rings_bisects_the_boundary_crossings_once(monkeypatch):
