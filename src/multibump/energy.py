@@ -10,10 +10,12 @@ below -beta*, and zero above s*.  The truncation makes J coercive and
 forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
-The inner solves are the spectral stage's CG (``pcg``), preconditioned by its
-LU factor when the eigenpair carries one (2D, weight constant on the closure,
-no cut edge), else by Jacobi, which a 2D component swaps for a factor of K
-once that pays (``minimize_energy``); 3D memory stays linear.
+The inner solves are the spectral stage's CG (``pcg``).  In 2D its LU factor
+of the unit-conductance matrix K0, scaled to the weight's diagonal, is a
+preconditioner for the weighted K: exact where the two diagonals are
+proportional, and taken from the first step then, else once Jacobi stops
+paying (``minimize_energy`` decides).  3D stays on Jacobi; its memory stays
+linear.
 
 Every nonlinearity kind only supplies f and gets one primitive: a Simpson
 table plus Simpson's rule on the partial panel, exact on each quadrature
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import HypothesisViolationError, NumericalFailureError
 from .expressions import compile_expression
 from .grid import Grid
-from .spectral import EigenPair, factorize, pcg
+from .spectral import EigenPair, pcg
 from .tolerances import ToleranceConfig, real
 from .topology import Component
 from .weights import WeightField
@@ -193,7 +195,6 @@ class DiscreteEnergy:
     trunc: TruncatedNonlinearity = dc_field(repr=False)
     cell_volume: float
     a_max_closure: float
-    ndim: int
 
     @property
     def size(self) -> int:
@@ -220,20 +221,13 @@ def assemble_energy(component: Component, field: WeightField,
     closure = np.concatenate([nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
-                          cell_volume=grid.cell_volume, a_max_closure=a_max,
-                          ndim=grid.ndim)
+                          cell_volume=grid.cell_volume, a_max_closure=a_max)
 
 
 # Jacobi-CG counts grow like 1/h ~ sqrt(unknowns) only where K dominates the
-# Hessian, which is where the factor of K makes them independent of h.  Minimize
-# ms with the switch / Jacobi only at n = 65, 129, 257, 513 (2-core host, best of
-# 3, one run at 513): square with a = 1 + 0.5xy 20/26, 94/232, 611/1792,
-# 4556/19027; disk of radius 1/2, a = 1, 18/23, 80/115, 453/866, 3157/7312;
-# `ring` (1,1) 7.1/7.6, 18/18, 91/121, 523/821.  Where the f*' shift dominates,
-# as on the nested rings' annuli (<= 33 Jacobi steps per Newton step at n = 129),
-# the count stays below the bound; CG with the factor took as many steps (62 vs
-# 72), 4-5x dearer.  Their disk (1,1) switches at step 9-11 of 10-12 from n = 129
-# on and loses: 8.2/6.6, 22/17, 107/89.
+# Hessian, which is where the factor makes them independent of h.  Where the f*'
+# shift dominates, as on the nested rings' annuli, the count stays below the
+# bound, and CG with the factor takes about as many steps, each dearer.
 FACTOR_SWITCH = 0.5
 
 
@@ -243,7 +237,7 @@ class BumpSolution:
 
     ``values`` live on ``nodes`` (flat lattice indices of the component).
     ``factored_from`` is the first Newton step (counted from 1) whose inner
-    solve used the LU factor of K, or None if the component never switched.
+    solve used the spectral stage's LU factor, or None if none did.
     """
 
     component_id: tuple[int, int]
@@ -275,10 +269,12 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     is within ``bounds_tol`` of s*, the last step is at most bounds_tol/10
     (on the kink of f* at s* a small gradient does not bound the error in u).
 
-    Given ``eigen.factor`` (x -> K^-1 x), every step is CG preconditioned
-    by it.  Otherwise the inner solve is Jacobi-CG until, in 2D, one step's
-    count reaches ``FACTOR_SWITCH * sqrt(unknowns)``; every later step is CG
-    preconditioned by a sparse LU factor of K, built once before it.
+    In 2D ``eigen.factor`` (x -> K0^-1 x) gives the preconditioner
+    M^-1 = D^-1/2 K0^-1 D^-1/2, D = diag(K) / ``eigen.diagonal``.  When D is
+    constant, as for a constant weight with no cut edge (then M = K), every
+    step uses it.  Otherwise the inner solve is Jacobi-CG until one step's
+    count reaches ``FACTOR_SWITCH * sqrt(unknowns)``, and M from the next
+    step on.  3D has no factor and stays on Jacobi.
     """
     b = energy.trunc.base
     if b.gamma / eigen.lambda1 <= energy.a_max_closure:
@@ -306,9 +302,13 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     u = s0 * eigen.e1
     g0 = float(np.linalg.norm(energy.gradient(u)))
     linear_iterations, step = 0, np.inf
-    switch_at = FACTOR_SWITCH * np.sqrt(energy.size) if energy.ndim == 2 else np.inf
-    precondition, factored_from = eigen.factor, (None if eigen.factor is None else 1)
-    switch = False
+    precondition = factored_from = None
+    switch, switch_at = False, np.inf
+    # M = D^1/2 K0 D^1/2 is K for a constant weight and no cut edge, where D is constant
+    if eigen.factor is not None:
+        D = K.diagonal() / eigen.diagonal
+        root = 1.0 / np.sqrt(D)
+        switch, switch_at = np.ptp(D) == 0.0, FACTOR_SWITCH * np.sqrt(energy.size)
     for iteration in range(tol.max_minimize_iterations):
         Ku = K @ u
         g = Ku - trunc.f_star(u) * hN
@@ -326,7 +326,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         shift = np.where(u < b.s_star, trunc.f_star(v + ds) - trunc.f_star(v - ds),
                          0.0) * (hN / (2.0 * ds))
         if switch and precondition is None:
-            precondition, factored_from = factorize(K, energy.component.id), iteration + 1
+            precondition, factored_from = (lambda r: root * eigen.factor(root * r)), iteration + 1
         d, steps = pcg(K, shift, g, eta, precondition)
         linear_iterations += steps
         switch |= steps >= switch_at

@@ -555,8 +555,9 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             eigenpairs = []
             laplacian = dirichlet_laplacian(grid)
             for comp in decomposition.components:
-                eigen = dirichlet_lambda1(comp, grid, laplacian, tol, field if solve else None)
-                eigenpairs.append(eigen)
+                eigen = dirichlet_lambda1(comp, grid, laplacian, tol)
+                if solve:  # each 2D factor is held until its minimize; check drops it here
+                    eigenpairs.append(eigen)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
                          eigen.rayleigh_residual)
@@ -581,7 +582,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                              bump.iterations, bump.linear_iterations,
                              f"LU factor from step {bump.factored_from}"
                              if bump.factored_from else "no LU factor")
-                del eigen  # the last shared factor, held no longer than its minimize
+                del eigen  # the last factor, held no longer than its minimize
             with _stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1

@@ -7,11 +7,10 @@ over the closure of D.  Each step on the stencil matrix K takes the
 Rayleigh-Ritz minimum on span{x, T(Kx - lambda x), the last step's
 direction}, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 so lambda is a Rayleigh quotient, never below the discrete lambda_1.  In 2D,
-T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`,
-which the 2D Newton solve also uses); in 3D that fill takes gigabytes at a
-few ten thousand unknowns, so T is Jacobi.  A 2D weighted stiffness c K (a
-weight constant on the closure, no cut edge) shares K's factor; only
-:func:`dirichlet_lambda1` decides.
+T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`),
+built once per component and handed to the 2D Newton solve with K's
+diagonal; in 3D that fill takes gigabytes at a few ten thousand unknowns, so
+T is Jacobi and no factor is built.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ class EigenPair:
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
     ``rayleigh_residual`` is |Kx - lambda x|/lambda at the last unit iterate
-    x, after ``iterations`` Rayleigh-Ritz steps.  ``factor`` is x -> S^-1 x
-    for the component's weighted stiffness S when S = c K in 2D, else None.
+    x, after ``iterations`` Rayleigh-Ritz steps.  In 2D, ``factor`` is the
+    LU solve x -> K^-1 x with the component's unit-conductance matrix K and
+    ``diagonal`` is K's diagonal; in 3D both are None.
     """
 
     component_id: tuple[int, int]
@@ -47,6 +47,7 @@ class EigenPair:
     rayleigh_residual: float
     iterations: int
     factor: Callable | None = None
+    diagonal: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,11 @@ def pcg(K, shift, g: np.ndarray, eta: float,
     """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
 
     ``precondition`` maps a residual r to M^-1 r for a symmetric positive
-    definite M: Jacobi (M = diag K) by default, or the solve with an LU
-    factor of K.  Stops at residual eta*|g| or at the first direction of
-    nonpositive curvature; if that is the first direction, the
-    preconditioned gradient is returned, so g.d > 0 always.  Returns d and
-    the number of CG steps.
+    definite M: Jacobi (M = diag K) by default, or an LU solve of the
+    unit-conductance matrix scaled to K's diagonal.  Stops at residual
+    eta*|g| or at the first direction of nonpositive curvature; if that is
+    the first direction, the preconditioned gradient is returned, so
+    g.d > 0 always.  Returns d and the number of CG steps.
     """
     if precondition is None:
         inv_diag = 1.0 / K.diagonal()
@@ -122,24 +123,20 @@ def dirichlet_laplacian(grid: Grid):
 
 
 def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
-                      tol: ToleranceConfig = ToleranceConfig(),
-                      field: WeightField | None = None) -> EigenPair:
+                      tol: ToleranceConfig = ToleranceConfig()) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
     ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
     it to the component's nodes gives zero boundary data on its shell.  The
     steps stop once their contraction puts lambda within ``eig_tol`` of the
     discrete lambda_1, relatively; after ``eig_max_iter`` steps they fail.
-    In 2D, when the weight of ``field`` is constant on the closure (nodes and
-    shell) and no edge is cut, its stiffness is c times that restriction and
-    ``factor`` is the LU solve over c; any other factor is dropped on return.
+    In 2D the LU solve that preconditions them is returned as ``factor``.
     """
-    rows = laplacian[component.nodes]
-    K = rows[:, component.nodes]
+    K = laplacian[component.nodes][:, component.nodes]
     if grid.ndim == 2:
         solve = precondition = factorize(K, component.id)
     else:  # Jacobi: a 3D factor's fill grows too fast
-        inv_diag = 1.0 / K.diagonal()
+        solve, inv_diag = None, 1.0 / K.diagonal()
         precondition = lambda r: inv_diag * r
     S, KS = np.empty((3, K.shape[0])), np.empty((3, K.shape[0]))  # rows x, w, p; K times them
     S[0] = 1.0 / np.sqrt(K.shape[0])
@@ -174,15 +171,9 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     if np.min(e1) <= 0.0:
         raise NumericalFailureError(
             f"first eigenfunction not strictly positive on component {component.id}")
-    scale = None
-    if field is not None and grid.ndim == 2:
-        closure = np.concatenate([component.nodes, component.shell])
-        couplings = rows.data[rows.data < 0.0]  # a cut edge's is 1/theta times the others
-        if np.ptp(field.values.ravel()[closure]) == 0.0 and np.ptp(couplings) == 0.0:
-            scale = field.operator[component.nodes[0], component.nodes[0]] / K[0, 0]
     return EigenPair(component_id=component.id, lambda1=lam, e1=e1,
-                     rayleigh_residual=residual, iterations=iteration,
-                     factor=None if scale is None else lambda b: solve(b) / scale)
+                     rayleigh_residual=residual, iterations=iteration, factor=solve,
+                     diagonal=None if solve is None else K.diagonal())
 
 
 def check_hypothesis_f2(component: Component, field: WeightField, gamma: float,

@@ -7,6 +7,7 @@ from conftest import nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
 from multibump import energy as energy_module
+from multibump import spectral
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import HypothesisViolationError
@@ -21,10 +22,10 @@ GAMMA, S_STAR = 30.0, 1.0
 BETA = S_STAR / 2.0
 
 
-def square_energy(n, trunc, ndim=2):
-    """Constant-weight unit box at resolution n: its energy and eigenpair."""
+def square_energy(n, trunc, ndim=2, weight=WeightSpec.constant(1.0)):
+    """Unit box at resolution n, constant weight by default: its energy and eigenpair."""
     grid = build_grid(unit_box(ndim), n)
-    field = evaluate_weight(WeightSpec.constant(1.0), grid)
+    field = evaluate_weight(weight, grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
     return (assemble_energy(comp, field, trunc, grid),
             dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid)))
@@ -32,11 +33,11 @@ def square_energy(n, trunc, ndim=2):
 
 @pytest.fixture(scope="module")
 def square_refinement(logistic30):
-    """The square's bump at 33/65/129 with each Newton step's inner count.
+    """The square's bump at 33/65/129 with each Newton step's inner count, by weight.
 
     Each inner count is recorded with whether the step used the LU factor.
     """
-    solves = []
+    solves = {}
     with pytest.MonkeyPatch.context() as patch:
         steps = []
 
@@ -46,9 +47,12 @@ def square_refinement(logistic30):
             return d, count
 
         patch.setattr(energy_module, "pcg", recorded)
-        for n in (33, 65, 129):
-            steps = []
-            solves.append((minimize_energy(*square_energy(n, logistic30)), steps))
+        for weight in ("1", "1 + 0.5*x*y"):
+            for n in (33, 65, 129):
+                steps = []
+                bump = minimize_energy(*square_energy(n, logistic30,
+                                                      weight=WeightSpec.expression(weight)))
+                solves.setdefault(weight, []).append((bump, steps))
     return solves
 
 
@@ -251,28 +255,32 @@ class TestMinimization:
             assert scaled.value(u) == pytest.approx(2.0 * base.value(u), rel=1e-12)
 
     def test_outer_iterations_do_not_grow_with_resolution(self, square_refinement):
-        counts = [bump.iterations for bump, _ in square_refinement]
-        assert max(counts) <= 8
-        assert max(counts) - min(counts) <= 1
+        for solves in square_refinement.values():
+            counts = [bump.iterations for bump, _ in solves]
+            assert max(counts) <= 8
+            assert max(counts) - min(counts) <= 1
 
     def test_inner_counts_after_the_switch_do_not_grow_with_resolution(
             self, square_refinement):
-        factored = []
-        for bump, steps in square_refinement:
-            used = [i for i, (lu, _) in enumerate(steps, start=1) if lu]
-            # The switch holds for every later step, from the recorded one.
-            assert used == list(range(bump.factored_from, len(steps) + 1))
-            jacobi = [count for lu, count in steps if not lu]
-            assert jacobi[-1] >= 0.5 * np.sqrt(bump.nodes.size) > max(jacobi[:-1])
-            factored.append([count for lu, count in steps if lu])
-        assert factored[0] == factored[1] == factored[2]
-        assert max(factored[0]) <= 4
+        # The constant weight's stiffness is a multiple of the spectral K: factored
+        # from step 1.  The varying one switches after one Jacobi step of 25-118.
+        for weight, first in (("1", 1), ("1 + 0.5*x*y", 2)):
+            factored = []
+            for bump, steps in square_refinement[weight]:
+                assert bump.factored_from == first
+                used = [i for i, (lu, _) in enumerate(steps, start=1) if lu]
+                # The switch holds for every later step, from the recorded one.
+                assert used == list(range(first, len(steps) + 1))
+                jacobi = [count for lu, count in steps if not lu]
+                assert jacobi == [] or jacobi[-1] >= 0.5 * np.sqrt(bump.nodes.size)
+                factored.append([count for lu, count in steps if lu])
+            assert max(map(max, factored)) <= 5
 
     def test_three_dimensions_never_factor(self, logistic30, monkeypatch):
-        def refuse(K, component_id):
+        def refuse(*args, **kwargs):
             raise AssertionError("factorized a 3D component")
 
-        monkeypatch.setattr(energy_module, "factorize", refuse)
+        monkeypatch.setattr(spectral, "splu", refuse)
         monkeypatch.setattr(energy_module, "FACTOR_SWITCH", 0.0)
         assert minimize_energy(*square_energy(9, logistic30, ndim=3)).factored_from is None
         with pytest.raises(AssertionError, match="factorized"):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -983,7 +984,7 @@ class TestStageFailures:
         assert report["failure_message"] == (
             "sparse LU failed on component (1, 1): Factor is exactly singular")
 
-    def test_factorization_failure_in_minimize_writes_report(self, tmp_path, monkeypatch):
+    def test_factorization_failure_in_solve_writes_report(self, tmp_path, monkeypatch):
         splu, calls = spectral.splu, []
 
         def second_call_fails(*args, **kwargs):
@@ -994,17 +995,15 @@ class TestStageFailures:
 
         monkeypatch.setattr(spectral, "splu", second_call_fails)
         out = tmp_path / "out"
-        # A weight that is not constant gets no shared factor: minimize builds its own.
-        path = write_config(tmp_path, unit_square(33, out=str(out), weight={
-            "kind": "custom-expression", "expr": "1 + 0.5*x*y"}))
+        path = write_config(tmp_path, nested_rings_config(33, out=str(out)))
         assert main(["solve", "--config", str(path)]) == 1
-        assert len(calls) == 2  # the spectral stage's factor, then minimize's
+        assert len(calls) == 2  # minimize builds no factor of its own
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "numerical-failure"
         assert [entry["passed"] for entry in report["f2"]] == [True]
         assert report["bumps"] == [] and report["solutions"] == []
         assert report["failure_message"] == (
-            "sparse LU failed on component (1, 1): Factor is exactly singular")
+            "sparse LU failed on component (1, 2): Factor is exactly singular")
 
     @pytest.mark.parametrize("domain, resolution, coarse", [
         (tiny_disk(), 8, 8),        # h = 2/7: no node at the center
@@ -1063,7 +1062,7 @@ def splu_calls(monkeypatch):
 
 
 def direct_bumps(config):
-    """Each component's bump from its own eigenpair and energy, without a shared factor."""
+    """Each component's bump from its own eigenpair and energy, outside the pipeline."""
     grid, field, zero = pipeline._setup(config)
     laplacian, tol = dirichlet_laplacian(grid), config.tolerances
     trunc = truncate_nonlinearity(config.nonlinearity)
@@ -1079,9 +1078,9 @@ class TestSharedFactor:
         [shared] = run_pipeline(config, write=False).bumps
         assert splu_calls == [(63 * 63, 63 * 63)]
         [direct] = direct_bumps(config)
-        assert (shared.factored_from, direct.factored_from) == (1, 3)
-        assert np.max(np.abs(shared.values - direct.values)) <= 1e-13
-        assert shared.energy == pytest.approx(direct.energy, rel=1e-14)
+        assert shared.factored_from == direct.factored_from == 1
+        assert np.array_equal(shared.values, direct.values)
+        assert shared.energy == direct.energy
 
     @pytest.mark.parametrize("changes, switch", [
         # Cut edges make the disk's stiffness differ from its Laplacian.
@@ -1089,19 +1088,54 @@ class TestSharedFactor:
         ({"weight": {"kind": "custom-expression", "expr": "1 + 0.5*x*y"}}, 2),
     ], ids=["disk-constant", "square-varying"])
     def test_other_components_factorize_as_before(self, splu_calls, changes, switch):
+        # They switch at the same step as before, to the spectral stage's factor.
         config = parse_config(unit_square(65, **changes))
         [bump] = run_pipeline(config, write=False).bumps
-        assert len(splu_calls) == 2  # the spectral stage's factor, then minimize's
+        assert len(splu_calls) == 1
         [direct] = direct_bumps(config)
         assert bump.factored_from == direct.factored_from == switch
         assert np.array_equal(bump.values, direct.values)
         assert bump.iterations == direct.iterations
 
-    def test_nested_rings_switch_as_before(self):
+    def test_nested_rings_switch_as_before(self, splu_calls):
         report = run_pipeline(parse_config(nested_rings_config(129)), write=False)
+        assert len(splu_calls) == 4
         # Only the disk switches; the shift dominates K on the annuli.
         assert {b.component_id: b.factored_from for b in report.bumps} == {
             (1, 1): 9, (2, 1): None, (2, 2): None, (2, 3): None}
+
+    def test_check_holds_one_factor_and_solve_drops_each_after_its_minimize(self, monkeypatch):
+        splu, alive, held = spectral.splu, weakref.WeakSet(), []
+
+        class Factor:  # a SuperLU object takes no weak reference
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        def tracked(*args, **kwargs):
+            held.append(len(alive))  # factors alive as the next one is built
+            factor = Factor(splu(*args, **kwargs))
+            alive.add(factor)
+            return factor
+
+        def counted(stage):
+            def call(*args):
+                held.append(len(alive))
+                return stage(*args)
+            return call
+
+        monkeypatch.setattr(spectral, "splu", tracked)
+        config = parse_config(nested_rings_config(129))
+        assert check_hypotheses(config).status == "ok"
+        assert len(held) == 4 and max(held) <= 1 and len(alive) == 0
+        held.clear()
+        for name in ("minimize_energy", "enumerate_all"):
+            monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
+        assert run_pipeline(config, write=False).status == "ok"
+        # solve keeps each factor from the spectral stage to its own minimize.
+        assert held == [0, 1, 2, 3] + [4, 3, 2, 1] + [0] and len(alive) == 0
 
     def test_three_dimensions_never_factorize(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -7,8 +7,11 @@ import pytest
 from conftest import nested_rings_config, ring_config, unit_box
 from oracles import dense_lambda1, shift_invert_lambda1
 
+from multibump import energy as energy_module
 from multibump import pipeline, spectral
 from multibump.assembly import boundary_cut_fractions
+from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
+                              truncate_nonlinearity)
 from multibump.grid import DomainSpec, build_grid
 from multibump.spectral import check_hypothesis_f2, dirichlet_lambda1, dirichlet_laplacian
 from multibump.topology import decompose_components
@@ -239,37 +242,55 @@ def restricted(domain, n, weight):
             dirichlet_laplacian(grid)[nodes][:, nodes])
 
 
+def newton_preconditioners(monkeypatch, grid, field, comp):
+    """The component's bump and the preconditioner of each Newton step's inner solve."""
+    used = []
+
+    def recorded(K, shift, g, eta, precondition=None):
+        used.append(precondition)
+        return spectral.pcg(K, shift, g, eta, precondition)
+
+    monkeypatch.setattr(energy_module, "pcg", recorded)
+    trunc = truncate_nonlinearity(NonlinearitySpec.logistic(60.0))
+    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+    return minimize_energy(assemble_energy(comp, field, trunc, grid), eigen), used
+
+
 class TestSharedFactor:
     @pytest.mark.parametrize("domain, n, a", [
         (unit_box(2), 50, 0.3), (unit_box(2), 65, 1.0), (unit_box(2), 129, 2.5),
         (DomainSpec.box((0.25, -0.5), (1.75, 1.0)), 65, 0.3),
         (DomainSpec.box((-1 / 64, 3 / 64), (1 - 1 / 64, 1 + 3 / 64)), 65, 1.0),
     ], ids=["n50-a0.3", "n65-a1", "n129-a2.5", "shifted-a0.3", "shifted-a1"])
-    def test_constant_weight_on_a_box_shares_the_factor(self, domain, n, a):
+    def test_constant_weight_on_a_box_shares_the_factor(self, monkeypatch, domain, n, a):
         grid, field, comp, S, K = restricted(domain, n, WeightSpec.constant(a))
         c = S.data[0] / K.data[0]
         assert c == pytest.approx(a * grid.h ** 2, rel=1e-15)
         assert np.array_equal(S.indices, K.indices)
         assert np.array_equal(S.data, c * K.data)  # S = c K exactly
-        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid), field=field)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+        assert np.array_equal(eig.diagonal, K.diagonal())
         b = np.random.default_rng(1).uniform(-1.0, 1.0, S.shape[0])
-        assert np.linalg.norm(S @ eig.factor(b) - b) <= 1e-12 * np.linalg.norm(b)
-        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid)).factor is None
+        assert np.linalg.norm(K @ eig.factor(b) - b) <= 1e-12 * np.linalg.norm(b)
+        # Newton scales the factor to S and uses it from the first step on.
+        bump, used = newton_preconditioners(monkeypatch, grid, field, comp)
+        assert bump.factored_from == 1 and None not in used
+        assert np.linalg.norm(S @ used[0](b) - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("domain, weight", [
         (DomainSpec.ball((0.0, 0.0), 1.0), WeightSpec.constant(1.0)),
         (unit_box(2), WeightSpec.expression("1 + 0.5*x*y")),
     ], ids=["disk-constant", "square-varying"])
-    def test_other_stiffness_gets_no_factor(self, domain, weight):
+    def test_other_stiffness_starts_on_jacobi(self, monkeypatch, domain, weight):
+        # Cut edges give the disk's Laplacian 1/theta couplings that its stiffness lacks.
         grid, field, comp = single_component(domain, 33, weight)
-        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid),
-                                 field=field).factor is None
+        bump, used = newton_preconditioners(monkeypatch, grid, field, comp)
+        assert used[0] is None and bump.factored_from != 1
 
     def test_three_dimensions_get_no_factor(self):
-        grid, field, comp, S, K = restricted(unit_box(3), 9, WeightSpec.constant(1.0))
-        assert np.array_equal(S.data, S.data[0] / K.data[0] * K.data)
-        assert dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid),
-                                 field=field).factor is None
+        grid, _, comp = single_component(unit_box(3), 9)
+        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+        assert eig.factor is None and eig.diagonal is None
 
 
 class TestF2:
