@@ -11,7 +11,7 @@ Subcommands:
 
 Exit status is 0 only when every verdict of the run is true; a violated
 hypothesis exits 2, any other stop 1.  ``--verbose`` logs one line per
-stage with its wall time.
+stage with its wall time; ``spectral`` and ``minimize`` run per component.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ _SAFE_FUNCTIONS = {
 def compile_expression(expr: str, variables: tuple[str, ...]):
     """Compile ``expr`` into a vectorized callable of the named variables.
 
-    Raises ``ValueError`` for bad syntax or a name that is neither a
-    variable nor an allowed function, at compile time rather than at first
-    evaluation.  Each expression is compiled once per process.
+    Raises ``ValueError`` for bad syntax, a lambda or comprehension, or a name
+    that is neither a variable nor an allowed function, at compile time rather
+    than at first evaluation.  Each expression is compiled once per process.
     """
     try:
         code = compile(expr, "<expression>", "eval")
@@ -51,6 +51,8 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     for name in code.co_names:
         if name not in _SAFE_FUNCTIONS and name not in variables:
             raise ValueError(f"name {name!r} is not allowed in expression {expr!r}")
+    if any(isinstance(c, type(code)) for c in code.co_consts):  # its names are not in co_names
+        raise ValueError(f"lambdas and comprehensions are not allowed in expression {expr!r}")
 
     def evaluator(*args):
         if len(args) != len(variables):

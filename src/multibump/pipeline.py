@@ -2,11 +2,11 @@
 
 One runner takes every run through its stages in order: setup (grid,
 weight, zero set), admissibility, decomposition, the nonlinearity (f1),
-spectral margins (f2), and for a solve bump minimization, subset
-enumeration and verification.  The first stage that fails stops the run;
-the class of its exception declares the report's status
-(:mod:`multibump.errors`) and, for a failed hypothesis, carries the violated
-condition.  Partial reports are still written.
+the Laplacian, one pass per component ((f2), then in a solve while (f2)
+holds its bump), and enumeration and verification.  The first stage that
+fails stops the run, (f2) once every margin is in; its exception's class
+declares the report's status (:mod:`multibump.errors`) and, for a failed
+hypothesis, carries the violated condition.  Partial reports are written.
 
 The setup of the last configuration is kept for the next call: a solve
 and the re-verification of each file it wrote share one grid, weight field
@@ -551,38 +551,35 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                                       for c in decomposition.components}
         with _stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
-        with _stage("spectral"):
-            eigenpairs = []
+        with _stage("laplacian"):
             laplacian = dirichlet_laplacian(grid)
-            for comp in decomposition.components:
+        bumps = {}
+        for comp in decomposition.components:
+            with _stage("spectral"):
                 eigen = dirichlet_lambda1(comp, grid, laplacian, tol)
-                if solve:  # each 2D factor is held until its minimize; check drops it here
-                    eigenpairs.append(eigen)
+                if comp is decomposition.components[-1]:
+                    del laplacian  # its last reader: not held through this minimize
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
                          eigen.rayleigh_residual)
                 report.f2_entries.append(check_hypothesis_f2(
                     comp, field, nonlinearity.gamma, eigen))
-            del laplacian  # only this stage reads it
-            failing = [_comp_label(e.component_id)
-                       for e in report.f2_entries if not e.passed]
-            if failing:
-                raise HypothesisViolationError("f2", "spectral margin non-positive on "
-                                               "component(s) " + ", ".join(failing))
-        if solve:
-            with _stage("minimize"):
-                bumps = {}
-                for comp in decomposition.components:
-                    eigen = eigenpairs.pop(0)
-                    energy = assemble_energy(comp, field, trunc, grid)
-                    bump = bumps[comp.id] = minimize_energy(energy, eigen, tol)
-                    report.bumps.append(bump)
+            if solve and all(e.passed for e in report.f2_entries):
+                with _stage("minimize"):
+                    bump = bumps[comp.id] = minimize_energy(
+                        assemble_energy(comp, field, trunc, grid), eigen, tol)
                     log.info("component %s: energy %.6g, %d iterations, "
                              "%d linear iterations, %s", comp.id, bump.energy,
                              bump.iterations, bump.linear_iterations,
                              f"LU factor from step {bump.factored_from}"
                              if bump.factored_from else "no LU factor")
-                del eigen  # the last factor, held no longer than its minimize
+            del eigen  # with its 2D factor, before the next component's is built
+        failing = [_comp_label(e.component_id) for e in report.f2_entries if not e.passed]
+        if failing:  # the bumps made before it are not reported
+            raise HypothesisViolationError("f2", "spectral margin non-positive on "
+                                           "component(s) " + ", ".join(failing))
+        report.bumps = list(bumps.values())
+        if solve:
             with _stage("enumerate"):
                 solutions = enumerate_all(bumps, config.enumeration.max_chi)
             report.expected_solutions = 2 ** decomposition.chi - 1

@@ -204,6 +204,25 @@ class TestConfigParsing:
         assert "grad_tol_scale must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes", [
+        {"weight": {"kind": "custom-expression", "expr": "where((lambda: ().__class__"
+                    ".__base__.__subclasses__())() is None, 0.0, 1.0) + 0*x"}},
+        {"weight": {"kind": "custom-expression", "expr": "1 + 0*[c.real for c in (x,)][0]"}},
+        {"domain": dict(tiny_disk(), expression="(lambda: x.real)()**2 + y**2 - 1")},
+        {"domain": dict(tiny_disk(), expression="[c.real for c in (x,)][0]**2 + y**2 - 1")},
+        {"nonlinearity": {"kind": "custom", "expr": "30*(lambda: s.real)()*(1 - s)",
+                          "gamma": 30.0, "s_star": 1.0, "beta_star": 0.5}},
+        {"nonlinearity": {"kind": "custom", "expr": "30*[c.real for c in (s,)][0]*(1 - s)",
+                          "gamma": 30.0, "s_star": 1.0, "beta_star": 0.5}},
+    ], ids=["weight-lambda", "weight-comprehension", "domain-lambda",
+            "domain-comprehension", "nonlinearity-lambda", "nonlinearity-comprehension"])
+    def test_nested_scopes_are_refused(self, changes):
+        # Their names are not the expression's own, so the allow-list never sees them.
+        # (From Python 3.12 a list comprehension is inlined: its `real` is refused by name.)
+        [(section, _)] = changes.items()
+        with pytest.raises(ConfigError, match=rf"^invalid {section}: .* not allowed in expr"):
+            parse_config(unit_square(**changes))
+
     def test_allow_large_is_an_unknown_key(self):
         # max_chi is the only enumeration guard.
         with pytest.raises(ConfigError, match="allow_large"):
@@ -289,6 +308,31 @@ class TestPipelineRuns:
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "f2"
         assert report.f2_entries and not report.f2_entries[0].passed
+
+    def test_mixed_f2_solve_stops_with_the_check_report(self, tmp_path, monkeypatch):
+        # At gamma 15 the disk (1,1) keeps a margin of +0.178, the first annulus
+        # (2,1) falls to -0.122, and (2,2) and (2,3) pass.
+        minimized, minimize = [], pipeline.minimize_energy
+
+        def counted(energy, eigen, tol):
+            minimized.append(energy.component.id)
+            return minimize(energy, eigen, tol)
+
+        monkeypatch.setattr(pipeline, "minimize_energy", counted)
+        data = nested_rings_config(65)
+        data["nonlinearity"]["gamma"] = 15.0
+        path = write_config(tmp_path, data)
+        for command in ("check", "solve"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert minimized == [(1, 1)]  # the one bump made before (2,1) fails
+        report = json.loads((tmp_path / "solve" / "report.json").read_text())
+        assert [(e["component"], round(e["margin"], 3), e["passed"]) for e in report["f2"]] == [
+            ("(1,1)", 0.178, True), ("(2,1)", -0.122, False),
+            ("(2,2)", 0.243, True), ("(2,3)", 0.24, True)]
+        assert report["violated_hypothesis"] == "f2" and report["bumps"] == []
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "solve" / name).read_bytes() == (
+                tmp_path / "check" / name).read_bytes()
 
     def test_three_dimensional_cube_smoke(self, tmp_path):
         # lambda1 of the unit cube is about 29.6, so gamma = 60 leaves a
@@ -1129,13 +1173,13 @@ class TestSharedFactor:
         monkeypatch.setattr(spectral, "splu", tracked)
         config = parse_config(nested_rings_config(129))
         assert check_hypotheses(config).status == "ok"
-        assert len(held) == 4 and max(held) <= 1 and len(alive) == 0
+        assert held == [0] * 4 and len(alive) == 0
         held.clear()
         for name in ("minimize_energy", "enumerate_all"):
             monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
         assert run_pipeline(config, write=False).status == "ok"
-        # solve keeps each factor from the spectral stage to its own minimize.
-        assert held == [0, 1, 2, 3] + [4, 3, 2, 1] + [0] and len(alive) == 0
+        # Each component's factor lives from its spectral stage to the end of its minimize.
+        assert held == [0, 1] * 4 + [0] and len(alive) == 0
 
     def test_three_dimensions_never_factorize(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1262,6 +1306,10 @@ class TestCli:
         {"domain": {"kind": "custom-implicit", "expression": "x**2 + y**2 - 4",
                     "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
         {"domain": {"kind": "box", "lo": [0.0] * 4, "hi": [1.0] * 4}, "export_vtk": True},
+        {"weight": {"kind": "custom-expression", "expr": "where((lambda: ().__class__"
+                    ".__base__.__subclasses__())() is None, 0.0, 1.0) + 0*x"}},
+        {"nonlinearity": {"kind": "custom", "expr": "30*[c.real for c in (s,)][0]*(1 - s)",
+                          "gamma": 30.0, "s_star": 1.0, "beta_star": 0.5}},
     ], ids=["hi-arity", "dimension-1", "not-a-hypercube", "lo-not-a-number",
             "domain-name", "domain-syntax", "resolution-not-a-number",
             "value-not-a-number", "weight-name", "weight-syntax", "zero-expr-name",
@@ -1273,7 +1321,8 @@ class TestCli:
             "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
             "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool",
             "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty",
-            "domain-overflows-box", "export-vtk-4d"])
+            "domain-overflows-box", "export-vtk-4d", "weight-lambda",
+            "nonlinearity-comprehension"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_malformed_config_exits_one_with_an_error_line(self, tmp_path, capsys,
                                                            monkeypatch, command,
@@ -1396,7 +1445,8 @@ class TestReportSerializer:
 
 
 class TestVerbose:
-    HYPOTHESES = ["setup", "admissibility", "decomposition", "nonlinearity", "spectral"]
+    HYPOTHESES = ["setup", "admissibility", "decomposition", "nonlinearity", "laplacian",
+                  "spectral"]
 
     @pytest.mark.parametrize("command, stages", [
         ("check", HYPOTHESES),
@@ -1409,6 +1459,18 @@ class TestVerbose:
         logged = [r.getMessage().split(":")[0].removeprefix("stage ")
                   for r in caplog.records if r.getMessage().startswith("stage ")]
         assert logged == stages
+
+    @pytest.mark.parametrize("command, per_component, tail", [
+        ("check", ["spectral"], []),
+        ("solve", ["spectral", "minimize"], ["enumerate", "verify"]),
+    ])
+    def test_one_pass_per_component(self, tmp_path, caplog, command, per_component, tail):
+        caplog.set_level(logging.INFO, logger="multibump")
+        path = write_config(tmp_path, nested_rings_config(33, out=str(tmp_path / "out")))
+        assert main(["--verbose", command, "--config", str(path)]) == 0
+        logged = [r.getMessage().split(":")[0].removeprefix("stage ")
+                  for r in caplog.records if r.getMessage().startswith("stage ")]
+        assert logged == self.HYPOTHESES[:-1] + per_component * 4 + tail
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_one_spectral_line_per_component(self, tmp_path, caplog, command):
