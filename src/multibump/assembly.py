@@ -81,30 +81,35 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
     For an edge with one endpoint inside the domain and one outside, theta
     in (0, 1] locates the boundary crossing at distance theta*h from the
     inside endpoint.  An outside endpoint on the boundary (phi == 0) gives
-    theta = 1 exactly; the other crossings are bisected on the membership
-    function.  Edges that do not cross carry theta = 1.  Every crossing of
-    a box ends on its boundary, so a box has no cut correction at all.
+    theta = 1 exactly; the other crossings of all axes are bisected together
+    on the membership function.  Edges that do not cross carry theta = 1.
+    Every crossing of a box ends on its boundary, so a box has no cut
+    correction at all.
     """
     phi = grid.domain.membership_function()
-    pts = grid.points()
-    member = grid.interior_mask
-    fractions = []
+    pts, member = grid.points(), grid.interior_mask
+    crossings, inner, outer = [], [], []
     for axis in range(grid.ndim):
         lo, hi = _axis_slices(grid.ndim, axis)
-        theta = np.ones(member[lo].shape)
         cross = member[lo] ^ member[hi]
         inside_lo = member[lo][cross][:, None]
-        a = np.where(inside_lo, pts[lo][cross], pts[hi][cross])
-        b = np.where(inside_lo, pts[hi][cross], pts[lo][cross])
-        cut = phi(b) != 0.0
-        if cut.any():
-            a, b = a[cut], b[cut]
-            tlo, thi = np.zeros(len(a)), np.ones(len(a))
-            for _ in range(50):
-                mid = 0.5 * (tlo + thi)
-                inside = phi(a + mid[:, None] * (b - a)) < 0.0
-                tlo = np.where(inside, mid, tlo)
-                thi = np.where(inside, thi, mid)
-            theta.flat[np.flatnonzero(cross)[cut]] = np.maximum(0.5 * (tlo + thi), 1e-8)
-        fractions.append(theta)
+        inner.append(np.where(inside_lo, pts[lo][cross], pts[hi][cross]))
+        outer.append(np.where(inside_lo, pts[hi][cross], pts[lo][cross]))
+        crossings.append(cross)
+    a, b = np.concatenate(inner), np.concatenate(outer)
+    theta = np.ones(len(a))
+    cut = phi(b) != 0.0
+    if cut.any():
+        a, ab = a[cut], b[cut] - a[cut]
+        tlo, thi = np.zeros(len(a)), np.ones(len(a))
+        for _ in range(50):
+            mid = 0.5 * (tlo + thi)
+            inside = phi(a + mid[:, None] * ab) < 0.0
+            tlo = np.where(inside, mid, tlo)
+            thi = np.where(inside, thi, mid)
+        theta[cut] = np.maximum(0.5 * (tlo + thi), 1e-8)
+    fractions = [np.ones(cross.shape) for cross in crossings]
+    for fraction, cross, part in zip(fractions, crossings, np.split(
+            theta, np.cumsum([len(x) for x in inner])[:-1])):
+        fraction[cross] = part
     return fractions

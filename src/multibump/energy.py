@@ -35,7 +35,7 @@ import numpy as np
 from .errors import HypothesisViolationError, NumericalFailureError
 from .expressions import compile_expression
 from .grid import Grid
-from .spectral import EigenPair, pcg
+from .spectral import EigenPair, jacobi, pcg
 from .tolerances import ToleranceConfig, real
 from .topology import Component
 from .weights import WeightField
@@ -139,14 +139,19 @@ class TruncatedNonlinearity:
                         np.where(s <= -b.beta_star, self.f_knots[0], b.f(s)))
 
     def F_star(self, s):
-        """Primitive of f* from 0, exact on each quadrature panel.
+        """F*(s), the first value of :meth:`F_and_f_star`."""
+        return self.F_and_f_star(s)[0]
+
+    def F_and_f_star(self, s):
+        """F*(s), the primitive of f* from 0 exact on each quadrature panel, and f*(s).
 
         On [-beta*, s*], F*(s) is the tabulated value at the knot s_k below
         s plus Simpson's rule on [s_k, s], so dF*/ds = f* up to the rule's
         O(w^4) error on a panel of width w <= s*/1000, and to round-off
         when f is a cubic on each panel (the logistic default is quadratic
         on each side of 0).  F* is constant above s* and continues with
-        slope f(-beta*) below -beta*.
+        slope f(-beta*) below -beta*.  On (-beta*, s*) f*(s) is the f(s) the
+        rule already evaluates, so one pass gives both.
         """
         s = np.asarray(s, dtype=float)
         b, knots, zero = self.base, self.knots, self.zero
@@ -156,8 +161,10 @@ class TruncatedNonlinearity:
         above = zero + x * ((knots.size - 1 - zero) / b.s_star)
         k = np.fmin(np.where(x < 0.0, below, above), knots.size - 2).astype(np.intp)
         s_k = knots[k]
-        panel = (x - s_k) / 6.0 * (self.f_knots[k] + 4.0 * b.f(0.5 * (s_k + x)) + b.f(x))
-        return self.F_knots[k] + panel + self.f_knots[0] * np.minimum(s - x, 0.0)
+        f = b.f(x)
+        panel = (x - s_k) / 6.0 * (self.f_knots[k] + 4.0 * b.f(0.5 * (s_k + x)) + f)
+        return (self.F_knots[k] + panel + self.f_knots[0] * np.minimum(s - x, 0.0),
+                np.where(s >= b.s_star, 0.0, np.where(s <= -b.beta_star, self.f_knots[0], f)))
 
 
 def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
@@ -283,9 +290,15 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
             f"max(a) = {energy.a_max_closure:.6g} >= gamma/lambda1 = "
             f"{b.gamma / eigen.lambda1:.6g}")
 
+    K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     s0 = b.s_star
     smallest = b.s_star * 2.0 ** (-tol.seed_min_exponent)
-    while (J := energy.value(s0 * eigen.e1)) >= 0.0:
+    while True:  # J(u) is DiscreteEnergy.value; F*(u) and f*(u) go on to the first step
+        u = s0 * eigen.e1
+        Ku = K @ u
+        F_u, f_u = trunc.F_and_f_star(u)
+        if (J := 0.5 * float(u @ Ku) - float(np.sum(F_u)) * hN) < 0.0:
+            break
         s0 *= 0.5
         if s0 < smallest:
             raise NumericalFailureError(
@@ -293,16 +306,13 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 "the (f2) margin is too small at this resolution")
 
     grad_tol = tol.grad_tol_scale * b.gamma * energy.cell_volume
-    K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     # f*' only shapes the Newton direction; the line search and the gradient
     # test decide correctness, so a central difference is accurate enough.
     # It is one-sided at s* (the semismooth choice): 0 from s* up, and below
     # s* taken at most at s* - ds, so it never straddles the kink.
     ds = 1e-6 * b.s_star
-    u = s0 * eigen.e1
-    g0 = float(np.linalg.norm(energy.gradient(u)))
     linear_iterations, step = 0, np.inf
-    precondition = factored_from = None
+    precondition, factored_from = jacobi(K), None
     switch, switch_at = False, np.inf
     # M = D^1/2 K0 D^1/2 is K for a constant weight and no cut edge, where D is constant
     if eigen.factor is not None:
@@ -310,8 +320,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         root = 1.0 / np.sqrt(D)
         switch, switch_at = np.ptp(D) == 0.0, FACTOR_SWITCH * np.sqrt(energy.size)
     for iteration in range(tol.max_minimize_iterations):
-        Ku = K @ u
-        g = Ku - trunc.f_star(u) * hN
+        g = Ku - f_u * hN
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol and (step <= tol.bounds_tol / 10.0
                                   or np.max(u) < b.s_star - tol.bounds_tol):
@@ -321,28 +330,30 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 min_value=float(np.min(u)), max_value=float(np.max(u)),
                 iterations=iteration, linear_iterations=linear_iterations,
                 seed_scale=s0, factored_from=factored_from)
+        if iteration == 0:
+            g0 = float(np.linalg.norm(g))
         eta = min(0.5, np.sqrt(np.linalg.norm(g) / g0))
         v = np.minimum(u, b.s_star - ds)
         shift = np.where(u < b.s_star, trunc.f_star(v + ds) - trunc.f_star(v - ds),
                          0.0) * (hN / (2.0 * ds))
-        if switch and precondition is None:
+        if switch and factored_from is None:
             precondition, factored_from = (lambda r: root * eigen.factor(root * r)), iteration + 1
         d, steps = pcg(K, shift, g, eta, precondition)
         linear_iterations += steps
         switch |= steps >= switch_at
         g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))
-        F_u = trunc.F_star(u)
         # Armijo only compares round-off once alpha*g.d is below J's resolution.
         resolution = np.finfo(float).eps * abs(J)
         alpha = 1.0
         while True:
             trial = u - alpha * d
-            change = alpha * (0.5 * alpha * d_Kd - d_Ku) \
-                - float(np.sum(trunc.F_star(trial) - F_u)) * hN
+            F_trial, f_trial = trunc.F_and_f_star(trial)
+            change = alpha * (0.5 * alpha * d_Kd - d_Ku) - float(np.sum(F_trial - F_u)) * hN
             if change <= -1e-4 * alpha * g_d or alpha * g_d <= resolution:
                 break
             alpha *= 0.5
-        u, J, step = trial, J + change, alpha * float(np.max(np.abs(d)))
+        u, F_u, f_u = trial, F_trial, f_trial
+        Ku, J, step = K @ u, J + change, alpha * float(np.max(np.abs(d)))
 
     raise NumericalFailureError(
         f"Newton-CG did not reach gradient tolerance {grad_tol:.3g} within "

@@ -15,6 +15,7 @@ T is Jacobi and no factor is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,20 +76,23 @@ def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.nda
             f"sparse LU failed on component {component_id}: {exc}") from exc
 
 
+def jacobi(K) -> Callable[[np.ndarray], np.ndarray]:
+    """The Jacobi preconditioner r -> r / diag(K), its inverse diagonal built once."""
+    inv_diag = 1.0 / K.diagonal()
+    return lambda r: inv_diag * r
+
+
 def pcg(K, shift, g: np.ndarray, eta: float,
-        precondition: Callable | None = None) -> tuple[np.ndarray, int]:
+        precondition: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
     """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
 
     ``precondition`` maps a residual r to M^-1 r for a symmetric positive
-    definite M: Jacobi (M = diag K) by default, or an LU solve of the
+    definite M: :func:`jacobi` (M = diag K), or an LU solve of the
     unit-conductance matrix scaled to K's diagonal.  Stops at residual
     eta*|g| or at the first direction of nonpositive curvature; if that is
     the first direction, the preconditioned gradient is returned, so
     g.d > 0 always.  Returns d and the number of CG steps.
     """
-    if precondition is None:
-        inv_diag = 1.0 / K.diagonal()
-        precondition = lambda r: inv_diag * r
     d, r, stop = np.zeros_like(g), g.copy(), eta * np.linalg.norm(g)
     p = z = precondition(r)
     rz, work, shifted = r @ z, np.empty_like(g), np.any(shift)
@@ -102,7 +106,7 @@ def pcg(K, shift, g: np.ndarray, eta: float,
         alpha = rz / pHp
         d += np.multiply(alpha, p, out=work)
         r -= np.multiply(alpha, Hp, out=Hp)
-        if np.linalg.norm(r) <= stop:
+        if math.sqrt(r @ r) <= stop:  # np.linalg.norm(r), bit for bit
             break
         z = precondition(r)
         rz, rz_prev = r @ z, rz
@@ -136,8 +140,7 @@ def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
     if grid.ndim == 2:
         solve = precondition = factorize(K, component.id)
     else:  # Jacobi: a 3D factor's fill grows too fast
-        solve, inv_diag = None, 1.0 / K.diagonal()
-        precondition = lambda r: inv_diag * r
+        solve, precondition = None, jacobi(K)
     S, KS = np.empty((3, K.shape[0])), np.empty((3, K.shape[0]))  # rows x, w, p; K times them
     S[0] = 1.0 / np.sqrt(K.shape[0])
     KS[0] = K @ S[0]

@@ -298,10 +298,10 @@ def dyadic_radii(grid: Grid) -> tuple[float, ...]:
 
 
 def _fast_len(n: int) -> int:
-    """The smallest 5-smooth integer >= n, a fast FFT length."""
-    powers = range(n.bit_length() + 1)
-    return min(m for m in (2**i * 3**j * 5**k for i in powers for j in powers for k in powers)
-               if m >= n)
+    """The smallest 5-smooth integer >= n >= 1, a fast FFT length."""
+    while 30 ** n.bit_length() % n:  # 5-smooth n divides 30^k for every k >= log2 n
+        n += 1
+    return n
 
 
 def estimate_a2_constant(a: np.ndarray, grid: Grid,

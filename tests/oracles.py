@@ -6,14 +6,17 @@ are a dense symmetric eigensolve of it and shift-invert Lanczos (a sparse LU
 solve per step), the bump oracle solves the semilinear problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, box and ball
 domains are their closed-form distances in numpy, the A_2 oracle
-averages one lattice ball at a time, and the reference writers format every
-lattice node one at a time.  The remaining helpers are
+averages one lattice ball at a time, the FFT length oracle enumerates every
+product of powers of 2, 3 and 5, and the reference writers format every
+lattice node one at a time.  The cut fractions have two references: every
+crossing bisected alone, and one vectorized bisection per axis.  The remaining helpers are
 checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
 n-bump histograms and the nodal residual field.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 from math import comb
 
@@ -89,6 +92,52 @@ def bisected_cut_fractions(grid: Grid) -> list[np.ndarray]:
             theta[lo] = max(0.5 * (t_in + t_out), 1e-8)
         fractions.append(theta)
     return fractions
+
+
+def per_axis_cut_fractions(grid: Grid) -> list[np.ndarray]:
+    """Cut fraction of each edge, one vectorized bisection per axis.
+
+    The crossings of each axis are bisected fifty times on the membership
+    function from their inside ends; an outside end on the boundary
+    (phi == 0) gives 1 exactly, as do edges that do not cross.
+    """
+    phi = grid.domain.membership_function()
+    points, member = grid.points(), grid.interior_mask
+    fractions = []
+    for axis in range(grid.ndim):
+        lo = tuple(slice(None, -1) if d == axis else slice(None) for d in range(grid.ndim))
+        hi = tuple(slice(1, None) if d == axis else slice(None) for d in range(grid.ndim))
+        theta = np.ones(member[lo].shape)
+        cross = member[lo] ^ member[hi]
+        inside_lo = member[lo][cross][:, None]
+        a = np.where(inside_lo, points[lo][cross], points[hi][cross])
+        b = np.where(inside_lo, points[hi][cross], points[lo][cross])
+        cut = phi(b) != 0.0
+        a, b = a[cut], b[cut]
+        t_in, t_out = np.zeros(len(a)), np.ones(len(a))
+        for _ in range(50):
+            mid = 0.5 * (t_in + t_out)
+            inside = phi(a + mid[:, None] * (b - a)) < 0.0
+            t_in, t_out = np.where(inside, mid, t_in), np.where(inside, t_out, mid)
+        theta.flat[np.flatnonzero(cross)[cut]] = np.maximum(0.5 * (t_in + t_out), 1e-8)
+        fractions.append(theta)
+    return fractions
+
+
+def fast_lens_by_enumeration(limit: int) -> list[int]:
+    """The smallest 5-smooth integer >= n for each n in 1..limit.
+
+    For each n, the least m >= n among all 2^i 3^j 5^k with i, j, k at most
+    n's bit length, looked up in one sorted table per bit length.
+    """
+    tables, lengths = {}, []
+    for n in range(1, limit + 1):
+        if (bits := n.bit_length()) not in tables:
+            powers = range(bits + 1)
+            tables[bits] = sorted({2**i * 3**j * 5**k
+                                   for i in powers for j in powers for k in powers})
+        lengths.append(tables[bits][bisect_left(tables[bits], n)])
+    return lengths
 
 
 def box_phi(lo, hi):

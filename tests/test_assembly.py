@@ -8,7 +8,7 @@ import pytest
 
 from conftest import nested_rings_config
 from oracles import (bisected_cut_fractions, laplacian_reference_operator,
-                     weighted_reference_operator)
+                     per_axis_cut_fractions, weighted_reference_operator)
 
 from multibump import pipeline
 from multibump.assembly import _axis_slices, boundary_cut_fractions, edge_conductances
@@ -88,8 +88,8 @@ def test_box_cut_fractions_are_exactly_one_without_bisection(domain, monkeypatch
     monkeypatch.setattr(DomainSpec, "membership_function", counted)
     fractions = boundary_cut_fractions(grid)
     assert all(np.all(theta == 1.0) for theta in fractions)
-    # One look at the outside ends of each axis's crossings, and no bisection.
-    assert len(calls) == grid.ndim
+    # One look at the outside ends of every axis's crossings together, and no bisection.
+    assert len(calls) == 1
 
 
 def test_disk_cut_fractions_are_the_bisected_ones_off_the_circle():
@@ -104,3 +104,22 @@ def test_disk_cut_fractions_are_the_bisected_ones_off_the_circle():
         assert np.count_nonzero(to_circle) == 2
         assert np.all(theta[to_circle] == 1.0) and np.all(bisected[to_circle] < 1.0)
         assert np.array_equal(theta[~to_circle], bisected[~to_circle])
+
+
+@pytest.mark.parametrize("domain, n", [
+    (DomainSpec.ball((0.0, 0.0), 2.0), 129),
+    (None, 17),
+    (DomainSpec.implicit("maximum(sqrt(x**2 + y**2) - 2, 0.3 - sqrt((x + 1.2)**2 + y**2))",
+                         (-2.0, -2.0), (2.0, 2.0)), 65),
+    (DomainSpec.box((0.25, -0.5), (1.75, 1.0)), 17),
+], ids=["disk-129", "shell3d-17", "custom-implicit-65", "box-17"])
+def test_one_bisection_of_all_axes_equals_one_per_axis(domain, n):
+    domain = domain or pipeline.load_config(SHELL3D).domain
+    grid = build_grid(domain, n)
+    fractions, reference = boundary_cut_fractions(grid), per_axis_cut_fractions(grid)
+    assert len(fractions) == len(reference) == grid.ndim
+    for theta, expected in zip(fractions, reference):
+        assert theta.shape == expected.shape
+        assert np.array_equal(theta, expected)  # bit for bit
+    cut = sum(np.count_nonzero(theta < 1.0) for theta in fractions)
+    assert (cut == 0) == (domain.kind == "box")

@@ -8,12 +8,12 @@ from oracles import damped_fixed_point, logistic_primitive
 
 from multibump import energy as energy_module
 from multibump import spectral
-from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
-                              truncate_nonlinearity, validate_nonlinearity)
+from multibump.energy import (NonlinearitySpec, TruncatedNonlinearity, assemble_energy,
+                              minimize_energy, truncate_nonlinearity, validate_nonlinearity)
 from multibump.errors import HypothesisViolationError
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize, pcg
+from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize, jacobi, pcg
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -35,17 +35,23 @@ def square_energy(n, trunc, ndim=2, weight=WeightSpec.constant(1.0)):
 def square_refinement(logistic30):
     """The square's bump at 33/65/129 with each Newton step's inner count, by weight.
 
-    Each inner count is recorded with whether the step used the LU factor.
+    Each inner count is recorded with whether the step used the LU factor,
+    that is, a preconditioner other than the component's one Jacobi.
     """
     solves = {}
     with pytest.MonkeyPatch.context() as patch:
-        steps = []
+        steps, made = [], []
 
-        def recorded(K, shift, g, eta, precondition=None):
+        def recorded_jacobi(K):
+            made.append(jacobi(K))
+            return made[-1]
+
+        def recorded(K, shift, g, eta, precondition):
             d, count = pcg(K, shift, g, eta, precondition)
-            steps.append((precondition is not None, count))
+            steps.append((precondition is not made[-1], count))
             return d, count
 
+        patch.setattr(energy_module, "jacobi", recorded_jacobi)
         patch.setattr(energy_module, "pcg", recorded)
         for weight in ("1", "1 + 0.5*x*y"):
             for n in (33, 65, 129):
@@ -305,6 +311,42 @@ class TestMinimization:
             assert np.max(np.abs(bump.values - oracle)) < 1e-4
 
 
+def nested_rings_problems(n):
+    """(energy, eigenpair) of each nested-rings component at resolution n."""
+    config = parse_config(nested_rings_config(n))
+    grid = build_grid(config.domain, config.resolution)
+    field = evaluate_weight(config.weight, grid)
+    zero = detect_zero_set(field, grid, config.tolerances)
+    laplacian, trunc = dirichlet_laplacian(grid), truncate_nonlinearity(config.nonlinearity)
+    return [(assemble_energy(comp, field, trunc, grid), dirichlet_lambda1(comp, grid, laplacian))
+            for comp in decompose_components(grid, zero).components]
+
+
+class TestNonlinearityWork:
+    @pytest.mark.parametrize("case", ["square-33", "nested-rings-33"])
+    def test_each_point_evaluates_f_once(self, case, logistic30, monkeypatch):
+        problems = ([square_energy(33, logistic30)] if case == "square-33"
+                    else nested_rings_problems(33))
+        f, calls, points = NonlinearitySpec.f, [], []
+        both = TruncatedNonlinearity.F_and_f_star
+        monkeypatch.setattr(NonlinearitySpec, "f", lambda spec, s: calls.append(1) or f(spec, s))
+        monkeypatch.setattr(TruncatedNonlinearity, "F_and_f_star",
+                            lambda trunc, s: points.append(s.copy()) or both(trunc, s))
+        for energy, eigen in problems:
+            calls.clear()
+            points.clear()
+            bump = minimize_energy(energy, eigen)
+            # The seed halvings, then at least one line-search trial per Newton step.
+            seeds = round(np.log2(energy.trunc.base.s_star / bump.seed_scale)) + 1
+            assert len(points) - seeds >= bump.iterations >= 3
+            # F* and f* at each point by one pass (f at the Simpson midpoint and at the
+            # point), and the difference quotient f*' (two f* calls) once per step.
+            assert len(calls) == 2 * len(points) + 2 * bump.iterations
+            assert len({p.tobytes() for p in points}) == len(points)  # no point twice
+            # J carried through the steps is the energy's value at the minimizer.
+            assert bump.energy == pytest.approx(energy.value(bump.values), rel=1e-12)
+
+
 class TestNewtonDirection:
     def test_descent_direction_when_hessian_is_indefinite(self, square_problem):
         _, _, eigen, energy = square_problem
@@ -312,7 +354,7 @@ class TestNewtonDirection:
         e1 = eigen.e1
         assert e1 @ (energy.K @ e1) - e1 @ (shift * e1) < 0.0
         g = energy.gradient(1e-3 * e1)
-        d, steps = pcg(energy.K, shift, g, 0.5)
+        d, steps = pcg(energy.K, shift, g, 0.5, jacobi(energy.K))
         assert steps >= 1
         assert g @ d > 0.0
 
@@ -332,6 +374,6 @@ class TestNewtonDirection:
         _, _, eigen, energy = square_problem
         shift = np.zeros(energy.size)
         g = energy.gradient(0.5 * eigen.e1)
-        d, _ = pcg(energy.K, shift, g, 1e-6)
+        d, _ = pcg(energy.K, shift, g, 1e-6, jacobi(energy.K))
         assert np.linalg.norm(energy.K @ d - g) <= 1e-6 * np.linalg.norm(g)
         assert g @ d > 0.0

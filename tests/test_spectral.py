@@ -243,17 +243,24 @@ def restricted(domain, n, weight):
 
 
 def newton_preconditioners(monkeypatch, grid, field, comp):
-    """The component's bump and the preconditioner of each Newton step's inner solve."""
-    used = []
+    """The component's bump, each Newton step's preconditioner, and its Jacobi one."""
+    used, made = [], []
 
-    def recorded(K, shift, g, eta, precondition=None):
+    def recorded_jacobi(K):
+        made.append(spectral.jacobi(K))
+        return made[-1]
+
+    def recorded(K, shift, g, eta, precondition):
         used.append(precondition)
         return spectral.pcg(K, shift, g, eta, precondition)
 
+    monkeypatch.setattr(energy_module, "jacobi", recorded_jacobi)
     monkeypatch.setattr(energy_module, "pcg", recorded)
     trunc = truncate_nonlinearity(NonlinearitySpec.logistic(60.0))
     eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-    return minimize_energy(assemble_energy(comp, field, trunc, grid), eigen), used
+    bump = minimize_energy(assemble_energy(comp, field, trunc, grid), eigen)
+    (jacobi,) = made  # one inverse diagonal per component
+    return bump, used, jacobi
 
 
 class TestSharedFactor:
@@ -273,8 +280,8 @@ class TestSharedFactor:
         b = np.random.default_rng(1).uniform(-1.0, 1.0, S.shape[0])
         assert np.linalg.norm(K @ eig.factor(b) - b) <= 1e-12 * np.linalg.norm(b)
         # Newton scales the factor to S and uses it from the first step on.
-        bump, used = newton_preconditioners(monkeypatch, grid, field, comp)
-        assert bump.factored_from == 1 and None not in used
+        bump, used, jacobi = newton_preconditioners(monkeypatch, grid, field, comp)
+        assert bump.factored_from == 1 and all(p is not jacobi for p in used)
         assert np.linalg.norm(S @ used[0](b) - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("domain, weight", [
@@ -284,8 +291,11 @@ class TestSharedFactor:
     def test_other_stiffness_starts_on_jacobi(self, monkeypatch, domain, weight):
         # Cut edges give the disk's Laplacian 1/theta couplings that its stiffness lacks.
         grid, field, comp = single_component(domain, 33, weight)
-        bump, used = newton_preconditioners(monkeypatch, grid, field, comp)
-        assert used[0] is None and bump.factored_from != 1
+        bump, used, jacobi = newton_preconditioners(monkeypatch, grid, field, comp)
+        assert used[0] is jacobi and bump.factored_from != 1
+        # Jacobi up to the recorded step, the factor from it on.
+        first = bump.factored_from or len(used) + 1
+        assert all((p is jacobi) == (step < first) for step, p in enumerate(used, start=1))
 
     def test_three_dimensions_get_no_factor(self):
         grid, _, comp = single_component(unit_box(3), 9)

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import cbrt_ring_weight, interior_count, unit_box
-from oracles import reference_a2_constant
+from oracles import fast_lens_by_enumeration, reference_a2_constant
 
 from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
-from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
+from multibump.weights import (WeightSpec, _fast_len, assess_admissibility, detect_zero_set,
                                dyadic_radii, estimate_a2_constant, estimate_lt_norm,
                                evaluate_weight, resolvable_floor)
 
@@ -79,6 +79,9 @@ class TestEvaluation:
 
 
 class TestA2:
+    def test_fft_length_is_the_least_five_smooth_one(self):
+        assert [_fast_len(n) for n in range(1, 5001)] == fast_lens_by_enumeration(5000)
+
     def test_constant_weight_estimate_is_one(self):
         grid = build_grid(UNIT, 33)
         field = evaluate_weight(WeightSpec.constant(2.0), grid)
