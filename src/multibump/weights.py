@@ -60,40 +60,6 @@ def _radial_profile(pieces):
     return profile
 
 
-def _interior_roots(profile, ends: tuple[float, ...],
-                    samples: int = 4096) -> tuple[float, ...]:
-    # Roots of the profile strictly inside (0, ends[-1]): one per run of samples
-    # below 1e-9 of the largest, at its least; then each piece's end and the
-    # golden-section minimum of |p| around each other local sample minimum, if
-    # |p| <= the default zero_threshold times the largest sample there and no
-    # root is a sample spacing near.  A zero at the outer end is the boundary's.
-    # The bound is fixed: a weight's roots do not follow a run's tolerances.
-    # Other refined minima below 1e-3 of it are refused (a cube root's stay at 5e-6).
-    r = np.linspace(0.0, ends[-1], samples + 1)
-    v = np.abs(profile(r))
-    tiny = v <= 1e-9 * np.max(v)
-    idx = np.flatnonzero(tiny)
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
-    roots = [float(r[run[np.argmin(v[run])]]) for run in runs if run[-1] < samples]
-    i = 1 + np.flatnonzero((v[1:-2] < v[:-3]) & (v[1:-2] <= v[2:-1]) & ~tiny[1:-2])
-    lo, hi, golden = r[i - 1], r[i + 1], (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):  # shrinks two sample spacings below 1e-14 * ends[-1]
-        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
-        left = np.abs(profile(a)) < np.abs(profile(b))
-        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
-    minima = 0.5 * (lo + hi)
-    for x in np.concatenate([ends[:-1], minima]):
-        depth = abs(profile(x)) / np.max(v)
-        if np.any(np.abs(np.concatenate([r[tiny], roots]) - x) <= r[1]):
-            continue
-        if depth <= ToleranceConfig.zero_threshold:
-            roots.append(float(x))
-        elif depth <= 1e-3 and x in minima:
-            raise ValueError(f"the profile falls to {depth:.2g} of its largest value at "
-                             f"r = {x:.6g}; declare zero_radii ([] if r is no zero)")
-    return tuple(sorted(roots))
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Closed-form description of the weight coefficient, in one of two forms.
@@ -102,9 +68,8 @@ class WeightSpec:
       ``profiles`` ``(c_k, pieces_k)`` (see :func:`_radial_profile`), with
       declared zero manifolds ``spheres`` ``(center, radius)``; radius 0 is
       a point zero.  ``constant`` is the empty product; ``radial-piecewise``
-      one profile, its spheres at ``zero_radii`` or, when those are omitted,
-      at the profile's interior roots; ``product-of-powers`` one profile
-      ``abs(r - rho)**power`` per factor, its rings the spheres.
+      one profile, its spheres at ``zero_radii``; ``product-of-powers`` one
+      profile ``abs(r - rho)**power`` per factor, its rings the spheres.
     * Expression form (``custom-expression``): ``scale * expr`` in the
       coordinates, with an optional ``zero_expr`` giving the distance to the
       interior zero set (enables band detection; without it only near-exact
@@ -126,12 +91,11 @@ class WeightSpec:
         return cls(scale=value, reference=f"a(x) = {value}")
 
     @classmethod
-    def radial(cls, center, pieces, zero_radii=None, scale: float = 1.0) -> "WeightSpec":
+    def radial(cls, center, pieces, zero_radii, scale: float = 1.0) -> "WeightSpec":
         pieces = tuple((real(r, "r_max"), str(e)) for r, e in pieces)
         scale = real(scale, "scale")
         ref = ", ".join(f"{e} for r <= {r}" for r, e in pieces)
-        if zero_radii is not None:
-            zero_radii = tuple(real(r, "zero_radii") for r in zero_radii)
+        zero_radii = tuple(real(r, "zero_radii") for r in zero_radii)
         center = tuple(real(c, "center") for c in center)
         if not pieces:
             raise ValueError("pieces must not be empty")
@@ -139,9 +103,9 @@ class WeightSpec:
             raise ValueError("every r_max must be positive and finite")
         if any(lo >= hi for (lo, _), (hi, _) in zip(pieces, pieces[1:])):
             raise ValueError("r_max must increase from piece to piece")
-        profile = _radial_profile(pieces)  # compiles every piece
-        if zero_radii is None:
-            zero_radii = _interior_roots(profile, tuple(r for r, _ in pieces))
+        if any(r < 0 for r in zero_radii):
+            raise ValueError("every zero_radii entry must be nonnegative")
+        _radial_profile(pieces)  # compiles every piece
         return cls(profiles=((center, pieces),), scale=scale,
                    spheres=tuple((center, r) for r in zero_radii),
                    reference=f"a(r) = {scale} * ({ref})")
@@ -155,6 +119,8 @@ class WeightSpec:
         scale = real(scale, "scale")
         if not factors:
             raise ValueError("factors must not be empty")
+        if any(rho < 0 for _, rho, _ in factors):
+            raise ValueError("every factor radius must be nonnegative")
         return cls(profiles=tuple((c, ((np.inf, f"abs(r - {rho!r})**{alpha!r}"),))
                                   for c, rho, alpha in factors),
                    spheres=tuple((c, rho) for c, rho, _ in factors), scale=scale,

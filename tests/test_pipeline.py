@@ -884,7 +884,7 @@ class TestSetupMemo:
     @pytest.mark.parametrize("weight", [
         {"kind": "constant", "value": 1},
         {"kind": "radial-piecewise", "center": [0, 0], "pieces": [{"r_max": 2, "expr": "1"}],
-         "scale": 2},
+         "zero_radii": [], "scale": 2},
         {"kind": "product-of-powers", "factors": [{"center": [0, 0], "radius": 1, "power": 1}],
          "scale": 2},
         {"kind": "custom-expression", "expr": "1 + x", "scale": 2},
@@ -1192,6 +1192,19 @@ class TestSharedFactor:
         assert [b.factored_from for b in report.bumps] == [None]
 
 
+# Weights whose zero spheres are undeclared or at a negative radius, and the
+# key the error line names.
+RADIUS_ERRORS = {
+    "radial-no-zero-radii": ({"kind": "radial-piecewise", "center": [0.5, 0.5],
+                              "pieces": [{"r_max": 1.0, "expr": "1 + r"}]}, "zero_radii"),
+    "zero-radius-negative": ({"kind": "radial-piecewise", "center": [0.5, 0.5],
+                              "pieces": [{"r_max": 1.0, "expr": "1 + r"}],
+                              "zero_radii": [-0.25]}, "zero_radii"),
+    "factor-radius-negative": ({"kind": "product-of-powers", "factors": [
+        {"center": [0.5, 0.5], "radius": -0.25, "power": 0.5}]}, "radius"),
+}
+
+
 class TestCli:
     def test_solve_and_verify_exit_codes(self, tmp_path, capsys):
         data = {
@@ -1276,19 +1289,21 @@ class TestCli:
                     "factors": [{"center": [0.5, 0.5, 0.5], "radius": 0.0, "power": 0.5}]}},
         {"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
          "weight": {"kind": "radial-piecewise", "center": [0.0, 0.0, 0.0],
-                    "pieces": [{"r_max": 1.0, "expr": "1 - r"}]}},
+                    "pieces": [{"r_max": 1.0, "expr": "1 - r"}], "zero_radii": []}},
         {"domain": 5},
         {"weight": [1]},
         {"nonlinearity": 5},
         {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5], "pieces": ["x"]}},
         {"weight": {"kind": "product-of-powers", "factors": [[0.5, 0.5]]}},
-        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5], "pieces": []}},
+        {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5], "pieces": [],
+                    "zero_radii": []}},
         {"weight": {"kind": "product-of-powers", "factors": []}},
         {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5],
-                    "pieces": [{"r_max": -1.0, "expr": "1 + r"}]}},
+                    "pieces": [{"r_max": -1.0, "expr": "1 + r"}], "zero_radii": []}},
         {"weight": {"kind": "radial-piecewise", "center": [0.5, 0.5],
                     "pieces": [{"r_max": 2.0, "expr": "1 + 0*r"},
-                               {"r_max": 1.0, "expr": "5 + 0*r"}]}},
+                               {"r_max": 1.0, "expr": "5 + 0*r"}], "zero_radii": []}},
+        *({"weight": weight} for weight, _ in RADIUS_ERRORS.values()),
         {"resolution": 17.9},
         {"export_vtk": "no"},
         {"output_dir": None},
@@ -1317,7 +1332,8 @@ class TestCli:
             "max-chi-bool", "enumeration-list", "factor-centre-3d",
             "radial-centre-3d", "domain-number", "weight-list",
             "nonlinearity-number", "piece-string", "factor-list", "no-pieces",
-            "no-factors", "r-max-negative", "r-max-decreasing", "resolution-float",
+            "no-factors", "r-max-negative", "r-max-decreasing", *RADIUS_ERRORS,
+            "resolution-float",
             "export-vtk-string", "output-dir-null", "output-dir-empty", "gamma-bool",
             "radius-bool", "lo-bool", "value-bool", "zero-threshold-bool", "t-scan-bool",
             "weight-kind", "eig-tol-negative", "bounds-tol-negative", "box-empty",
@@ -1332,6 +1348,16 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 1
         assert re.fullmatch(r"error: invalid \w+: .*\n", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("case", RADIUS_ERRORS)
+    def test_undeclared_or_negative_radius_error_names_its_key(self, tmp_path, capsys, case):
+        weight, key = RADIUS_ERRORS[case]
+        path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"), weight=weight))
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid weight: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_root_must_be_a_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -48,7 +48,7 @@ class TestEvaluation:
     def test_pieces_must_increase_in_r_max(self, second):
         # Otherwise the later piece is never evaluated: these pieces gave a = 1.
         with pytest.raises(ValueError, match="r_max must increase"):
-            WeightSpec.radial((0.0, 0.0), ((2.0, "1 + 0*r"), (second, "5 + 0*r")))
+            WeightSpec.radial((0.0, 0.0), ((2.0, "1 + 0*r"), (second, "5 + 0*r")), ())
 
     def test_constant_weight_every_node(self):
         grid = build_grid(UNIT, 17)
@@ -253,90 +253,61 @@ class TestZeroSet:
         assert np.max(gaps) <= 2.0 * grid.h
 
     @pytest.mark.parametrize("n", [65, 129])
-    @pytest.mark.parametrize("undeclared", ["roots", "zero-expr"])
+    @pytest.mark.parametrize("undeclared", ["zero-expr"])
     def test_ring_found_without_its_declared_radius(self, undeclared, n):
-        # The profile's interior root, and a zero_expr, stand in for
-        # ``zero_radii`` and give the stored ring's mask.
+        # A zero_expr stands in for ``zero_radii`` and gives the stored ring's mask.
         stored = json.loads(RING_JSON.read_text())
-        if undeclared == "roots":
-            weight = {k: v for k, v in stored["weight"].items() if k != "zero_radii"}
-        else:
-            weight = {"kind": "custom-expression",
-                      "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5",
-                      "zero_expr": "abs(sqrt(x**2 + y**2) - 1)"}
+        weight = {"kind": "custom-expression",
+                  "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5",
+                  "zero_expr": "abs(sqrt(x**2 + y**2) - 1)"}
         masks = [pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))[2]
                  for data in (stored, dict(stored, weight=weight))]
         assert np.count_nonzero(masks[0]) > 0
         assert np.array_equal(masks[0], masks[1])
 
-    @pytest.mark.parametrize("pieces, roots", [
-        # 0.7 falls between the 4097 samples of [0, 2]: at a piece's end ...
-        (((0.7, "cbrt(0.7 - r)"), (2.0, "sqrt((r - 0.7)*(2 - r))")), (0.7,)),
-        # ... or inside a piece, where the search between samples finds it.
-        (((2.0, "abs(r - 0.7)**0.6 * (2 - r)"),), (0.7,)),
-        (((2.0, "(r - 0.7)**2 * abs(r - 1.3)**0.5"),), (0.7, 1.3)),
-    ], ids=["piece-end", "power", "two-roots"])
-    def test_root_between_samples_is_found(self, pieces, roots):
-        radii = tuple(r for _, r in WeightSpec.radial((0.0, 0.0), pieces).spheres)
-        assert radii == pytest.approx(roots, abs=1e-13)
-
     def test_ring_between_samples_splits_the_disk_like_its_declared_radius(self):
         pieces = [{"r_max": 0.7, "expr": "cbrt(0.7 - r)"},
                   {"r_max": 2.0, "expr": "sqrt((r - 0.7)*(2 - r))"}]
-        weight = {"kind": "radial-piecewise", "center": [0.0, 0.0], "pieces": pieces}
+        weight = {"kind": "radial-piecewise", "center": [0.0, 0.0], "pieces": pieces,
+                  "zero_radii": [0.7]}
         stored = dict(json.loads(RING_JSON.read_text()), resolution=65)
-        reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
-                   for w in (weight, dict(weight, zero_radii=[0.7]))]
-        # Two components, and gamma 10 fails (f2) on the disk: exit 2 either way.
-        assert [(r.status, r.chi, r.admissibility.zero_count) for r in reports] == \
-            [("hypothesis-violation", 2, 88)] * 2
+        report = pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=weight)))
+        # Two components, and gamma 10 fails (f2) on the disk: exit 2.
+        assert (report.status, report.chi, report.admissibility.zero_count) == \
+            ("hypothesis-violation", 2, 88)
 
     def test_zero_at_the_outer_end_is_no_interior_sphere(self):
-        # (2 - r)**3 stays below 1e-9 of its largest value over the last few
-        # samples: that whole run is the boundary's zero, not a sphere inside.
+        # (2 - r)**3 vanishes on the boundary circle: the boundary's zero, not a sphere inside.
         weight = {"kind": "radial-piecewise", "center": [0.0, 0.0],
-                  "pieces": [{"r_max": 2.0, "expr": "(2 - r)**3"}]}
+                  "pieces": [{"r_max": 2.0, "expr": "(2 - r)**3"}], "zero_radii": []}
         stored = dict(json.loads(RING_JSON.read_text()), resolution=65)
-        reports = [pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=w)))
-                   for w in (weight, dict(weight, zero_radii=[]))]
-        assert [(r.admissibility.verdict, r.admissibility.zero_count) for r in reports] == \
-            [("zero-set-touches-boundary", 56)] * 2
-
-    def test_profile_roots_do_not_follow_the_run_zero_threshold(self):
-        # min |p| = 1e-7 between samples, below the fixed 1e-6 of the largest:
-        # a zero circle even in a run whose zero_threshold (1e-8) marks no node.
-        spec = WeightSpec.radial((0.0, 0.0), [(2.0, "(r - 0.7)**2 + 1e-7")])
-        assert [r for _, r in spec.spheres] == pytest.approx([0.7], abs=1e-9)
-        grid = build_grid(B2, 65)
-        field = evaluate_weight(spec, grid)
-        tol = ToleranceConfig(zero_threshold=1e-8)
-        assert not np.any(grid.interior_mask & (field.values < 1e-8 * field.a_max))
-        assert np.count_nonzero(detect_zero_set(field, grid, tol)) > 0
+        report = pipeline.check_hypotheses(pipeline.parse_config(dict(stored, weight=weight)))
+        assert (report.admissibility.verdict, report.admissibility.zero_count) == \
+            ("zero-set-touches-boundary", 56)
 
     @pytest.mark.parametrize("expr", ["abs(r - 0.7)**(1/3)", "(r - 0.7)**2 + 1e-4"],
                              ids=["cube-root", "positive-minimum"])
     def test_near_root_that_is_no_root_is_refused(self, expr):
-        # min |p| at 0.7 is between the 1e-6 root bound and 1e-3 of the largest
-        # (about 5e-6 for the cube root): only zero_radii says if it is a zero.
-        with pytest.raises(ValueError, match=r"r = 0\.7; declare zero_radii"):
-            WeightSpec.radial((0.0, 0.0), [(2.0, expr)])
+        # Whatever |p| reaches at 0.7 (about 5e-6 of the largest for the cube root),
+        # only zero_radii says if it is a zero: its spheres are kept as given.
         for declared in ((0.7,), ()):
             spec = WeightSpec.radial((0.0, 0.0), [(2.0, expr)], zero_radii=declared)
             assert [r for _, r in spec.spheres] == list(declared)
-        assert WeightSpec.radial((0.0, 0.0), [(2.0, "(r - 0.7)**2 + 1e-2")]).spheres == ()
 
-    def test_cube_root_ring_is_a_config_error_until_declared(self, tmp_path):
+    def test_cube_root_ring_is_a_config_error_until_declared(self, tmp_path, capsys):
         weight = {"kind": "radial-piecewise", "center": [0.0, 0.0],
                   "pieces": [{"r_max": 2.0, "expr": "abs(r - 0.7)**(1/3)"}]}
         stored = dict(json.loads(RING_JSON.read_text()), resolution=65,
                       output_dir=str(tmp_path / "out"))
-        statuses = []
+        statuses, errors = [], []
         for w in (weight, dict(weight, zero_radii=[0.7])):
             path = tmp_path / "config.json"
             path.write_text(json.dumps(dict(stored, weight=w)))
             statuses.append(main(["check", "--config", str(path)]))
+            errors.append(capsys.readouterr().err)
         # Declared, the ring splits the disk and gamma 10 fails (f2) on it.
         assert statuses == [1, 2]
+        assert errors[0].startswith("error: invalid weight: ") and "zero_radii" in errors[0]
 
     def test_segment_to_boundary_flagged(self):
         grid = build_grid(UNIT, 33)
