@@ -1,15 +1,12 @@
-"""The discrete weighted diffusion operator, assembled once per conductance field.
+"""The stencil operators: one builder for every list of nodes and conductance field.
 
 All operators in the package live on the 2N-point stencil.  An edge between
 lattice neighbors i, j with conductance c_e contributes
-``c_e * (u_i - u_j)^2 * h^(N-2)`` to the quadratic energy.  One sparse
-matrix L over the whole lattice, ``(L u)_i = sum_j c_e (u_i - u_j) h^(N-2)``,
-serves every use of it:
-
-* the stiffness matrix over a set of unknowns is the restriction
-  ``L[nodes][:, nodes]``, which substitutes u = 0 at every other node;
-* the residual of a lattice field is the product ``L @ u``, in which the
-  field supplies its own values at pinned nodes.
+``c_e * (u_i - u_j)^2 * h^(N-2)`` to the quadratic energy.  A run keeps each
+conductance field as a :func:`conductance_table`, from which
+:func:`stencil_matrices` builds a component's K0 and K_w, which substitute
+u = 0 at every other node, and the lattice operator whose product with a
+field is its residual, the field supplying its own pinned values.
 """
 
 from __future__ import annotations
@@ -21,58 +18,73 @@ from .grid import Grid
 
 
 def _axis_slices(ndim: int, axis: int):
-    left = [slice(None)] * ndim
-    right = [slice(None)] * ndim
-    left[axis] = slice(None, -1)
-    right[axis] = slice(1, None)
-    return tuple(left), tuple(right)
+    lo, hi = [slice(None)] * ndim, [slice(None)] * ndim
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
 
 
-def edge_conductances(values: np.ndarray) -> list[np.ndarray]:
-    """Arithmetic-mean conductance per stencil edge, one array per axis.
+def conductance_table(grid: Grid, conductances, scale: float) -> np.ndarray:
+    """Entry [k, i]: ``conductances[k] * scale`` on the edge from flat node i up axis k.
+
+    It is 0 past the far face, where no such edge is, and on the edges with
+    no interior endpoint, which no operator holds.
+    """
+    table, interior = np.zeros((grid.ndim,) + grid.shape), grid.interior_mask
+    for axis, conductance in enumerate(conductances):
+        lo, hi = _axis_slices(grid.ndim, axis)
+        table[axis][lo] = np.where(interior[lo] | interior[hi], conductance * scale, 0.0)
+    return table.reshape(grid.ndim, -1)
+
+
+def edge_conductances(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The weight's :func:`conductance_table`: arithmetic means of ``values``, by h^(N-2).
 
     The arithmetic mean keeps an edge conductive when only one endpoint
     value vanishes, so the operator decouples exactly across the pinned
     zero set and nowhere else.
     """
-    conds = []
-    for axis in range(values.ndim):
-        lo, hi = _axis_slices(values.ndim, axis)
-        conds.append(0.5 * (values[lo] + values[hi]))
-    return conds
+    means = (0.5 * (values[lo] + values[hi])  # one axis at a time
+             for lo, hi in (_axis_slices(grid.ndim, axis) for axis in range(grid.ndim)))
+    return conductance_table(grid, means, grid.h ** (grid.ndim - 2))
 
 
-def lattice_operator(grid: Grid, conductances: list[np.ndarray],
-                     scale: float | None = None) -> sparse.csr_matrix:
-    """The edge operator over the whole lattice, CSR in C scan order.
+def dirichlet_conductances(grid: Grid) -> np.ndarray:
+    """The Laplacian's :func:`conductance_table`: unit conductances over h^2.
 
-    Holds only the edges with at least one interior endpoint, the only
-    edges a restriction to interior nodes or a residual read at one ever
-    touches, and drops those of zero conductance, which add nothing.  Rows
-    list their columns in ascending order; the index arrays are int32.  ``scale`` defaults to ``h^(N-2)``, the energy normalization.
+    An edge crossing the domain boundary at theta*h from its inside end has
+    conductance 1/theta, so the zero condition sits on the true boundary
+    rather than on the pinned lattice ring.
     """
-    if scale is None:
-        scale = grid.h ** (grid.ndim - 2)
-    ndim, n, size = grid.ndim, grid.n, grid.interior_mask.size
-    interior = grid.interior_mask
-    # Column k of a node's row in ``band`` holds its coupling to the node at
-    # offsets[k]: -axis 0, ..., -axis N-1, itself, +axis N-1, ..., +axis 0.
-    offsets = np.array([-n ** (ndim - 1 - k) for k in range(ndim)] + [0]
-                       + [n ** k for k in range(ndim)], dtype=np.int32)
-    band = np.zeros(grid.shape + (offsets.size,))
-    for axis, conductance in enumerate(conductances):
-        lo, hi = _axis_slices(ndim, axis)
-        c = np.where(interior[lo] | interior[hi], conductance * scale, 0.0)
-        band[lo + (ndim,)] += c
-        band[hi + (ndim,)] += c
-        band[lo + (2 * ndim - axis,)] = -c
-        band[hi + (axis,)] = -c
-    band = band.reshape(size, -1)
-    present = band != 0.0
-    columns = np.arange(size, dtype=np.int32)[:, None] + offsets
+    conductances = [1.0 / theta for theta in boundary_cut_fractions(grid)]
+    return conductance_table(grid, conductances, 1.0 / grid.h ** 2)
+
+
+def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list[sparse.csr_matrix]:
+    """The stencil matrix of each :func:`conductance_table` over ``nodes``, on one pattern.
+
+    Row and column k belong to ``nodes[k]``; an edge to a node off the list
+    adds to the diagonal only.  Entries 0 in every table are left out.  The
+    matrices share one int32 ``indptr`` and ``indices``, ascending in each
+    row when ``nodes`` ascend.
+    """
+    ndim, local = grid.ndim, np.full(grid.interior_mask.size, -1, dtype=np.int32)
+    local[nodes] = np.arange(nodes.size, dtype=np.int32)
+    # A row's slots, in column order: -axis 0, ..., -axis N-1, itself, +axis N-1, ..., +axis 0.
+    values = np.zeros((len(tables), nodes.size, 2 * ndim + 1))
+    columns = np.tile(local[nodes][:, None], 2 * ndim + 1)
+    for axis, stride in enumerate(grid.n ** np.arange(ndim - 1, -1, -1)):
+        # Past a face every table is 0: at a far-face node, and where a near one's index wraps.
+        ahead, behind = (np.mod(nodes + step, local.size) for step in (stride, -stride))
+        columns[:, axis], columns[:, 2 * ndim - axis] = local[behind], local[ahead]
+        for band, table in zip(values, tables):
+            forward, backward = table[axis][nodes], table[axis][behind]
+            band[:, ndim] = band[:, ndim] + forward + backward
+            band[:, axis], band[:, 2 * ndim - axis] = -backward, -forward
+    present = (values != 0.0).any(axis=0) & (columns >= 0)
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
-    return sparse.csr_matrix((band[present], columns[present], indptr),
-                             shape=(size, size))
+    indices = columns[present]
+    return [sparse.csr_matrix((band[present], indices, indptr), shape=(nodes.size,) * 2)
+            for band in values]
 
 
 def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
@@ -105,8 +117,7 @@ def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:
         for _ in range(50):
             mid = 0.5 * (tlo + thi)
             inside = phi(a + mid[:, None] * ab) < 0.0
-            tlo = np.where(inside, mid, tlo)
-            thi = np.where(inside, thi, mid)
+            tlo, thi = np.where(inside, mid, tlo), np.where(inside, thi, mid)
         theta[cut] = np.maximum(0.5 * (tlo + thi), 1e-8)
     fractions = [np.ones(cross.shape) for cross in crossings]
     for fraction, cross, part in zip(fractions, crossings, np.split(

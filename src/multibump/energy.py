@@ -215,17 +215,15 @@ class DiscreteEnergy:
         return self.K @ u - self.trunc.f_star(u) * self.cell_volume
 
 
-def assemble_energy(component: Component, field: WeightField,
+def assemble_energy(component: Component, K, field: WeightField,
                     trunc: TruncatedNonlinearity, grid: Grid) -> DiscreteEnergy:
     """Assemble J on a component (weighted stiffness + lumped reaction).
 
-    K is the weight's operator restricted to the component's nodes.  Mass
-    lumping makes the gradient exactly K u - f*(u) h^N, the true
+    ``K`` is the component's K_w, built with its K0 on one sparsity pattern.
+    Mass lumping makes the gradient exactly K u - f*(u) h^N, the true
     derivative of the discrete value.
     """
-    nodes = component.nodes
-    K = field.operator[nodes][:, nodes]
-    closure = np.concatenate([nodes, component.shell])
+    closure = np.concatenate([component.nodes, component.shell])
     a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
                           cell_volume=grid.cell_volume, a_max_closure=a_max)

@@ -2,7 +2,7 @@
 
 One runner takes every run through its stages in order: setup (grid,
 weight, zero set), admissibility, decomposition, the nonlinearity (f1),
-the Laplacian, one pass per component ((f2), then in a solve while (f2)
+one pass per component (its K0 and K_w, (f2), then in a solve while (f2)
 holds its bump), and enumeration and verification.  The first stage that
 fails stops the run, (f2) once every margin is in; its exception's class
 declares the report's status (:mod:`multibump.errors`) and, for a failed
@@ -38,13 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import dirichlet_conductances, edge_conductances, stencil_matrices
 from .composition import MultiBumpSolution, enumerate_all
 from .energy import (BumpSolution, NonlinearitySpec, assemble_energy,
                      minimize_energy, truncate_nonlinearity)
 from .errors import ConfigError, HypothesisViolationError, SolverError
 from .grid import DomainSpec, Grid, build_grid
-from .spectral import (F2Entry, check_hypothesis_f2, dirichlet_lambda1,
-                       dirichlet_laplacian)
+from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
 from .tolerances import ToleranceConfig, is_count
 from .topology import decompose_components
 from .verify import VerificationReport, check_conclusions, conclusions
@@ -549,16 +549,15 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             report.chi, report.j_counts = decomposition.chi, decomposition.j_counts
             report.component_sizes = {_comp_label(c.id): c.node_count
                                       for c in decomposition.components}
+            tables = [dirichlet_conductances(grid)]  # K0's edges, and in a solve K_w's
+            tables += [edge_conductances(grid, field.values)] if solve else []
         with _stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
-        with _stage("laplacian"):
-            laplacian = dirichlet_laplacian(grid)
         bumps = {}
         for comp in decomposition.components:
             with _stage("spectral"):
-                eigen = dirichlet_lambda1(comp, grid, laplacian, tol)
-                if comp is decomposition.components[-1]:
-                    del laplacian  # its last reader: not held through this minimize
+                operators = stencil_matrices(grid, comp.nodes, *tables)
+                eigen = dirichlet_lambda1(comp, grid, operators[0], tol)
                 log.info("component %s: lambda1 %.6g, %d iterations, rayleigh "
                          "residual %.3g", comp.id, eigen.lambda1, eigen.iterations,
                          eigen.rayleigh_residual)
@@ -567,13 +566,14 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             if solve and all(e.passed for e in report.f2_entries):
                 with _stage("minimize"):
                     bump = bumps[comp.id] = minimize_energy(
-                        assemble_energy(comp, field, trunc, grid), eigen, tol)
+                        assemble_energy(comp, operators[1], field, trunc, grid), eigen, tol)
                     log.info("component %s: energy %.6g, %d iterations, "
                              "%d linear iterations, %s", comp.id, bump.energy,
                              bump.iterations, bump.linear_iterations,
                              f"LU factor from step {bump.factored_from}"
                              if bump.factored_from else "no LU factor")
-            del eigen  # with its 2D factor, before the next component's is built
+            del eigen, operators  # with the 2D factor, before the next component's are built
+        del tables  # not held through verification
         failing = [_comp_label(e.component_id) for e in report.f2_entries if not e.passed]
         if failing:  # the bumps made before it are not reported
             raise HypothesisViolationError("f2", "spectral margin non-positive on "
@@ -589,18 +589,19 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                 residuals = {}  # by subset, of the fields checked against K
                 for rank, solution in enumerate(solutions, start=1):
                     values = solution.field(grid)
-                    stem = f"solution_{rank:03d}"
-                    filename = f"{stem}.csv"
-                    if out_path is not None:
-                        write_solution_csv(out_path / filename, values, grid)
-                        if config.export_vtk:
-                            write_solution_vtk(out_path / f"{stem}.vtk", values, grid)
+                    # Checked first: K is built before the files' rows take memory.
                     if solution.n_bumps > 1 and rank < len(solutions):  # no edge joins bumps
                         residual = float(np.max([residuals[c,] for c in solution.subset]))
                         verified = conclusions(values, residual, nonlinearity, grid, zero, tol)
                     else:  # each bump, and the full subset against K itself
                         verified = check_conclusions(values, field, nonlinearity, grid, zero, tol)
                         residuals[solution.subset] = verified.residual_norm
+                    stem = f"solution_{rank:03d}"
+                    filename = f"{stem}.csv"
+                    if out_path is not None:
+                        write_solution_csv(out_path / filename, values, grid)
+                        if config.export_vtk:
+                            write_solution_vtk(out_path / f"{stem}.vtk", values, grid)
                     report.solutions.append(SolutionRecord(
                         solution=solution, filename=filename, verification=verified))
                 report.all_verified = all(r.verification.passed for r in report.solutions)

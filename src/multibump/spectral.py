@@ -6,8 +6,9 @@ D of the domain minus the zero set, where a_M is the maximum of the weight
 over the closure of D.  Each step on the stencil matrix K takes the
 Rayleigh-Ritz minimum on span{x, T(Kx - lambda x), the last step's
 direction}, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
-so lambda is a Rayleigh quotient, never below the discrete lambda_1.  In 2D,
-T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`),
+so lambda is a Rayleigh quotient, never below the discrete lambda_1.  K is
+the component's K0 (:func:`~multibump.assembly.dirichlet_conductances`).  In
+2D, T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`),
 built once per component and handed to the 2D Newton solve with K's
 diagonal; in 3D that fill takes gigabytes at a few ten thousand unknowns, so
 T is Jacobi and no factor is built.
@@ -22,7 +23,6 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import boundary_cut_fractions, lattice_operator
 from .errors import NumericalFailureError
 from .grid import Grid
 from .tolerances import ToleranceConfig
@@ -115,28 +115,15 @@ def pcg(K, shift, g: np.ndarray, eta: float,
     return d, step
 
 
-def dirichlet_laplacian(grid: Grid):
-    """The lattice's unit-conductance operator over h^2, built once per run.
-
-    An edge crossing the domain boundary at theta*h from its inside end has
-    conductance 1/theta, so the zero condition sits on the true boundary
-    rather than on the pinned lattice ring.
-    """
-    conductances = [1.0 / theta for theta in boundary_cut_fractions(grid)]
-    return lattice_operator(grid, conductances, scale=1.0 / grid.h ** 2)
-
-
-def dirichlet_lambda1(component: Component, grid: Grid, laplacian,
+def dirichlet_lambda1(component: Component, grid: Grid, K,
                       tol: ToleranceConfig = ToleranceConfig()) -> EigenPair:
     """Lowest eigenpair of the Dirichlet Laplacian on the component.
 
-    ``laplacian`` is :func:`dirichlet_laplacian` of ``grid``; restricting
-    it to the component's nodes gives zero boundary data on its shell.  The
+    ``K`` is the component's K0, with zero boundary data on its shell.  The
     steps stop once their contraction puts lambda within ``eig_tol`` of the
     discrete lambda_1, relatively; after ``eig_max_iter`` steps they fail.
     In 2D the LU solve that preconditions them is returned as ``factor``.
     """
-    K = laplacian[component.nodes][:, component.nodes]
     if grid.ndim == 2:
         solve = precondition = factorize(K, component.id)
     else:  # Jacobi: a 3D factor's fill grows too fast

@@ -21,12 +21,12 @@ divergent integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import edge_conductances, lattice_operator
+from .assembly import edge_conductances, stencil_matrices
 from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .grid import Grid, build_grid, dilate
@@ -174,20 +174,23 @@ class WeightField:
     Values are stored on the full lattice (zero at exterior nodes, which
     never enter any sum); ``a_max`` is the maximum over the non-exterior
     nodes, the discrete stand-in for the closure of the domain.
-    ``operator`` is :func:`~multibump.assembly.lattice_operator` of the
-    arithmetic-mean edge conductances.  Values and the operator's arrays
-    are read-only, so one field can be shared between runs.
+    ``operator``, the stencil matrix of the weight's edge conductances over
+    the whole lattice, is built when first read.  Values and the operator's
+    arrays are read-only, so one field can be shared between runs.
     """
 
     spec: WeightSpec
     values: np.ndarray = dc_field(repr=False)
     a_max: float
-    operator: object = dc_field(repr=False)
+    grid: Grid = dc_field(repr=False)
 
-    def __post_init__(self):
-        for array in (self.values, self.operator.data, self.operator.indices,
-                      self.operator.indptr):
+    @cached_property
+    def operator(self):
+        (operator,) = stencil_matrices(self.grid, np.arange(self.values.size),
+                                       edge_conductances(self.grid, self.values))
+        for array in (operator.data, operator.indices, operator.indptr):
             array.setflags(write=False)
+        return operator
 
 
 def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
@@ -206,11 +209,11 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     if np.any(sampled < floor):
         raise InvalidWeightError(f"weight {spec.reference} takes negative values")
     values[active] = np.maximum(sampled, 0.0)
+    values.setflags(write=False)
     a_max = float(np.max(values[active]))
     if a_max <= 0.0:
         raise InvalidWeightError(f"weight {spec.reference} vanishes identically")
-    return WeightField(spec=spec, values=values, a_max=a_max,
-                       operator=lattice_operator(grid, edge_conductances(values)))
+    return WeightField(spec=spec, values=values, a_max=a_max, grid=grid)
 
 
 def detect_zero_set(field: WeightField, grid: Grid,

@@ -7,10 +7,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from multibump import pipeline
+from multibump.assembly import dirichlet_conductances, edge_conductances, stencil_matrices
 from multibump.energy import BumpSolution, NonlinearitySpec, truncate_nonlinearity
 from multibump.grid import DomainSpec, Grid, build_grid
-from multibump.topology import decompose_components
-from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
+from multibump.topology import Component, decompose_components
+from multibump.weights import WeightField, WeightSpec, detect_zero_set, evaluate_weight
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +30,13 @@ def unit_box(ndim: int = 2) -> DomainSpec:
 
 def interior_count(grid: Grid) -> int:
     return int(np.count_nonzero(grid.interior_mask))
+
+
+def component_operators(grid: Grid, comp: Component, field: WeightField | None = None):
+    """The component's K0, and its K_w given a weight field, built as a run builds them."""
+    tables = [dirichlet_conductances(grid)]
+    tables += [] if field is None else [edge_conductances(grid, field.values)]
+    return stencil_matrices(grid, comp.nodes, *tables)
 
 
 def extend_bump(bump: BumpSolution, grid: Grid) -> np.ndarray:

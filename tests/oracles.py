@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, splu
 
-from multibump.assembly import boundary_cut_fractions, edge_conductances
+from multibump.assembly import boundary_cut_fractions
 from multibump.composition import MultiBumpSolution
 from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
@@ -53,9 +53,15 @@ def reference_operator(conductances: list[np.ndarray], grid: Grid,
                              shape=(node.size, node.size))
 
 
+def mean_conductances(values: np.ndarray) -> list[np.ndarray]:
+    """The arithmetic mean of each stencil edge's end values, one array per axis."""
+    return [0.5 * (np.delete(values, -1, axis) + np.delete(values, 0, axis))
+            for axis in range(values.ndim)]
+
+
 def weighted_reference_operator(field: WeightField, grid: Grid) -> sparse.csr_matrix:
     """:func:`reference_operator` of the weight's arithmetic-mean conductances."""
-    return reference_operator(edge_conductances(field.values), grid,
+    return reference_operator(mean_conductances(field.values), grid,
                               grid.h ** (grid.ndim - 2))
 
 
@@ -264,7 +270,7 @@ def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> d
         active = du != 0.0
         if not active.any():
             continue
-        c = edge_conductances(field.values)[axis][active]
+        c = mean_conductances(field.values)[axis][active]
         d = np.abs(du[active])
         w11 += float(np.sum(d)) * grid.h ** (grid.ndim - 1)
         reciprocal_mass += float(np.sum(hN / c))

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (nested_rings_config, quadratic_zero_config, ring_config,
+from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
+                      ring_config,
                       unit_box)
 from oracles import damped_fixed_point, dense_lambda1
 
@@ -19,7 +20,7 @@ from multibump.energy import (NonlinearitySpec, assemble_energy,
 from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import parse_config, run_pipeline
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
+from multibump.spectral import dirichlet_lambda1
 from multibump.topology import decompose_components
 from multibump.verify import weak_residual
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -90,7 +91,7 @@ def test_criterion_3_eigenvalue_accuracy():
         grid = build_grid(domain, n)
         field = evaluate_weight(WeightSpec.constant(1.0), grid)
         comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
-        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+        eig = dirichlet_lambda1(comp, grid, component_operators(grid, comp)[0])
         return grid, comp, eig.lambda1
 
     _, _, lam_square = lam(unit_box(2), 129)
@@ -127,7 +128,7 @@ def test_criterion_4_gradient_consistency(spec):
     field = evaluate_weight(WeightSpec.constant(1.0), grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
     trunc = truncate_nonlinearity(spec)
-    energy = assemble_energy(comp, field, trunc, grid)
+    energy = assemble_energy(comp, component_operators(grid, comp, field)[1], field, trunc, grid)
     assert energy.size >= 500
     x, y = grid.points().reshape(-1, 2)[comp.nodes].T
     modes = np.array([np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
@@ -161,8 +162,9 @@ def test_criterion_4_gradient_consistency(spec):
 def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
     """Descent minimizer matches the damped fixed-point oracle to 1e-4."""
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-    energy = assemble_energy(comp, field, logistic30, grid)
+    K0, K_w = component_operators(grid, comp, field)
+    eigen = dirichlet_lambda1(comp, grid, K0)
+    energy = assemble_energy(comp, K_w, field, logistic30, grid)
     bump = minimize_energy(energy, eigen)
     oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
     diff = float(np.max(np.abs(bump.values - oracle)))
@@ -173,8 +175,9 @@ def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
 def test_criterion_6_hypothesis_gates(tmp_path, square33, logistic10):
     """(i) f2 refusal, (ii) a2 divergence abort, (iii) a1 abort."""
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-    energy = assemble_energy(comp, field, logistic10, grid)
+    K0, K_w = component_operators(grid, comp, field)
+    eigen = dirichlet_lambda1(comp, grid, K0)
+    energy = assemble_energy(comp, K_w, field, logistic10, grid)
     try:
         minimize_energy(energy, eigen)
         f2_ok = False

@@ -1,21 +1,22 @@
-"""The lattice operator against a reference assembled one edge at a time."""
+"""The stencil builder against a reference assembled one edge at a time."""
 
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import nested_rings_config
-from oracles import (bisected_cut_fractions, laplacian_reference_operator,
+from oracles import (bisected_cut_fractions, laplacian_reference_operator, mean_conductances,
                      per_axis_cut_fractions, weighted_reference_operator)
 
 from multibump import pipeline
-from multibump.assembly import _axis_slices, boundary_cut_fractions, edge_conductances
+from multibump.assembly import (_axis_slices, boundary_cut_fractions, dirichlet_conductances,
+                                edge_conductances, stencil_matrices)
 from multibump.grid import DomainSpec, build_grid
-from multibump.spectral import dirichlet_laplacian
 from multibump.topology import decompose_components
-from multibump.weights import detect_zero_set, evaluate_weight
+from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
 
@@ -33,31 +34,80 @@ def lattice(request):
     return grid, field, decompose_components(grid, zero).components
 
 
-def operators(kind, grid, field):
-    """(operator under test, reference, conductances, scale) of one kind."""
-    if kind == "weighted":
-        return (field.operator, weighted_reference_operator(field, grid),
-                edge_conductances(field.values), grid.h ** (grid.ndim - 2))
-    return (dirichlet_laplacian(grid), laplacian_reference_operator(grid),
-            [1.0 / theta for theta in boundary_cut_fractions(grid)], 1.0 / grid.h ** 2)
+def assert_each_component_matches_the_reference(grid, field, components,
+                                                kinds=("laplacian", "weighted")):
+    """Each component's K0 ("laplacian") and K_w ("weighted"), as ``kinds`` name
+    them, equal the references' restrictions; the two share one pattern.
+
+    That pattern holds the entries nonzero in either reference.
+    """
+    references = (laplacian_reference_operator(grid).toarray(),
+                  weighted_reference_operator(field, grid).toarray())
+    tables = dirichlet_conductances(grid), edge_conductances(grid, field.values)
+    for comp in components:
+        K0, K_w = stencil_matrices(grid, comp.nodes, *tables)
+        expected = [reference[np.ix_(comp.nodes, comp.nodes)] for reference in references]
+        for kind, K, reference in zip(("laplacian", "weighted"), (K0, K_w), expected):
+            if kind in kinds:
+                assert np.max(np.abs(K.toarray() - reference)) \
+                    <= 1e-14 * np.max(np.abs(reference))
+        stored = np.zeros(K0.shape, dtype=bool)
+        stored[np.repeat(np.arange(K0.shape[0]), np.diff(K0.indptr)), K0.indices] = True
+        assert np.array_equal(stored, (expected[0] != 0.0) | (expected[1] != 0.0))
+        for array in ("indptr", "indices"):
+            shared = getattr(K0, array)
+            assert shared.dtype == np.int32 and np.shares_memory(shared, getattr(K_w, array))
+        assert K0.has_sorted_indices
 
 
 @pytest.mark.parametrize("kind", ["weighted", "laplacian"])
 def test_restriction_to_each_component_matches_the_reference(lattice, kind):
     grid, field, components = lattice
-    operator, reference, _, _ = operators(kind, grid, field)
-    assert operator.indices.dtype == operator.indptr.dtype == np.int32
     assert len(components) > 1
-    for comp in components:
-        K = operator[comp.nodes][:, comp.nodes].toarray()
-        expected = reference[comp.nodes][:, comp.nodes].toarray()
-        assert np.max(np.abs(K - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert_each_component_matches_the_reference(grid, field, components, kinds=(kind,))
+
+
+# Rings are centred at the origin, within 0.5 of a ball's centre or a box's low
+# corner per axis, so a ring may lie inside, cross the boundary or miss the domain.
+problems = st.one_of(
+    st.tuples(st.just(2), st.sampled_from([9, 13, 17])),
+    st.tuples(st.just(3), st.just(9)),
+).flatmap(lambda shape: st.tuples(
+    st.just(shape[1]),
+    st.one_of(
+        st.builds(lambda centre, radius: DomainSpec.ball(centre, radius),
+                  st.tuples(*[st.floats(-0.5, 0.5)] * shape[0]), st.floats(1.0, 2.0)),
+        st.builds(lambda lo, side: DomainSpec.box(lo, [x + side for x in lo]),
+                  st.tuples(*[st.floats(-0.5, 0.5)] * shape[0]), st.floats(1.0, 3.0))),
+    st.one_of(
+        st.builds(WeightSpec.constant, st.floats(0.1, 10.0)),
+        st.builds(lambda rings: WeightSpec.power_product(
+            [((0.0,) * shape[0], radius, power) for radius, power in rings]),
+            st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(0.3, 0.8)),
+                     min_size=1, max_size=3)))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(problems)
+def test_generated_problems_match_the_reference_on_every_component(problem):
+    n, domain, weight = problem
+    grid = build_grid(domain, n)
+    field = evaluate_weight(weight, grid)
+    components = decompose_components(grid, detect_zero_set(field, grid)).components
+    assert_each_component_matches_the_reference(grid, field, components)
 
 
 @pytest.mark.parametrize("kind", ["weighted", "laplacian"])
 def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
     grid, field, _ = lattice
-    operator, _, conductances, scale = operators(kind, grid, field)
+    if kind == "weighted":  # the operator that verification reads
+        operator = field.operator
+        conductances, scale = mean_conductances(field.values), grid.h ** (grid.ndim - 2)
+    else:
+        (operator,) = stencil_matrices(grid, np.arange(grid.interior_mask.size),
+                                       dirichlet_conductances(grid))
+        conductances = [1.0 / theta for theta in boundary_cut_fractions(grid)]
+        scale = 1.0 / grid.h ** 2
     # Nonzero everywhere, pinned and exterior nodes included.
     u = np.random.default_rng(5).uniform(-1.0, 1.0, grid.shape)
     flux_form = np.zeros(grid.shape)
@@ -70,6 +120,19 @@ def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
     size = (abs(operator) @ np.abs(u.ravel())).reshape(grid.shape)
     interior = grid.interior_mask
     assert np.all(np.abs(product - flux_form)[interior] <= 1e-14 * size[interior])
+
+
+def test_lattice_operator_holds_only_nonzero_edges_with_an_interior_endpoint(lattice):
+    grid, field, _ = lattice
+    operator = field.operator
+    rows = np.repeat(np.arange(operator.shape[0]), np.diff(operator.indptr))
+    interior = grid.interior_mask.ravel()
+    couplings = rows != operator.indices
+    assert np.all(interior[rows[couplings]] | interior[operator.indices[couplings]])
+    assert np.all(operator.data != 0.0)
+    # A node that is neither interior nor next to one has an empty row.
+    active = (grid.interior_mask | grid.boundary_mask).ravel()
+    assert np.all(np.diff(operator.indptr)[~active] == 0)
 
 
 @pytest.mark.parametrize("domain", [

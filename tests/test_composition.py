@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import extend_bump
+from conftest import component_operators, extend_bump
 from oracles import bump_histogram, expected_histogram, holder_bound_report
 
 from multibump.composition import enumerate_all, w11_seminorm
 from multibump.energy import BumpSolution, assemble_energy, minimize_energy
 from multibump.errors import EnumerationSizeError
 from multibump.grid import DomainSpec, build_grid
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
+from multibump.spectral import dirichlet_lambda1
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -17,10 +17,10 @@ from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 def ring_bumps(ring65, logistic10):
     grid, field, zero, dec = ring65
     bumps = {}
-    laplacian = dirichlet_laplacian(grid)
     for comp in dec.components:
-        eigen = dirichlet_lambda1(comp, grid, laplacian)
-        energy = assemble_energy(comp, field, logistic10, grid)
+        K0, K_w = component_operators(grid, comp, field)
+        eigen = dirichlet_lambda1(comp, grid, K0)
+        energy = assemble_energy(comp, K_w, field, logistic10, grid)
         bumps[comp.id] = minimize_energy(energy, eigen)
     return grid, field, zero, dec, bumps
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import nested_rings_config, unit_box
+from conftest import component_operators, nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
 from multibump import energy as energy_module
@@ -13,7 +13,7 @@ from multibump.energy import (NonlinearitySpec, TruncatedNonlinearity, assemble_
 from multibump.errors import HypothesisViolationError
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian, factorize, jacobi, pcg
+from multibump.spectral import dirichlet_lambda1, factorize, jacobi, pcg
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
@@ -27,8 +27,8 @@ def square_energy(n, trunc, ndim=2, weight=WeightSpec.constant(1.0)):
     grid = build_grid(unit_box(ndim), n)
     field = evaluate_weight(weight, grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
-    return (assemble_energy(comp, field, trunc, grid),
-            dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid)))
+    K0, K_w = component_operators(grid, comp, field)
+    return assemble_energy(comp, K_w, field, trunc, grid), dirichlet_lambda1(comp, grid, K0)
 
 
 @pytest.fixture(scope="module")
@@ -162,8 +162,9 @@ class TestValidation:
 @pytest.fixture(scope="module")
 def square_problem(square33, logistic30):
     grid, field, zero, comp = square33
-    eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-    energy = assemble_energy(comp, field, logistic30, grid)
+    K0, K_w = component_operators(grid, comp, field)
+    eigen = dirichlet_lambda1(comp, grid, K0)
+    energy = assemble_energy(comp, K_w, field, logistic30, grid)
     return grid, comp, eigen, energy
 
 
@@ -187,7 +188,8 @@ class TestEnergyAssembly:
         grid, field, _, comp = square33
         custom = truncate_nonlinearity(NonlinearitySpec.custom(
             "30*abs(sin(s))*(1 - s)", GAMMA, S_STAR, BETA))
-        for energy in (square_problem[3], assemble_energy(comp, field, custom, grid)):
+        K_w = component_operators(grid, comp, field)[1]
+        for energy in (square_problem[3], assemble_energy(comp, K_w, field, custom, grid)):
             rng = np.random.default_rng(7)
             step = 1e-6 * S_STAR
             for _ in range(10):
@@ -231,20 +233,22 @@ class TestMinimization:
 
     def test_refuses_when_f2_fails(self, square33, logistic10):
         grid, field, zero, comp = square33
-        eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-        energy = assemble_energy(comp, field, logistic10, grid)
+        K0, K_w = component_operators(grid, comp, field)
+        eigen = dirichlet_lambda1(comp, grid, K0)
+        energy = assemble_energy(comp, K_w, field, logistic10, grid)
         with pytest.raises(HypothesisViolationError) as err:
             minimize_energy(energy, eigen)
         assert err.value.hypothesis == "f2"
 
     def test_truncation_depth_is_inert(self, square33):
         grid, field, zero, comp = square33
-        eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
+        K0, K_w = component_operators(grid, comp, field)
+        eigen = dirichlet_lambda1(comp, grid, K0)
         bumps = []
         for beta in (S_STAR / 2.0, S_STAR / 4.0):
             trunc = truncate_nonlinearity(
                 NonlinearitySpec.logistic(GAMMA, S_STAR, beta))
-            energy = assemble_energy(comp, field, trunc, grid)
+            energy = assemble_energy(comp, K_w, field, trunc, grid)
             bumps.append(minimize_energy(energy, eigen))
         assert np.max(np.abs(bumps[0].values - bumps[1].values)) < 1e-10
 
@@ -253,8 +257,8 @@ class TestMinimization:
         from multibump.weights import WeightSpec, evaluate_weight
         doubled_field = evaluate_weight(WeightSpec.constant(2.0), grid)
         doubled_trunc = truncate_nonlinearity(NonlinearitySpec.logistic(2.0 * GAMMA, S_STAR))
-        base = assemble_energy(comp, field, logistic30, grid)
-        scaled = assemble_energy(comp, doubled_field, doubled_trunc, grid)
+        base, scaled = (assemble_energy(comp, component_operators(grid, comp, f)[1], f, t, grid)
+                        for f, t in ((field, logistic30), (doubled_field, doubled_trunc)))
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.uniform(-BETA, S_STAR, size=base.size)
@@ -304,8 +308,9 @@ class TestMinimization:
         cases.append((grid, field, nested[(1, 1)],
                       truncate_nonlinearity(config.nonlinearity)))
         for grid, field, comp, trunc in cases:
-            eigen = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-            energy = assemble_energy(comp, field, trunc, grid)
+            K0, K_w = component_operators(grid, comp, field)
+            eigen = dirichlet_lambda1(comp, grid, K0)
+            energy = assemble_energy(comp, K_w, field, trunc, grid)
             bump = minimize_energy(energy, eigen)
             oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
             assert np.max(np.abs(bump.values - oracle)) < 1e-4
@@ -317,9 +322,10 @@ def nested_rings_problems(n):
     grid = build_grid(config.domain, config.resolution)
     field = evaluate_weight(config.weight, grid)
     zero = detect_zero_set(field, grid, config.tolerances)
-    laplacian, trunc = dirichlet_laplacian(grid), truncate_nonlinearity(config.nonlinearity)
-    return [(assemble_energy(comp, field, trunc, grid), dirichlet_lambda1(comp, grid, laplacian))
-            for comp in decompose_components(grid, zero).components]
+    trunc = truncate_nonlinearity(config.nonlinearity)
+    return [(assemble_energy(comp, K_w, field, trunc, grid), dirichlet_lambda1(comp, grid, K0))
+            for comp in decompose_components(grid, zero).components
+            for K0, K_w in [component_operators(grid, comp, field)]]
 
 
 class TestNonlinearityWork:

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import nested_rings_config, quadratic_zero_config, ring_config
+from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
+                      ring_config)
 from oracles import reference_solution_csv, reference_solution_vtk
 
 import multibump
-from multibump import pipeline, spectral
+from multibump import pipeline, spectral, weights
 from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
@@ -29,11 +30,11 @@ from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
                                 run_pipeline, verify_solution_file, write_outputs,
                                 write_solution_csv, write_solution_vtk)
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
+from multibump.spectral import dirichlet_lambda1
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.verify import check_conclusions
-from multibump.weights import WeightSpec, detect_zero_set
+from multibump.weights import WeightField, WeightSpec, detect_zero_set
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -788,18 +789,17 @@ class TestComposedVerification:
     def couple(monkeypatch, entries):
         """Add ``entries`` ((row, column) -> value) to the operator the run verifies with.
 
-        ``K`` on a component is the operator's restriction to its nodes, so
+        ``K`` on a component is built from the component's own edges, so
         entries between components leave every bump as it was.
         """
-        setup = pipeline._setup
+        operator = WeightField.operator
 
-        def coupled(config):
-            grid, field, zero = setup(config)
+        def coupled(field):
             (rows, columns), values = zip(*entries), list(entries.values())
-            extra = scipy.sparse.csr_matrix((values, (rows, columns)), shape=field.operator.shape)
-            return grid, dataclasses.replace(field, operator=field.operator + extra), zero
+            clean = operator.__get__(field, WeightField)
+            return clean + scipy.sparse.csr_matrix((values, (rows, columns)), shape=clean.shape)
 
-        monkeypatch.setattr(pipeline, "_setup", coupled)
+        monkeypatch.setattr(WeightField, "operator", property(coupled))
 
     def test_an_edge_between_two_components_fails_the_run(self, monkeypatch):
         _, clean = self.run()
@@ -843,6 +843,21 @@ def weight_evaluations(monkeypatch):
     return resolutions
 
 
+@pytest.fixture
+def lattice_operator_builds(monkeypatch):
+    """Resolution of every grid an operator over the whole lattice is built on."""
+    resolutions, build = [], weights.stencil_matrices
+
+    def counted(grid, nodes, *tables):
+        if nodes.size == grid.interior_mask.size:
+            resolutions.append(grid.n)
+        return build(grid, nodes, *tables)
+
+    for module in (pipeline, weights):
+        monkeypatch.setattr(module, "stencil_matrices", counted)
+    return resolutions
+
+
 # Boxes whose corner is -0.0, which compares equal to 0.0 but prints apart:
 # in the VTK origin for ``lo``, in the last CSV coordinates for ``hi``.
 SIGNED_ZERO_BOXES = {
@@ -872,14 +887,22 @@ def as_floats(node):
 
 
 class TestSetupMemo:
-    def test_solve_and_read_back_evaluate_the_weight_once(self, tmp_path,
-                                                          weight_evaluations):
+    def test_solve_and_read_back_evaluate_the_weight_once(self, tmp_path, weight_evaluations,
+                                                          lattice_operator_builds):
         config = parse_config(nested_rings_config(33, out=str(tmp_path)))
         report = run_pipeline(config)
         assert len(report.solutions) == 15
         for record in report.solutions:
             assert verify_solution_file(config, tmp_path / record.filename).passed
         assert weight_evaluations == [33]
+        # The weight's operator, built when the first check reads it, and kept.
+        assert lattice_operator_builds == [33]
+
+    def test_check_builds_no_lattice_operator(self, lattice_operator_builds):
+        # Neither at the configured resolution nor at the admissibility's coarse one.
+        report = check_hypotheses(parse_config(nested_rings_config(65)))
+        assert (report.status, report.chi) == ("ok", 4)
+        assert lattice_operator_builds == []
 
     @pytest.mark.parametrize("weight", [
         {"kind": "constant", "value": 1},
@@ -1108,11 +1131,11 @@ def splu_calls(monkeypatch):
 def direct_bumps(config):
     """Each component's bump from its own eigenpair and energy, outside the pipeline."""
     grid, field, zero = pipeline._setup(config)
-    laplacian, tol = dirichlet_laplacian(grid), config.tolerances
-    trunc = truncate_nonlinearity(config.nonlinearity)
-    return [minimize_energy(assemble_energy(comp, field, trunc, grid),
-                            dirichlet_lambda1(comp, grid, laplacian, tol), tol)
-            for comp in decompose_components(grid, zero).components]
+    tol, trunc = config.tolerances, truncate_nonlinearity(config.nonlinearity)
+    return [minimize_energy(assemble_energy(comp, K_w, field, trunc, grid),
+                            dirichlet_lambda1(comp, grid, K0, tol), tol)
+            for comp in decompose_components(grid, zero).components
+            for K0, K_w in [component_operators(grid, comp, field)]]
 
 
 class TestSharedFactor:
@@ -1471,8 +1494,7 @@ class TestReportSerializer:
 
 
 class TestVerbose:
-    HYPOTHESES = ["setup", "admissibility", "decomposition", "nonlinearity", "laplacian",
-                  "spectral"]
+    HYPOTHESES = ["setup", "admissibility", "decomposition", "nonlinearity", "spectral"]
 
     @pytest.mark.parametrize("command, stages", [
         ("check", HYPOTHESES),

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import extend_bump, unit_box
+from conftest import component_operators, extend_bump, unit_box
 from oracles import residual_field
 
 from multibump.energy import assemble_energy, minimize_energy
 from multibump.grid import build_grid
-from multibump.spectral import dirichlet_lambda1, dirichlet_laplacian
+from multibump.spectral import dirichlet_lambda1
 from multibump.verify import check_conclusions, weak_residual
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
@@ -43,8 +43,9 @@ def test_composed_residual_equals_max_of_parts(ring65, logistic10):
     grid, field, zero, dec = ring65
     extensions = []
     for comp in dec.components:
-        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-        energy = assemble_energy(comp, field, logistic10, grid)
+        K0, K_w = component_operators(grid, comp, field)
+        eig = dirichlet_lambda1(comp, grid, K0)
+        energy = assemble_energy(comp, K_w, field, logistic10, grid)
         bump = minimize_energy(energy, eig)
         extensions.append(extend_bump(bump, grid))
     f = logistic10.base.f
@@ -76,8 +77,9 @@ class TestConclusions:
 
     def test_converged_bump_passes_everything(self, square33, logistic30):
         grid, field, zero, comp = square33
-        eig = dirichlet_lambda1(comp, grid, dirichlet_laplacian(grid))
-        energy = assemble_energy(comp, field, logistic30, grid)
+        K0, K_w = component_operators(grid, comp, field)
+        eig = dirichlet_lambda1(comp, grid, K0)
+        energy = assemble_energy(comp, K_w, field, logistic30, grid)
         bump = minimize_energy(energy, eig)
         values = extend_bump(bump, grid)
         report = self.run_checks(square33, logistic30, values)
