@@ -8,10 +8,10 @@ Rayleigh-Ritz minimum on span{x, T(Kx - lambda x), the last step's
 direction}, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 so lambda is a Rayleigh quotient, never below the discrete lambda_1.  K is
 the component's K0 (:func:`~multibump.assembly.dirichlet_conductances`).  In
-2D, T is the solve with a fill-reducing sparse LU factor of K (:func:`factorize`),
-built once per component and handed to the 2D Newton solve with K's
-diagonal; in 3D that fill takes gigabytes at a few ten thousand unknowns, so
-T is Jacobi and no factor is built.
+2D, T is the solve with a fill-reducing sparse LU factor of K (scipy's ``splu``,
+imported at the first :func:`factorize`), built once per component and handed
+to the 2D Newton solve with K's diagonal; in 3D that fill takes gigabytes at a
+few ten thousand unknowns, so T is Jacobi and no factor is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import NumericalFailureError
 from .grid import Grid
@@ -62,6 +61,11 @@ class F2Entry:
     @property
     def passed(self) -> bool:
         return self.margin > 0.0
+
+
+def splu(*args, **kwargs):
+    from scipy.sparse.linalg import splu  # here, not at module top: it brings scipy.linalg
+    return splu(*args, **kwargs)
 
 
 def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:

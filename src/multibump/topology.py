@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .grid import Grid, dilate
 
@@ -53,7 +52,8 @@ class Decomposition:
 
 def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Face-connected pieces of ``mask``, numbered from 1 in C scan order of
-    their first node as ``scipy.ndimage.label`` numbers them, and their count."""
+    their first node as ``scipy.ndimage.label`` numbers them, and their count.
+    ``scipy.sparse.csgraph`` is imported at the first call, not with the module."""
     # The graph's vertices are the runs of nodes along the last axis; a layer
     # of False past each far face ends every run with its row.
     lattice = tuple(slice(n) for n in mask.shape)
@@ -76,6 +76,7 @@ def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
                        np.searchsorted(src[order], np.arange(runs + 1))), shape=(runs, runs))
     # The graph is symmetric, so its strong components are the pieces, found
     # and numbered in the order of their first run.
+    from scipy.sparse.csgraph import connected_components  # here: it brings scipy.linalg
     count, piece = connected_components(graph, connection="strong")
     labels = np.zeros(flat.size, dtype=np.int32)
     labels[flat] = np.repeat(piece + 1, np.flatnonzero(end) - begin + 1)

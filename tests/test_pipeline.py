@@ -250,6 +250,32 @@ def test_import_loads_no_unused_scipy_subpackage():
     assert loaded.stdout == "[]\n"
 
 
+def test_linalg_loads_only_at_decomposition(tmp_path):
+    # scipy.sparse.csgraph and splu bring scipy.linalg (about 0.13 s); a process
+    # that never decomposes a lattice, as verify and report, must not load them.
+    config = write_config(tmp_path, unit_square(out=str(tmp_path / "out")))
+    run_pipeline(load_config(config))
+    deferred = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    env = dict(os.environ, PYTHONPATH=str(Path(multibump.__file__).parents[1]))
+
+    def loaded_after(statements):
+        code = (f"import sys\n{statements}\n"
+                f"print(sorted(m for m in {deferred} if m in sys.modules))")
+        return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                              capture_output=True, text=True, timeout=120).stdout
+
+    assert loaded_after("import multibump.cli") == "[]\n"
+    csv = tmp_path / "out" / "solution_001.csv"
+    assert loaded_after(
+        "from multibump.pipeline import load_config, verify_solution_file\n"
+        f"assert verify_solution_file(load_config({str(config)!r}), {str(csv)!r}).passed"
+    ) == "[]\n"
+    # A 2D check factors each component, so the guard above is not vacuous.
+    assert "'scipy.sparse.linalg'" in loaded_after(
+        "from multibump.pipeline import check_hypotheses, load_config\n"
+        f"check_hypotheses(load_config({str(config)!r}))")
+
+
 class TestPipelineRuns:
     def test_constant_weight_single_solution(self, tmp_path):
         data = {
