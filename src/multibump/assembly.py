@@ -5,14 +5,13 @@ lattice neighbors i, j with conductance c_e contributes
 ``c_e * (u_i - u_j)^2 * h^(N-2)`` to the quadratic energy.  A run keeps each
 conductance field as a :func:`conductance_table`, from which
 :func:`stencil_matrices` builds a component's K0 and K_w, which substitute
-u = 0 at every other node, and the lattice operator whose product with a
-field is its residual, the field supplying its own pinned values.
+u = 0 at every other node; :func:`lattice_product` multiplies a field, pinned
+values included, by the stencil over the whole lattice, with no matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .grid import Grid
 
@@ -59,14 +58,15 @@ def dirichlet_conductances(grid: Grid) -> np.ndarray:
     return conductance_table(grid, conductances, 1.0 / grid.h ** 2)
 
 
-def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list[sparse.csr_matrix]:
-    """The stencil matrix of each :func:`conductance_table` over ``nodes``, on one pattern.
+def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list:
+    """The CSR stencil matrix of each :func:`conductance_table` over ``nodes``, on one pattern.
 
     Row and column k belong to ``nodes[k]``; an edge to a node off the list
     adds to the diagonal only.  Entries 0 in every table are left out.  The
     matrices share one int32 ``indptr`` and ``indices``, ascending in each
     row when ``nodes`` ascend.
     """
+    from scipy import sparse  # here, not at module top: verify and report build no matrix
     ndim, local = grid.ndim, np.full(grid.interior_mask.size, -1, dtype=np.int32)
     local[nodes] = np.arange(nodes.size, dtype=np.int32)
     # A row's slots, in column order: -axis 0, ..., -axis N-1, itself, +axis N-1, ..., +axis 0.
@@ -85,6 +85,24 @@ def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list[sparse.csr_
     indices = columns[present]
     return [sparse.csr_matrix((band[present], indices, indptr), shape=(nodes.size,) * 2)
             for band in values]
+
+
+def lattice_product(grid: Grid, table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``table``'s stencil over the lattice times ``values``, by slices: each row sums its
+    terms in :func:`stencil_matrices`' slot order, so a row with no edge of conductance 0
+    equals the CSR product bit for bit, up to the sign of a zero."""
+    u, edges = np.reshape(values, grid.shape), np.reshape(table, (grid.ndim,) + grid.shape)
+    product, diagonal = np.zeros(grid.shape), np.zeros(grid.shape)
+    axes = [_axis_slices(grid.ndim, axis) for axis in range(grid.ndim)]
+    with np.errstate(invalid="ignore", over="ignore"):  # silent as CSR: 0 conductance * inf
+        for edge, (lo, hi) in zip(edges, axes):
+            product[hi] -= edge[lo] * u[lo]
+            diagonal += edge
+            diagonal[hi] += edge[lo]
+        product += diagonal * u
+        for edge, (lo, hi) in zip(edges[::-1], axes[::-1]):
+            product[lo] -= edge[lo] * u[hi]
+    return product
 
 
 def boundary_cut_fractions(grid: Grid) -> list[np.ndarray]:

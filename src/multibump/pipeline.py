@@ -14,8 +14,8 @@ and zero set.  The memo holds one entry, keyed on the exact (``repr``)
 domain, weight, resolution, zero threshold and zero band.  A run formats
 each CSV row once per state (``_RunText``) and splices its files from runs
 of those rows; a file read back whose SHA-256 is that of a file the run
-wrote is not parsed.  Each bump and the full subset are checked against K;
-no edge joins two components, so other subsets take their bumps' largest.
+wrote is not parsed.  Each bump and the full subset are checked on the whole
+lattice; no edge joins two components, so other subsets take their bumps' largest.
 
 All outputs are deterministic: reruns with an identical configuration
 produce byte-identical report and solution files.  Timings are only
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import dirichlet_conductances, edge_conductances, stencil_matrices
+from .assembly import dirichlet_conductances, stencil_matrices
 from .composition import MultiBumpSolution, enumerate_all
 from .energy import (BumpSolution, NonlinearitySpec, assemble_energy,
                      minimize_energy, truncate_nonlinearity)
@@ -550,7 +550,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             report.component_sizes = {_comp_label(c.id): c.node_count
                                       for c in decomposition.components}
             tables = [dirichlet_conductances(grid)]  # K0's edges, and in a solve K_w's
-            tables += [edge_conductances(grid, field.values)] if solve else []
+            tables += [field.conductances] if solve else []
         with _stage("nonlinearity"):
             trunc = truncate_nonlinearity(nonlinearity)
         bumps = {}
@@ -586,14 +586,13 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             with _stage("verify"):
                 if out_path is not None:
                     out_path.mkdir(parents=True, exist_ok=True)
-                residuals = {}  # by subset, of the fields checked against K
+                residuals = {}  # by subset, of the fields checked against the lattice
                 for rank, solution in enumerate(solutions, start=1):
                     values = solution.field(grid)
-                    # Checked first: K is built before the files' rows take memory.
                     if solution.n_bumps > 1 and rank < len(solutions):  # no edge joins bumps
                         residual = float(np.max([residuals[c,] for c in solution.subset]))
                         verified = conclusions(values, residual, nonlinearity, grid, zero, tol)
-                    else:  # each bump, and the full subset against K itself
+                    else:  # each bump, and the full subset on the lattice itself
                         verified = check_conclusions(values, field, nonlinearity, grid, zero, tol)
                         residuals[solution.subset] = verified.residual_norm
                     stem = f"solution_{rank:03d}"

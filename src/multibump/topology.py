@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .grid import Grid, dilate
 
@@ -52,8 +51,7 @@ class Decomposition:
 
 def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Face-connected pieces of ``mask``, numbered from 1 in C scan order of
-    their first node as ``scipy.ndimage.label`` numbers them, and their count.
-    ``scipy.sparse.csgraph`` is imported at the first call, not with the module."""
+    their first node as ``scipy.ndimage.label`` numbers them, and their count."""
     # The graph's vertices are the runs of nodes along the last axis; a layer
     # of False past each far face ends every run with its row.
     lattice = tuple(slice(n) for n in mask.shape)
@@ -72,12 +70,12 @@ def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
         edges += [(a, b), (b, a)]
     src, dst = (np.concatenate(ends) for ends in zip(*edges))
     order, runs = np.argsort(src), begin.size
+    from scipy.sparse import csgraph, csr_array  # here, not at module top: verify needs no scipy
     graph = csr_array((np.ones(src.size), dst[order],
                        np.searchsorted(src[order], np.arange(runs + 1))), shape=(runs, runs))
     # The graph is symmetric, so its strong components are the pieces, found
     # and numbered in the order of their first run.
-    from scipy.sparse.csgraph import connected_components  # here: it brings scipy.linalg
-    count, piece = connected_components(graph, connection="strong")
+    count, piece = csgraph.connected_components(graph, connection="strong")
     labels = np.zeros(flat.size, dtype=np.int32)
     labels[flat] = np.repeat(piece + 1, np.flatnonzero(end) - begin + 1)
     return labels.reshape(padded.shape)[lattice], count

@@ -2,7 +2,7 @@
 
 A candidate field is a discrete weak solution when the stationarity defect
 
-    r_i = (K u)_i - f(u_i) h^N
+    r_i = (K_w u)_i - f(u_i) h^N
 
 vanishes at every interior node outside the zero set; nodal indicator
 functions at those nodes are the discrete counterpart of test functions
@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .assembly import lattice_product
 from .composition import w11_seminorm
 from .energy import NonlinearitySpec
 from .grid import Grid
@@ -27,17 +28,17 @@ from .weights import WeightField
 
 def weak_residual(values: np.ndarray, field: WeightField, f: Callable,
                   grid: Grid, zero: np.ndarray) -> float:
-    """Max-norm stationarity defect over interior nodes off the zero set.
+    """Max-norm stationarity defect over interior nodes off the zero set, formed there only.
 
-    ``f`` is any callable s -> f(s) returning an array, such as
-    :meth:`NonlinearitySpec.f` or a manufactured linear reaction.  The
-    field supplies its own values at pinned nodes, so extended and composed
-    candidates verify directly.
+    K_w u is :func:`~multibump.assembly.lattice_product`; ``f`` is any callable
+    s -> f(s) returning an array, such as :meth:`NonlinearitySpec.f` or a
+    manufactured linear reaction.  The field supplies its own values at
+    pinned nodes, so extended and composed candidates verify directly.
     """
-    where = (grid.interior_mask & ~zero).ravel()
-    flat = values.ravel()
-    residual = field.operator @ flat - f(flat) * grid.cell_volume
-    return float(np.max(np.abs(residual[where])))
+    where = grid.interior_mask & ~zero
+    u = np.reshape(values, grid.shape)[where]
+    residual = lattice_product(grid, field.conductances, values)[where] - f(u) * grid.cell_volume
+    return float(np.max(np.abs(residual)))
 
 
 @dataclass(frozen=True)

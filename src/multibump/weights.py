@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import edge_conductances, stencil_matrices
+from .assembly import edge_conductances
 from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
 from .grid import Grid, build_grid, dilate
@@ -169,13 +169,13 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class WeightField:
-    """Nodal weight values plus their diffusion operator on one grid.
+    """Nodal weight values plus their edge conductances on one grid.
 
     Values are stored on the full lattice (zero at exterior nodes, which
     never enter any sum); ``a_max`` is the maximum over the non-exterior
     nodes, the discrete stand-in for the closure of the domain.
-    ``operator``, the stencil matrix of the weight's edge conductances over
-    the whole lattice, is built when first read.  Values and the operator's
+    ``conductances``, the :func:`~multibump.assembly.edge_conductances` table
+    of a solve's K_w and of every residual, is computed when first read.  Both
     arrays are read-only, so one field can be shared between runs.
     """
 
@@ -185,12 +185,10 @@ class WeightField:
     grid: Grid = dc_field(repr=False)
 
     @cached_property
-    def operator(self):
-        (operator,) = stencil_matrices(self.grid, np.arange(self.values.size),
-                                       edge_conductances(self.grid, self.values))
-        for array in (operator.data, operator.indices, operator.indptr):
-            array.setflags(write=False)
-        return operator
+    def conductances(self) -> np.ndarray:
+        table = edge_conductances(self.grid, self.values)
+        table.setflags(write=False)
+        return table
 
 
 def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:

@@ -39,6 +39,12 @@ def component_operators(grid: Grid, comp: Component, field: WeightField | None =
     return stencil_matrices(grid, comp.nodes, *tables)
 
 
+def lattice_operator(grid: Grid, table: np.ndarray):
+    """The CSR stencil matrix of a conductance table over the whole lattice."""
+    (operator,) = stencil_matrices(grid, np.arange(grid.interior_mask.size), table)
+    return operator
+
+
 def extend_bump(bump: BumpSolution, grid: Grid) -> np.ndarray:
     """Extend a component bump by zero to the full lattice."""
     field = np.zeros(grid.shape)

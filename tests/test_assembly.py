@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import nested_rings_config
+from conftest import lattice_operator, nested_rings_config
 from oracles import (bisected_cut_fractions, laplacian_reference_operator, mean_conductances,
                      per_axis_cut_fractions, weighted_reference_operator)
 
 from multibump import pipeline
 from multibump.assembly import (_axis_slices, boundary_cut_fractions, dirichlet_conductances,
-                                edge_conductances, stencil_matrices)
+                                edge_conductances, lattice_product, stencil_matrices)
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 SHELL3D = Path(__file__).resolve().parents[1] / "bench" / "configs" / "shell3d.json"
+NESTED_RINGS = Path(__file__).resolve().parents[1] / "configs" / "nested_rings.json"
 
 
 @pytest.fixture(scope="module", params=["nested-rings-17", "shell3d-9"])
@@ -100,12 +101,11 @@ def test_generated_problems_match_the_reference_on_every_component(problem):
 @pytest.mark.parametrize("kind", ["weighted", "laplacian"])
 def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
     grid, field, _ = lattice
-    if kind == "weighted":  # the operator that verification reads
-        operator = field.operator
+    if kind == "weighted":  # the table that verification reads
+        operator = lattice_operator(grid, field.conductances)
         conductances, scale = mean_conductances(field.values), grid.h ** (grid.ndim - 2)
     else:
-        (operator,) = stencil_matrices(grid, np.arange(grid.interior_mask.size),
-                                       dirichlet_conductances(grid))
+        operator = lattice_operator(grid, dirichlet_conductances(grid))
         conductances = [1.0 / theta for theta in boundary_cut_fractions(grid)]
         scale = 1.0 / grid.h ** 2
     # Nonzero everywhere, pinned and exterior nodes included.
@@ -124,7 +124,7 @@ def test_product_equals_the_flux_form_at_interior_nodes(lattice, kind):
 
 def test_lattice_operator_holds_only_nonzero_edges_with_an_interior_endpoint(lattice):
     grid, field, _ = lattice
-    operator = field.operator
+    operator = lattice_operator(grid, field.conductances)
     rows = np.repeat(np.arange(operator.shape[0]), np.diff(operator.indptr))
     interior = grid.interior_mask.ravel()
     couplings = rows != operator.indices
@@ -133,6 +133,48 @@ def test_lattice_operator_holds_only_nonzero_edges_with_an_interior_endpoint(lat
     # A node that is neither interior nor next to one has an empty row.
     active = (grid.interior_mask | grid.boundary_mask).ravel()
     assert np.all(np.diff(operator.indptr)[~active] == 0)
+
+
+def assert_product_equals_the_csr_product(grid, field, zero, u):
+    """On each interior row off ``zero``, the lattice product of the weight's and of the
+    Laplacian's table holds the bytes of the CSR product of its matrix, up to zero signs."""
+    rows = grid.interior_mask & ~zero
+    for table in (field.conductances, dirichlet_conductances(grid)):
+        csr = (lattice_operator(grid, table) @ u.ravel()).reshape(grid.shape)
+        assert np.abs(lattice_product(grid, table, u))[rows].tobytes() \
+            == np.abs(csr)[rows].tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(problems, st.integers(0, 2 ** 32 - 1))
+def test_generated_products_equal_the_csr_product_bit_for_bit(problem, seed):
+    n, domain, weight = problem
+    grid = build_grid(domain, n)
+    field = evaluate_weight(weight, grid)
+    zero = detect_zero_set(field, grid)
+    # Random values; about half the pinned and exterior nodes hold NaN, inf or -inf.
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, grid.shape)
+    off = ~grid.interior_mask | zero
+    special = rng.choice([np.nan, np.inf, -np.inf], off.sum())
+    u[off] = np.where(rng.random(off.sum()) < 0.5, special, u[off])
+    assert_product_equals_the_csr_product(grid, field, zero, u)
+
+
+@pytest.fixture(scope="module")
+def nested_rings_fields():
+    """Setup and the 15 composed fields of the shipped nested rings' solve at n=33."""
+    config = dataclasses.replace(pipeline.load_config(NESTED_RINGS), resolution=33)
+    report = pipeline.run_pipeline(config, write=False)
+    grid, field, zero = pipeline._setup(config)
+    return grid, field, zero, [record.solution.field(grid) for record in report.solutions]
+
+
+@pytest.mark.parametrize("rank", range(1, 16))
+def test_composed_products_equal_the_csr_product_bit_for_bit(nested_rings_fields, rank):
+    grid, field, zero, fields = nested_rings_fields
+    assert len(fields) == 15
+    assert_product_equals_the_csr_product(grid, field, zero, fields[rank - 1])
 
 
 @pytest.mark.parametrize("domain", [

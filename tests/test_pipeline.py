@@ -13,14 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
                       ring_config)
 from oracles import reference_solution_csv, reference_solution_vtk
 
 import multibump
-from multibump import pipeline, spectral, weights
+from multibump import pipeline, spectral, verify, weights
 from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
@@ -34,7 +33,7 @@ from multibump.spectral import dirichlet_lambda1
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
 from multibump.verify import check_conclusions
-from multibump.weights import WeightField, WeightSpec, detect_zero_set
+from multibump.weights import WeightSpec, detect_zero_set
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -239,8 +238,8 @@ class TestConfigParsing:
 
 def test_import_loads_no_unused_scipy_subpackage():
     # Each costs import time in every fresh process (scipy.signal imports
-    # scipy.stats, scipy.fft imports scipy.special); numpy and scipy.sparse
-    # do the lattice work.
+    # scipy.stats, scipy.fft imports scipy.special); numpy does the lattice
+    # work, and scipy.sparse loads only where a matrix or graph is built.
     unused = ("ndimage", "fft", "special", "signal", "stats")
     code = ("import sys, multibump.cli; print(sorted(m for m in sys.modules "
             f"if m.split('.')[:2] in {[['scipy', name] for name in unused]}))")
@@ -251,16 +250,17 @@ def test_import_loads_no_unused_scipy_subpackage():
 
 
 def test_linalg_loads_only_at_decomposition(tmp_path):
-    # scipy.sparse.csgraph and splu bring scipy.linalg (about 0.13 s); a process
-    # that never decomposes a lattice, as verify and report, must not load them.
+    # scipy.sparse (about 0.2 s) is imported where a component's matrices or
+    # the decomposition's graph are built, and csgraph and splu bring
+    # scipy.linalg; a process that never decomposes a lattice, as verify and
+    # report, must load no scipy module at all.
     config = write_config(tmp_path, unit_square(out=str(tmp_path / "out")))
     run_pipeline(load_config(config))
-    deferred = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
     env = dict(os.environ, PYTHONPATH=str(Path(multibump.__file__).parents[1]))
 
     def loaded_after(statements):
         code = (f"import sys\n{statements}\n"
-                f"print(sorted(m for m in {deferred} if m in sys.modules))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         return subprocess.run([sys.executable, "-c", code], check=True, env=env,
                               capture_output=True, text=True, timeout=120).stdout
 
@@ -270,7 +270,11 @@ def test_linalg_loads_only_at_decomposition(tmp_path):
         "from multibump.pipeline import load_config, verify_solution_file\n"
         f"assert verify_solution_file(load_config({str(config)!r}), {str(csv)!r}).passed"
     ) == "[]\n"
-    # A 2D check factors each component, so the guard above is not vacuous.
+    report = tmp_path / "out" / "report.json"
+    printed = loaded_after(
+        f"import multibump.cli\nmultibump.cli.main(['report', {str(report)!r}])")
+    assert printed.startswith("multibump run report\n") and printed.endswith("\n[]\n")
+    # A 2D check factors each component, so the guards above are not vacuous.
     assert "'scipy.sparse.linalg'" in loaded_after(
         "from multibump.pipeline import check_hypotheses, load_config\n"
         f"check_hypotheses(load_config({str(config)!r}))")
@@ -813,19 +817,20 @@ class TestComposedVerification:
 
     @staticmethod
     def couple(monkeypatch, entries):
-        """Add ``entries`` ((row, column) -> value) to the operator the run verifies with.
+        """Add ``entries`` ((row, column) -> value) to the product the run verifies with.
 
         ``K`` on a component is built from the component's own edges, so
         entries between components leave every bump as it was.
         """
-        operator = WeightField.operator
+        product = verify.lattice_product
 
-        def coupled(field):
-            (rows, columns), values = zip(*entries), list(entries.values())
-            clean = operator.__get__(field, WeightField)
-            return clean + scipy.sparse.csr_matrix((values, (rows, columns)), shape=clean.shape)
+        def coupled(grid, table, values):
+            out, u = product(grid, table, values), np.ravel(values)
+            for (row, column), value in entries.items():
+                out.ravel()[row] += value * u[column]
+            return out
 
-        monkeypatch.setattr(WeightField, "operator", property(coupled))
+        monkeypatch.setattr(verify, "lattice_product", coupled)
 
     def test_an_edge_between_two_components_fails_the_run(self, monkeypatch):
         _, clean = self.run()
@@ -870,17 +875,15 @@ def weight_evaluations(monkeypatch):
 
 
 @pytest.fixture
-def lattice_operator_builds(monkeypatch):
-    """Resolution of every grid an operator over the whole lattice is built on."""
-    resolutions, build = [], weights.stencil_matrices
+def conductance_tables(monkeypatch):
+    """Resolution of every grid the weight's conductance table is computed on."""
+    resolutions, compute = [], weights.edge_conductances
 
-    def counted(grid, nodes, *tables):
-        if nodes.size == grid.interior_mask.size:
-            resolutions.append(grid.n)
-        return build(grid, nodes, *tables)
+    def counted(grid, values):
+        resolutions.append(grid.n)
+        return compute(grid, values)
 
-    for module in (pipeline, weights):
-        monkeypatch.setattr(module, "stencil_matrices", counted)
+    monkeypatch.setattr(weights, "edge_conductances", counted)
     return resolutions
 
 
@@ -914,21 +917,21 @@ def as_floats(node):
 
 class TestSetupMemo:
     def test_solve_and_read_back_evaluate_the_weight_once(self, tmp_path, weight_evaluations,
-                                                          lattice_operator_builds):
+                                                          conductance_tables):
         config = parse_config(nested_rings_config(33, out=str(tmp_path)))
         report = run_pipeline(config)
         assert len(report.solutions) == 15
         for record in report.solutions:
             assert verify_solution_file(config, tmp_path / record.filename).passed
         assert weight_evaluations == [33]
-        # The weight's operator, built when the first check reads it, and kept.
-        assert lattice_operator_builds == [33]
+        # The weight's table, computed when the solve's first K_w is built, and kept.
+        assert conductance_tables == [33]
 
-    def test_check_builds_no_lattice_operator(self, lattice_operator_builds):
+    def test_check_builds_no_lattice_operator(self, conductance_tables):
         # Neither at the configured resolution nor at the admissibility's coarse one.
         report = check_hypotheses(parse_config(nested_rings_config(65)))
         assert (report.status, report.chi) == ("ok", 4)
-        assert lattice_operator_builds == []
+        assert conductance_tables == []
 
     @pytest.mark.parametrize("weight", [
         {"kind": "constant", "value": 1},

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import cbrt_ring_weight, interior_count, unit_box
+from conftest import cbrt_ring_weight, interior_count, lattice_operator, unit_box
 from oracles import fast_lens_by_enumeration, reference_a2_constant
 
 from multibump import pipeline
@@ -72,9 +72,11 @@ class TestEvaluation:
         field = evaluate_weight(WeightSpec.expression("1.0 + x"), grid)
         v = field.values
         expected = 0.5 * (v[:-1, 1:-1] + v[1:, 1:-1])
-        # Every axis-0 edge off the side columns has an interior endpoint.
+        # Every axis-0 edge off the side columns has an interior endpoint; h^(N-2) is 1.
+        assert np.allclose(field.conductances.reshape((2,) + v.shape)[0, :-1, 1:-1], expected)
         node = np.arange(v.size).reshape(v.shape)
-        coupling = -field.operator[node[:-1, 1:-1].ravel(), node[1:, 1:-1].ravel()]
+        coupling = -lattice_operator(grid, field.conductances)[node[:-1, 1:-1].ravel(),
+                                                               node[1:, 1:-1].ravel()]
         assert np.allclose(np.asarray(coupling).reshape(expected.shape), expected)
 
 
@@ -222,7 +224,7 @@ class TestLt:
 def test_weight_field_arrays_are_read_only(square33):
     _, field, _, _ = square33
     with pytest.raises(ValueError):
-        field.operator.data[0] = 2.0
+        field.conductances[0, 0] = 2.0
     with pytest.raises(ValueError):
         field.values[0] = 2.0
     # The setup memo shares the zero-set mask between a solve and its re-verification.
