@@ -10,9 +10,9 @@ below -beta*, and zero above s*.  The truncation makes J coercive and
 forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
-The inner solves are the spectral stage's CG (``pcg``).  In 2D its LU factor
-of the unit-conductance matrix K0, scaled to the weight's diagonal, is a
-preconditioner for the weighted K: exact where the two diagonals are
+The inner solves are CG (``spectral.pcg``).  In 2D the spectral stage's LU
+factor of the unit-conductance matrix K0, scaled to the weight's diagonal, is
+a preconditioner for the weighted K: exact where the two diagonals are
 proportional, and taken from the first step then, else once Jacobi stops
 paying (``minimize_energy`` decides).  3D stays on Jacobi; its memory stays
 linear.
@@ -22,8 +22,8 @@ table plus Simpson's rule on the partial panel, exact on each quadrature
 panel where f is cubic, so J and its gradient agree for every kind.
 
 Minimization starts from a small positive multiple of the first Dirichlet
-eigenfunction chosen so the energy is already negative, which is possible
-exactly when the spectral margin condition (f2) holds.
+eigenfunction chosen so the energy is already negative; such a seed needs the
+margin (f2), which the caller decides (``spectral.check_hypothesis_f2``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .grid import Grid
 from .spectral import EigenPair, jacobi, pcg
 from .tolerances import ToleranceConfig, real
 from .topology import Component
-from .weights import WeightField
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ class DiscreteEnergy:
     K: object = dc_field(repr=False)
     trunc: TruncatedNonlinearity = dc_field(repr=False)
     cell_volume: float
-    a_max_closure: float
 
     @property
     def size(self) -> int:
@@ -215,18 +213,16 @@ class DiscreteEnergy:
         return self.K @ u - self.trunc.f_star(u) * self.cell_volume
 
 
-def assemble_energy(component: Component, K, field: WeightField,
-                    trunc: TruncatedNonlinearity, grid: Grid) -> DiscreteEnergy:
+def assemble_energy(component: Component, K, trunc: TruncatedNonlinearity,
+                    grid: Grid) -> DiscreteEnergy:
     """Assemble J on a component (weighted stiffness + lumped reaction).
 
-    ``K`` is the component's K_w, built with its K0 on one sparsity pattern.
-    Mass lumping makes the gradient exactly K u - f*(u) h^N, the true
-    derivative of the discrete value.
+    ``K`` is the component's K_w, built with its K0 on one sparsity pattern,
+    so the weight enters J only through it.  Mass lumping makes the gradient
+    exactly K u - f*(u) h^N, the true derivative of the discrete value.
     """
-    closure = np.concatenate([component.nodes, component.shell])
-    a_max = float(np.max(field.values.ravel()[closure]))
     return DiscreteEnergy(component=component, K=K, trunc=trunc,
-                          cell_volume=grid.cell_volume, a_max_closure=a_max)
+                          cell_volume=grid.cell_volume)
 
 
 # Jacobi-CG counts grow like 1/h ~ sqrt(unknowns) only where K dominates the
@@ -266,8 +262,8 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                     tol: ToleranceConfig = ToleranceConfig()) -> BumpSolution:
     """Line-search Newton-CG (Nocedal & Wright, Alg. 7.1) from a negative seed.
 
-    Refuses to run when the spectral margin (f2) fails on this component,
-    since the seed J(s e1) < 0 is then not available.  Each step solves
+    The caller gates on (f2); without a seed J(s e1) < 0, s >= s* 2^-seed_min_exponent,
+    it stops with ``NumericalFailureError``.  Each step solves
     H d = g, H = K - diag(f*'(u)) h^N, to relative residual
     min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
     Converged when max|g| <= grad_tol_scale * gamma * h^N and, once max u
@@ -282,12 +278,6 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     step on.  3D has no factor and stays on Jacobi.
     """
     b = energy.trunc.base
-    if b.gamma / eigen.lambda1 <= energy.a_max_closure:
-        raise HypothesisViolationError(
-            "f2", f"component {energy.component.id}: "
-            f"max(a) = {energy.a_max_closure:.6g} >= gamma/lambda1 = "
-            f"{b.gamma / eigen.lambda1:.6g}")
-
     K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     s0 = b.s_star
     smallest = b.s_star * 2.0 ** (-tol.seed_min_exponent)

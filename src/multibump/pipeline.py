@@ -566,7 +566,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             if solve and all(e.passed for e in report.f2_entries):
                 with _stage("minimize"):
                     bump = bumps[comp.id] = minimize_energy(
-                        assemble_energy(comp, operators[1], field, trunc, grid), eigen, tol)
+                        assemble_energy(comp, operators[1], trunc, grid), eigen, tol)
                     log.info("component %s: energy %.6g, %d iterations, "
                              "%d linear iterations, %s", comp.id, bump.energy,
                              bump.iterations, bump.linear_iterations,

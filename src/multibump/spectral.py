@@ -88,7 +88,7 @@ def jacobi(K) -> Callable[[np.ndarray], np.ndarray]:
 
 def pcg(K, shift, g: np.ndarray, eta: float,
         precondition: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
-    """Inexact solve of (K - diag(shift)) d = g by preconditioned CG.
+    """Newton's inexact solve of (K - diag(shift)) d = g by preconditioned CG.
 
     ``precondition`` maps a residual r to M^-1 r for a symmetric positive
     definite M: :func:`jacobi` (M = diag K), or an LU solve of the
@@ -99,11 +99,10 @@ def pcg(K, shift, g: np.ndarray, eta: float,
     """
     d, r, stop = np.zeros_like(g), g.copy(), eta * np.linalg.norm(g)
     p = z = precondition(r)
-    rz, work, shifted = r @ z, np.empty_like(g), np.any(shift)
+    rz, work = r @ z, np.empty_like(g)
     for step in range(1, g.size + 1):
         Hp = K @ p
-        if shifted:
-            Hp -= np.multiply(shift, p, out=work)
+        Hp -= np.multiply(shift, p, out=work)
         pHp = p @ Hp
         if pHp <= 0.0:
             return (z if step == 1 else d), step
@@ -172,13 +171,11 @@ def dirichlet_lambda1(component: Component, grid: Grid, K,
 
 def check_hypothesis_f2(component: Component, field: WeightField, gamma: float,
                         eigen: EigenPair) -> F2Entry:
-    """Spectral margin gamma/lambda_1 - a_M for one component.
+    """Spectral margin gamma/lambda_1 - a_M for one component: the one (f2) verdict.
 
     a_M approximates the maximum of the weight over the component closure:
-    the component nodes plus their boundary shell.
+    the component nodes plus their boundary shell.  gamma > 0 is (f1)'s.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     values = field.values.ravel()
     closure = np.concatenate([component.nodes, component.shell])
     a_max = float(np.max(values[closure]))

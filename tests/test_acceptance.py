@@ -17,7 +17,6 @@ from oracles import damped_fixed_point, dense_lambda1
 
 from multibump.energy import (NonlinearitySpec, assemble_energy,
                               minimize_energy, truncate_nonlinearity)
-from multibump.errors import HypothesisViolationError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import parse_config, run_pipeline
 from multibump.spectral import dirichlet_lambda1
@@ -128,7 +127,7 @@ def test_criterion_4_gradient_consistency(spec):
     field = evaluate_weight(WeightSpec.constant(1.0), grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
     trunc = truncate_nonlinearity(spec)
-    energy = assemble_energy(comp, component_operators(grid, comp, field)[1], field, trunc, grid)
+    energy = assemble_energy(comp, component_operators(grid, comp, field)[1], trunc, grid)
     assert energy.size >= 500
     x, y = grid.points().reshape(-1, 2)[comp.nodes].T
     modes = np.array([np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
@@ -164,7 +163,7 @@ def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
     grid, field, zero, comp = square33
     K0, K_w = component_operators(grid, comp, field)
     eigen = dirichlet_lambda1(comp, grid, K0)
-    energy = assemble_energy(comp, K_w, field, logistic30, grid)
+    energy = assemble_energy(comp, K_w, logistic30, grid)
     bump = minimize_energy(energy, eigen)
     oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
     diff = float(np.max(np.abs(bump.values - oracle)))
@@ -172,17 +171,18 @@ def test_criterion_5_minimizer_oracle_equivalence(square33, logistic30):
     record("5 minimizer oracle equivalence", ok, f"max diff {diff:.2e}")
 
 
-def test_criterion_6_hypothesis_gates(tmp_path, square33, logistic10):
+def test_criterion_6_hypothesis_gates(tmp_path):
     """(i) f2 refusal, (ii) a2 divergence abort, (iii) a1 abort."""
-    grid, field, zero, comp = square33
-    K0, K_w = component_operators(grid, comp, field)
-    eigen = dirichlet_lambda1(comp, grid, K0)
-    energy = assemble_energy(comp, K_w, field, logistic10, grid)
-    try:
-        minimize_energy(energy, eigen)
-        f2_ok = False
-    except HypothesisViolationError as err:
-        f2_ok = err.hypothesis == "f2"
+    square = {  # gamma/lambda_1 is about 0.51 < max a = 1
+        "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "weight": {"kind": "constant", "value": 1.0},
+        "nonlinearity": {"kind": "logistic-default", "gamma": 10.0, "s_star": 1.0},
+        "resolution": 33,
+        "output_dir": str(tmp_path / "square"),
+    }
+    f2_report = run_pipeline(parse_config(square))
+    f2_ok = (f2_report.violated_hypothesis == "f2" and f2_report.bumps == []
+             and not list((tmp_path / "square").glob("*.csv")))
 
     quad_report = run_pipeline(
         parse_config(quadratic_zero_config(129, out=str(tmp_path / "quad"))))

@@ -20,7 +20,7 @@ def ring_bumps(ring65, logistic10):
     for comp in dec.components:
         K0, K_w = component_operators(grid, comp, field)
         eigen = dirichlet_lambda1(comp, grid, K0)
-        energy = assemble_energy(comp, K_w, field, logistic10, grid)
+        energy = assemble_energy(comp, K_w, logistic10, grid)
         bumps[comp.id] = minimize_energy(energy, eigen)
     return grid, field, zero, dec, bumps
 

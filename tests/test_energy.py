@@ -10,7 +10,7 @@ from multibump import energy as energy_module
 from multibump import spectral
 from multibump.energy import (NonlinearitySpec, TruncatedNonlinearity, assemble_energy,
                               minimize_energy, truncate_nonlinearity, validate_nonlinearity)
-from multibump.errors import HypothesisViolationError
+from multibump.errors import HypothesisViolationError, NumericalFailureError
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
 from multibump.spectral import dirichlet_lambda1, factorize, jacobi, pcg
@@ -28,7 +28,7 @@ def square_energy(n, trunc, ndim=2, weight=WeightSpec.constant(1.0)):
     field = evaluate_weight(weight, grid)
     comp = decompose_components(grid, detect_zero_set(field, grid)).components[0]
     K0, K_w = component_operators(grid, comp, field)
-    return assemble_energy(comp, K_w, field, trunc, grid), dirichlet_lambda1(comp, grid, K0)
+    return assemble_energy(comp, K_w, trunc, grid), dirichlet_lambda1(comp, grid, K0)
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,10 @@ class TestValidation:
             validate_nonlinearity(bad)
 
     def test_nonpositive_parameters_rejected(self):
-        with pytest.raises(HypothesisViolationError):
-            validate_nonlinearity(NonlinearitySpec.logistic(-1.0, 1.0))
+        for gamma in (-1.0, 0.0):
+            with pytest.raises(HypothesisViolationError) as err:
+                validate_nonlinearity(NonlinearitySpec.logistic(gamma, 1.0))
+            assert err.value.hypothesis == "f1"
 
     @pytest.mark.parametrize("expr", [
         "30*s*(1-s) + 0*log(s)",        # NaN on [-beta*, 0]
@@ -164,7 +166,7 @@ def square_problem(square33, logistic30):
     grid, field, zero, comp = square33
     K0, K_w = component_operators(grid, comp, field)
     eigen = dirichlet_lambda1(comp, grid, K0)
-    energy = assemble_energy(comp, K_w, field, logistic30, grid)
+    energy = assemble_energy(comp, K_w, logistic30, grid)
     return grid, comp, eigen, energy
 
 
@@ -189,7 +191,7 @@ class TestEnergyAssembly:
         custom = truncate_nonlinearity(NonlinearitySpec.custom(
             "30*abs(sin(s))*(1 - s)", GAMMA, S_STAR, BETA))
         K_w = component_operators(grid, comp, field)[1]
-        for energy in (square_problem[3], assemble_energy(comp, K_w, field, custom, grid)):
+        for energy in (square_problem[3], assemble_energy(comp, K_w, custom, grid)):
             rng = np.random.default_rng(7)
             step = 1e-6 * S_STAR
             for _ in range(10):
@@ -232,13 +234,15 @@ class TestMinimization:
         assert bump.seed_scale > 0.0
 
     def test_refuses_when_f2_fails(self, square33, logistic10):
+        # The caller gates on (f2); called anyway, the seed search fails: with a
+        # constant weight and F*(t) <= gamma t^2/2, J(s e1) >= s^2 (lambda_1 - gamma)
+        # |e1|^2 h^N / 2 >= 0 for every s, as gamma 10 < lambda_1 here.
         grid, field, zero, comp = square33
         K0, K_w = component_operators(grid, comp, field)
         eigen = dirichlet_lambda1(comp, grid, K0)
-        energy = assemble_energy(comp, K_w, field, logistic10, grid)
-        with pytest.raises(HypothesisViolationError) as err:
+        energy = assemble_energy(comp, K_w, logistic10, grid)
+        with pytest.raises(NumericalFailureError, match="no negative-energy seed"):
             minimize_energy(energy, eigen)
-        assert err.value.hypothesis == "f2"
 
     def test_truncation_depth_is_inert(self, square33):
         grid, field, zero, comp = square33
@@ -248,7 +252,7 @@ class TestMinimization:
         for beta in (S_STAR / 2.0, S_STAR / 4.0):
             trunc = truncate_nonlinearity(
                 NonlinearitySpec.logistic(GAMMA, S_STAR, beta))
-            energy = assemble_energy(comp, K_w, field, trunc, grid)
+            energy = assemble_energy(comp, K_w, trunc, grid)
             bumps.append(minimize_energy(energy, eigen))
         assert np.max(np.abs(bumps[0].values - bumps[1].values)) < 1e-10
 
@@ -257,7 +261,7 @@ class TestMinimization:
         from multibump.weights import WeightSpec, evaluate_weight
         doubled_field = evaluate_weight(WeightSpec.constant(2.0), grid)
         doubled_trunc = truncate_nonlinearity(NonlinearitySpec.logistic(2.0 * GAMMA, S_STAR))
-        base, scaled = (assemble_energy(comp, component_operators(grid, comp, f)[1], f, t, grid)
+        base, scaled = (assemble_energy(comp, component_operators(grid, comp, f)[1], t, grid)
                         for f, t in ((field, logistic30), (doubled_field, doubled_trunc)))
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -310,7 +314,7 @@ class TestMinimization:
         for grid, field, comp, trunc in cases:
             K0, K_w = component_operators(grid, comp, field)
             eigen = dirichlet_lambda1(comp, grid, K0)
-            energy = assemble_energy(comp, K_w, field, trunc, grid)
+            energy = assemble_energy(comp, K_w, trunc, grid)
             bump = minimize_energy(energy, eigen)
             oracle = damped_fixed_point(energy, bump.seed_scale * eigen.e1)
             assert np.max(np.abs(bump.values - oracle)) < 1e-4
@@ -323,7 +327,7 @@ def nested_rings_problems(n):
     field = evaluate_weight(config.weight, grid)
     zero = detect_zero_set(field, grid, config.tolerances)
     trunc = truncate_nonlinearity(config.nonlinearity)
-    return [(assemble_energy(comp, K_w, field, trunc, grid), dirichlet_lambda1(comp, grid, K0))
+    return [(assemble_energy(comp, K_w, trunc, grid), dirichlet_lambda1(comp, grid, K0))
             for comp in decompose_components(grid, zero).components
             for K0, K_w in [component_operators(grid, comp, field)]]
 

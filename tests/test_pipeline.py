@@ -9,10 +9,13 @@ import subprocess
 import sys
 import threading
 import weakref
+from collections import Counter
+from math import comb, hypot
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
                       ring_config)
@@ -23,7 +26,7 @@ from multibump import pipeline, spectral, verify, weights
 from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
-from multibump.errors import ConfigError, HypothesisViolationError, SolverError
+from multibump.errors import ConfigError, NumericalFailureError, SolverError
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
@@ -418,6 +421,67 @@ class TestPipelineRuns:
         assert (custom.iterations, custom.linear_iterations) \
             == (logistic.iterations, logistic.linear_iterations)
         assert custom.energy == pytest.approx(logistic.energy, rel=1e-12, abs=0.0)
+
+
+# A ball or a shifted box about the origin, ``clearance`` from it to the
+# boundary, with a constant weight or one vanishing on one or two circles about
+# the origin inside that clearance.  gamma is ``factor`` times the least or the
+# greatest lambda_1(D) a_M(D) over the components D: (f2) holds on D iff gamma
+# exceeds its own.
+def f2_problem(domain, clearance):
+    return st.tuples(
+        st.sampled_from([17, 25]), st.just(domain),
+        st.one_of(
+            st.builds(lambda value: {"kind": "constant", "value": value},
+                      st.floats(0.1, 10.0)),
+            st.builds(lambda rings, scale: {
+                "kind": "product-of-powers", "scale": scale,
+                "factors": [{"center": [0.0, 0.0], "radius": fraction * clearance,
+                             "power": power} for fraction, power in rings]},
+                st.lists(st.tuples(st.floats(0.25, 0.85), st.floats(0.3, 0.8)),
+                         min_size=1, max_size=2),
+                st.floats(0.2, 2.0))),
+        st.sampled_from([0.5, 0.9, 1.1, 2.0]), st.sampled_from([min, max]))
+
+
+f2_problems = st.one_of(
+    st.builds(lambda centre, radius: ({"kind": "ball", "center": list(centre),
+                                       "radius": radius}, radius - hypot(*centre)),
+              st.tuples(*[st.floats(-0.5, 0.5)] * 2), st.floats(1.0, 2.0)),
+    st.builds(lambda lo, side: ({"kind": "box", "lo": list(lo), "hi": [x + side for x in lo]},
+                                min(-max(lo), side + min(lo))),
+              st.tuples(*[st.floats(-1.5, -0.5)] * 2), st.floats(2.0, 3.0)),
+).flatmap(lambda shape: f2_problem(*shape))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(f2_problems)
+def test_solve_decides_f2_as_check_does(tmp_path_factory, problem):
+    n, domain, weight, factor, threshold = problem
+    data = {"domain": domain, "weight": weight, "resolution": n, "output_dir": "out",
+            "nonlinearity": {"kind": "logistic-default", "gamma": 10.0, "s_star": 1.0}}
+    entries = check_hypotheses(parse_config(data)).f2_entries
+    if entries:  # else the run stops before (f2) at any gamma
+        data["nonlinearity"]["gamma"] = factor * threshold(e.lambda1 * e.a_max for e in entries)
+    tmp = tmp_path_factory.mktemp("f2-gate")
+    path = write_config(tmp, data)
+    codes = {command: main([command, "--config", str(path), "--out", str(tmp / command)])
+             for command in ("check", "solve")}
+    check, solve = (json.loads((tmp / command / "report.json").read_text())
+                    for command in ("check", "solve"))
+    for key in ("status", "violated_hypothesis", "f2"):
+        assert solve[key] == check[key]
+    files = sorted(file.name for file in (tmp / "solve").glob("solution_*.csv"))
+    if codes["check"] != 0:
+        assert codes["solve"] == codes["check"] and files == []
+        for name in ("report.json", "report.txt"):
+            assert (tmp / "solve" / name).read_bytes() == (tmp / "check" / name).read_bytes()
+    else:
+        chi = check["chi"]
+        assert len(files) == 2 ** chi - 1 == len(solve["solutions"])
+        assert files == sorted(record["file"] for record in solve["solutions"])
+        assert Counter(record["n_bumps"] for record in solve["solutions"]) == {
+            k: comb(chi, k) for k in range(1, chi + 1)}
 
 
 def sparse_field(grid, seed):
@@ -1118,15 +1182,15 @@ class TestStageFailures:
         assert f"no interior node at resolution n={coarse}" in report["failure_message"]
         assert capsys.readouterr().out == (out / "report.txt").read_text()
 
-    def test_minimizer_f2_refusal_is_reported(self, tmp_path, monkeypatch):
-        def refuse(energy, eigen, options):
-            raise HypothesisViolationError("f2", "refused by the minimizer")
+    def test_minimizer_failure_is_reported(self, tmp_path, monkeypatch):
+        def fail(energy, eigen, options):
+            raise NumericalFailureError("no negative-energy seed on component (1, 1)")
 
-        monkeypatch.setattr(pipeline, "minimize_energy", refuse)
+        monkeypatch.setattr(pipeline, "minimize_energy", fail)
         report = run_pipeline(parse_config(unit_square(out=str(tmp_path / "out"))))
-        assert report.status == "hypothesis-violation"
-        assert report.violated_hypothesis == "f2"
-        assert report.failure_message == "refused by the minimizer"
+        assert report.status == "numerical-failure"
+        assert report.violated_hypothesis is None
+        assert report.failure_message == "no negative-energy seed on component (1, 1)"
 
     def test_nonlinearity_bug_not_reported_as_f1(self, tmp_path, monkeypatch):
         def broken(spec):
@@ -1161,7 +1225,7 @@ def direct_bumps(config):
     """Each component's bump from its own eigenpair and energy, outside the pipeline."""
     grid, field, zero = pipeline._setup(config)
     tol, trunc = config.tolerances, truncate_nonlinearity(config.nonlinearity)
-    return [minimize_energy(assemble_energy(comp, K_w, field, trunc, grid),
+    return [minimize_energy(assemble_energy(comp, K_w, trunc, grid),
                             dirichlet_lambda1(comp, grid, K0, tol), tol)
             for comp in decompose_components(grid, zero).components
             for K0, K_w in [component_operators(grid, comp, field)]]

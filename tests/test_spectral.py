@@ -260,7 +260,7 @@ def newton_preconditioners(monkeypatch, grid, field, comp):
     monkeypatch.setattr(energy_module, "pcg", recorded)
     trunc = truncate_nonlinearity(NonlinearitySpec.logistic(60.0))
     K0, K_w = component_operators(grid, comp, field)
-    bump = minimize_energy(assemble_energy(comp, K_w, field, trunc, grid),
+    bump = minimize_energy(assemble_energy(comp, K_w, trunc, grid),
                            dirichlet_lambda1(comp, grid, K0))
     (jacobi,) = made  # one inverse diagonal per component
     return bump, used, jacobi
@@ -329,9 +329,3 @@ class TestF2:
         tiny = evaluate_weight(WeightSpec.constant(1e-3), grid)
         entry = check_hypothesis_f2(comp, tiny, 10.0, eig)
         assert entry.passed
-
-    def test_nonpositive_gamma_rejected(self, square33):
-        grid, field, _, comp = square33
-        eig = dirichlet_lambda1(comp, grid, component_operators(grid, comp)[0])
-        with pytest.raises(ValueError):
-            check_hypothesis_f2(comp, field, 0.0, eig)

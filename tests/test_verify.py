@@ -45,7 +45,7 @@ def test_composed_residual_equals_max_of_parts(ring65, logistic10):
     for comp in dec.components:
         K0, K_w = component_operators(grid, comp, field)
         eig = dirichlet_lambda1(comp, grid, K0)
-        energy = assemble_energy(comp, K_w, field, logistic10, grid)
+        energy = assemble_energy(comp, K_w, logistic10, grid)
         bump = minimize_energy(energy, eig)
         extensions.append(extend_bump(bump, grid))
     f = logistic10.base.f
@@ -79,7 +79,7 @@ class TestConclusions:
         grid, field, zero, comp = square33
         K0, K_w = component_operators(grid, comp, field)
         eig = dirichlet_lambda1(comp, grid, K0)
-        energy = assemble_energy(comp, K_w, field, logistic30, grid)
+        energy = assemble_energy(comp, K_w, logistic30, grid)
         bump = minimize_energy(energy, eig)
         values = extend_bump(bump, grid)
         report = self.run_checks(square33, logistic30, values)
