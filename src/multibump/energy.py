@@ -17,9 +17,10 @@ proportional, and taken from the first step then, else once Jacobi stops
 paying (``minimize_energy`` decides).  3D stays on Jacobi; its memory stays
 linear.
 
-Every nonlinearity kind only supplies f and gets one primitive: a Simpson
-table plus Simpson's rule on the partial panel, exact on each quadrature
-panel where f is cubic, so J and its gradient agree for every kind.
+Every nonlinearity kind only supplies f.  ``truncate_nonlinearity`` samples
+it once, decides (f1) from that sample, and builds the one primitive: a
+Simpson table plus Simpson's rule on the partial panel, exact on each
+quadrature panel where f is cubic, so J and its gradient agree for every kind.
 
 Minimization starts from a small positive multiple of the first Dirichlet
 eigenfunction chosen so the energy is already negative; such a seed needs the
@@ -49,7 +50,6 @@ class NonlinearitySpec:
     slope gamma = lim f(s)/s as s -> 0+.  ``expr`` is f as a formula in ``s``.
     """
 
-    kind: str
     gamma: float
     s_star: float
     beta_star: float
@@ -65,8 +65,7 @@ class NonlinearitySpec:
         gamma, s_star = real(gamma, "gamma"), real(s_star, "s_star")
         if beta_star is None:
             beta_star = s_star / 2.0
-        return cls(kind="logistic-default", gamma=gamma, s_star=s_star,
-                   beta_star=real(beta_star, "beta_star"),
+        return cls(gamma=gamma, s_star=s_star, beta_star=real(beta_star, "beta_star"),
                    expr=f"where(s <= {s_star!r}, "
                         f"{gamma!r} * abs(s) * (1.0 - s / {s_star!r}), 0.0)")
 
@@ -74,46 +73,12 @@ class NonlinearitySpec:
     def custom(cls, expr: str, gamma: float, s_star: float,
                beta_star: float) -> "NonlinearitySpec":
         """f given by the expression ``expr`` in ``s``."""
-        return cls(kind="custom", gamma=real(gamma, "gamma"),
-                   s_star=real(s_star, "s_star"), beta_star=real(beta_star, "beta_star"),
-                   expr=expr)
+        return cls(gamma=real(gamma, "gamma"), s_star=real(s_star, "s_star"),
+                   beta_star=real(beta_star, "beta_star"), expr=expr)
 
     def f(self, s):
         f = compile_expression(self.expr, ("s",))
         return np.asarray(f(np.asarray(s, dtype=float)), dtype=float)
-
-
-def validate_nonlinearity(spec: NonlinearitySpec) -> None:
-    """Sampled check of the shape conditions (f1); raises an (f1) violation.
-
-    f is sampled at 2048 points on each side of 0, and its slope at 0+ must
-    match gamma to 5%.
-    """
-    samples = 2048
-    if spec.gamma <= 0 or spec.s_star <= 0 or spec.beta_star <= 0:
-        raise HypothesisViolationError(
-            "f1", "gamma, s_star and beta_star must all be positive")
-    inner = np.linspace(0.0, spec.s_star, samples + 2)[1:-1]
-    lower = np.linspace(-spec.beta_star, 0.0, samples + 1)[:-1]
-    delta = 1e-8 * spec.s_star
-    # NaN fails every comparison, so the checks below need finite samples.
-    with np.errstate(all="ignore"):
-        sampled = spec.f(np.concatenate([lower, [0.0, delta], inner, [spec.s_star]]))
-    if not np.all(np.isfinite(sampled)):
-        raise HypothesisViolationError("f1", "f must be finite on [-beta*, s*]")
-    scale = spec.gamma * spec.s_star
-    if abs(float(spec.f(0.0))) > 1e-12 * scale:
-        raise HypothesisViolationError("f1", "f(0) must vanish")
-    if abs(float(spec.f(spec.s_star))) > 1e-9 * scale:
-        raise HypothesisViolationError("f1", f"f(s*) must vanish at s* = {spec.s_star}")
-    if np.min(spec.f(inner)) <= 0.0:
-        raise HypothesisViolationError("f1", "f must be strictly positive on (0, s*)")
-    if np.min(spec.f(lower)) <= 0.0:
-        raise HypothesisViolationError("f1", "f must be strictly positive on [-beta*, 0)")
-    slope = float(spec.f(delta)) / delta
-    if abs(slope - spec.gamma) > 0.05 * spec.gamma:
-        raise HypothesisViolationError(
-            "f1", f"slope of f at 0+ is {slope:.6g}, declared gamma is {spec.gamma:.6g}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +101,6 @@ class TruncatedNonlinearity:
         b = self.base
         return np.where(s >= b.s_star, 0.0,
                         np.where(s <= -b.beta_star, self.f_knots[0], b.f(s)))
-
-    def F_star(self, s):
-        """F*(s), the first value of :meth:`F_and_f_star`."""
-        return self.F_and_f_star(s)[0]
 
     def F_and_f_star(self, s):
         """F*(s), the primitive of f* from 0 exact on each quadrature panel, and f*(s).
@@ -167,12 +128,17 @@ class TruncatedNonlinearity:
 
 
 def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
-    """Validate the shape conditions and tabulate the primitive of f*.
+    """Decide (f1) and tabulate the primitive of f*; raises an (f1) violation.
 
-    Composite Simpson on panels of width <= s*/1000, accumulated outward
-    from the knot at 0 so that F*(0) = 0 exactly.
+    One evaluation of f covers 2048 points on each side of 0, then 0, 1e-8*s*
+    (the slope at 0+ must match gamma to 5%) and s*, and the knots and
+    midpoints of composite Simpson on panels of width <= s*/1000, accumulated
+    outward from the knot at 0 so that F*(0) = 0 exactly.
     """
-    validate_nonlinearity(spec)
+    if spec.gamma <= 0 or spec.s_star <= 0 or spec.beta_star <= 0:
+        raise HypothesisViolationError(
+            "f1", "gamma, s_star and beta_star must all be positive")
+    samples, delta = 2048, 1e-8 * spec.s_star
 
     def knots(a, b):
         panels = max(int(np.ceil((b - a) / (spec.s_star / 1000.0))), 1)
@@ -180,8 +146,30 @@ def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
 
     lower, upper = knots(-spec.beta_star, 0.0), knots(0.0, spec.s_star)
     s = np.concatenate([lower[:-1], upper])
-    f = spec.f(s)
-    mids = spec.f(0.5 * (s[:-1] + s[1:]))
+    parts = [np.linspace(-spec.beta_star, 0.0, samples + 1)[:-1], [0.0, delta],
+             np.linspace(0.0, spec.s_star, samples + 2)[1:-1], [spec.s_star],
+             s, 0.5 * (s[:-1] + s[1:])]
+    points = np.concatenate(parts)
+    # NaN fails every comparison, so the checks below need finite samples.
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(spec.f(points), points.shape)  # a constant f is 0-d
+    f_lower, (f_zero, f_delta), f_inner, (f_top,), f, mids = np.split(
+        values, np.cumsum([len(p) for p in parts[:-1]]))
+    if not np.all(np.isfinite(values[:2 * samples + 3])):
+        raise HypothesisViolationError("f1", "f must be finite on [-beta*, s*]")
+    scale = spec.gamma * spec.s_star
+    if abs(f_zero) > 1e-12 * scale:
+        raise HypothesisViolationError("f1", "f(0) must vanish")
+    if abs(f_top) > 1e-9 * scale:
+        raise HypothesisViolationError("f1", f"f(s*) must vanish at s* = {spec.s_star}")
+    if np.min(f_inner) <= 0.0:
+        raise HypothesisViolationError("f1", "f must be strictly positive on (0, s*)")
+    if np.min(f_lower) <= 0.0:
+        raise HypothesisViolationError("f1", "f must be strictly positive on [-beta*, 0)")
+    slope = f_delta / delta
+    if abs(slope - spec.gamma) > 0.05 * spec.gamma:
+        raise HypothesisViolationError(
+            "f1", f"slope of f at 0+ is {slope:.6g}, declared gamma is {spec.gamma:.6g}")
     panel = (np.diff(s) / 6.0) * (f[:-1] + 4.0 * mids + f[1:])
     below = panel[:lower.size - 1]
     F = np.concatenate([-np.cumsum(below[::-1])[::-1], [0.0],
@@ -207,7 +195,7 @@ class DiscreteEnergy:
 
     def value(self, u: np.ndarray) -> float:
         return 0.5 * float(u @ (self.K @ u)) \
-            - float(np.sum(self.trunc.F_star(u))) * self.cell_volume
+            - float(np.sum(self.trunc.F_and_f_star(u)[0])) * self.cell_volume
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.K @ u - self.trunc.f_star(u) * self.cell_volume

@@ -541,9 +541,8 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
         with _stage("admissibility"):
             adm = report.admissibility = assess_admissibility(grid, field, zero, tol)
             if not adm.admissible:
-                raise HypothesisViolationError(
-                    "a1" if adm.verdict == "zero-set-touches-boundary" else "a2",
-                    f"admissibility verdict: {adm.verdict}")
+                raise HypothesisViolationError(adm.violated_hypothesis,
+                                               f"admissibility verdict: {adm.verdict}")
         with _stage("decomposition"):
             decomposition = decompose_components(grid, zero)
             report.chi, report.j_counts = decomposition.chi, decomposition.j_counts

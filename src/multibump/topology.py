@@ -90,7 +90,8 @@ def decompose_components(grid: Grid, zero: np.ndarray) -> Decomposition:
     free = grid.interior_mask & ~zero
 
     labels, chi = face_labels(free)
-    raw = []
+    j_counts: dict[int, int] = {}
+    components = []
     for lab in range(1, chi + 1):
         mask = labels == lab
         shell = dilate(mask) & ~mask
@@ -99,13 +100,8 @@ def decompose_components(grid: Grid, zero: np.ndarray) -> Decomposition:
         # shells step diagonally along curved manifolds; a radius-1 dilation
         # bridges those gaps before counting face-connected pieces.
         count = face_labels(dilate(shell, box=True))[1]
-        raw.append((count, np.flatnonzero(mask.ravel()), np.flatnonzero(shell.ravel())))
-
-    j_counts: dict[int, int] = {}
-    components = []
-    for count, nodes, shell in raw:
         j_counts[count] = j_counts.get(count, 0) + 1
-        components.append(Component(id=(count, j_counts[count]), nodes=nodes,
-                                    shell=shell))
+        nodes, shell = np.flatnonzero(mask.ravel()), np.flatnonzero(shell.ravel())
+        components.append(Component(id=(count, j_counts[count]), nodes=nodes, shell=shell))
     components.sort(key=lambda c: c.id)
     return Decomposition(components=components, chi=chi, j_counts=dict(sorted(j_counts.items())))

@@ -354,6 +354,12 @@ class AdmissibilityReport:
     def admissible(self) -> bool:
         return self.verdict == "admissible"
 
+    @property
+    def violated_hypothesis(self) -> str | None:
+        """The hypothesis the verdict violates, "a1" or "a2"; None when admissible."""
+        return {"admissible": None, "zero-set-touches-boundary": "a1",
+                "violates-a2": "a2", "violates-lt": "a2"}[self.verdict]
+
 
 def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
                          tol: ToleranceConfig = ToleranceConfig()) -> AdmissibilityReport:

@@ -114,7 +114,7 @@ def test_criterion_3_eigenvalue_accuracy():
     NonlinearitySpec.logistic(30.0, 1.0),
     NonlinearitySpec.custom("30*abs(s)*(1-s)", 30.0, 1.0, 0.5)],
     ids=["logistic-default", "custom"])
-def test_criterion_4_gradient_consistency(spec):
+def test_criterion_4_gradient_consistency(request, spec):
     """Assembled gradient vs central differences on 10 rough and 10 smooth
     random fields.
 
@@ -154,7 +154,7 @@ def test_criterion_4_gradient_consistency(spec):
                 worst = max(worst, abs(grad[i] - fd) / scale)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and elapsed < 5.0
-    record(f"4 gradient consistency ({spec.kind})", ok,
+    record(f"4 gradient consistency ({request.node.callspec.id})", ok,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 

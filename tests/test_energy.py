@@ -9,7 +9,7 @@ from oracles import damped_fixed_point, logistic_primitive
 from multibump import energy as energy_module
 from multibump import spectral
 from multibump.energy import (NonlinearitySpec, TruncatedNonlinearity, assemble_energy,
-                              minimize_energy, truncate_nonlinearity, validate_nonlinearity)
+                              minimize_energy, truncate_nonlinearity)
 from multibump.errors import HypothesisViolationError, NumericalFailureError
 from multibump.grid import build_grid
 from multibump.pipeline import parse_config
@@ -86,18 +86,18 @@ class TestTruncation:
 
 class TestPrimitive:
     def test_zero_at_zero(self, logistic30):
-        assert logistic30.F_star(0.0) == 0.0
+        assert logistic30.F_and_f_star(0.0)[0] == 0.0
 
     def test_value_at_s_star(self, logistic30):
-        assert logistic30.F_star(S_STAR) == pytest.approx(GAMMA * S_STAR ** 2 / 6.0)
+        assert logistic30.F_and_f_star(S_STAR)[0] == pytest.approx(GAMMA * S_STAR ** 2 / 6.0)
 
     def test_constant_beyond_s_star(self, logistic30):
-        top = logistic30.F_star(S_STAR)
-        assert logistic30.F_star(S_STAR + 2.7) == pytest.approx(top)
+        top = logistic30.F_and_f_star(S_STAR)[0]
+        assert logistic30.F_and_f_star(S_STAR + 2.7)[0] == pytest.approx(top)
 
     def test_nondecreasing_on_bump_range(self, logistic30):
         s = np.linspace(0.0, S_STAR, 500)
-        F = logistic30.F_star(s)
+        F = logistic30.F_and_f_star(s)[0]
         assert np.all(np.diff(F) >= -1e-15)
 
     def test_simpson_table_matches_closed_form(self):
@@ -107,7 +107,7 @@ class TestPrimitive:
         s = np.linspace(-2.0, 2.0, 400)  # mostly between the table's knots
         exact = logistic_primitive(s, 30.0, 1.0, 0.5)
         for spec in (custom, logistic):
-            np.testing.assert_allclose(truncate_nonlinearity(spec).F_star(s), exact,
+            np.testing.assert_allclose(truncate_nonlinearity(spec).F_and_f_star(s)[0], exact,
                                        rtol=1e-12, atol=0.0)
 
 
@@ -116,19 +116,19 @@ class TestValidation:
         bad = NonlinearitySpec.custom("30*s*(1 - s)", gamma=30.0, s_star=1.0,
                                       beta_star=0.5)  # negative for s < 0
         with pytest.raises(HypothesisViolationError):
-            validate_nonlinearity(bad)
+            truncate_nonlinearity(bad)
 
     def test_wrong_slope_rejected(self):
         bad = NonlinearitySpec.custom("30*abs(s)*(1 - s)", gamma=10.0,
                                       s_star=1.0, beta_star=0.5)
         with pytest.raises(HypothesisViolationError):
-            validate_nonlinearity(bad)
+            truncate_nonlinearity(bad)
 
     def test_nonvanishing_upper_zero_rejected(self):
         bad = NonlinearitySpec.custom("30*abs(s)", gamma=30.0, s_star=1.0,
                                       beta_star=0.5)
         with pytest.raises(HypothesisViolationError):
-            validate_nonlinearity(bad)
+            truncate_nonlinearity(bad)
 
     @pytest.mark.parametrize("expr, message", [
         ("30*abs(s)*(1 - s) + 1", "f(0) must vanish"),
@@ -137,12 +137,12 @@ class TestValidation:
     def test_shape_violation_names_its_rule(self, expr, message):
         bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
         with pytest.raises(HypothesisViolationError, match=re.escape(message)):
-            validate_nonlinearity(bad)
+            truncate_nonlinearity(bad)
 
     def test_nonpositive_parameters_rejected(self):
         for gamma in (-1.0, 0.0):
             with pytest.raises(HypothesisViolationError) as err:
-                validate_nonlinearity(NonlinearitySpec.logistic(gamma, 1.0))
+                truncate_nonlinearity(NonlinearitySpec.logistic(gamma, 1.0))
             assert err.value.hypothesis == "f1"
 
     @pytest.mark.parametrize("expr", [
@@ -151,14 +151,30 @@ class TestValidation:
         # NaN at s = 0.5 only: a knot of the primitive's table, not a sample
         "30*abs(s)*(1-s) + 0*log(abs(s - 0.5))",
     ])
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # f is evaluated with warnings off
     def test_nan_valued_f_rejected(self, expr):
         # NaN fails every comparison: without a finiteness test such an f
         # passes the sign checks and stalls the line search.
         bad = NonlinearitySpec.custom(expr, gamma=30.0, s_star=1.0, beta_star=0.5)
         with pytest.raises(HypothesisViolationError, match="finite"):
             truncate_nonlinearity(bad)
+
+    def test_f_is_evaluated_once(self, monkeypatch):
+        """One sample of f decides every (f1) rule and fills the F* table."""
+        calls = []
+        f = NonlinearitySpec.f
+
+        def counted(spec, s):
+            calls.append(s)
+            return f(spec, s)
+
+        monkeypatch.setattr(NonlinearitySpec, "f", counted)
+        truncate_nonlinearity(NonlinearitySpec.logistic(GAMMA, S_STAR))
+        assert len(calls) == 1
+        # The slope is the last sampled rule.
+        with pytest.raises(HypothesisViolationError, match="slope"):
+            truncate_nonlinearity(NonlinearitySpec.custom("30*abs(s)*(1 - s)", 10.0, 1.0, 0.5))
+        assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")

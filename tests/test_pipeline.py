@@ -330,6 +330,21 @@ class TestPipelineRuns:
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "a1"
 
+    @pytest.mark.parametrize("tolerance, verdict, hypothesis", [
+        ("zero_threshold", "zero-set-touches-boundary", "a1"),
+        ("a2_growth_tol", "violates-a2", "a2"),
+        ("lt_stable_tol", "violates-lt", "a2"),
+    ])
+    def test_failing_verdict_names_its_hypothesis(self, tolerance, verdict, hypothesis):
+        """Each failing admissibility verdict stops the run with the hypothesis it violates."""
+        report = check_hypotheses(parse_config(dict(ring_config(33),
+                                                    tolerances={tolerance: 0.5})))
+        assert report.admissibility.verdict == verdict
+        assert report.admissibility.violated_hypothesis == hypothesis
+        assert report.status == "hypothesis-violation"
+        assert report.violated_hypothesis == hypothesis
+        assert report.failure_message == f"admissibility verdict: {verdict}"
+
     def test_low_gamma_aborts_naming_f2(self, tmp_path):
         data = {
             "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
@@ -858,6 +873,32 @@ class TestReadBack:
 
 
 NESTED_RINGS_JSON = Path(__file__).resolve().parents[1] / "configs" / "nested_rings.json"
+SINGLE_SQUARE_JSON = NESTED_RINGS_JSON.with_name("single_square.json")
+
+
+@pytest.mark.parametrize("path, resolution, counts", [
+    (NESTED_RINGS_JSON, 129, (4, 26, 37, 304)),
+    (SINGLE_SQUARE_JSON, 65, (1, 5, 5, 11)),
+], ids=["nested-rings-129", "square-65"])
+def test_solver_step_counts_are_exact(monkeypatch, path, resolution, counts):
+    """Components, Rayleigh-Ritz steps, Newton and CG steps, summed over the components.
+
+    Exact, so a change that moves an iterate of either solver shows here.
+    """
+    eigens = []
+    lambda1 = pipeline.dirichlet_lambda1
+
+    def recorded(*args):
+        eigens.append(lambda1(*args))
+        return eigens[-1]
+
+    monkeypatch.setattr(pipeline, "dirichlet_lambda1", recorded)
+    config = dataclasses.replace(load_config(path), resolution=resolution)
+    report = run_pipeline(config, write=False)
+    assert report.status == "ok", report.failure_message
+    assert (len(eigens), sum(e.iterations for e in eigens),
+            sum(b.iterations for b in report.bumps),
+            sum(b.linear_iterations for b in report.bumps)) == counts
 
 
 class TestComposedVerification:

@@ -335,6 +335,7 @@ class TestAdmissibilityVerdicts:
     def test_ring_admissible(self):
         report = assess(cbrt_ring_weight(), B2, 65)
         assert report.verdict == "admissible"
+        assert report.violated_hypothesis is None
 
     def test_quadratic_rejected_under_a2_family(self):
         report = assess(QUADRATIC, UNIT, 129)
