@@ -99,8 +99,8 @@ class TruncatedNonlinearity:
     def f_star(self, s):
         s = np.asarray(s, dtype=float)
         b = self.base
-        return np.where(s >= b.s_star, 0.0,
-                        np.where(s <= -b.beta_star, self.f_knots[0], b.f(s)))
+        return np.where(s >= b.s_star, 0.0, np.where(s <= -b.beta_star, self.f_knots[0],
+                                                     b.f(np.clip(s, -b.beta_star, b.s_star))))
 
     def F_and_f_star(self, s):
         """F*(s), the primitive of f* from 0 exact on each quadrature panel, and f*(s).

@@ -58,7 +58,9 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
         if len(args) != len(variables):
             raise TypeError(f"expression expects {variables}, got {len(args)} arguments")
         ns = dict(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, {**_SAFE_FUNCTIONS, **ns})
+        # numpy attributes a warning to the globals' ``__name__``: this module's.
+        return eval(code, {"__builtins__": {}, "__name__": __name__},
+                    {**_SAFE_FUNCTIONS, **ns})
 
     return evaluator
 

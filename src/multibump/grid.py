@@ -49,7 +49,6 @@ class DomainSpec:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     expression: str
-    radius: float | None = None  # a ball's diameter is 2r; hi - lo can miss it by an ulp
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -85,7 +84,7 @@ class DomainSpec:
         squares = " + ".join(f"({x} - {c!r})**2"
                              for x, c in zip(point_variables(len(center)), center))
         return cls(kind="ball", dimension=len(center), lo=lo, hi=hi,
-                   expression=f"sqrt({squares}) - {r!r}", radius=r)
+                   expression=f"sqrt({squares}) - {r!r}")
 
     @classmethod
     def implicit(cls, expression: str, lo, hi) -> "DomainSpec":
@@ -97,13 +96,6 @@ class DomainSpec:
     def membership_function(self):
         """Return phi(points) < 0 inside; points has shape (..., N)."""
         return partial(evaluate_expression, self.expression)
-
-    def diameter(self) -> float:
-        """Diameter proxy used to cap sampling radii (bounding-box diagonal)."""
-        if self.kind == "ball":
-            return 2.0 * self.radius
-        widths = np.asarray(self.hi, float) - np.asarray(self.lo, float)
-        return float(np.linalg.norm(widths))
 
 
 @dataclass(frozen=True)

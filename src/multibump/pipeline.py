@@ -247,18 +247,11 @@ def render_report(data: dict) -> str:
         lines.append(f"failure: {data['failure_message']}")
     adm = data.get("admissibility")
     if adm is not None:
-        best_t = adm["best_t"]
-        lines += ["", "[admissibility]",
-                  f"levels: {adm['n_coarse']} -> {adm['n_fine']}",
-                  f"a2-estimate: {_fmt(adm['a2_estimate'])}",
-                  f"a2-growth: {_fmt(adm['a2_growth'])}",
-                  f"a2-divergent: {_fmt(adm['a2_divergent'])}"]
-        lines += [f"lt t={_fmt(row['t'])}: norm={_fmt(row['norm_fine'])} "
-                  f"growth={_fmt(row['growth'])} growing={_fmt(row['growing'])} "
-                  f"stable={_fmt(row['stable'])}" for row in adm["lt"]]
-        lines += [f"best-t: {_fmt(best_t) if best_t is not None else 'none'}",
-                  f"n-over-2: {_fmt(adm['n_over_2'])}",
-                  f"zero-set-nodes: {adm['zero_count']}",
+        lines += ["", "[admissibility]"] + [
+            f"exponent {r['manifold']}: "
+            f"{'unresolved' if r['exponent'] is None else _fmt(r['exponent'])} "
+            f"bound={_fmt(r['bound'])} codimension={r['codimension']}" for r in adm["readings"]]
+        lines += [f"zero-set-nodes: {adm['zero_count']}",
                   f"zero-set-touches-boundary: {_fmt(adm['touches_domain_boundary'])}",
                   f"verdict: {adm['verdict']}"]
     if data["chi"] is not None:
@@ -320,8 +313,7 @@ def report_to_dict(report: RunReport) -> dict:
         "overall_pass": report.passed,
     }
     if report.admissibility is not None:
-        adm = out["admissibility"] = asdict(report.admissibility)
-        adm["lt"] = list(adm.pop("lt_rows"))
+        out["admissibility"] = asdict(report.admissibility)
     out["f2"] = [{"component": _comp_label(e.component_id), "a_max": e.a_max,
                   "lambda1": e.lambda1, "gamma": e.gamma, "margin": e.margin,
                   "passed": e.passed} for e in report.f2_entries]

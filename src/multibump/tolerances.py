@@ -35,18 +35,12 @@ class ToleranceConfig:
     eig_max_iter: int = 500
     max_minimize_iterations: int = 100000
     seed_min_exponent: int = 30
-    a2_growth_tol: float = 1.10
-    lt_stable_tol: float = 1.15
-    lt_growing_tol: float = 1.05
-    t_scan: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "t_scan", tuple(real(t, "tolerance t_scan") for t in self.t_scan))
         positive = ("zero_threshold", "zero_band", "grad_tol_scale",
                     "residual_tol_scale", "eig_tol")
         nonnegative = ("bounds_tol", "zero_trace_tol")
-        for name in positive + nonnegative + ("a2_growth_tol", "lt_stable_tol",
-                                              "lt_growing_tol"):
+        for name in positive + nonnegative:
             object.__setattr__(self, name, real(getattr(self, name), f"tolerance {name}"))
         for name in positive:
             if getattr(self, name) <= 0:
@@ -56,8 +50,6 @@ class ToleranceConfig:
                 raise ValueError(f"tolerance {name} must be nonnegative")
         if self.zero_threshold >= 1:
             raise ValueError("tolerance zero_threshold must be below 1")
-        if any(t < 1 for t in self.t_scan):
-            raise ValueError("tolerance t_scan must be >= 1")
         for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
                           ("seed_min_exponent", 0)):
             if not is_count(getattr(self, name), low):

@@ -2,26 +2,18 @@
 
 The diffusion coefficient a >= 0 is admissible when (a1) its zero set is a
 union of closed manifolds strictly inside the domain and (a2) a is a
-Muckenhoupt A2 weight with 1/a integrable to some power t > N/2.  Neither
-condition is decidable exactly from nodal samples, so this module provides
-estimators whose *trend under grid refinement* is the observable:
-
-* the A2 constant is bounded below by a maximum of ball averages
-  avg(a) * avg(1/a) over balls centered at every interior node with dyadic
-  radii; for inadmissible weights the estimate grows as h shrinks,
-* the L^t norms of 1/a are nodal quadratures; divergent exponents show as
-  norm growth between two refinement levels.
-
-Nodes flagged as zero-set contribute to reciprocal integrals through the
-smallest weight value resolvable in their neighborhood, which keeps all
-arithmetic finite while preserving the growth trend of a genuinely
-divergent integral.
+Muckenhoupt A2 weight with 1/a integrable to some power t > N/2.  Near a
+set of codimension k, a ~ dist^alpha is A2 iff alpha < k, and 1/a is in
+L^t for some t > N/2 iff alpha < 2k/N.  The weight is a closed form, so
+alpha is read between the nodes: the slope of log a against log t at
+t = 1e-4 ... 1e-8 along the normal of each declared zero manifold, and
+inside the domain boundary (:func:`read_exponent`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +21,7 @@ import numpy as np
 from .assembly import edge_conductances
 from .errors import InvalidWeightError
 from .expressions import compile_expression, evaluate_expression, point_variables
-from .grid import Grid, build_grid, dilate
+from .grid import Grid, dilate
 from .tolerances import ToleranceConfig, real
 
 
@@ -72,8 +64,8 @@ class WeightSpec:
       profile ``abs(r - rho)**power`` per factor, its rings the spheres.
     * Expression form (``custom-expression``): ``scale * expr`` in the
       coordinates, with an optional ``zero_expr`` giving the distance to the
-      interior zero set (enables band detection; without it only near-exact
-      zeros are detected).
+      interior zero set (enables band detection and its exponent reading;
+      without it, near-exact nodal zeros are an undeclared zero set).
 
     ``reference`` is a human-readable closed-form description.
     """
@@ -232,120 +224,92 @@ def detect_zero_set(field: WeightField, grid: Grid,
     return mask
 
 
-def resolvable_floor(field: WeightField, grid: Grid, zero: np.ndarray,
-                     tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
-    """Weight values with zero-set nodes lifted to their resolvable scale.
+# The distances from a zero set at which a is read, and how far the slope of
+# log a on another decade may stray from the last decade's.
+READ_DISTANCES = 10.0 ** -np.arange(4.0, 9.0)
+SLOPE_SPREAD = 1e-2
+# A distance's central-difference step, and the Newton steps that take a node a
+# lattice step off a smooth zero set onto it, stopping at 1e-6 of the least reading.
+_DIFF_STEP, _NEWTON_STEPS, _ON_ZERO_SET = 1e-6, 4, 1e-14
+# Each failing verdict, in the order they are tried, and the hypothesis it violates.
+VERDICTS = {"zero-set-touches-boundary": "a1", "zero-manifolds-cross": "a1",
+            "undeclared-zero-set": "a1", "exponent-unresolved": "a2",
+            "violates-a2": "a2", "violates-lt": "a2"}
 
-    A node in the zero-set mask contributes to reciprocal integrals through
-    the smallest weight value among unmasked interior nodes within two
-    lattice steps.  This mimics cutting the integral off at the scale the
-    grid can resolve: genuinely divergent integrals keep growing under
-    refinement, convergent ones stabilize.  Nodes with a fully masked
-    neighborhood fall back to ``zero_threshold * a_max``.
+
+def _node_points(grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Coordinates of the nodes in ``mask``, shape (count, N), in C order."""
+    return np.stack([axis[i] for axis, i in zip(grid.axes, np.nonzero(mask))], axis=-1)
+
+
+def read_exponent(spec: WeightSpec, points: np.ndarray, directions: np.ndarray) -> float | None:
+    """The largest alpha of a ~ t^alpha read at ``points + t * directions``; None if unresolved.
+
+    t runs over ``READ_DISTANCES``, and alpha is the slope of log a against
+    log t over the last decade.  It is not resolved when a value is not
+    finite and positive, or when another decade's slope strays from it by
+    more than ``SLOPE_SPREAD``.
     """
-    unmasked = grid.interior_mask & ~zero
-    local_min = np.pad(np.where(unmasked, field.values, np.inf), 2, constant_values=np.inf)
-    for axis in range(grid.ndim):  # the 5^N box minimum, one axis at a time
-        width = local_min.shape[axis] - 4
-        local_min = reduce(np.minimum, (local_min[(slice(None),) * axis + (slice(k, k + width),)]
-                                        for k in range(5)))
-    floor = np.where(np.isfinite(local_min), local_min, tol.zero_threshold * field.a_max)
-    return np.where(zero, np.maximum(field.values, floor), field.values)
+    with np.errstate(all="ignore"):  # a non-finite slope is the verdict
+        log_a = np.log(spec.evaluate(points + READ_DISTANCES[:, None, None] * directions))
+        slopes = np.diff(log_a, axis=0) / np.diff(np.log(READ_DISTANCES))[:, None]
+    if not (slopes.size and np.all(np.abs(slopes - slopes[-1]) <= SLOPE_SPREAD)):  # NaN fails
+        return None
+    return float(np.max(slopes[-1])) + 0.0  # a constant reads 0, not -0
 
 
-def dyadic_radii(grid: Grid) -> tuple[float, ...]:
-    """Radii 2h, 4h, 8h, ... up to half the domain diameter."""
-    r_cap = grid.domain.diameter() / 2.0
-    radii = []
-    r = 2.0 * grid.h
-    while r <= r_cap:
-        radii.append(r)
-        r *= 2.0
-    return tuple(radii)
+def _gradient(distance, points: np.ndarray) -> np.ndarray:
+    """The gradient of ``distance`` at ``points`` by central differences."""
+    return np.stack([(distance(points + step) - distance(points - step)) / (2 * _DIFF_STEP)
+                     for step in _DIFF_STEP * np.eye(points.shape[-1])], axis=-1)
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 5-smooth integer >= n >= 1, a fast FFT length."""
-    while 30 ** n.bit_length() % n:  # 5-smooth n divides 30^k for every k >= log2 n
-        n += 1
-    return n
+def read_at_zero_set(spec: WeightSpec, distance, points: np.ndarray,
+                     sides: tuple[float, ...] = (1.0, -1.0)) -> float | None:
+    """:func:`read_exponent` at the zero set of ``distance`` near ``points``.
 
-
-def estimate_a2_constant(a: np.ndarray, grid: Grid,
-                         radii: tuple[float, ...] | None = None) -> float:
-    """Sampled lower bound of the Muckenhoupt A_2 constant.
-
-    Maximum over balls contained in the domain (centered at every interior
-    node, radii ``dyadic_radii(grid)`` unless given) of avg(a) * avg(1/a),
-    both averages over ``a``, the floored nodal values.  The arithmetic-harmonic
-    mean inequality makes the result >= 1 for every weight.
+    Each point p moves onto distance = 0 by Newton steps q - d g/|g|^2, g
+    the central-difference gradient at q.  One step lands an exact
+    distance; a step is kept only where it brings |d| down, so a formula
+    that is no distance converges, and a point on the kink of an unsigned
+    distance stays there.  a is read from q along side * g/|g|, g taken at
+    p, for each of ``sides`` (-1: towards negative ``distance``).  A point
+    where g vanishes has no normal and is skipped.
     """
-    if radii is None:
-        radii = dyadic_radii(grid)
-    member = grid.interior_mask
-    a_in = np.where(member, a, 0.0)
-    rec_in = np.where(member, 1.0 / np.where(member, a, 1.0), 0.0)
-    # Circular sums over a period of at least n + 1 per axis.  A ball that
-    # leaves the lattice holds the node one step past a face on its axis line,
-    # which the extra zero layer counts as not interior; a contained ball lies
-    # inside the lattice, so its circular sums are its plain ones.
-    fshape = [_fast_len(n + 1) for n in grid.shape]
-    axes, lattice = range(grid.ndim), tuple(slice(n) for n in grid.shape)
-    spectra = [np.fft.rfftn(x, fshape, axes) for x in (member.astype(float), a_in, rec_in)]
-    # Squared lattice distance of each node from the origin, around the period.
-    dist2 = sum(np.meshgrid(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in fshape),
-                            indexing="ij", sparse=True))
-
-    best = 1.0
-    for radius in radii:
-        if 2 * int(radius / grid.h) + 1 > grid.n:  # wider than the lattice
-            continue
-        kernel = (dist2 <= (radius / grid.h) ** 2).astype(float)
-        spectrum = np.fft.rfftn(kernel, axes=axes)
-        sums = (np.fft.irfftn(s * spectrum, fshape, axes)[lattice] for s in spectra)
-        count = float(kernel.sum())
-        # Containment: every lattice node of the ball is an interior node,
-        # mirroring the supremum over balls inside the domain.
-        contained = next(sums) > count - 0.5
-        if not contained.any():
-            continue
-        sum_a, sum_rec = sums
-        product = np.where(contained, (sum_a / count) * (sum_rec / count), -np.inf)
-        best = max(best, float(np.max(product)))
-    return best
-
-
-def estimate_lt_norm(a: np.ndarray, grid: Grid, t: float) -> float:
-    """Nodal quadrature of the L^t norm of 1/a (floored values) over the domain (t >= 1)."""
-    total = float(np.sum(a[grid.interior_mask] ** (-t))) * grid.cell_volume
-    return total ** (1.0 / t)
+    with np.errstate(all="ignore"):  # a non-finite distance leaves the exponent unresolved
+        grad = _gradient(distance, points)
+        keep = np.any(grad != 0.0, axis=-1)
+        q, normal = points[keep], grad[keep] / np.linalg.norm(grad[keep], axis=-1, keepdims=True)
+        for _ in range(_NEWTON_STEPS):
+            d = distance(q)
+            if np.all(np.abs(d) <= _ON_ZERO_SET):
+                break
+            grad = _gradient(distance, q)
+            step = q - (d / np.sum(grad ** 2, axis=-1))[:, None] * grad
+            q = np.where((np.abs(distance(step)) < np.abs(d))[:, None], step, q)
+    return read_exponent(spec, np.concatenate([q] * len(sides)),
+                         np.concatenate([side * normal for side in sides]))
 
 
 @dataclass(frozen=True)
-class LtRow:
-    """L^t norm of 1/a at two refinement levels and its growth diagnosis."""
+class ExponentReading:
+    """The exponent of a at one zero manifold of codimension k, or at the boundary (k = 1).
 
-    t: float
-    norm_coarse: float
-    norm_fine: float
-    growth: float
-    growing: bool
-    stable: bool
+    a ~ dist^alpha is A2 iff alpha < k, and 1/a is in L^t for some t > N/2
+    iff alpha < ``bound`` = 2k/N.  ``exponent`` is None if not resolved.
+    """
+
+    manifold: str
+    codimension: int
+    bound: float
+    exponent: float | None
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the (a1)/(a2) checks for one weight on one domain."""
 
-    n_coarse: int
-    n_fine: int
-    a2_coarse: float
-    a2_estimate: float
-    a2_growth: float
-    a2_divergent: bool
-    lt_rows: tuple[LtRow, ...]
-    best_t: float | None
-    n_over_2: float
+    readings: tuple[ExponentReading, ...]
     zero_count: int
     touches_domain_boundary: bool
     verdict: str
@@ -357,70 +321,68 @@ class AdmissibilityReport:
     @property
     def violated_hypothesis(self) -> str | None:
         """The hypothesis the verdict violates, "a1" or "a2"; None when admissible."""
-        return {"admissible": None, "zero-set-touches-boundary": "a1",
-                "violates-a2": "a2", "violates-lt": "a2"}[self.verdict]
+        return VERDICTS.get(self.verdict)
+
+
+def _readings(grid: Grid, spec: WeightSpec, points: np.ndarray, band: float):
+    """The exponent at each declared manifold with base nodes among the zero-set
+    ``points`` (a point zero: inside the domain), then at the boundary."""
+    ndim, phi = grid.ndim, grid.domain.membership_function()
+    spheres = dict.fromkeys(spec.spheres)
+    manifolds = [(f"sphere {list(c)} r={r!r}",
+                  lambda x, c=np.asarray(c), r=r: np.linalg.norm(x - c, axis=-1) - r)
+                 for c, r in spheres if r > 0.0]
+    if spec.zero_expr is not None:
+        manifolds.append(("zero_expr", partial(evaluate_expression, spec.zero_expr)))
+    readings = [ExponentReading(name, 1, 2.0 / ndim, read_at_zero_set(spec, distance, base))
+                for name, distance in manifolds
+                if len(base := points[np.abs(distance(points)) <= band])]
+    axes = np.concatenate([np.eye(ndim), -np.eye(ndim)])  # a point is read along them
+    readings += [ExponentReading(f"point {list(c)}", ndim, 2.0,
+                                 read_exponent(spec, np.asarray(c) + 0.0 * axes, axes))
+                 for c, r in spheres if r == 0.0 and phi(np.asarray(c)) < 0]
+    boundary = read_at_zero_set(spec, phi, _node_points(grid, grid.boundary_mask), (-1.0,))
+    return tuple(readings) + (ExponentReading("boundary", 1, 2.0 / ndim, boundary),)
 
 
 def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
                          tol: ToleranceConfig = ToleranceConfig()) -> AdmissibilityReport:
-    """Two-level admissibility assessment of a weight.
+    """Decide (a1) and (a2) from the weight's declared zero manifolds.
 
-    The caller's grid, weight field and zero-set mask (detected at ``tol``)
-    are the fine level; the coarse level, with roughly doubled spacing, is
-    built here, its zero set detected at ``tol`` too.
-    Divergence of the A2 constant or of an L^t norm is read off the growth
-    between the levels.  The verdict is
+    The exponent is read at each declared sphere and ``zero_expr`` (both
+    sides, from its band nodes), at each point zero and inside the domain
+    boundary (from the Dirichlet ring); see :func:`_readings`.  The verdict
+    is the first of ``VERDICTS`` that holds, else ``admissible``:
 
-    * ``zero-set-touches-boundary`` when the fine zero set meets the
-      Dirichlet ring, as one that holds every interior node always does
-      (condition (a1) fails; nothing else decides it),
-    * ``violates-a2`` when the A2 estimate grows beyond tolerance,
-    * ``violates-lt`` when no scanned exponent above N/2 has a stable norm,
-    * ``admissible`` otherwise.
+    * ``zero-set-touches-boundary``: the zero set meets the Dirichlet ring,
+      as one that holds every interior node always does (a1),
+    * ``zero-manifolds-cross``: two declared spheres cross or touch (a1),
+    * ``undeclared-zero-set``: a zero-set node is not chained to a declared
+      manifold's band, as in an expression weight with nodal zeros and no
+      ``zero_expr`` (a1),
+    * ``exponent-unresolved``: an exponent is not resolved (a2),
+    * ``violates-a2``: an exponent is at least its codimension k,
+    * ``violates-lt``: an exponent is at least its bound 2k/N.
     """
-    n_coarse = max((grid.n + 1) // 2, 5)
-    grid_c = build_grid(grid.domain, n_coarse)
-    field_c = evaluate_weight(field.spec, grid_c)
-    zero_c = detect_zero_set(field_c, grid_c, tol)
-    floor_c = resolvable_floor(field_c, grid_c, zero_c, tol)
-    floor_f = resolvable_floor(field, grid, zero, tol)
-
-    # Both levels sample the same physical radii (dyadic from the coarse
-    # spacing) so the growth ratio compares like-for-like quadratures.
-    radii = dyadic_radii(grid_c)
-    a2_c = estimate_a2_constant(floor_c, grid_c, radii)
-    a2_f = estimate_a2_constant(floor_f, grid, radii)
-    a2_growth = a2_f / a2_c
-    a2_divergent = bool(a2_growth > tol.a2_growth_tol or not np.isfinite(a2_f))
-
-    rows = []
-    for t in tol.t_scan:
-        nc = estimate_lt_norm(floor_c, grid_c, t)
-        nf = estimate_lt_norm(floor_f, grid, t)
-        growth = nf / nc
-        rows.append(LtRow(t=t, norm_coarse=nc, norm_fine=nf, growth=growth,
-                          growing=bool(growth > tol.lt_growing_tol),
-                          stable=bool(np.isfinite(nf) and growth <= tol.lt_stable_tol)))
-
-    stable_ts = [row.t for row in rows if row.stable]
-    best_t = max(stable_ts) if stable_ts else None
-    n_over_2 = grid.ndim / 2.0
-
+    band, points = tol.zero_band * grid.h, _node_points(grid, zero)
+    readings = _readings(grid, field.spec, points, band)
+    zd = field.spec.zero_distance(points)
+    alphas = [(r.exponent, r) for r in readings if r.exponent is not None]
+    spheres = list(dict.fromkeys(field.spec.spheres))  # points included
     touches = bool(np.any(dilate(zero) & grid.boundary_mask))
-    if touches:
-        verdict = "zero-set-touches-boundary"
-    elif a2_divergent:
-        verdict = "violates-a2"
-    elif best_t is None or best_t <= n_over_2:
-        verdict = "violates-lt"
-    else:
-        verdict = "admissible"
-
-    return AdmissibilityReport(
-        n_coarse=n_coarse, n_fine=grid.n,
-        a2_coarse=a2_c, a2_estimate=a2_f, a2_growth=a2_growth,
-        a2_divergent=a2_divergent, lt_rows=tuple(rows), best_t=best_t,
-        n_over_2=n_over_2, zero_count=int(np.count_nonzero(zero)),
-        touches_domain_boundary=touches,
-        verdict=verdict)
-
+    # A zero-set node chained to a declared band through zero-set nodes is explained:
+    # a weight flat at its manifold falls below the zero threshold past the band.
+    explained = np.zeros_like(zero)
+    explained[zero] = zd is not None and zd <= band
+    while not touches and np.any(grown := dilate(explained, box=True) & zero & ~explained):
+        explained |= grown
+    holds = [touches,
+             any(abs(r1 - r2) <= np.linalg.norm(np.subtract(c1, c2)) <= r1 + r2
+                 for i, (c1, r1) in enumerate(spheres) for c2, r2 in spheres[i + 1:]),
+             bool(np.any(zero & ~explained)),
+             len(alphas) < len(readings),
+             any(alpha >= r.codimension for alpha, r in alphas),
+             any(alpha >= r.bound for alpha, r in alphas)]
+    verdict = next((v for v, held in zip(VERDICTS, holds) if held), "admissible")
+    return AdmissibilityReport(readings=readings, zero_count=len(points),
+                               touches_domain_boundary=touches, verdict=verdict)

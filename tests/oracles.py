@@ -5,10 +5,8 @@ operator is assembled one stencil edge at a time, the eigenvalue oracles
 are a dense symmetric eigensolve of it and shift-invert Lanczos (a sparse LU
 solve per step), the bump oracle solves the semilinear problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, box and ball
-domains are their closed-form distances in numpy, the A_2 oracle
-averages one lattice ball at a time, the FFT length oracle enumerates every
-product of powers of 2, 3 and 5, and the reference writers format every
-lattice node one at a time.  The cut fractions have two references: every
+domains are their closed-form distances in numpy, and the reference
+writers format every lattice node one at a time.  The cut fractions have two references: every
 crossing bisected alone, and one vectorized bisection per axis.  The remaining helpers are
 checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
 n-bump histograms and the nodal residual field.
@@ -16,8 +14,6 @@ n-bump histograms and the nodal residual field.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import product
 from math import comb
 
 import numpy as np
@@ -29,7 +25,7 @@ from multibump.composition import MultiBumpSolution
 from multibump.energy import DiscreteEnergy, NonlinearitySpec
 from multibump.grid import Grid
 from multibump.topology import Component
-from multibump.weights import WeightField, resolvable_floor
+from multibump.weights import WeightField
 
 
 def reference_operator(conductances: list[np.ndarray], grid: Grid,
@@ -130,22 +126,6 @@ def per_axis_cut_fractions(grid: Grid) -> list[np.ndarray]:
     return fractions
 
 
-def fast_lens_by_enumeration(limit: int) -> list[int]:
-    """The smallest 5-smooth integer >= n for each n in 1..limit.
-
-    For each n, the least m >= n among all 2^i 3^j 5^k with i, j, k at most
-    n's bit length, looked up in one sorted table per bit length.
-    """
-    tables, lengths = {}, []
-    for n in range(1, limit + 1):
-        if (bits := n.bit_length()) not in tables:
-            powers = range(bits + 1)
-            tables[bits] = sorted({2**i * 3**j * 5**k
-                                   for i in powers for j in powers for k in powers})
-        lengths.append(tables[bits][bisect_left(tables[bits], n)])
-    return lengths
-
-
 def box_phi(lo, hi):
     """Max-norm distance to the box [lo, hi], negative inside, on points (..., N)."""
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
@@ -226,29 +206,6 @@ def reference_solution_vtk(path, values: np.ndarray, grid: Grid) -> None:
         handle.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         for value in values.ravel(order="F"):
             handle.write(f"{float(value)!r}\n")
-
-
-def reference_a2_constant(field: WeightField, grid: Grid, zero: np.ndarray,
-                          radii: tuple[float, ...]) -> float:
-    """A_2 estimate over every lattice ball whose nodes are all interior nodes.
-
-    Each ball is enumerated node by node, at every member node and radius,
-    and averaged directly; balls reaching past the lattice are not contained.
-    """
-    member = grid.interior_mask
-    a = resolvable_floor(field, grid, zero)
-    best = 1.0
-    for radius in radii:
-        m = int(np.floor(radius / grid.h))
-        offsets = np.array([o for o in product(range(-m, m + 1), repeat=grid.ndim)
-                            if sum(k * k for k in o) <= (radius / grid.h) ** 2])
-        for node in np.argwhere(member):
-            ball = node + offsets
-            if ball.min() < 0 or ball.max() >= grid.n or not member[tuple(ball.T)].all():
-                continue
-            values = a[tuple(ball.T)]
-            best = max(best, float(np.mean(values) * np.mean(1.0 / values)))
-    return best
 
 
 def holder_bound_report(values: np.ndarray, field: WeightField, grid: Grid) -> dict:

@@ -186,11 +186,13 @@ def test_criterion_6_hypothesis_gates(tmp_path):
 
     quad_report = run_pipeline(
         parse_config(quadratic_zero_config(129, out=str(tmp_path / "quad"))))
+    # a = |x - x0|^2 reads exponent 2 at its point zero: not below N = 2, so A2 fails.
     adm = quad_report.admissibility
-    growth = max(row.growth for row in adm.lt_rows)
+    exponent = adm.readings[0].exponent
     a2_ok = (quad_report.violated_hypothesis == "a2"
-             and adm.a2_divergent
-             and growth > 2.0)
+             and adm.verdict == "violates-a2"
+             and adm.readings[0].manifold == "point [0.5, 0.5]"
+             and abs(exponent - 2.0) < 1e-6)
 
     seg = {
         "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
@@ -205,7 +207,7 @@ def test_criterion_6_hypothesis_gates(tmp_path):
 
     ok = f2_ok and a2_ok and a1_ok
     record("6 hypothesis gates", ok,
-           f"f2={f2_ok}, a2={a2_ok} (lt growth {growth:.2f}), a1={a1_ok}")
+           f"f2={f2_ok}, a2={a2_ok} (exponent {exponent:.4f}), a1={a1_ok}")
 
 
 def test_criterion_7_scaling_invariance(tmp_path):

@@ -83,6 +83,13 @@ class TestTruncation:
         s = np.linspace(-100.0, 100.0, 10001)
         assert np.max(np.abs(logistic30.f_star(s))) < np.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_f_is_evaluated_on_the_clipped_argument(self):
+        # An f defined only up to a little past s* must not be evaluated beyond s*.
+        trunc = truncate_nonlinearity(NonlinearitySpec.custom(
+            "30*abs(s)*(1-s) + 0*sqrt(1.2 - s)", gamma=30.0, s_star=1.0, beta_star=0.5))
+        assert trunc.f_star(np.array([0.5, 1.5])).tolist() == [7.5, 0.0]
+
 
 class TestPrimitive:
     def test_zero_at_zero(self, logistic30):

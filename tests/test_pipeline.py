@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from collections import Counter
 from math import comb, hypot
@@ -27,6 +28,7 @@ from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
 from multibump.errors import ConfigError, NumericalFailureError, SolverError
+from multibump.expressions import compile_expression, evaluate_expression
 from multibump.grid import DomainSpec, build_grid
 from multibump.pipeline import (RunReport, check_hypotheses, load_config,
                                 parse_config, read_solution_csv, render_report,
@@ -58,23 +60,45 @@ def unit_square(resolution=17, gamma=30.0, out="out", **changes):
     return data
 
 
-def tiny_disk(center=0.0):
-    """Disk of radius 0.01 about (center, center) in the box [-1, 1]^2.
+def tiny_disk():
+    """Disk of radius 0.01 about the origin in the box [-1, 1]^2.
 
-    A grid has an interior node only if one of its nodes is the center.
+    A grid has an interior node only if one of its nodes is the origin.
     """
-    return {"kind": "custom-implicit",
-            "expression": f"(x - {center})**2 + (y - {center})**2 - 0.0001",
+    return {"kind": "custom-implicit", "expression": "x**2 + y**2 - 0.0001",
             "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
 
+
+RING_DISTANCE = "abs(sqrt(x**2 + y**2) - 1)"
+# A config per failing admissibility verdict (zero_threshold: the ring's zero set
+# swallows the disk and meets the Dirichlet ring).
+FAILING_ADMISSIBILITY = {
+    "zero_threshold": dict(ring_config(33), tolerances={"zero_threshold": 0.5}),
+    "crossing-spheres": dict(ring_config(33), weight={
+        "kind": "product-of-powers", "factors": [
+            {"center": [0.0, 0.0], "radius": 1.0, "power": 0.5},
+            {"center": [0.5, 0.0], "radius": 1.0, "power": 0.5}]}),
+    # Four nodes lie on the circle, and no manifold is declared there.
+    "undeclared-zero": dict(ring_config(33), weight={
+        "kind": "custom-expression", "expr": f"{RING_DISTANCE}**0.5"}),
+    # d^0.5 (1 - log d): the slope of log a creeps from 0.41 to 0.45 over the decades read.
+    "log-factor": dict(ring_config(33), weight={
+        "kind": "custom-expression", "zero_expr": RING_DISTANCE,
+        "expr": f"where({RING_DISTANCE} > 0, sqrt({RING_DISTANCE}) * (1 - log({RING_DISTANCE})), 0)"}),
+    "quadratic-point": quadratic_zero_config(33),
+    # 3D: A2 holds (0.8 < 1), but 1/a is in L^t only for t < 1.25 < N/2.
+    "shell-power-0.8": dict(ring_config(33), domain={"kind": "ball", "center": [0.0] * 3,
+                                                     "radius": 2.0}, weight={
+        "kind": "product-of-powers",
+        "factors": [{"center": [0.0] * 3, "radius": 1.0, "power": 0.8}]}),
+}
 
 # A value other than the default for every tolerance, in field order.
 ALL_TOLERANCES = {
     "zero_threshold": 1e-5, "zero_band": 0.5, "grad_tol_scale": 1e-9,
     "residual_tol_scale": 1e-7, "bounds_tol": 1e-9, "zero_trace_tol": 1e-12,
     "eig_tol": 1e-9, "eig_max_iter": 400, "max_minimize_iterations": 5000,
-    "seed_min_exponent": 20, "a2_growth_tol": 1.2, "lt_stable_tol": 1.25,
-    "lt_growing_tol": 1.01, "t_scan": (1.0, 2.5)}
+    "seed_min_exponent": 20}
 
 # Each section kind of the config schema with every key its constructor
 # takes, optional ones included, and the spec a positional call builds.
@@ -180,23 +204,33 @@ class TestConfigParsing:
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [
         "zero_threshold", "zero_band", "grad_tol_scale", "residual_tol_scale",
-        "bounds_tol", "zero_trace_tol", "eig_tol", "a2_growth_tol",
-        "lt_stable_tol", "lt_growing_tol", "t_scan"])
+        "bounds_tol", "zero_trace_tol", "eig_tol"])
     def test_non_finite_tolerance_rejected(self, name, value):
-        tolerance = [1.0, value] if name == "t_scan" else value
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            parse_config(unit_square(tolerances={name: tolerance}))
+            parse_config(unit_square(tolerances={name: value}))
 
     @pytest.mark.parametrize("name, value", [
         ("eig_max_iter", 2.5), ("eig_max_iter", 0), ("eig_max_iter", True),
         ("max_minimize_iterations", 0), ("max_minimize_iterations", 100.0),
         ("seed_min_exponent", -5), ("seed_min_exponent", 1.5),
-        ("zero_threshold", 1.0), ("zero_threshold", 1.5), ("t_scan", [0.5])])
+        ("zero_threshold", 1.0), ("zero_threshold", 1.5)])
     def test_out_of_range_tolerance_exits_one(self, tmp_path, capsys, name, value):
         path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
                                                   tolerances={name: value}))
         assert main(["solve", "--config", str(path)]) == 1
         assert f"error: invalid tolerances: tolerance {name} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a2_growth_tol", "lt_stable_tol", "lt_growing_tol",
+                                      "t_scan"])
+    def test_removed_admissibility_tolerance_exits_one(self, tmp_path, capsys, name):
+        # (a2) is decided from exponents read at the zero manifolds: these keys went with
+        # the two-level estimator, and a config that still sets one is refused by name.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(out=str(out), tolerances={name: 1.1}))
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid tolerances: ") and repr(name) in err
+        assert not out.exists()
 
     def test_nan_tolerance_in_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -225,6 +259,15 @@ class TestConfigParsing:
         [(section, _)] = changes.items()
         with pytest.raises(ConfigError, match=rf"^invalid {section}: .* not allowed in expr"):
             parse_config(unit_square(**changes))
+
+    def test_warning_inside_an_expression_is_attributed_to_multibump(self):
+        # So the filter error::RuntimeWarning:multibump fails a run that raises one.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=RuntimeWarning, module="multibump")
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in sqrt"):
+                evaluate_expression("sqrt(x)", np.array([[-1.0, 0.0]]))
+        with pytest.raises(ValueError, match="'__name__' is not allowed"):
+            compile_expression("__name__", ("x",))
 
     def test_allow_large_is_an_unknown_key(self):
         # max_chi is the only enumeration guard.
@@ -330,20 +373,31 @@ class TestPipelineRuns:
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "a1"
 
-    @pytest.mark.parametrize("tolerance, verdict, hypothesis", [
+    @pytest.mark.parametrize("case, verdict, hypothesis", [
         ("zero_threshold", "zero-set-touches-boundary", "a1"),
-        ("a2_growth_tol", "violates-a2", "a2"),
-        ("lt_stable_tol", "violates-lt", "a2"),
+        ("crossing-spheres", "zero-manifolds-cross", "a1"),
+        ("undeclared-zero", "undeclared-zero-set", "a1"),
+        ("log-factor", "exponent-unresolved", "a2"),
+        ("quadratic-point", "violates-a2", "a2"),
+        ("shell-power-0.8", "violates-lt", "a2"),
     ])
-    def test_failing_verdict_names_its_hypothesis(self, tolerance, verdict, hypothesis):
+    def test_failing_verdict_names_its_hypothesis(self, case, verdict, hypothesis):
         """Each failing admissibility verdict stops the run with the hypothesis it violates."""
-        report = check_hypotheses(parse_config(dict(ring_config(33),
-                                                    tolerances={tolerance: 0.5})))
+        report = check_hypotheses(parse_config(FAILING_ADMISSIBILITY[case]))
         assert report.admissibility.verdict == verdict
         assert report.admissibility.violated_hypothesis == hypothesis
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == hypothesis
         assert report.failure_message == f"admissibility verdict: {verdict}"
+
+    def test_undeclared_expression_zero_reads_once_declared(self):
+        # The weight of the undeclared case, with the distance to its zero circle.
+        data = FAILING_ADMISSIBILITY["undeclared-zero"]
+        data = dict(data, weight=dict(data["weight"], zero_expr=RING_DISTANCE))
+        adm = check_hypotheses(parse_config(data)).admissibility
+        assert adm.verdict == "admissible"
+        assert [r.manifold for r in adm.readings] == ["zero_expr", "boundary"]
+        assert adm.readings[0].exponent == pytest.approx(0.5, abs=1e-3)
 
     def test_low_gamma_aborts_naming_f2(self, tmp_path):
         data = {
@@ -1033,7 +1087,6 @@ class TestSetupMemo:
         assert conductance_tables == [33]
 
     def test_check_builds_no_lattice_operator(self, conductance_tables):
-        # Neither at the configured resolution nor at the admissibility's coarse one.
         report = check_hypotheses(parse_config(nested_rings_config(65)))
         assert (report.status, report.chi) == ("ok", 4)
         assert conductance_tables == []
@@ -1206,13 +1259,12 @@ class TestStageFailures:
         assert report["failure_message"] == (
             "sparse LU failed on component (1, 2): Factor is exactly singular")
 
-    @pytest.mark.parametrize("domain, resolution, coarse", [
-        (tiny_disk(), 8, 8),        # h = 2/7: no node at the center
-        (tiny_disk(0.25), 9, 5),    # h = 1/4 holds it; the coarse level's 1/2 does not
-    ], ids=["fine", "coarse-level"])
+    @pytest.mark.parametrize("domain, resolution", [
+        (tiny_disk(), 8),  # h = 2/7: no node at the center
+    ], ids=["fine"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_too_coarse_grid_writes_report(self, tmp_path, capsys, command,
-                                           domain, resolution, coarse):
+                                           domain, resolution):
         out = tmp_path / "out"
         path = write_config(tmp_path, unit_square(resolution, out=str(out),
                                                   domain=domain))
@@ -1220,7 +1272,7 @@ class TestStageFailures:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "resolution-too-coarse"
         assert report["violated_hypothesis"] is None
-        assert f"no interior node at resolution n={coarse}" in report["failure_message"]
+        assert f"no interior node at resolution n={resolution}" in report["failure_message"]
         assert capsys.readouterr().out == (out / "report.txt").read_text()
 
     def test_minimizer_failure_is_reported(self, tmp_path, monkeypatch):

@@ -83,11 +83,6 @@ CASES = {
     "eig_max_iter": (1, lambda tol: check(tol).status, "numerical-failure"),
     "max_minimize_iterations": (1, lambda tol: solve(tol).status, "numerical-failure"),
     "seed_min_exponent": (1, seeded_square_status, "numerical-failure"),
-    "a2_growth_tol": (0.5, verdict, "violates-a2"),
-    "lt_stable_tol": (0.5, verdict, "violates-lt"),
-    "lt_growing_tol": (1.5, lambda tol: [r.growing for r in check(tol).admissibility.lt_rows],
-                       None),
-    "t_scan": ((1.0,), verdict, "violates-lt"),
 }
 
 

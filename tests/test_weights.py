@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import cbrt_ring_weight, interior_count, lattice_operator, unit_box
-from oracles import fast_lens_by_enumeration, reference_a2_constant
-
 from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import InvalidWeightError
 from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
-from multibump.weights import (WeightSpec, _fast_len, assess_admissibility, detect_zero_set,
-                               dyadic_radii, estimate_a2_constant, estimate_lt_norm,
-                               evaluate_weight, resolvable_floor)
+from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
+                               evaluate_weight, read_at_zero_set, read_exponent)
 
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
 UNIT = unit_box(2)
@@ -80,145 +77,125 @@ class TestEvaluation:
         assert np.allclose(np.asarray(coupling).reshape(expected.shape), expected)
 
 
+def reading(report, manifold):
+    [found] = [r for r in report.readings if r.manifold == manifold]
+    return found
+
+
+RING_SPHERE = "sphere [0.0, 0.0] r=1.0"
+
+
 class TestA2:
-    def test_fft_length_is_the_least_five_smooth_one(self):
-        assert [_fast_len(n) for n in range(1, 5001)] == fast_lens_by_enumeration(5000)
-
-    def test_constant_weight_estimate_is_one(self):
-        grid = build_grid(UNIT, 33)
-        field = evaluate_weight(WeightSpec.constant(2.0), grid)
-        zero = detect_zero_set(field, grid)
-        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid) \
-            == pytest.approx(1.0, abs=1e-9)
-
     def test_ring_weight_stable_across_refinement(self):
-        report = assess(cbrt_ring_weight(), B2, 129)
-        assert np.isfinite(report.a2_estimate)
-        assert not report.a2_divergent
-        # Stable within 10% between the two levels.
-        assert 1.0 / 1.1 <= report.a2_growth <= 1.1
+        # The larger exponent of the ring's two sides is the annulus's square root.
+        for n in (65, 129, 257):
+            report = assess(cbrt_ring_weight(), B2, n)
+            assert reading(report, RING_SPHERE).exponent == pytest.approx(0.5, abs=1e-3)
+            assert reading(report, "boundary").exponent == pytest.approx(0.5, abs=1e-3)
+            assert report.verdict == "admissible"
 
     def test_quadratic_zero_divergence_flagged(self):
-        report = assess(QUADRATIC, UNIT, 129)
-        assert report.a2_divergent
-        assert report.a2_growth > 1.10
-        assert report.verdict in ("violates-a2", "violates-lt")
-
-    @pytest.mark.parametrize("domain, spec, n", [
-        (B2, cbrt_ring_weight(), 17),
-        (UNIT, WeightSpec.expression("1 + 4*x*y"), 17),
-        (DomainSpec.ball((0.0, 0.0, 0.0), 1.0),
-         WeightSpec.power_product([((0.0, 0.0, 0.0), 0.5, 0.5)]), 9),
-        # Nodes 8 of the first and last x-rows touch the circle yet are
-        # interior by round-off: balls leave the lattice through them.
-        (DomainSpec.ball((2.8378101321881832, -1.4582022338196399), 0.40349108778507203),
-         WeightSpec.expression("1 + 40*(x - 2.8)**2"), 17),
-    ], ids=["ring", "box", "shell3d", "tangent"])
-    def test_matches_ball_by_ball_reference(self, domain, spec, n):
-        # The dyadic radii are exact multiples of h, so balls whose edge
-        # lands exactly on the first non-interior node are among those checked.
-        grid = build_grid(domain, n)
-        field = evaluate_weight(spec, grid)
-        zero = detect_zero_set(field, grid)
-        radii = dyadic_radii(grid)
-        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid, radii) \
-            == pytest.approx(reference_a2_constant(field, grid, zero, radii), rel=1e-12)
-
-    def test_ball_leaving_the_lattice_is_not_contained(self):
-        # Every node interior, the faces too: only the nodes past the lattice
-        # keep the balls at its faces out of the estimate.
-        grid = Grid(domain=UNIT, n=17, h=1.0 / 16, interior_mask=np.ones((17, 17), bool),
-                    boundary_mask=np.zeros((17, 17), bool))
-        field = evaluate_weight(WeightSpec.expression("1 + 40*x + y"), grid)
-        zero = detect_zero_set(field, grid)
-        radii = dyadic_radii(grid)
-        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid, radii) \
-            == pytest.approx(reference_a2_constant(field, grid, zero, radii), rel=1e-12)
-
-    def test_estimate_at_least_one_for_degenerate_weight(self, ring65):
-        grid, field, zero, _ = ring65
-        assert estimate_a2_constant(resolvable_floor(field, grid, zero), grid) >= 1.0
+        # A point zero has codimension N = 2, and |x - x0|^2 reads exponent 2: not A2.
+        point = reading(assess(QUADRATIC, UNIT, 129), "point [0.5, 0.5]")
+        assert point.codimension == 2
+        assert point.exponent == pytest.approx(2.0, abs=1e-6)
+        assert assess(QUADRATIC, UNIT, 129).verdict == "violates-a2"
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_scale_invariance(self, log_lam):
         lam = float(np.exp(log_lam))
-        grid = build_grid(B2, 33)
-        base = evaluate_weight(cbrt_ring_weight(), grid)
-        scaled = evaluate_weight(
-            WeightSpec.radial((0.0, 0.0),
-                              ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
-                              zero_radii=(1.0,), scale=lam), grid)
-        a2_base = estimate_a2_constant(
-            resolvable_floor(base, grid, detect_zero_set(base, grid)), grid)
-        a2_scaled = estimate_a2_constant(
-            resolvable_floor(scaled, grid, detect_zero_set(scaled, grid)), grid)
-        assert a2_scaled == pytest.approx(a2_base, rel=1e-9)
-
-
-@pytest.mark.parametrize("domain, expr", [
-    (B2, "1 + x**2 + 0.5*y"),
-    (DomainSpec.ball((0.0, 0.0, 0.0), 2.0), "3 + x**2 + 0.5*y*z"),
-], ids=["2d", "3d"])
-@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
-def test_resolvable_floor_matches_minimum_filter(domain, expr, density):
-    grid = build_grid(domain, 33 if domain.dimension == 2 else 17)
-    field = evaluate_weight(WeightSpec.expression(expr), grid)
-    mask = grid.interior_mask & (np.random.default_rng(7).random(grid.shape) < density)
-    guarded = np.where(grid.interior_mask & ~mask, field.values, np.inf)
-    local_min = ndimage.minimum_filter(guarded, size=5, mode="constant", cval=np.inf)
-    # A threshold this high lifts the nodes whose whole box is masked above their values.
-    tol = ToleranceConfig(zero_threshold=0.5)
-    floor = np.where(np.isfinite(local_min), local_min, tol.zero_threshold * field.a_max)
-    assert np.array_equal(resolvable_floor(field, grid, mask, tol),
-                          np.where(mask, np.maximum(field.values, floor), field.values))
+        scaled = WeightSpec.radial((0.0, 0.0),
+                                   ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
+                                   zero_radii=(1.0,), scale=lam)
+        base, other = (assess(spec, B2, 33) for spec in (cbrt_ring_weight(), scaled))
+        assert [r.exponent for r in other.readings] == pytest.approx(
+            [r.exponent for r in base.readings], abs=1e-9)
 
 
 class TestLt:
-    def test_constant_weight_closed_form(self):
-        grid = build_grid(UNIT, 33)
-        c = 4.0
-        field = evaluate_weight(WeightSpec.constant(c), grid)
-        zero = detect_zero_set(field, grid)
-        measure = interior_count(grid) * grid.cell_volume
-        for t in (1.0, 2.0, 3.5):
-            assert estimate_lt_norm(resolvable_floor(field, grid, zero), grid, t) == pytest.approx(
-                measure ** (1.0 / t) / c, rel=1e-12)
-
-    def test_ring_weight_low_exponents_finite_and_stable(self):
-        report = assess(cbrt_ring_weight(), B2, 129)
-        rows = {row.t: row for row in report.lt_rows}
-        assert rows[1.5].stable and np.isfinite(rows[1.5].norm_fine)
-        assert rows[2.0].stable and np.isfinite(rows[2.0].norm_fine)
-        assert np.isfinite(rows[3.0].norm_fine)
-        assert report.best_t is not None and report.best_t > report.n_over_2
+    def test_ring_weight_low_exponents_finite_and_stable(self, ring65):
+        # Cube root inside r = 1, square root outside: both below 2k/N = 1, so 1/a
+        # is in L^t for some t > N/2 on each side.
+        grid, field, zero, _ = ring65
+        base = grid.points()[zero]
+        radial = lambda x: np.linalg.norm(x, axis=-1) - 1.0  # noqa: E731
+        for sides, exponent in (((-1.0,), 1 / 3), ((1.0,), 0.5)):
+            assert read_at_zero_set(field.spec, radial, base, sides) == pytest.approx(
+                exponent, abs=1e-4)
+        assert reading(assess(cbrt_ring_weight(), B2, 65), RING_SPHERE).bound == 1.0
 
     def test_quadratic_zero_grows_at_n_half(self):
-        report = assess(QUADRATIC, UNIT, 129)
-        rows = {row.t: row for row in report.lt_rows}
-        # t = N/2 = 1: the true integral diverges (logarithmically), which
-        # shows as steady norm growth between the levels.
-        assert rows[1.0].growing
-        # Larger exponents diverge polynomially: factor 2 and beyond.
-        assert max(row.growth for row in report.lt_rows) > 2.0
-        assert report.best_t is None or report.best_t <= report.n_over_2 or report.a2_divergent
+        # |x - x0|^-2 is not integrable in 2D, so no t >= N/2 = 1 gives 1/a in L^t:
+        # the exponent 2 is not below its bound 2k/N = 2.
+        point = reading(assess(QUADRATIC, UNIT, 129), "point [0.5, 0.5]")
+        assert point.bound == 2.0
+        assert point.exponent >= point.bound
 
-    def test_lt_scales_reciprocally(self, ring65):
+
+class TestExponentReader:
+    def test_constant_weight_reads_zero(self):
+        # Every slope of a constant is 0, and the report prints 0, not -0.
+        report = assess(WeightSpec.constant(2.0), UNIT, 33)
+        assert [(r.manifold, r.exponent) for r in report.readings] == [("boundary", 0.0)]
+        assert str(report.readings[0].exponent) == "0.0"
+
+    def test_unsigned_distance_skips_the_nodes_on_its_zero_set(self, ring65):
+        # abs(r - 1) has no central-difference gradient at the nodes with r = 1.
         grid, field, zero, _ = ring65
-        doubled = evaluate_weight(
-            WeightSpec.radial((0.0, 0.0),
-                              ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
-                              zero_radii=(1.0,), scale=2.0), grid)
-        zero2 = detect_zero_set(doubled, grid)
-        for t in (1.0, 2.0):
-            assert estimate_lt_norm(resolvable_floor(doubled, grid, zero2), grid, t) \
-                == pytest.approx(0.5 * estimate_lt_norm(resolvable_floor(field, grid, zero),
-                                                        grid, t), rel=1e-9)
+        base = grid.points()[zero]
+        unsigned = lambda x: np.abs(np.linalg.norm(x, axis=-1) - 1.0)  # noqa: E731
+        assert np.any(unsigned(base) == 0.0)
+        assert read_at_zero_set(field.spec, unsigned, base) == pytest.approx(0.5, abs=1e-4)
 
-    def test_t_below_one_rejected(self):
-        # The scanned exponents come from the run's tolerances.
-        with pytest.raises(ValueError, match="t_scan must be >= 1"):
-            ToleranceConfig(t_scan=(1.0, 0.5))
+    def test_slopes_that_disagree_are_unresolved(self):
+        # a = t^0.5 (1 - log t) along the x axis: the slope creeps from 0.41 to 0.45.
+        spec = WeightSpec.expression("where(abs(x) > 0, sqrt(abs(x)) * (1 - log(abs(x))), 0)")
+        axis = np.array([[1.0, 0.0]])
+        assert read_exponent(spec, np.zeros((1, 2)), axis) is None
+        assert read_exponent(WeightSpec.expression("sqrt(abs(x))"), np.zeros((1, 2)),
+                             axis) == pytest.approx(0.5, abs=1e-12)
+
+    def test_newton_steps_land_a_formula_that_is_no_distance(self):
+        # phi = r^2 - 4 is no distance: one step from a Dirichlet node stops h^2/4
+        # outside the disk, where sqrt((1 - r)(r - 2)) is not defined.
+        disk = DomainSpec.implicit("x**2 + y**2 - 4", (-2.5, -2.5), (2.5, 2.5))
+        report = assess(cbrt_ring_weight(), disk, 65)
+        assert reading(report, "boundary").exponent == pytest.approx(0.5, abs=1e-4)
+        assert report.verdict == "admissible"
+
+    def test_zero_or_negative_value_is_unresolved(self):
+        flat = WeightSpec.expression("maximum(x, 0)")
+        assert read_exponent(flat, np.zeros((1, 2)), np.array([[-1.0, 0.0]])) is None
+
+
+@pytest.mark.parametrize("n", [65, 129, 257, 513])
+@pytest.mark.parametrize("power, admissible", [
+    (0.3, True), (0.6, True), (0.7, True), (0.8, True), (0.85, True), (0.9, True),
+    (1.05, False), (1.5, False)])
+def test_ring_power_sweep_is_admissible_below_one(power, admissible, n):
+    """On the radius-2 disk, ||x| - 1|^p is admissible exactly for p < 2k/N = 1."""
+    report = assess(WeightSpec.power_product([((0.0, 0.0), 1.0, power)]), B2, n)
+    assert reading(report, RING_SPHERE).exponent == pytest.approx(power, abs=1e-3)
+    assert report.verdict == ("admissible" if admissible else "violates-a2")
+
+
+@pytest.mark.parametrize("power, verdict", [(0.3, "admissible"), (0.8, "violates-lt")])
+def test_shell_power_in_3d_needs_p_below_two_thirds(power, verdict):
+    # A2 holds for p < 1, but 1/a is in some L^t with t > 3/2 only for p < 2/3.
+    ball = DomainSpec.ball((0.0, 0.0, 0.0), 2.0)
+    report = assess(WeightSpec.power_product([((0.0, 0.0, 0.0), 1.0, power)]), ball, 33)
+    assert reading(report, "sphere [0.0, 0.0, 0.0] r=1.0").bound == pytest.approx(2 / 3)
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("n", [17, 25, 33, 49, 65, 97, 129, 257])
+def test_inner_ring_of_a_smaller_ball_is_admissible_at_every_resolution(n):
+    # ||x| - 0.5|^0.6 on the radius-1.5 ball, an A2 weight (0.6 < 2k/N = 1): one
+    # verdict at every resolution, coarse ones included.
+    report = assess(WeightSpec.power_product([((0.0, 0.0), 0.5, 0.6)]),
+                    DomainSpec.ball((0.0, 0.0), 1.5), n)
+    assert report.verdict == "admissible"
 
 
 def test_weight_field_arrays_are_read_only(square33):
@@ -347,9 +324,23 @@ class TestAdmissibilityVerdicts:
         report = assess(spec, UNIT, 65)
         assert report.verdict == "zero-set-touches-boundary"
 
+    @pytest.mark.parametrize("power", [3.0, 5.0])
+    def test_steep_declared_ring_violates_a2_not_a1(self, power):
+        # Below the zero threshold well past the band: those nodes chain to the ring.
+        spec = WeightSpec.power_product([((0.0, 0.0), 1.0, power)])
+        grid = build_grid(B2, 513)
+        zero = detect_zero_set(evaluate_weight(spec, grid), grid)
+        assert np.any(zero & (np.abs(np.linalg.norm(grid.points(), axis=-1) - 1.0)
+                              > 0.75 * grid.h))
+        for n in (65, 513):
+            report = assess(spec, B2, n)
+            assert report.verdict == "violates-a2"
+            assert reading(report, RING_SPHERE).exponent == pytest.approx(power, abs=1e-3)
+
     def test_nested_rings_admissible(self):
         spec = WeightSpec.power_product(
             [((0.0, 0.0), r, 0.6) for r in (0.5, 1.0, 1.5)], scale=0.5)
         report = assess(spec, B2, 65)
         assert report.verdict == "admissible"
-        assert report.best_t > 1.0
+        assert [r.exponent for r in report.readings[:3]] == pytest.approx([0.6] * 3, abs=1e-3)
+        assert reading(report, "boundary").exponent == pytest.approx(0.0, abs=1e-6)
