@@ -93,6 +93,9 @@ FAILING_ADMISSIBILITY = {
         "factors": [{"center": [0.0] * 3, "radius": 1.0, "power": 0.8}]}),
 }
 
+# Keys that went with the two-level (a2) estimator: a config that sets one is refused by name.
+REMOVED_TOLERANCES = ("a2_growth_tol", "lt_stable_tol", "lt_growing_tol", "t_scan")
+
 # A value other than the default for every tolerance, in field order.
 ALL_TOLERANCES = {
     "zero_threshold": 1e-5, "zero_band": 0.5, "grad_tol_scale": 1e-9,
@@ -204,24 +207,27 @@ class TestConfigParsing:
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [
         "zero_threshold", "zero_band", "grad_tol_scale", "residual_tol_scale",
-        "bounds_tol", "zero_trace_tol", "eig_tol"])
+        "bounds_tol", "zero_trace_tol", "eig_tol", *REMOVED_TOLERANCES])
     def test_non_finite_tolerance_rejected(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            parse_config(unit_square(tolerances={name: value}))
+        tolerance = [1.0, value] if name == "t_scan" else value
+        message = repr(name) if name in REMOVED_TOLERANCES else f"{name} must be finite"
+        with pytest.raises(ConfigError, match=f"^invalid tolerances: .*{message}"):
+            parse_config(unit_square(tolerances={name: tolerance}))
 
     @pytest.mark.parametrize("name, value", [
         ("eig_max_iter", 2.5), ("eig_max_iter", 0), ("eig_max_iter", True),
         ("max_minimize_iterations", 0), ("max_minimize_iterations", 100.0),
         ("seed_min_exponent", -5), ("seed_min_exponent", 1.5),
-        ("zero_threshold", 1.0), ("zero_threshold", 1.5)])
+        ("zero_threshold", 1.0), ("zero_threshold", 1.5), ("t_scan", [0.5])])
     def test_out_of_range_tolerance_exits_one(self, tmp_path, capsys, name, value):
         path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
                                                   tolerances={name: value}))
         assert main(["solve", "--config", str(path)]) == 1
-        assert f"error: invalid tolerances: tolerance {name} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid tolerances: ")
+        assert (repr(name) if name in REMOVED_TOLERANCES else f"tolerance {name} must be") in err
 
-    @pytest.mark.parametrize("name", ["a2_growth_tol", "lt_stable_tol", "lt_growing_tol",
-                                      "t_scan"])
+    @pytest.mark.parametrize("name", REMOVED_TOLERANCES)
     def test_removed_admissibility_tolerance_exits_one(self, tmp_path, capsys, name):
         # (a2) is decided from exponents read at the zero manifolds: these keys went with
         # the two-level estimator, and a config that still sets one is refused by name.

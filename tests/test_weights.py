@@ -10,7 +10,7 @@ from scipy import ndimage
 from conftest import cbrt_ring_weight, interior_count, lattice_operator, unit_box
 from multibump import pipeline
 from multibump.cli import main
-from multibump.errors import InvalidWeightError
+from multibump.errors import ConfigError, InvalidWeightError
 from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
 from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
@@ -101,6 +101,14 @@ class TestA2:
         assert point.exponent == pytest.approx(2.0, abs=1e-6)
         assert assess(QUADRATIC, UNIT, 129).verdict == "violates-a2"
 
+    def test_constant_weight_estimate_is_one(self):
+        # A constant is an A2 weight with constant one: every slope of log a is 0, and
+        # the report prints 0, not -0.
+        report = assess(WeightSpec.constant(2.0), UNIT, 33)
+        assert [(r.manifold, r.exponent) for r in report.readings] == [("boundary", 0.0)]
+        assert str(report.readings[0].exponent) == "0.0"
+        assert report.verdict == "admissible"
+
     @settings(max_examples=8, deadline=None)
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_scale_invariance(self, log_lam):
@@ -132,14 +140,39 @@ class TestLt:
         assert point.bound == 2.0
         assert point.exponent >= point.bound
 
+    def test_constant_weight_closed_form(self):
+        # 1/c is in every L^t: the reader gives exactly 0 for any constant c, along
+        # the lattice axes from any base node.
+        base = build_grid(UNIT, 9).points().reshape(-1, 2)[::7]
+        for axis in np.eye(2):
+            for c in (0.25, 1.0, 4.0):
+                assert read_exponent(WeightSpec.constant(c), base,
+                                     np.broadcast_to(axis, base.shape)) == 0.0
+
+    def test_lt_scales_reciprocally(self, ring65):
+        # ||1/(2a)||_t = ||1/a||_t / 2: whether it is finite, so each side's exponent,
+        # does not change with the scale.
+        grid, field, zero, _ = ring65
+        doubled = WeightSpec.radial((0.0, 0.0),
+                                    ((1.0, "cbrt(1 - r**2)"), (2.0, "sqrt((1 - r)*(r - 2))")),
+                                    zero_radii=(1.0,), scale=2.0)
+        base = grid.points()[zero]
+        radial = lambda x: np.linalg.norm(x, axis=-1) - 1.0  # noqa: E731
+        for sides in ((-1.0,), (1.0,)):
+            assert read_at_zero_set(doubled, radial, base, sides) == pytest.approx(
+                read_at_zero_set(field.spec, radial, base, sides), abs=1e-9)
+
+    def test_t_below_one_rejected(self):
+        # No exponents are scanned any more: t_scan is no tolerance, and a config
+        # that still sets one is refused by name.
+        with pytest.raises(TypeError, match="t_scan"):
+            ToleranceConfig(t_scan=(1.0, 0.5))
+        data = dict(json.loads(RING_JSON.read_text()), tolerances={"t_scan": [1.0, 0.5]})
+        with pytest.raises(ConfigError, match="^invalid tolerances: .*'t_scan'"):
+            pipeline.parse_config(data)
+
 
 class TestExponentReader:
-    def test_constant_weight_reads_zero(self):
-        # Every slope of a constant is 0, and the report prints 0, not -0.
-        report = assess(WeightSpec.constant(2.0), UNIT, 33)
-        assert [(r.manifold, r.exponent) for r in report.readings] == [("boundary", 0.0)]
-        assert str(report.readings[0].exponent) == "0.0"
-
     def test_unsigned_distance_skips_the_nodes_on_its_zero_set(self, ring65):
         # abs(r - 1) has no central-difference gradient at the nodes with r = 1.
         grid, field, zero, _ = ring65
