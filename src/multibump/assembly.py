@@ -3,8 +3,8 @@
 All operators in the package live on the 2N-point stencil.  An edge between
 lattice neighbors i, j with conductance c_e contributes
 ``c_e * (u_i - u_j)^2 * h^(N-2)`` to the quadratic energy.  A run keeps each
-conductance field as a :func:`conductance_table`, from which
-:func:`stencil_matrices` builds a component's K0 and K_w, which substitute
+conductance field as a :func:`conductance_table`, its diagonal summed once, from
+which :func:`stencil_matrices` builds a component's K0 and K_w, which substitute
 u = 0 at every other node; :func:`lattice_product` multiplies a field, pinned
 values included, by the stencil over the whole lattice, with no matrix.
 """
@@ -23,16 +23,19 @@ def _axis_slices(ndim: int, axis: int):
 
 
 def conductance_table(grid: Grid, conductances, scale: float) -> np.ndarray:
-    """Entry [k, i]: ``conductances[k] * scale`` on the edge from flat node i up axis k.
+    """Entry [k, i], k < N: ``conductances[k] * scale`` on the edge from flat node i up axis k.
 
     It is 0 past the far face, where no such edge is, and on the edges with
-    no interior endpoint, which no operator holds.
+    no interior endpoint, which no operator holds.  Row N is the stencil's
+    diagonal: for k = 0 ... N-1, node i's edge up axis k, then its edge down.
     """
-    table, interior = np.zeros((grid.ndim,) + grid.shape), grid.interior_mask
+    table, interior = np.zeros((grid.ndim + 1,) + grid.shape), grid.interior_mask
     for axis, conductance in enumerate(conductances):
         lo, hi = _axis_slices(grid.ndim, axis)
         table[axis][lo] = np.where(interior[lo] | interior[hi], conductance * scale, 0.0)
-    return table.reshape(grid.ndim, -1)
+        table[-1] += table[axis]
+        table[-1][hi] += table[axis][lo]
+    return table.reshape(grid.ndim + 1, -1)
 
 
 def edge_conductances(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -61,8 +64,8 @@ def dirichlet_conductances(grid: Grid) -> np.ndarray:
 def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list:
     """The CSR stencil matrix of each :func:`conductance_table` over ``nodes``, on one pattern.
 
-    Row and column k belong to ``nodes[k]``; an edge to a node off the list
-    adds to the diagonal only.  Entries 0 in every table are left out.  The
+    Row and column k belong to ``nodes[k]``; an edge to a node off the list is
+    in the table's diagonal only.  Entries 0 in every table are left out.  The
     matrices share one int32 ``indptr`` and ``indices``, ascending in each
     row when ``nodes`` ascend.
     """
@@ -71,15 +74,14 @@ def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list:
     local[nodes] = np.arange(nodes.size, dtype=np.int32)
     # A row's slots, in column order: -axis 0, ..., -axis N-1, itself, +axis N-1, ..., +axis 0.
     values = np.zeros((len(tables), nodes.size, 2 * ndim + 1))
+    values[:, :, ndim] = [table[-1][nodes] for table in tables]
     columns = np.tile(local[nodes][:, None], 2 * ndim + 1)
     for axis, stride in enumerate(grid.n ** np.arange(ndim - 1, -1, -1)):
         # Past a face every table is 0: at a far-face node, and where a near one's index wraps.
         ahead, behind = (np.mod(nodes + step, local.size) for step in (stride, -stride))
         columns[:, axis], columns[:, 2 * ndim - axis] = local[behind], local[ahead]
         for band, table in zip(values, tables):
-            forward, backward = table[axis][nodes], table[axis][behind]
-            band[:, ndim] = band[:, ndim] + forward + backward
-            band[:, axis], band[:, 2 * ndim - axis] = -backward, -forward
+            band[:, axis], band[:, 2 * ndim - axis] = -table[axis][behind], -table[axis][nodes]
     present = (values != 0.0).any(axis=0) & (columns >= 0)
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
     indices = columns[present]
@@ -89,18 +91,16 @@ def stencil_matrices(grid: Grid, nodes: np.ndarray, *tables) -> list:
 
 def lattice_product(grid: Grid, table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``table``'s stencil over the lattice times ``values``, by slices: each row sums its
-    terms in :func:`stencil_matrices`' slot order, so a row with no edge of conductance 0
-    equals the CSR product bit for bit, up to the sign of a zero."""
-    u, edges = np.reshape(values, grid.shape), np.reshape(table, (grid.ndim,) + grid.shape)
-    product, diagonal = np.zeros(grid.shape), np.zeros(grid.shape)
-    axes = [_axis_slices(grid.ndim, axis) for axis in range(grid.ndim)]
+    terms in :func:`stencil_matrices`' slot order, the diagonal the table's last row, so a
+    row with no edge of conductance 0 equals the CSR product bit for bit, up to zero signs."""
+    u, rows = np.reshape(values, grid.shape), np.reshape(table, (grid.ndim + 1,) + grid.shape)
+    product = np.zeros(grid.shape)
+    edges = list(zip(rows, (_axis_slices(grid.ndim, axis) for axis in range(grid.ndim))))
     with np.errstate(invalid="ignore", over="ignore"):  # silent as CSR: 0 conductance * inf
-        for edge, (lo, hi) in zip(edges, axes):
+        for edge, (lo, hi) in edges:
             product[hi] -= edge[lo] * u[lo]
-            diagonal += edge
-            diagonal[hi] += edge[lo]
-        product += diagonal * u
-        for edge, (lo, hi) in zip(edges[::-1], axes[::-1]):
+        product += rows[-1] * u
+        for edge, (lo, hi) in edges[::-1]:
             product[lo] -= edge[lo] * u[hi]
     return product
 

@@ -64,7 +64,7 @@ class WeightSpec:
       profile ``abs(r - rho)**power`` per factor, its rings the spheres.
     * Expression form (``custom-expression``): ``scale * expr`` in the
       coordinates, with an optional ``zero_expr`` giving the distance to the
-      interior zero set (enables band detection and its exponent reading;
+      interior zero set, signed or not (enables band detection and its exponent reading;
       without it, near-exact nodal zeros are an undeclared zero set).
 
     ``reference`` is a human-readable closed-form description.
@@ -150,10 +150,10 @@ class WeightSpec:
         return out
 
     def zero_distance(self, points: np.ndarray) -> np.ndarray | None:
-        """Distance to the declared interior zero set, or None if none is declared."""
+        """Unsigned distance to the declared interior zero set, or None if none is declared."""
         if self.expr is not None:
             return None if self.zero_expr is None \
-                else evaluate_expression(self.zero_expr, points)
+                else np.abs(evaluate_expression(self.zero_expr, points))
         dists = [np.abs(np.linalg.norm(points - np.asarray(c), axis=-1) - rho)
                  for c, rho in self.spheres]
         return np.min(dists, axis=0) if dists else None
@@ -192,7 +192,7 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     active = grid.interior_mask | grid.boundary_mask
     values = np.zeros(grid.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected just below
-        sampled = spec.evaluate(grid.points()[active])
+        sampled = spec.evaluate(_node_points(grid, active))
     if not np.all(np.isfinite(sampled)):
         raise InvalidWeightError(f"weight {spec.reference} evaluates to non-finite values")
     floor = -1e-12 * max(abs(spec.scale), 1.0)
@@ -217,9 +217,9 @@ def detect_zero_set(field: WeightField, grid: Grid,
     components decouple exactly in the discrete operator.
     """
     mask = grid.interior_mask & (field.values < tol.zero_threshold * field.a_max)
-    zd = field.spec.zero_distance(grid.points())
+    zd = field.spec.zero_distance(_node_points(grid, grid.interior_mask))
     if zd is not None:
-        mask |= grid.interior_mask & (zd <= tol.zero_band * grid.h)
+        mask[grid.interior_mask] |= zd <= tol.zero_band * grid.h
     mask.setflags(write=False)
     return mask
 

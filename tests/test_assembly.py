@@ -40,11 +40,21 @@ def assert_each_component_matches_the_reference(grid, field, components,
     """Each component's K0 ("laplacian") and K_w ("weighted"), as ``kinds`` name
     them, equal the references' restrictions; the two share one pattern.
 
-    That pattern holds the entries nonzero in either reference.
+    That pattern holds the entries nonzero in either reference.  At each interior node
+    the table's last row holds, bit for bit, the sum of the reference's couplings: up
+    then down axis 0, then axis 1, ...
     """
     references = (laplacian_reference_operator(grid).toarray(),
                   weighted_reference_operator(field, grid).toarray())
     tables = dirichlet_conductances(grid), edge_conductances(grid, field.values)
+    node, interior = np.arange(grid.interior_mask.size).reshape(grid.shape), grid.interior_mask
+    for kind, reference, table in zip(("laplacian", "weighted"), references, tables):
+        if kind in kinds:
+            diagonal = np.zeros(grid.shape)
+            for axis in range(grid.ndim):
+                for step in (1, -1):  # up, then down; where the roll wraps, no edge adds 0
+                    diagonal -= reference[node, np.roll(node, -step, axis)]
+            assert diagonal[interior].tobytes() == table[-1].reshape(grid.shape)[interior].tobytes()
     for comp in components:
         K0, K_w = stencil_matrices(grid, comp.nodes, *tables)
         expected = [reference[np.ix_(comp.nodes, comp.nodes)] for reference in references]

@@ -70,7 +70,12 @@ class TestEvaluation:
         v = field.values
         expected = 0.5 * (v[:-1, 1:-1] + v[1:, 1:-1])
         # Every axis-0 edge off the side columns has an interior endpoint; h^(N-2) is 1.
-        assert np.allclose(field.conductances.reshape((2,) + v.shape)[0, :-1, 1:-1], expected)
+        edges = field.conductances[:-1].reshape((2,) + v.shape)
+        assert np.allclose(edges[0, :-1, 1:-1], expected)
+        # Row N sums each node's edges, up then down axis 0, then axis 1; past a face it adds 0.
+        down = [np.roll(edge, 1, axis) for axis, edge in enumerate(edges)]
+        assert np.array_equal(field.conductances[-1].reshape(v.shape),
+                              edges[0] + down[0] + edges[1] + down[1])
         node = np.arange(v.size).reshape(v.shape)
         coupling = -lattice_operator(grid, field.conductances)[node[:-1, 1:-1].ravel(),
                                                                node[1:, 1:-1].ravel()]
@@ -276,6 +281,24 @@ class TestZeroSet:
                  for data in (stored, dict(stored, weight=weight))]
         assert np.count_nonzero(masks[0]) > 0
         assert np.array_equal(masks[0], masks[1])
+
+    @pytest.mark.parametrize("n, zero_count", [(33, 72), (65, 144)])
+    @pytest.mark.parametrize("zero_expr", ["sqrt(x**2 + y**2) - 1", "1 - sqrt(x**2 + y**2)"])
+    def test_signed_zero_expr_marks_the_band_of_its_absolute_value(self, zero_expr, n,
+                                                                    zero_count):
+        # Read as written, the first marked the whole disk and lost it as a component,
+        # and the second marked the annulus out to the Dirichlet ring (a1).
+        weight = {"kind": "custom-expression", "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5"}
+        stored = dict(json.loads(RING_JSON.read_text()), resolution=n)
+        configs = [pipeline.parse_config(dict(stored, weight=dict(weight, zero_expr=z)))
+                   for z in (zero_expr, f"abs({zero_expr})")]
+        masks = [pipeline._setup(config)[2] for config in configs]
+        assert np.array_equal(masks[0], masks[1])
+        report = pipeline.check_hypotheses(configs[0])
+        # Two components, and gamma 10 fails (f2) on the annulus: exit 2.
+        assert (report.status, report.chi, report.admissibility.zero_count) == \
+            ("hypothesis-violation", 2, zero_count)
+        assert [entry.component_id for entry in report.f2_entries] == [(1, 1), (2, 1)]
 
     def test_ring_between_samples_splits_the_disk_like_its_declared_radius(self):
         pieces = [{"r_max": 0.7, "expr": "cbrt(0.7 - r)"},
