@@ -77,8 +77,10 @@ class NonlinearitySpec:
                    beta_star=real(beta_star, "beta_star"), expr=expr)
 
     def f(self, s):
+        """f at ``s``, in the shape of ``s`` (a constant formula is broadcast, read-only)."""
         f = compile_expression(self.expr, ("s",))
-        return np.asarray(f(np.asarray(s, dtype=float)), dtype=float)
+        return np.broadcast_to(np.asarray(f(np.asarray(s, dtype=float)), dtype=float),
+                               np.shape(s))
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
     points = np.concatenate(parts)
     # NaN fails every comparison, so the checks below need finite samples.
     with np.errstate(all="ignore"):
-        values = np.broadcast_to(spec.f(points), points.shape)  # a constant f is 0-d
+        values = spec.f(points)
     f_lower, (f_zero, f_delta), f_inner, (f_top,), f, mids = np.split(
         values, np.cumsum([len(p) for p in parts[:-1]]))
     if not np.all(np.isfinite(values[:2 * samples + 3])):

@@ -1,58 +1,71 @@
 """Restricted evaluation of closed-form expressions from config files.
 
-Domains, weights and nonlinearities may be given as expression strings
-(e.g. ``"cbrt(1 - r**2)"``).  They are evaluated against numpy arrays in a
-namespace that exposes only elementary math, so a configuration file cannot
-reach arbitrary Python.
+Domains, weights and nonlinearities are expression strings (e.g.
+``"cbrt(1 - r**2)"``).  The syntax tree of each may hold only number
+constants, unary, binary and comparison operators, names that are variables
+or allowed names, and calls of an allowed function; every other node is
+refused by its type, the same on every Python, so a configuration file
+cannot reach arbitrary Python.
 """
 
 from __future__ import annotations
 
+import ast
 from functools import lru_cache
 
 import numpy as np
 
-_SAFE_FUNCTIONS = {
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "cbrt": np.cbrt,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "arctan": np.arctan,
-    "hypot": np.hypot,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "where": np.where,
-    "clip": np.clip,
-    "sign": np.sign,
-    "pi": np.pi,
-    "e": np.e,
-}
+# The allowed names: elementary functions of numpy, and pi and e.
+_SAFE_FUNCTIONS = {name: getattr(np, name) for name in (
+    "abs", "sqrt", "cbrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+    "arctan", "hypot", "minimum", "maximum", "where", "clip", "sign", "pi", "e")}
+
+
+# The nodes a formula may hold besides names, calls, constants, comparisons and unary
+# operators, which are checked by value, and the comparisons it may make.
+_NODES = (ast.Expression, ast.BinOp, ast.keyword, ast.Load, ast.unaryop, ast.operator, ast.cmpop)
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def parse_expression(expr: str) -> ast.Expression:
+    try:
+        return ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
+
+
+def distance_formula(center) -> str:
+    """|x - center| as a formula in the coordinates, each number as its ``repr``."""
+    return "sqrt({})".format(" + ".join(
+        f"({x} - {c!r})**2" for x, c in zip(point_variables(len(center)), center)))
 
 
 @lru_cache(maxsize=256)
 def compile_expression(expr: str, variables: tuple[str, ...]):
     """Compile ``expr`` into a vectorized callable of the named variables.
 
-    Raises ``ValueError`` for bad syntax, a lambda or comprehension, or a name
-    that is neither a variable nor an allowed function, at compile time rather
-    than at first evaluation.  Each expression is compiled once per process.
+    Raises ``ValueError`` for bad syntax or a node the rule above refuses, at
+    compile time rather than at first evaluation.  Each expression is
+    compiled once per process.
     """
-    try:
-        code = compile(expr, "<expression>", "eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
-    for name in code.co_names:
-        if name not in _SAFE_FUNCTIONS and name not in variables:
-            raise ValueError(f"name {name!r} is not allowed in expression {expr!r}")
-    if any(isinstance(c, type(code)) for c in code.co_consts):  # its names are not in co_names
-        raise ValueError(f"lambdas and comprehensions are not allowed in expression {expr!r}")
+    tree = parse_expression(expr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refused = node.id not in _SAFE_FUNCTIONS and node.id not in variables
+        elif isinstance(node, ast.Call):  # of an allowed function, named
+            refused = not callable(_SAFE_FUNCTIONS.get(getattr(node.func, "id", None)))
+        elif isinstance(node, ast.Constant):
+            refused = type(node.value) not in (int, float)
+        elif isinstance(node, ast.Compare):  # ``in``, ``is`` and a chain test an array's truth
+            refused = len(node.ops) > 1 or not isinstance(node.ops[0], _COMPARISONS)
+        elif isinstance(node, ast.UnaryOp):  # and so does ``not``
+            refused = isinstance(node.op, ast.Not)
+        else:  # a keyword argument is named: ``**`` has none
+            refused = not isinstance(node, _NODES) or getattr(node, "arg", "") is None
+        if refused:
+            raise ValueError(f"{type(node).__name__} {ast.unparse(node)!r} "
+                             f"is not allowed in expression {expr!r}")
+    code = compile(tree, "<expression>", "eval")
 
     def evaluator(*args):
         if len(args) != len(variables):
@@ -66,9 +79,11 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
 
 
 def evaluate_expression(expr: str, points: np.ndarray) -> np.ndarray:
-    """``expr`` at points of shape (..., N), in the variables of R^N."""
+    """``expr`` at points of shape (..., N), in the variables of R^N, as an array
+    of shape (...); a constant formula is broadcast to it (read-only)."""
     evaluator = compile_expression(expr, point_variables(points.shape[-1]))
-    return np.asarray(evaluator(*np.moveaxis(points, -1, 0)), dtype=float)
+    return np.broadcast_to(np.asarray(evaluator(*np.moveaxis(points, -1, 0)), dtype=float),
+                           points.shape[:-1])
 
 
 def point_variables(ndim: int) -> tuple[str, ...]:

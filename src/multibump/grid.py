@@ -29,7 +29,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import ConfigError, ResolutionTooCoarseError
-from .expressions import compile_expression, evaluate_expression, point_variables
+from .expressions import (compile_expression, distance_formula, evaluate_expression,
+                          point_variables)
 from .tolerances import real
 
 @dataclass(frozen=True)
@@ -81,10 +82,8 @@ class DomainSpec:
         r = real(radius, "radius")
         lo = tuple(c - r for c in center)
         hi = tuple(c + r for c in center)
-        squares = " + ".join(f"({x} - {c!r})**2"
-                             for x, c in zip(point_variables(len(center)), center))
         return cls(kind="ball", dimension=len(center), lo=lo, hi=hi,
-                   expression=f"sqrt({squares}) - {r!r}")
+                   expression=f"{distance_formula(center)} - {r!r}")
 
     @classmethod
     def implicit(cls, expression: str, lo, hi) -> "DomainSpec":

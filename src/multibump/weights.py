@@ -1,5 +1,7 @@
 """Weight coefficient evaluation and admissibility diagnostics.
 
+Every weight kind is one formula in the coordinates (:class:`WeightSpec`) on
+the evaluator that domains and f share (:mod:`~multibump.expressions`).
 The diffusion coefficient a >= 0 is admissible when (a1) its zero set is a
 union of closed manifolds strictly inside the domain and (a2) a is a
 Muckenhoupt A2 weight with 1/a integrable to some power t > N/2.  Near a
@@ -12,6 +14,7 @@ inside the domain boundary (:func:`read_exponent`).
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -20,7 +23,8 @@ import numpy as np
 
 from .assembly import edge_conductances
 from .errors import InvalidWeightError
-from .expressions import compile_expression, evaluate_expression, point_variables
+from .expressions import (compile_expression, distance_formula, evaluate_expression,
+                          parse_expression, point_variables)
 from .grid import Grid, dilate
 from .tolerances import ToleranceConfig, real
 
@@ -31,56 +35,35 @@ PowerFactor = NamedTuple("PowerFactor", [("center", tuple), ("radius", float),
                                          ("power", float)])
 
 
-def _radial_profile(pieces):
-    """p(r) of pieces ``(r_hi, expr)`` covering [0, r_1], (r_1, r_2], ...
-
-    r is clamped to the last ``r_hi`` so evaluation stays defined on the
-    boundary ring.  ``ValueError`` if a piece does not compile.
-    """
-    evaluators = [(r_hi, compile_expression(expr, ("r",))) for r_hi, expr in pieces]
-
-    def profile(r):
-        r = np.minimum(np.asarray(r, dtype=float), pieces[-1][0])
-        out = np.empty_like(r)
-        r_lo = -np.inf
-        for r_hi, ev in evaluators:
-            sel = (r > r_lo) & (r <= r_hi)
-            out[sel] = ev(r[sel])
-            r_lo = r_hi
-        return out
-
-    return profile
-
-
 @dataclass(frozen=True)
 class WeightSpec:
-    """Closed-form description of the weight coefficient, in one of two forms.
+    """Closed-form description of the weight coefficient: one formula ``expr``
+    in the coordinates, ``scale`` folded in, every number as its ``repr``.
 
-    * Profile form (``expr`` None): ``scale * prod_k p_k(|x - c_k|)`` over
-      ``profiles`` ``(c_k, pieces_k)`` (see :func:`_radial_profile`), with
-      declared zero manifolds ``spheres`` ``(center, radius)``; radius 0 is
-      a point zero.  ``constant`` is the empty product; ``radial-piecewise``
-      one profile, its spheres at ``zero_radii``; ``product-of-powers`` one
-      profile ``abs(r - rho)**power`` per factor, its rings the spheres.
-    * Expression form (``custom-expression``): ``scale * expr`` in the
-      coordinates, with an optional ``zero_expr`` giving the distance to the
-      interior zero set, signed or not (enables band detection and its exponent reading;
-      without it, near-exact nodal zeros are an undeclared zero set).
+    * ``constant``: the value;
+    * ``radial-piecewise``: ``scale * where(r <= r_1, p_1, where(...))``, r
+      replaced in each piece by ``minimum(sqrt((x - c_1)**2 + ...), r_last)``;
+    * ``product-of-powers``: ``scale * (abs(sqrt(...) - rho_1)**power_1) * ...``;
+    * ``custom-expression``: ``scale * (expr)``.
 
-    ``reference`` is a human-readable closed-form description.
+    ``centers`` are the centres it measures from.  Its declared zero
+    manifolds are the ``spheres`` ``(center, radius)``, radius 0 a point
+    zero, or else ``zero_expr``: the distance to the interior zero set,
+    signed or not (without it, near-exact nodal zeros are an undeclared zero
+    set).  ``reference`` is a human-readable closed-form description.
     """
 
+    expr: str
     scale: float = 1.0
-    profiles: tuple[tuple[tuple[float, ...], tuple[tuple[float, str], ...]], ...] = ()
+    centers: tuple[tuple[float, ...], ...] = ()
     spheres: tuple[tuple[tuple[float, ...], float], ...] = ()
-    expr: str | None = None
     zero_expr: str | None = None
     reference: str = ""
 
     @classmethod
     def constant(cls, value: float) -> "WeightSpec":
         value = real(value, "value")
-        return cls(scale=value, reference=f"a(x) = {value}")
+        return cls(expr=repr(value), scale=value, reference=f"a(x) = {value}")
 
     @classmethod
     def radial(cls, center, pieces, zero_radii, scale: float = 1.0) -> "WeightSpec":
@@ -97,8 +80,18 @@ class WeightSpec:
             raise ValueError("r_max must increase from piece to piece")
         if any(r < 0 for r in zero_radii):
             raise ValueError("every zero_radii entry must be nonnegative")
-        _radial_profile(pieces)  # compiles every piece
-        return cls(profiles=((center, pieces),), scale=scale,
+        for _, e in pieces:
+            compile_expression(e, ("r",))
+        # r is clamped to the last r_max so the formula stays defined on the boundary ring.
+        r, formula = f"minimum({distance_formula(center)}, {pieces[-1][0]!r})", None
+        for r_max, e in reversed(pieces):
+            tree = parse_expression(e)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and node.id == "r":
+                    node.id = r  # a call binds as tightly as a name: unparse adds no parentheses
+            formula = ast.unparse(tree) if formula is None \
+                else f"where({r} <= {r_max!r}, {ast.unparse(tree)}, {formula})"
+        return cls(expr=f"{scale!r} * ({formula})", scale=scale, centers=(center,),
                    spheres=tuple((center, r) for r in zero_radii),
                    reference=f"a(r) = {scale} * ({ref})")
 
@@ -113,25 +106,26 @@ class WeightSpec:
             raise ValueError("factors must not be empty")
         if any(rho < 0 for _, rho, _ in factors):
             raise ValueError("every factor radius must be nonnegative")
-        return cls(profiles=tuple((c, ((np.inf, f"abs(r - {rho!r})**{alpha!r}"),))
-                                  for c, rho, alpha in factors),
-                   spheres=tuple((c, rho) for c, rho, _ in factors), scale=scale,
+        formula = "".join(f" * (abs({distance_formula(c)} - {rho!r})**{alpha!r})"
+                          for c, rho, alpha in factors)
+        return cls(expr=f"{scale!r}{formula}", scale=scale,
+                   centers=tuple(c for c, _, _ in factors),
+                   spheres=tuple((c, rho) for c, rho, _ in factors),
                    reference=f"a(x) = {scale} * {ref}")
 
     @classmethod
     def expression(cls, expr: str, zero_expr: str | None = None,
                    scale: float = 1.0) -> "WeightSpec":
         expr, scale = str(expr), real(scale, "scale")
-        return cls(expr=expr, zero_expr=zero_expr,
+        parse_expression(expr)  # on its own, so that wrapping it cannot make it parse
+        # The newline ends a trailing comment before the closing parenthesis.
+        return cls(expr=f"{scale!r} * ({expr}\n)", zero_expr=zero_expr,
                    scale=scale, reference=f"a(x) = {scale} * ({expr})")
 
     def compile(self, ndim: int) -> None:
-        """Check the spec for points in R^ndim; ``ValueError`` on a bad part.
-
-        Every centre needs ``ndim`` coordinates, and every coordinate
-        expression must compile (the constructors compile the profiles).
-        """
-        for center, _ in self.profiles:
+        """Check the spec for points in R^ndim: every centre has ``ndim`` coordinates,
+        and the formula and ``zero_expr`` compile; ``ValueError`` on a bad part."""
+        for center in self.centers:
             if len(center) != ndim:
                 raise ValueError(f"centre {list(center)} has {len(center)} coordinates; "
                                  f"the domain has {ndim}")
@@ -141,19 +135,13 @@ class WeightSpec:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the weight at points of shape (..., N)."""
-        if self.expr is not None:
-            return self.scale * evaluate_expression(self.expr, points)
-        out = np.full(points.shape[:-1], self.scale)
-        for center, pieces in self.profiles:
-            r = np.linalg.norm(points - np.asarray(center), axis=-1)
-            out = out * _radial_profile(pieces)(r)
-        return out
+        with np.errstate(all="ignore"):  # a piece is also computed off its own interval
+            return evaluate_expression(self.expr, points)
 
     def zero_distance(self, points: np.ndarray) -> np.ndarray | None:
         """Unsigned distance to the declared interior zero set, or None if none is declared."""
-        if self.expr is not None:
-            return None if self.zero_expr is None \
-                else np.abs(evaluate_expression(self.zero_expr, points))
+        if self.zero_expr is not None:
+            return np.abs(evaluate_expression(self.zero_expr, points))
         dists = [np.abs(np.linalg.norm(points - np.asarray(c), axis=-1) - rho)
                  for c, rho in self.spheres]
         return np.min(dists, axis=0) if dists else None
@@ -191,8 +179,7 @@ def evaluate_weight(spec: WeightSpec, grid: Grid) -> WeightField:
     """
     active = grid.interior_mask | grid.boundary_mask
     values = np.zeros(grid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rejected just below
-        sampled = spec.evaluate(_node_points(grid, active))
+    sampled = spec.evaluate(_node_points(grid, active))
     if not np.all(np.isfinite(sampled)):
         raise InvalidWeightError(f"weight {spec.reference} evaluates to non-finite values")
     floor = -1e-12 * max(abs(spec.scale), 1.0)

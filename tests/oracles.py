@@ -5,7 +5,8 @@ operator is assembled one stencil edge at a time, the eigenvalue oracles
 are a dense symmetric eigensolve of it and shift-invert Lanczos (a sparse LU
 solve per step), the bump oracle solves the semilinear problem by damped fixed-point iteration with direct sparse factorizations,
 the primitive of the logistic default is its closed form, box and ball
-domains are their closed-form distances in numpy, and the reference
+domains are their closed-form distances in numpy, a radial or product weight is its
+product of radial profiles, each piece evaluated on its own interval, and the reference
 writers format every lattice node one at a time.  The cut fractions have two references: every
 crossing bisected alone, and one vectorized bisection per axis.  The remaining helpers are
 checks only the tests need: the Cauchy-Schwarz gradient-mass bound, the
@@ -137,6 +138,26 @@ def ball_phi(center, radius: float):
     """Euclidean distance to the sphere about ``center``, negative inside."""
     center = np.asarray(center, float)
     return lambda points: np.linalg.norm(points - center, axis=-1) - radius
+
+
+def radial_profile_product(scale: float, profiles, points: np.ndarray) -> np.ndarray:
+    """``scale * prod_k p_k(|x - c_k|)`` at ``points`` (..., N), the closed form of a
+    radial or product weight, evaluated piece by piece on its own interval.
+
+    ``profiles`` holds ``(c_k, pieces_k)``; the pieces ``(r_max, p)`` cover
+    [0, r_1], (r_1, r_2], ... with ``p`` a numpy function of r, and r is
+    clamped to the last ``r_max``.  ``|x - c|`` is ``np.linalg.norm``.
+    """
+    out = np.full(points.shape[:-1], scale)
+    for center, pieces in profiles:
+        r = np.minimum(np.linalg.norm(points - np.asarray(center), axis=-1), pieces[-1][0])
+        profile, r_lo = np.empty_like(r), -np.inf
+        for r_hi, p in pieces:
+            inside = (r > r_lo) & (r <= r_hi)
+            profile[inside] = p(r[inside])
+            r_lo = r_hi
+        out = out * profile
+    return out
 
 
 def dense_lambda1(component: Component, grid: Grid) -> float:

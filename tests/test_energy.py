@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from conftest import component_operators, nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
 
 from multibump import energy as energy_module
-from multibump import spectral
+from multibump import pipeline, spectral
 from multibump.energy import (NonlinearitySpec, TruncatedNonlinearity, assemble_energy,
                               minimize_energy, truncate_nonlinearity)
 from multibump.errors import HypothesisViolationError, NumericalFailureError
 from multibump.grid import build_grid
-from multibump.pipeline import parse_config
+from multibump.pipeline import parse_config, run_pipeline
 from multibump.spectral import dirichlet_lambda1, factorize, jacobi, pcg
 from multibump.tolerances import ToleranceConfig
 from multibump.topology import decompose_components
@@ -353,6 +355,36 @@ def nested_rings_problems(n):
     return [(assemble_energy(comp, K_w, trunc, grid), dirichlet_lambda1(comp, grid, K0))
             for comp in decompose_components(grid, zero).components
             for K0, K_w in [component_operators(grid, comp, field)]]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("single_square", {}), ("nested_rings", {"resolution": 129}), ("ring", {}),
+    ("single_square", {"resolution": 33, "nonlinearity": {
+        "kind": "custom", "expr": "30*abs(sin(s))*(1 - s)", "gamma": GAMMA,
+        "s_star": S_STAR, "beta_star": BETA}}),
+], ids=["square-65", "nested-rings-129", "ring-129", "square-33-custom-f"])
+def test_reported_energy_is_the_tested_functional(monkeypatch, name, changes):
+    """minimize_energy builds J by increments and g inline; the report prints that J.
+
+    Every bump's J must be DiscreteEnergy.value and its max|g| DiscreteEnergy.gradient's,
+    the functional whose gradient the other tests check against finite differences.
+    """
+    solved = []
+
+    def recorded(energy, *args):
+        solved.append((energy, minimize_energy(energy, *args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(pipeline, "minimize_energy", recorded)
+    data = json.loads((CONFIGS / f"{name}.json").read_text())
+    report = run_pipeline(parse_config({**data, **changes}), write=False)
+    assert report.status == "ok" and len(solved) == report.chi >= 1
+    for energy, bump in solved:
+        assert bump.energy == pytest.approx(energy.value(bump.values), rel=1e-12, abs=0.0)
+        assert np.max(np.abs(energy.gradient(bump.values))) == bump.grad_norm
 
 
 class TestNonlinearityWork:

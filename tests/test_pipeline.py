@@ -260,11 +260,41 @@ class TestConfigParsing:
     ], ids=["weight-lambda", "weight-comprehension", "domain-lambda",
             "domain-comprehension", "nonlinearity-lambda", "nonlinearity-comprehension"])
     def test_nested_scopes_are_refused(self, changes):
-        # Their names are not the expression's own, so the allow-list never sees them.
-        # (From Python 3.12 a list comprehension is inlined: its `real` is refused by name.)
+        # Refused by node type, on every Python, before any name inside them is read.
         [(section, _)] = changes.items()
         with pytest.raises(ConfigError, match=rf"^invalid {section}: .* not allowed in expr"):
             parse_config(unit_square(**changes))
+
+    @pytest.mark.parametrize("section", ["domain", "weight", "nonlinearity"])
+    @pytest.mark.parametrize("formula, node", [
+        ("x.real", "Attribute"), ("x[0]", "Subscript"), ("where(x > 0, lambda: 1, 0)", "Lambda"),
+        ("[c for c in x]", "ListComp"), ("{c for c in x}", "SetComp"),
+        ("{c: c for c in x}", "DictComp"), ("abs(c for c in x)", "GeneratorExp"),
+        ("abs('x')", "Constant"), ("hypot(*x)", "Starred"), ("(y := x) + y", "NamedExpr"),
+        ("x if x > 0 else 0", "IfExp"), ("x > 0 and x < 1", "BoolOp"),
+        ("x < 0 or x > 1", "BoolOp"), ("x(1)", "Call"), ("pi(1)", "Call"),
+        ("1 + (not x)", "UnaryOp"), ("x in x", "Compare"),
+        ("where(0 < x < 1, 1, 2)", "Compare"),
+    ], ids=["attribute", "subscript", "lambda", "list-comprehension", "set-comprehension",
+            "dict-comprehension", "generator", "string", "starred", "walrus", "if-else",
+            "and", "or", "call-of-a-variable", "call-of-pi", "not", "in",
+            "chained-comparison"])
+    def test_syntax_rule_refuses_each_other_node(self, tmp_path, capsys, section, formula,
+                                                 node):
+        # The message names the node and holds the formula as written in the file.
+        text = formula if section != "nonlinearity" else formula.replace("x", "s")
+        changes = {"domain": {"domain": dict(tiny_disk(), expression=text)},
+                   "weight": {"weight": {"kind": "custom-expression", "expr": text}},
+                   "nonlinearity": {"nonlinearity": {"kind": "custom", "expr": text,
+                                                     "gamma": 30.0, "s_star": 1.0,
+                                                     "beta_star": 0.5}}}[section]
+        path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"), **changes))
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: invalid {section}: {node} .* is not allowed in "
+                            rf"expression .*\n", err)
+        assert text in err
+        assert not (tmp_path / "out").exists()
 
     def test_warning_inside_an_expression_is_attributed_to_multibump(self):
         # So the filter error::RuntimeWarning:multibump fails a run that raises one.
@@ -1211,6 +1241,25 @@ class TestStageFailures:
         report = json.loads((out / "report.json").read_text())
         assert "zero_count" not in report and report["admissibility"]["zero_count"] == 225
         assert report["chi"] is None
+
+    @pytest.mark.parametrize("data, hypothesis, line", [
+        (unit_square(weight={"kind": "custom-expression", "expr": "2"}), "f2",
+         "component (1,1): nodes=225"),
+        (dict(ring_config(), weight={"kind": "custom-expression",
+                                     "expr": "abs(sqrt(x**2 + y**2) - 1)**0.5",
+                                     "zero_expr": "0.01"}),
+         "a1", "verdict: zero-set-touches-boundary"),
+    ], ids=["constant-weight", "constant-zero-expr"])
+    def test_constant_formula_is_read_at_every_point(self, tmp_path, capsys, data,
+                                                     hypothesis, line):
+        # A constant formula evaluates to one number, broadcast to the points it is read at:
+        # the exponent reader and the zero_expr band get one value per point, not a scalar.
+        path = write_config(tmp_path, dict(data, output_dir=str(tmp_path / "out")))
+        assert main(["check", "--config", str(path), "--resolution", "17"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert f"violated-hypothesis: ({hypothesis})" in lines and line in lines
+        assert captured.err == ""
 
     def test_eigensolver_failure_writes_report(self, tmp_path):
         out = tmp_path / "out"

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import cbrt_ring_weight, interior_count, lattice_operator, unit_box
+from oracles import radial_profile_product
 from multibump import pipeline
 from multibump.cli import main
 from multibump.errors import ConfigError, InvalidWeightError
 from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
-from multibump.weights import (WeightSpec, assess_admissibility, detect_zero_set,
-                               evaluate_weight, read_at_zero_set, read_exponent)
+from multibump.weights import (READ_DISTANCES, WeightSpec, assess_admissibility,
+                               detect_zero_set, evaluate_weight, read_at_zero_set,
+                               read_exponent)
 
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
 UNIT = unit_box(2)
@@ -54,6 +56,15 @@ class TestEvaluation:
         assert np.all(field.values[active] == 3.25)
         assert field.a_max == 3.25
 
+    def test_expression_weight_is_scale_times_its_text_alone(self):
+        # Wrapped in scale * (...), a trailing comment stays a comment, and a text that
+        # parses only inside the parentheses stays refused.
+        points = np.array([[0.25, 0.5], [1.0, 2.0]])
+        spec = WeightSpec.expression("1 + x  # tilted", scale=2.0)
+        assert np.array_equal(spec.evaluate(points), 2.0 * (1 + points[:, 0]))
+        with pytest.raises(ValueError, match=r"^cannot parse expression 'x\) \+ \(y'"):
+            WeightSpec.expression("x) + (y")
+
     def test_negative_weight_rejected(self):
         grid = build_grid(UNIT, 17)
         with pytest.raises(InvalidWeightError):
@@ -88,6 +99,48 @@ def reading(report, manifold):
 
 
 RING_SPHERE = "sphere [0.0, 0.0] r=1.0"
+
+# Pieces of a generated radial weight: the formula in r, and the same piece in numpy.
+PIECES = [("abs(r - {a!r})**{b!r}", lambda a, b: lambda r: np.abs(r - a) ** b),
+          ("cbrt({a!r} - r**2) * {b!r}", lambda a, b: lambda r: np.cbrt(a - r ** 2) * b)]
+
+
+@st.composite
+def profile_weights(draw):
+    """A radial or product weight in 2-4D: its spec, scale, oracle profiles and rings."""
+    ndim, scale = draw(st.integers(2, 4)), draw(st.floats(0.01, 100.0))
+    points = st.tuples(*[st.floats(-1.0, 1.0)] * ndim)
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.tuples(points, st.floats(0.0, 1.5), st.floats(0.1, 3.0)),
+                                min_size=1, max_size=3))
+        profiles = [(c, [(np.inf, PIECES[0][1](rho, power))]) for c, rho, power in factors]
+        return (WeightSpec.power_product(factors, scale), scale, profiles,
+                [(c, rho) for c, rho, _ in factors])
+    center, pieces = draw(points), []
+    for r_max in np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))):
+        (text, piece), a, b = (draw(st.sampled_from(PIECES)), draw(st.floats(0.05, 1.0)),
+                               draw(st.floats(0.1, 3.0)))
+        pieces.append((float(r_max), text.format(a=a, b=b), piece(a, b)))
+    return (WeightSpec.radial(center, [(r, text) for r, text, _ in pieces], (), scale), scale,
+            [(center, [(r, piece) for r, _, piece in pieces])],
+            [(center, r) for r, _, _ in pieces])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(profile_weights(), st.integers(0, 2 ** 32 - 1))
+def test_radial_and_product_formulas_are_their_closed_form_bit_for_bit(weight, seed):
+    """At lattice nodes, and 1e-4 ... 1e-8 off each ring and each piece's end on both sides."""
+    spec, scale, profiles, rings = weight
+    ndim = len(rings[0][0])
+    axis = np.linspace(-2.0, 2.0, 9)
+    nodes = np.stack(np.meshgrid(*[axis] * ndim, indexing="ij"), axis=-1).reshape(-1, ndim)
+    directions = np.random.default_rng(seed).normal(size=(8, ndim))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    t = np.concatenate([READ_DISTANCES, -READ_DISTANCES])[:, None, None]
+    points = np.concatenate([nodes] + [(np.asarray(c) + (rho + t) * directions).reshape(-1, ndim)
+                                       for c, rho in rings])
+    assert spec.evaluate(points).tobytes() \
+        == radial_profile_product(scale, profiles, points).tobytes()
 
 
 class TestA2:
