@@ -78,9 +78,7 @@ class NonlinearitySpec:
 
     def f(self, s):
         """f at ``s``, in the shape of ``s`` (a constant formula is broadcast, read-only)."""
-        f = compile_expression(self.expr, ("s",))
-        return np.broadcast_to(np.asarray(f(np.asarray(s, dtype=float)), dtype=float),
-                               np.shape(s))
+        return compile_expression(self.expr, ("s",))(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)

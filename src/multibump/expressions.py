@@ -44,9 +44,10 @@ def distance_formula(center) -> str:
 def compile_expression(expr: str, variables: tuple[str, ...]):
     """Compile ``expr`` into a vectorized callable of the named variables.
 
-    Raises ``ValueError`` for bad syntax or a node the rule above refuses, at
-    compile time rather than at first evaluation.  Each expression is
-    compiled once per process.
+    It returns a float array in the shape of its (equal-shaped) arguments, a
+    constant formula's broadcast (read-only).  Raises ``ValueError`` for bad
+    syntax or a node the rule above refuses, at compile time rather than at
+    first evaluation.  Each expression is compiled once per process.
     """
     tree = parse_expression(expr)
     for node in ast.walk(tree):
@@ -70,10 +71,11 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     def evaluator(*args):
         if len(args) != len(variables):
             raise TypeError(f"expression expects {variables}, got {len(args)} arguments")
-        ns = dict(zip(variables, args))
         # numpy attributes a warning to the globals' ``__name__``: this module's.
-        return eval(code, {"__builtins__": {}, "__name__": __name__},
-                    {**_SAFE_FUNCTIONS, **ns})
+        value = np.asarray(eval(code, {"__builtins__": {}, "__name__": __name__},
+                                {**_SAFE_FUNCTIONS, **dict(zip(variables, args))}), dtype=float)
+        shape = np.shape(args[0])
+        return value if value.shape == shape else np.broadcast_to(value, shape)
 
     return evaluator
 
@@ -81,9 +83,7 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
 def evaluate_expression(expr: str, points: np.ndarray) -> np.ndarray:
     """``expr`` at points of shape (..., N), in the variables of R^N, as an array
     of shape (...); a constant formula is broadcast to it (read-only)."""
-    evaluator = compile_expression(expr, point_variables(points.shape[-1]))
-    return np.broadcast_to(np.asarray(evaluator(*np.moveaxis(points, -1, 0)), dtype=float),
-                           points.shape[:-1])
+    return compile_expression(expr, point_variables(points.shape[-1]))(*np.moveaxis(points, -1, 0))
 
 
 def point_variables(ndim: int) -> tuple[str, ...]:

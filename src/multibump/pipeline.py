@@ -13,7 +13,7 @@ and the re-verification of each file it wrote share one grid, weight field
 and zero set.  The memo holds one entry, keyed on the exact (``repr``)
 domain, weight, resolution, zero threshold and zero band.  A run formats
 each CSV row once per state (``_RunText``) and splices its files from runs
-of those rows; a file read back whose SHA-256 is that of a file the run
+of those rows; a file read back that equals, byte for byte, a file the run
 wrote is not parsed.  Each bump and the full subset are checked on the whole
 lattice; no edge joins two components, so other subsets take their bumps' largest.
 
@@ -335,13 +335,14 @@ def report_to_dict(report: RunReport) -> dict:
 class _RunText:
     """The rows of a run's solution files on ``grid``, each formatted once per state.
 
-    A row is a node's coordinates and line (``repr``, newline) for +0.0
-    (state 0) or for the value whose bits ``bits`` holds (state 1).  ``text``
-    has room for every row in both states after 24 spare bytes; only the rows
-    formatted so far (compact, in node order by blocks of n^2) take memory.
-    ``starts`` and ``sizes`` locate them (start -1: none), and ``files`` maps
-    each file's SHA-256 to its packed nonzero mask.  The first write on a grid
-    puts one in the caller's context, for the read-back, until the next run.
+    A row is a node's coordinates and line (``repr``, newline) for +0.0 (state 0)
+    or for the value whose bits ``bits`` holds (state 1).  ``text``, a view of an
+    anonymous map, has room for every row in both states (at most 25 bytes a cell)
+    after 24 spare bytes; only the rows formatted so far (compact, in node order
+    by blocks of n^2) take memory.  ``starts`` and ``sizes`` locate them (start
+    -1: none); ``files`` maps a byte length to each written file's packed nonzero
+    mask and runs (:meth:`file`).  The first write on a grid puts one in the
+    caller's context, for the read-back, until the next run.
     """
 
     _current: ContextVar[_RunText | None] = ContextVar("run_text", default=None)
@@ -351,7 +352,7 @@ class _RunText:
         self.coordinates = [np.array([repr(c) + "," for c in axis.tolist()], dtype="S")
                             for axis in grid.axes]
         self.header = (_csv_header(grid) + "\n").encode()
-        self.text = mmap.mmap(-1, 24 + 2 * size * 25 * (grid.ndim + 1))  # <= 25 bytes a cell
+        self.text = memoryview(mmap.mmap(-1, 24 + 2 * size * 25 * (grid.ndim + 1)))
         self.used, self.bits = 24, np.zeros(size, np.int64)
         self.starts = np.full((2, size), -1, np.int32 if len(self.text) < 2**31 else np.int64)
         self.sizes = np.zeros((2, size), np.uint16)
@@ -398,46 +399,47 @@ class _RunText:
             self.used = int(ends[-1])
         return nonzero
 
+    def file(self, runs: list[np.ndarray]):
+        """A file's bytes: its header, then per block of n^2 rows the rows of the
+        block's runs (starts and ends in ``text`` of rows that lie side by side)."""
+        yield self.header
+        for first, last in runs:
+            yield b"".join([self.text[a:b] for a, b in zip(first.tolist(), last.tolist())])
+
 
 def _csv_header(grid: Grid) -> str:
     return ",".join([f"x{d + 1}" for d in range(grid.ndim)] + ["u"])
 
 
 def write_solution_csv(path: Path, values: np.ndarray, grid: Grid) -> None:
-    """Nodal field as CSV: coordinate columns then u, full lattice scan order.
-
-    Spliced from the runs of its rows that lie side by side in the run's text
-    (:class:`_RunText`), by blocks of n^2 rows; records the file's SHA-256.
-    """
+    """Nodal field as CSV: coordinate columns then u, full lattice scan order,
+    spliced by :meth:`_RunText.file`; records its byte length, mask and runs."""
     text = _RunText.of(grid)
-    nonzero = text.rows(values)
-    digest = hashlib.sha256(text.header)
-    with open(path, "wb") as handle, memoryview(text.text) as view:
-        handle.write(text.header)
-        for start in range(0, nonzero.size, grid.n ** 2):
-            block = slice(start, start + grid.n ** 2)
-            first = np.where(nonzero[block], text.starts[1, block], text.starts[0, block])
-            last = first + np.where(nonzero[block], text.sizes[1, block], text.sizes[0, block])
-            cut = np.flatnonzero(first[1:] != last[:-1])  # where a run of adjacent rows ends
-            chunk = b"".join([view[a:b] for a, b in zip(
-                [int(first[0])] + first[cut + 1].tolist(), last[cut].tolist() + [int(last[-1])])])
-            digest.update(chunk)
-            handle.write(chunk)
-    text.files[digest.digest()] = np.packbits(nonzero)
+    nonzero, runs = text.rows(values), []
+    for start in range(0, nonzero.size, grid.n ** 2):
+        block = slice(start, start + grid.n ** 2)
+        first = np.where(nonzero[block], text.starts[1, block], text.starts[0, block])
+        last = first + np.where(nonzero[block], text.sizes[1, block], text.sizes[0, block])
+        cut = np.flatnonzero(first[1:] != last[:-1])  # where a run of adjacent rows ends
+        runs.append(np.stack([first[np.append(0, cut + 1)], last[np.append(cut, -1)]]))
+    with open(path, "wb") as handle:
+        handle.writelines(text.file(runs))
+        text.files.setdefault(handle.tell(), {})[np.packbits(nonzero).tobytes()] = runs
 
 
 def read_solution_csv(path: str | Path, grid: Grid) -> np.ndarray:
     """Load a solution CSV and check its header and that it matches the grid's lattice.
 
-    A file whose SHA-256 is that of a file this context's :class:`_RunText`
-    on ``grid`` wrote holds that file's values, which are returned unparsed.
+    A file equal byte for byte (by blocks of n^2 rows) to one this context's
+    :class:`_RunText` on ``grid`` wrote holds its values, returned unparsed.
     """
     text = _RunText._current.get()
     if text is not None and text.grid is grid:
-        mask = text.files.get(hashlib.sha256(Path(path).read_bytes()).digest())
-        if mask is not None:
-            nonzero = np.unpackbits(mask, count=text.bits.size).view(bool)
-            return np.where(nonzero, text.bits, 0).view(float).reshape(grid.shape)
+        for mask, runs in text.files.get(Path(path).stat().st_size, {}).items():
+            with open(path, "rb") as handle:  # of the written length: equal if no block differs
+                if all(handle.read(len(chunk)) == chunk for chunk in text.file(runs)):
+                    nonzero = np.unpackbits(np.frombuffer(mask, np.uint8), count=text.bits.size)
+                    return np.where(nonzero, text.bits, 0).view(float).reshape(grid.shape)
     header = _csv_header(grid)
     with open(path, "rb") as handle:
         if handle.readline().rstrip(b"\r\n") != header.encode():

@@ -305,6 +305,23 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="'__name__' is not allowed"):
             compile_expression("__name__", ("x",))
 
+    @pytest.mark.parametrize("expr, constant", [("0.5", True), ("1/(1 + x**2)", False),
+                                                ("where(x > 0, 1, 0)", False)])
+    def test_formula_takes_the_points_shape(self, expr, constant):
+        # Only a constant formula is broadcast, so its value stays read-only; others keep
+        # numpy's own result, bit for bit.
+        points = np.linspace(-1.0, 1.0, 12).reshape(3, 4, 1)
+        x = points[..., 0]
+        values = evaluate_expression(expr, points)
+        expected = np.broadcast_to(np.asarray(eval(expr, {"where": np.where, "x": x}),
+                                              dtype=float), x.shape)
+        assert values.dtype == float and values.shape == x.shape
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+        assert values.flags.writeable is not constant
+        f = NonlinearitySpec.custom(expr.replace("x", "s"), 1.0, 1.0, 1.0).f(x)
+        assert np.array_equal(f.view(np.int64), expected.view(np.int64))
+        assert f.flags.writeable is not constant
+
     def test_allow_large_is_an_unknown_key(self):
         # max_chi is the only enumeration guard.
         with pytest.raises(ConfigError, match="allow_large"):
@@ -849,6 +866,77 @@ class TestReadBack:
             reference_solution_csv(tmp_path / "reference.csv", values, grid)
             assert (tmp_path / "again.csv").read_bytes() \
                 == (tmp_path / "reference.csv").read_bytes()
+
+    def test_same_length_edit_of_an_own_file_is_parsed_once(self, tmp_path, loadtxt_calls):
+        calls, loadtxt = loadtxt_calls
+        config, report, grid = self.solve(tmp_path)
+        path = Path(config.output_dir) / "solution_015.csv"
+        before = verify_solution_file(config, path)
+        assert before.passed and calls == []
+        text = path.read_bytes()
+        # One digit of a value of at least 0.1: the first after the point, raised by one.
+        digit = re.search(rb",0\.[1-8][0-9]*\n", text).start() + 3
+        edited = text[:digit] + bytes([text[digit] + 1]) + text[digit + 1:]
+        path.write_bytes(edited)
+        assert len(edited) == len(text)
+        values = read_solution_csv(path, grid)
+        assert calls == [path.name]
+        assert np.array_equal(values.view(np.int64),
+                              parsed_values(loadtxt, path, grid).view(np.int64))
+        changed = np.flatnonzero(values != report.solutions[-1].solution.field(grid))
+        assert changed.size == 1
+        after = verify_solution_file(config, path)
+        assert calls == [path.name] * 2
+        assert not after.passed and after.residual_norm > before.residual_norm
+
+    def test_copy_of_an_own_file_is_not_parsed(self, tmp_path, loadtxt_calls):
+        calls, _ = loadtxt_calls
+        config, report, grid = self.solve(tmp_path)
+        written = Path(config.output_dir) / report.solutions[-1].filename
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(written.read_bytes())
+        assert np.array_equal(read_solution_csv(copy, grid).view(np.int64),
+                              report.solutions[-1].solution.field(grid).view(np.int64))
+        assert calls == []
+
+    def test_own_files_of_one_length_are_told_apart(self, tmp_path, loadtxt_calls):
+        calls, _ = loadtxt_calls
+        grid = build_grid(DomainSpec.box((0.0, 0.0), (1.0, 1.0)), 9)
+        fields = [np.zeros(grid.shape) for _ in range(2)]
+        fields[0][2, 3], fields[1][5, 6] = 0.25, 0.75  # values of one repr length
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path, values in zip(paths, fields):
+            write_solution_csv(path, values, grid)
+        assert paths[0].stat().st_size == paths[1].stat().st_size
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+        for path, values in zip(paths, fields):
+            assert np.array_equal(read_solution_csv(path, grid).view(np.int64),
+                                  values.view(np.int64))
+        assert calls == []
+
+    def test_own_3d_files_read_back_by_blocks(self, tmp_path, loadtxt_calls):
+        """On a 3D box of n = 9 a file spans nine blocks of n^2 rows."""
+        calls, loadtxt = loadtxt_calls
+        grid = build_grid(DomainSpec.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 9)
+        special = sparse_field(grid, 3)  # -0.0, subnormals, exponent forms
+        rng = np.random.default_rng(5)
+        fields = [special, np.zeros(grid.shape)] + [
+            np.where(rng.random(grid.shape) < 0.5, special, 0.0) for _ in range(3)]
+        for k, values in enumerate(fields):
+            write_solution_csv(tmp_path / f"field-{k}.csv", values, grid)
+        for k, values in enumerate(fields):
+            assert np.array_equal(read_solution_csv(tmp_path / f"field-{k}.csv", grid)
+                                  .view(np.int64), values.view(np.int64))
+        assert calls == []
+        # A same-length edit in the last block is seen.
+        path = tmp_path / "field-0.csv"
+        text = path.read_bytes()
+        digit = list(re.finditer(rb",0\.[1-8][0-9]*\n", text))[-1].start() + 3
+        assert text[:digit].count(b"\n") >= 1 + 8 * 81  # a row of the last block
+        path.write_bytes(text[:digit] + bytes([text[digit] + 1]) + text[digit + 1:])
+        assert np.array_equal(read_solution_csv(path, grid).view(np.int64),
+                              parsed_values(loadtxt, path, grid).view(np.int64))
+        assert calls == [path.name]
 
     def test_earlier_solve_on_the_same_grid_is_parsed(self, tmp_path, loadtxt_calls):
         calls, loadtxt = loadtxt_calls
