@@ -7,8 +7,8 @@ which is exactly the coupling graph of the stencil operator, so the
 stiffness matrix block-decouples across them.
 
 Each component is classified by the number i of connected manifolds making
-up its boundary (its shell of zero-set and Dirichlet nodes), giving the
-counts j_i of components with i boundary manifolds.
+up its boundary: the box-connected pieces of pinned (zero-set or off-interior)
+nodes that its shell meets.  j_i counts the components with i such manifolds.
 """
 
 from __future__ import annotations
@@ -49,33 +49,39 @@ class Decomposition:
     j_counts: dict[int, int]
 
 
-def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Face-connected pieces of ``mask``, numbered from 1 in C scan order of
-    their first node as ``scipy.ndimage.label`` numbers them, and their count."""
+def face_labels(mask: np.ndarray, box: bool = False) -> tuple[np.ndarray, int]:
+    """Face-connected pieces of ``mask`` (with ``box``, joined across the 3^N box),
+    numbered from 1 in C scan order of their first node as ``scipy.ndimage.label``
+    numbers them, and their count."""
     # The graph's vertices are the runs of nodes along the last axis; a layer
-    # of False past each far face ends every run with its row.
-    lattice = tuple(slice(n) for n in mask.shape)
-    padded = np.zeros([n + 1 for n in mask.shape], dtype=bool)
+    # of False before and past each face ends every run with its row, and
+    # holds every step off the lattice.
+    lattice = tuple(slice(1, n + 1) for n in mask.shape)
+    padded = np.zeros([n + 2 for n in mask.shape], dtype=bool)
     padded[lattice] = mask
     flat = padded.ravel()
     start, end = flat.copy(), flat.copy()
     start[1:] &= ~flat[:-1]
     end[:-1] &= ~flat[1:]
     begin = np.flatnonzero(start)
-    # Runs one step apart along another axis overlap where one of them starts.
-    edges = []
-    for step in padded.strides[:-1]:
-        i = np.flatnonzero(flat[:-step] & flat[step:] & (start[:-step] | start[step:]))
-        a, b = (np.searchsorted(begin, j, "right") - 1 for j in (i, i + step))
-        edges += [(a, b), (b, a)]
-    src, dst = (np.concatenate(ends) for ends in zip(*edges))
-    order, runs = np.argsort(src), begin.size
+    # Runs in two rows overlap where one of them starts.  In a box, runs in
+    # neighbouring rows touch one node back from the first one's start, or
+    # straight across or one node back from the second one's start.
+    rows = padded.strides[:-1]
+    steps = [sign * row for row in rows for sign in (1, -1)]
+    if box:
+        rows = [r for d in np.ndindex((3,) * len(rows)) if (r := np.dot(np.subtract(d, 1), rows))]
+        steps = [r - 1 for r in rows] + [r for r in rows if r < 0]
+    src = [np.flatnonzero(flat[begin + step]) for step in steps]
+    dst = [np.searchsorted(begin, begin[a] + step, "right") - 1 for a, step in zip(src, steps)]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order, runs = np.argsort(src, kind="stable"), begin.size  # merges the sorted steps
     from scipy.sparse import csgraph, csr_array  # here, not at module top: verify needs no scipy
     graph = csr_array((np.ones(src.size), dst[order],
                        np.searchsorted(src[order], np.arange(runs + 1))), shape=(runs, runs))
-    # The graph is symmetric, so its strong components are the pieces, found
-    # and numbered in the order of their first run.
-    count, piece = csgraph.connected_components(graph, connection="strong")
+    # Edges point one way, some of them twice, so the pieces are the weak
+    # components, found and numbered in the order of their first run.
+    count, piece = csgraph.connected_components(graph, connection="weak")
     labels = np.zeros(flat.size, dtype=np.int32)
     labels[flat] = np.repeat(piece + 1, np.flatnonzero(end) - begin + 1)
     return labels.reshape(padded.shape)[lattice], count
@@ -84,22 +90,20 @@ def face_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
 def decompose_components(grid: Grid, zero: np.ndarray) -> Decomposition:
     """Flood-fill decomposition of the interior nodes off the zero-set mask ``zero``.
 
-    Component ids are deterministic: labels are assigned in C scan order and
-    numbered within each boundary-manifold class.
+    A component's i counts the box-connected pieces of the pinned nodes
+    ``~free`` that its shell meets: a thin band's diagonal steps stay one
+    manifold, and a face-connected component keeps the manifolds on its two
+    sides apart.
     """
     free = grid.interior_mask & ~zero
-
     labels, chi = face_labels(free)
+    pinned = face_labels(~free, box=True)[0]
     j_counts: dict[int, int] = {}
     components = []
     for lab in range(1, chi + 1):
         mask = labels == lab
         shell = dilate(mask) & ~mask
-        # Shell nodes are zero-set or Dirichlet nodes by construction: a
-        # free interior neighbor would belong to the same component.  Thin
-        # shells step diagonally along curved manifolds; a radius-1 dilation
-        # bridges those gaps before counting face-connected pieces.
-        count = face_labels(dilate(shell, box=True))[1]
+        count = np.unique(pinned[shell]).size
         j_counts[count] = j_counts.get(count, 0) + 1
         nodes, shell = np.flatnonzero(mask.ravel()), np.flatnonzero(shell.ravel())
         components.append(Component(id=(count, j_counts[count]), nodes=nodes, shell=shell))

@@ -334,7 +334,7 @@ class TestMinimization:
         zero = detect_zero_set(field, grid, config.tolerances)
         nested = {c.id: c for c in decompose_components(grid, zero).components}
         # The oracle itself does not converge on the other nested components.
-        cases.append((grid, field, nested[(1, 1)],
+        cases.append((grid, field, nested[(2, 1)],
                       truncate_nonlinearity(config.nonlinearity)))
         for grid, field, comp, trunc in cases:
             K0, K_w = component_operators(grid, comp, field)

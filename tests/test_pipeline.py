@@ -1052,12 +1052,14 @@ class TestReadBack:
 
 NESTED_RINGS_JSON = Path(__file__).resolve().parents[1] / "configs" / "nested_rings.json"
 SINGLE_SQUARE_JSON = NESTED_RINGS_JSON.with_name("single_square.json")
+SHELL3D_JSON = NESTED_RINGS_JSON.parents[1] / "bench" / "configs" / "shell3d.json"
 
 
 @pytest.mark.parametrize("path, resolution, counts", [
     (NESTED_RINGS_JSON, 129, (4, 26, 37, 304)),
     (SINGLE_SQUARE_JSON, 65, (1, 5, 5, 11)),
-], ids=["nested-rings-129", "square-65"])
+    (SHELL3D_JSON, 25, (2, 47, 17, 76)),
+], ids=["nested-rings-129", "square-65", "shell3d-25"])
 def test_solver_step_counts_are_exact(monkeypatch, path, resolution, counts):
     """Components, Rayleigh-Ritz steps, Newton and CG steps, summed over the components.
 
@@ -1139,7 +1141,7 @@ class TestComposedVerification:
         _, report = self.run()
         failed = [record.solution.label() for record in report.solutions
                   if not record.verification.passed]
-        assert failed == ["(1,1)+(1,2)+(1,3)+(1,4)"]
+        assert failed == ["(1,1)+(2,1)+(2,2)+(2,3)"]
         assert report.solutions[-1].verification.residual_norm > tol
         assert report.all_verified is False
 
@@ -1400,7 +1402,7 @@ class TestStageFailures:
         assert [entry["passed"] for entry in report["f2"]] == [True]
         assert report["bumps"] == [] and report["solutions"] == []
         assert report["failure_message"] == (
-            "sparse LU failed on component (1, 2): Factor is exactly singular")
+            "sparse LU failed on component (2, 1): Factor is exactly singular")
 
     @pytest.mark.parametrize("domain, resolution", [
         (tiny_disk(), 8),  # h = 2/7: no node at the center

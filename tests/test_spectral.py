@@ -1,8 +1,10 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import component_operators, nested_rings_config, ring_config, unit_box
 from oracles import (dense_lambda1, laplacian_reference_operator, shift_invert_lambda1,
@@ -13,9 +15,10 @@ from multibump import assembly, pipeline, spectral
 from multibump.assembly import boundary_cut_fractions
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
+from multibump.errors import NumericalFailureError
 from multibump.grid import DomainSpec, build_grid
 from multibump.spectral import check_hypothesis_f2, dirichlet_lambda1
-from multibump.topology import decompose_components
+from multibump.topology import Component, decompose_components
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
 
 LAMBDA1_SQUARE = 2.0 * np.pi ** 2
@@ -74,6 +77,17 @@ def test_eigenfunction_strictly_positive_max_one():
     eig = dirichlet_lambda1(comp, grid, component_operators(grid, comp)[0])
     assert np.max(eig.e1) == pytest.approx(1.0)
     assert np.min(eig.e1) > 0.0
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_an_eigenfunction_that_changes_sign_is_refused(n):
+    # Positive couplings are no Laplacian: tridiag(1, 2, 1) is SPD, and its lowest
+    # eigenvector sin(j n pi / (n + 1)) alternates in sign.
+    K = sparse.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1])
+    comp = Component(id=(2, 3), nodes=np.arange(n), shell=np.array([], dtype=np.int64))
+    with pytest.raises(NumericalFailureError, match=re.escape(
+            "first eigenfunction not strictly positive on component (2, 3)")):
+        dirichlet_lambda1(comp, build_grid(unit_box(2), 5), K)
 
 
 @pytest.mark.parametrize("ndim, n", [(2, 3), (2, 4), (3, 3), (3, 4)],
@@ -166,7 +180,7 @@ def test_inexact_cg_branch_bounds_the_dense_oracle_from_above():
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 SHELL3D = BENCH_CONFIGS / "shell3d.json"
 # The shell @17: Jacobi-preconditioned Rayleigh-Ritz steps and lambda_1.
-SHELL17 = {(1, 1): (12.068525463856162, 19), (1, 2): (12.060085154096416, 12)}
+SHELL17 = {(2, 1): (12.068525463856162, 19), (1, 1): (12.060085154096416, 12)}
 
 
 def test_jacobi_branch_steps_and_lambda1_on_the_shell():

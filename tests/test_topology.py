@@ -1,10 +1,17 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from multibump import pipeline, topology
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components, face_labels
 from multibump.weights import WeightSpec, detect_zero_set, evaluate_weight
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_ring_weight_disk_plus_annulus(ring65):
@@ -83,7 +90,7 @@ def test_four_nested_rings_give_chi_five():
     assert sum(dec.j_counts.values()) == 5
 
 
-@pytest.mark.parametrize("shape", [(23, 31), (9, 11, 13)], ids=["2d", "3d"])
+@pytest.mark.parametrize("shape", [(23, 31), (9, 11, 13), (5, 6, 7, 8)], ids=["2d", "3d", "4d"])
 @pytest.mark.parametrize("density", [0.05, 0.3, 0.6])
 def test_face_labels_match_ndimage_label(shape, density):
     # Same pieces, same count and the same numbering (C scan order of the
@@ -94,3 +101,73 @@ def test_face_labels_match_ndimage_label(shape, density):
     expected, expected_count = ndimage.label(mask, face)
     assert count == expected_count
     assert np.array_equal(labels, expected)
+
+
+@pytest.mark.parametrize("shape", [(23, 31), (9, 11, 13), (5, 6, 7, 8)], ids=["2d", "3d", "4d"])
+@pytest.mark.parametrize("density", [0.02, 0.05, 0.1])
+def test_box_labels_match_ndimage_label(shape, density):
+    # Nodes that share only an edge or a corner join: the 3^N structure.
+    mask = np.random.default_rng(len(shape)).random(shape) < density
+    labels, count = face_labels(mask, box=True)
+    expected, expected_count = ndimage.label(mask, np.ones((3,) * len(shape)))
+    assert count == expected_count > 1
+    assert np.array_equal(labels, expected)
+
+
+def test_box_labels_join_a_diagonal_chain():
+    # One node per anti-diagonal, as a band 1 h wide runs at 45 degrees.
+    chain = np.fliplr(np.eye(7, dtype=bool))
+    assert face_labels(chain)[1] == 7
+    labels, count = face_labels(chain, box=True)
+    assert count == 1 and np.array_equal(labels, chain.astype(np.int32))
+
+
+def seven_rings() -> dict:
+    """The nested rings with seven zero circles, r = 0.25 k (chi = 8)."""
+    data = json.loads((ROOT / "configs" / "nested_rings.json").read_text())
+    data["weight"]["factors"] = [{"center": [0.0, 0.0], "radius": 0.25 * k, "power": 0.6}
+                                 for k in range(1, 8)]
+    data["weight"]["scale"] = 0.05
+    data["nonlinearity"]["gamma"] = 60.0
+    return data
+
+
+@pytest.mark.parametrize("config, resolution, zero_band, j_counts", [
+    ("configs/nested_rings.json", 25, 0.75, {1: 1, 2: 3}),
+    ("configs/nested_rings.json", 33, 0.75, {1: 1, 2: 3}),
+    ("configs/nested_rings.json", 65, 0.75, {1: 1, 2: 3}),
+    ("configs/ring.json", 17, 0.75, {1: 1, 2: 1}),
+    ("configs/ring.json", 33, 0.75, {1: 1, 2: 1}),
+    ("bench/configs/shell3d.json", 17, 0.75, {1: 1, 2: 1}),
+    ("bench/configs/shell3d.json", 25, 0.75, {1: 1, 2: 1}),
+    ("seven rings", 49, 0.75, {1: 1, 2: 7}),
+    ("seven rings", 65, 0.75, {1: 1, 2: 7}),
+    # A band 1 h wide steps diagonally off the axes: its nodes touch at corners only.
+    ("configs/nested_rings.json", 33, 0.5, {1: 1, 2: 3}),
+    ("configs/nested_rings.json", 65, 0.5, {1: 1, 2: 3}),
+    ("configs/ring.json", 33, 0.5, {1: 1, 2: 1}),
+    ("configs/ring.json", 65, 0.5, {1: 1, 2: 1}),
+    ("bench/configs/shell3d.json", 25, 0.5, {1: 1, 2: 1}),
+])
+def test_coarse_lattices_count_the_papers_boundary_manifolds(monkeypatch, config, resolution,
+                                                             zero_band, j_counts):
+    # Each annulus or shell is bounded by two manifolds however thin it or its
+    # bands are on the lattice: two manifolds a node apart are not merged into
+    # one, and one manifold is not split where its band steps diagonally.
+    if config == "seven rings":
+        config = pipeline.parse_config(seven_rings())
+    else:
+        config = pipeline.load_config(ROOT / config)
+    config = dataclasses.replace(config, resolution=resolution, tolerances=dataclasses.replace(
+        config.tolerances, zero_band=zero_band))
+    grid = build_grid(config.domain, config.resolution)
+    zero = detect_zero_set(evaluate_weight(config.weight, grid), grid, config.tolerances)
+    labels, calls = topology.face_labels, []
+
+    def counted(mask, **box):
+        calls.append(mask)
+        return labels(mask, **box)
+
+    monkeypatch.setattr(topology, "face_labels", counted)
+    assert decompose_components(grid, zero).j_counts == j_counts
+    assert len(calls) == 2  # the free nodes and the pinned ones, not one per component
