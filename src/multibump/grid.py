@@ -139,16 +139,13 @@ class Grid:
         return np.stack(mesh, axis=-1)
 
 
-def dilate(mask: np.ndarray, box: bool = False) -> np.ndarray:
-    """``mask`` grown by one lattice step, to the 2N face neighbours or to the
-    3^N box around each node; nodes beyond the lattice count as False."""
+def dilate(mask: np.ndarray) -> np.ndarray:
+    """``mask`` grown to the 2N face neighbours; nodes beyond the lattice count as False."""
     grown = mask.copy()
     for axis in range(mask.ndim):
-        # A box grows axis by axis; numpy buffers the overlapping in-place ops.
-        src = grown if box else mask
         head, tail = ((slice(None),) * axis + (s,) for s in (slice(1, None), slice(None, -1)))
-        grown[head] |= src[tail]
-        grown[tail] |= src[head]
+        grown[head] |= mask[tail]
+        grown[tail] |= mask[head]
     return grown
 
 

@@ -42,7 +42,7 @@ from .assembly import dirichlet_conductances, stencil_matrices
 from .composition import MultiBumpSolution, enumerate_all
 from .energy import (BumpSolution, NonlinearitySpec, assemble_energy,
                      minimize_energy, truncate_nonlinearity)
-from .errors import ConfigError, HypothesisViolationError, SolverError
+from .errors import ConfigError, HypothesisViolationError, ResolutionTooCoarseError, SolverError
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import F2Entry, check_hypothesis_f2, dirichlet_lambda1
 from .tolerances import ToleranceConfig, is_count
@@ -542,6 +542,13 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
             report.chi, report.j_counts = decomposition.chi, decomposition.j_counts
             report.component_sizes = {_comp_label(c.id): c.node_count
                                       for c in decomposition.components}
+            # (a1) has refused spheres that cross or reach the boundary, so the k spheres
+            # read at their band nodes split the domain into 1 + k regions.
+            k = sum(r.manifold.startswith("sphere") for r in adm.readings)
+            if config.weight.zero_expr is None and decomposition.chi != 1 + k:
+                raise ResolutionTooCoarseError(
+                    f"chi {decomposition.chi}, but the {k} declared sphere(s) split the "
+                    f"domain into {1 + k} regions; refine the grid")
             tables = [dirichlet_conductances(grid)]  # K0's edges, and in a solve K_w's
             tables += [field.conductances] if solve else []
         with _stage("nonlinearity"):

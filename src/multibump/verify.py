@@ -8,7 +8,8 @@ vanishes at every interior node outside the zero set; nodal indicator
 functions at those nodes are the discrete counterpart of test functions
 supported away from the degeneracy.  The residual is measured in max-norm,
 and the qualitative conclusions (nonnegativity, the upper bound s*, zero
-trace on the zero set and the Dirichlet ring) are enforced as verdicts.
+trace on the zero set and the Dirichlet ring, a positive part made of whole
+components) are enforced as verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .assembly import lattice_product
 from .composition import w11_seminorm
 from .energy import NonlinearitySpec
-from .grid import Grid
+from .grid import Grid, dilate
 from .tolerances import ToleranceConfig
 from .weights import WeightField
 
@@ -72,7 +73,9 @@ def conclusions(values: np.ndarray, residual: float, nonlinearity: NonlinearityS
     The residual passes up to ``residual_tol_scale * gamma * s* * h^N``,
     one nodal load's worth; the bounds up to ``bounds_tol`` outside
     [0, s*]; the trace on the zero set and the Dirichlet ring up to
-    ``zero_trace_tol``.
+    ``zero_trace_tol``.  ``support``: u > 0 at some free node (interior,
+    off the zero set), and no face edge joins a free node where u > 0 to
+    one where u <= 0, so each component holds a bump or none.
     """
     s_star = nonlinearity.s_star
     residual_tol = tol.residual_tol_scale * nonlinearity.gamma * s_star * grid.cell_volume
@@ -80,11 +83,14 @@ def conclusions(values: np.ndarray, residual: float, nonlinearity: NonlinearityS
     zero_trace = float(np.max(np.abs(values[pinned]))) if pinned.any() else 0.0
     vmin = float(np.min(values))
     vmax = float(np.max(values))
+    free = grid.interior_mask & ~zero
+    positive = free & (values > 0)
     verdicts = {
         "residual": residual <= residual_tol,
         "nonnegative": vmin >= -tol.bounds_tol,
         "upper_bound": vmax <= s_star + tol.bounds_tol,
         "zero_trace": zero_trace <= tol.zero_trace_tol,
+        "support": bool(positive.any()) and not np.any(dilate(positive) & free & ~positive),
     }
     return VerificationReport(residual_norm=residual, min_value=vmin, max_value=vmax,
                               zero_trace_max=zero_trace,

@@ -27,6 +27,7 @@ from .expressions import (compile_expression, distance_formula, evaluate_express
                           parse_expression, point_variables)
 from .grid import Grid, dilate
 from .tolerances import ToleranceConfig, real
+from .topology import face_labels
 
 
 # One item of a radial weight's ``pieces`` and of a product weight's ``factors``.
@@ -344,9 +345,10 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
     * ``zero-set-touches-boundary``: the zero set meets the Dirichlet ring,
       as one that holds every interior node always does (a1),
     * ``zero-manifolds-cross``: two declared spheres cross or touch (a1),
-    * ``undeclared-zero-set``: a zero-set node is not chained to a declared
-      manifold's band, as in an expression weight with nodal zeros and no
-      ``zero_expr`` (a1),
+    * ``undeclared-zero-set``: a zero-set node lies in no declared manifold's
+      band, nor in a piece of the zero set (joined across the 3^N box, one
+      labelling) that holds a band node, as in an expression weight with nodal
+      zeros and no ``zero_expr`` (a1),
     * ``exponent-unresolved``: an exponent is not resolved (a2),
     * ``violates-a2``: an exponent is at least its codimension k,
     * ``violates-lt``: an exponent is at least its bound 2k/N.
@@ -357,16 +359,16 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
     alphas = [(r.exponent, r) for r in readings if r.exponent is not None]
     spheres = list(dict.fromkeys(field.spec.spheres))  # points included
     touches = bool(np.any(dilate(zero) & grid.boundary_mask))
-    # A zero-set node chained to a declared band through zero-set nodes is explained:
+    # A node in a declared band, or box-connected to one through the zero set, is explained:
     # a weight flat at its manifold falls below the zero threshold past the band.
-    explained = np.zeros_like(zero)
-    explained[zero] = zd is not None and zd <= band
-    while not touches and np.any(grown := dilate(explained, box=True) & zero & ~explained):
-        explained |= grown
+    explained = np.zeros(len(points), bool) if zd is None else zd <= band
+    if explained.any() and not explained.all():
+        pieces = face_labels(zero, box=True)[0][zero]
+        explained = np.isin(pieces, pieces[explained])
     holds = [touches,
              any(abs(r1 - r2) <= np.linalg.norm(np.subtract(c1, c2)) <= r1 + r2
                  for i, (c1, r1) in enumerate(spheres) for c2, r2 in spheres[i + 1:]),
-             bool(np.any(zero & ~explained)),
+             not explained.all(),
              len(alphas) < len(readings),
              any(alpha >= r.codimension for alpha, r in alphas),
              any(alpha >= r.bound for alpha, r in alphas)]

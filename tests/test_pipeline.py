@@ -1420,6 +1420,38 @@ class TestStageFailures:
         assert f"no interior node at resolution n={resolution}" in report["failure_message"]
         assert capsys.readouterr().out == (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("resolution, chi", [(17, 29), (21, 14)])
+    def test_lattice_too_coarse_for_its_spheres_writes_report(self, tmp_path, capsys,
+                                                              resolution, chi):
+        # The nested rings' bands cut the annuli into fragments: chi is not 1 + 3.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, nested_rings_config(resolution, out=str(out)))
+        assert main(["check", "--config", str(path)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "resolution-too-coarse"
+        assert report["violated_hypothesis"] is None
+        assert report["admissibility"]["verdict"] == "admissible"
+        assert (report["chi"], report["f2"]) == (chi, [])
+        assert report["failure_message"] == (
+            f"chi {chi}, but the 3 declared sphere(s) split the domain into 4 regions; "
+            "refine the grid")
+        text = capsys.readouterr().out
+        assert text == (out / "report.txt").read_text()
+        assert f"\n[decomposition]\nchi: {chi}\n" in text
+
+    @pytest.mark.parametrize("resolution", [25, 33])
+    def test_nested_rings_resolved_from_25_nodes_keep_chi_4(self, resolution):
+        report = check_hypotheses(parse_config(nested_rings_config(resolution)))
+        assert (report.status, report.chi) == ("ok", 4)
+
+    def test_a_zero_expr_weight_is_not_held_to_a_sphere_count(self):
+        # Its ring splits the disk in two with no sphere declared; gamma 10 fails (f2).
+        weight = {"kind": "custom-expression", "expr": f"{RING_DISTANCE}**0.5",
+                  "zero_expr": RING_DISTANCE}
+        report = check_hypotheses(parse_config(dict(ring_config(33), weight=weight)))
+        assert (report.status, report.violated_hypothesis, report.chi) \
+            == ("hypothesis-violation", "f2", 2)
+
     def test_minimizer_failure_is_reported(self, tmp_path, monkeypatch):
         def fail(energy, eigen, options):
             raise NumericalFailureError("no negative-energy seed on component (1, 1)")

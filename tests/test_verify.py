@@ -102,3 +102,33 @@ class TestConclusions:
         report = self.run_checks(square33, logistic30, values)
         assert report.zero_trace_max == pytest.approx(0.1)
         assert not report.verdicts["zero_trace"]
+
+    def test_zero_field_fails_only_support(self, square33, logistic30):
+        grid, _, _, _ = square33
+        report = self.run_checks(square33, logistic30, np.zeros(grid.shape))
+        assert report.verdicts == {"residual": True, "nonnegative": True,
+                                   "upper_bound": True, "zero_trace": True, "support": False}
+        assert not report.passed
+
+    @pytest.mark.parametrize("cut", ["half", "one-node", "negative-zero"])
+    def test_a_component_partly_at_zero_fails_support(self, square33, logistic30, cut):
+        grid, _, _, comp = square33
+        values = np.zeros(grid.shape)
+        values.ravel()[comp.nodes] = 0.25
+        if cut == "half":
+            values[:16] = 0.0
+        else:  # -0.0 is not positive either
+            values[16, 16] = 0.0 if cut == "one-node" else -0.0
+        assert not self.run_checks(square33, logistic30, values).verdicts["support"]
+
+    def test_bumps_on_separate_components_pass_support(self, ring65, logistic30):
+        # No face edge joins two components, so any subset of bumps keeps its support.
+        grid, field, zero, dec = ring65
+        fields = []
+        for comp in dec.components:
+            values = np.zeros(grid.shape)
+            values.ravel()[comp.nodes] = 0.25
+            fields.append(values)
+        for values in fields + [sum(fields)]:
+            report = check_conclusions(values, field, logistic30.base, grid, zero)
+            assert report.verdicts["support"]

@@ -9,11 +9,12 @@ from scipy import ndimage
 
 from conftest import cbrt_ring_weight, interior_count, lattice_operator, unit_box
 from oracles import radial_profile_product
-from multibump import pipeline
+from multibump import pipeline, weights
 from multibump.cli import main
 from multibump.errors import ConfigError, InvalidWeightError
 from multibump.grid import DomainSpec, Grid, build_grid
 from multibump.tolerances import ToleranceConfig
+from multibump.topology import face_labels
 from multibump.weights import (READ_DISTANCES, WeightSpec, assess_admissibility,
                                detect_zero_set, evaluate_weight, read_at_zero_set,
                                read_exponent)
@@ -21,7 +22,8 @@ from multibump.weights import (READ_DISTANCES, WeightSpec, assess_admissibility,
 B2 = DomainSpec.ball((0.0, 0.0), 2.0)
 UNIT = unit_box(2)
 QUADRATIC = WeightSpec.power_product([((0.5, 0.5), 0.0, 2.0)])
-RING_JSON = Path(__file__).resolve().parents[1] / "configs" / "ring.json"
+ROOT = Path(__file__).resolve().parents[1]
+RING_JSON = ROOT / "configs" / "ring.json"
 
 
 def assess(spec, domain, n):
@@ -445,6 +447,51 @@ class TestAdmissibilityVerdicts:
             report = assess(spec, B2, n)
             assert report.verdict == "violates-a2"
             assert reading(report, RING_SPHERE).exponent == pytest.approx(power, abs=1e-3)
+
+    @pytest.mark.parametrize("ndim, centre, verdict", [
+        (2, 0.95, "admissible"), (3, 0.85, "admissible"),
+        (2, 1.1, "undeclared-zero-set"), (3, 0.95, "undeclared-zero-set")])
+    def test_threshold_zeros_join_a_band_across_node_corners(self, monkeypatch, ndim,
+                                                             centre, verdict):
+        # A ring (2D) or shell (3D) of radius 1, declared by zero_expr, times a factor
+        # that vanishes exactly at the diagonal nodes x = y (= z) with |x - centre| <= 0.15.
+        # From 0.95 (2D) or 0.85 (3D) they start at the corner of a band node; from
+        # 1.1 or 0.95 they start one diagonal node further out, an isolated patch.
+        names = "xyz"[:ndim]
+        radius = "sqrt(" + " + ".join(f"{v}**2" for v in names) + ")"
+        diagonal = " + ".join(f"({a} - {b})**2" for a, b in zip(names, names[1:]))
+        chain = f"sqrt({diagonal} + maximum(abs(x - {centre}) - 0.15, 0)**2)"
+        spec = WeightSpec.expression(f"abs({radius} - 1)**0.3 * {chain}", f"{radius} - 1")
+        grid = build_grid(DomainSpec.ball((0.0,) * ndim, 2.0), 33)
+        field = evaluate_weight(spec, grid)
+        zero = detect_zero_set(field, grid)
+        off_band = int(np.sum(spec.zero_distance(grid.points()[zero]) > 0.75 * grid.h))
+        # No zero-set node off the band has a face neighbour in the zero set.
+        assert off_band >= 2 and face_labels(zero)[1] == 1 + off_band
+        labellings = []
+
+        def spy(*args, **kw):
+            labellings.append(kw)
+            return face_labels(*args, **kw)
+
+        monkeypatch.setattr(weights, "face_labels", spy)
+        report = assess_admissibility(grid, field, zero)
+        assert report.verdict == verdict
+        assert labellings == [{"box": True}]
+        assert [r.exponent for r in report.readings] == pytest.approx([0.3, 0.0], abs=1e-3)
+
+    @pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.json"))
+                             + sorted(ROOT.glob("bench/configs/*.json")),
+                             ids=lambda path: str(path.relative_to(ROOT)))
+    def test_a_zero_set_inside_its_bands_is_not_labelled(self, monkeypatch, path):
+        def refuse(*args, **kw):
+            raise AssertionError("the zero set was labelled")
+
+        monkeypatch.setattr(weights, "face_labels", refuse)
+        data = json.loads(path.read_text())
+        for n in (data["resolution"], 33, 65):
+            grid, field, zero = pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))
+            assert assess_admissibility(grid, field, zero).admissible
 
     def test_nested_rings_admissible(self):
         spec = WeightSpec.power_product(
