@@ -10,12 +10,12 @@ below -beta*, and zero above s*.  The truncation makes J coercive and
 forces the minimizer into [0, s*] without any clamping; the bounds emerge
 from stationarity alone.
 
-The inner solves are CG (``spectral.pcg``).  In 2D the spectral stage's LU
-factor of the unit-conductance matrix K0, scaled to the weight's diagonal, is
-a preconditioner for the weighted K: exact where the two diagonals are
-proportional, and taken from the first step then, else once Jacobi stops
-paying (``minimize_energy`` decides).  3D stays on Jacobi; its memory stays
-linear.
+The inner solves are CG (``spectral.pcg``).  In 2D the spectral stage's
+factor of the unit-conductance matrix K0 (``spectral.factorize``: band
+Cholesky or sparse LU), scaled to the weight's diagonal, is a preconditioner
+for the weighted K: exact where the two diagonals are proportional, and taken
+from the first step then, else once Jacobi stops paying (``minimize_energy``
+decides).  3D stays on Jacobi; its memory stays linear.
 
 Every nonlinearity kind only supplies f.  ``truncate_nonlinearity`` samples
 it once, decides (f1) from that sample, and builds the one primitive: a
@@ -226,7 +226,7 @@ class BumpSolution:
 
     ``values`` live on ``nodes`` (flat lattice indices of the component).
     ``factored_from`` is the first Newton step (counted from 1) whose inner
-    solve used the spectral stage's LU factor, or None if none did.
+    solve used the spectral stage's factor, or None if none did.
     """
 
     component_id: tuple[int, int]

@@ -8,10 +8,11 @@ Rayleigh-Ritz minimum on span{x, T(Kx - lambda x), the last step's
 direction}, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 so lambda is a Rayleigh quotient, never below the discrete lambda_1.  K is
 the component's K0 (:func:`~multibump.assembly.dirichlet_conductances`).  In
-2D, T is the solve with a fill-reducing sparse LU factor of K (scipy's ``splu``,
-imported at the first :func:`factorize`), built once per component and handed
-to the 2D Newton solve with K's diagonal; in 3D that fill takes gigabytes at a
-few ten thousand unknowns, so T is Jacobi and no factor is built.
+2D, T is the solve with a direct factor of K (:func:`factorize`: a band
+Cholesky in reverse Cuthill-McKee order while the band is narrow, else
+scipy's fill-reducing sparse LU), built once per component and handed to the
+2D Newton solve with K's diagonal; in 3D that fill takes gigabytes at a few
+ten thousand unknowns, so T is Jacobi and no factor is built.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class EigenPair:
     ``e1`` is given on the component's nodes (same ordering as
     ``component.nodes``), normalized to max-norm 1 and strictly positive.
     ``rayleigh_residual`` is |Kx - lambda x|/lambda at the last unit iterate
-    x, after ``iterations`` Rayleigh-Ritz steps.  In 2D, ``factor`` is the
-    LU solve x -> K^-1 x with the component's unit-conductance matrix K and
-    ``diagonal`` is K's diagonal; in 3D both are None.
+    x, after ``iterations`` Rayleigh-Ritz steps.  In 2D, ``factor`` is
+    :func:`factorize`'s solve x -> K^-1 x with the component's unit-conductance
+    matrix K and ``diagonal`` is K's diagonal; in 3D both are None.
     """
 
     component_id: tuple[int, int]
@@ -68,16 +69,44 @@ def splu(*args, **kwargs):
     return splu(*args, **kwargs)
 
 
-def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve x -> K^-1 x by a fill-reducing sparse LU of the 2D matrix ``K``.
+# n (kd + 1)^2 multiply-adds, up to which a band Cholesky and twenty of its solves (a lambda_1
+# and a factored Newton solve) beat SuperLU's on a 2D K0, 2-core Xeon, one BLAS thread: 5.7
+# against 8.0 ms on the square @65 (1.6e7), 12.5 against 13.5 @81 (4.0e7), 22.3 against 19.9 @97.
+BAND_BUDGET = 2 ** 25
 
+
+def factorize(K, component_id: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve x -> K^-1 x of the symmetric positive definite 2D matrix ``K``.
+
+    In reverse Cuthill-McKee order (George and Liu, 1981) a lattice component's
+    band is about as wide as the component, kd; LAPACK's ``dpbtrf`` factors it
+    while n (kd + 1)^2 <= ``BAND_BUDGET``, a fill-reducing ``splu`` past that.
     ``NumericalFailureError`` names the component when the factorization fails.
     """
-    try:
-        return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1).solve
-    except RuntimeError as exc:
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # loaded by the decomposition
+    K = K.tocsr()
+    order = reverse_cuthill_mckee(K, symmetric_mode=True)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    row, col = np.repeat(position, np.diff(K.indptr)), position[K.indices]  # in that order
+    kd = int(np.max(col - row, initial=0))
+    if K.shape[0] * (kd + 1) ** 2 > BAND_BUDGET:
+        del order, position, row, col  # not to be held through SuperLU's peak memory
+        try:
+            return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1).solve
+        except RuntimeError as exc:
+            raise NumericalFailureError(
+                f"sparse LU failed on component {component_id}: {exc}") from exc
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    upper = row <= col
+    band = np.zeros((kd + 1, K.shape[0]), order="F")  # upper band: row kd is the diagonal
+    band[kd + row[upper] - col[upper], col[upper]] = K.data[upper]
+    band, info = dpbtrf(band, overwrite_ab=1)
+    if info != 0:
         raise NumericalFailureError(
-            f"sparse LU failed on component {component_id}: {exc}") from exc
+            f"band Cholesky failed on component {component_id}: "
+            f"leading minor of order {info} is not positive definite")
+    return lambda b: dpbtrs(band, b[order], overwrite_b=1)[0][position]
 
 
 def jacobi(K) -> Callable[[np.ndarray], np.ndarray]:
@@ -91,7 +120,7 @@ def pcg(K, shift, g: np.ndarray, eta: float,
     """Newton's inexact solve of (K - diag(shift)) d = g by preconditioned CG.
 
     ``precondition`` maps a residual r to M^-1 r for a symmetric positive
-    definite M: :func:`jacobi` (M = diag K), or an LU solve of the
+    definite M: :func:`jacobi` (M = diag K), or the factor's solve of the
     unit-conductance matrix scaled to K's diagonal.  Stops at residual
     eta*|g| or at the first direction of nonpositive curvature; if that is
     the first direction, the preconditioned gradient is returned, so
@@ -125,7 +154,7 @@ def dirichlet_lambda1(component: Component, grid: Grid, K,
     ``K`` is the component's K0, with zero boundary data on its shell.  The
     steps stop once their contraction puts lambda within ``eig_tol`` of the
     discrete lambda_1, relatively; after ``eig_max_iter`` steps they fail.
-    In 2D the LU solve that preconditions them is returned as ``factor``.
+    In 2D the factor's solve that preconditions them is returned as ``factor``.
     """
     if grid.ndim == 2:
         solve = precondition = factorize(K, component.id)

@@ -319,7 +319,7 @@ class TestMinimization:
         def refuse(*args, **kwargs):
             raise AssertionError("factorized a 3D component")
 
-        monkeypatch.setattr(spectral, "splu", refuse)
+        monkeypatch.setattr(spectral, "factorize", refuse)
         monkeypatch.setattr(energy_module, "FACTOR_SWITCH", 0.0)
         assert minimize_energy(*square_energy(9, logistic30, ndim=3)).factored_from is None
         with pytest.raises(AssertionError, match="factorized"):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
                       ring_config)
@@ -350,8 +351,8 @@ def test_import_loads_no_unused_scipy_subpackage():
 
 def test_linalg_loads_only_at_decomposition(tmp_path):
     # scipy.sparse (about 0.2 s) is imported where a component's matrices or
-    # the decomposition's graph are built, and csgraph and splu bring
-    # scipy.linalg; a process that never decomposes a lattice, as verify and
+    # the decomposition's graph are built, and csgraph brings scipy.linalg and
+    # the factors; a process that never decomposes a lattice, as verify and
     # report, must load no scipy module at all.
     config = write_config(tmp_path, unit_square(out=str(tmp_path / "out")))
     run_pipeline(load_config(config))
@@ -373,10 +374,17 @@ def test_linalg_loads_only_at_decomposition(tmp_path):
     printed = loaded_after(
         f"import multibump.cli\nmultibump.cli.main(['report', {str(report)!r}])")
     assert printed.startswith("multibump run report\n") and printed.endswith("\n[]\n")
-    # A 2D check factors each component, so the guards above are not vacuous.
-    assert "'scipy.sparse.linalg'" in loaded_after(
-        "from multibump.pipeline import check_hypotheses, load_config\n"
-        f"check_hypotheses(load_config({str(config)!r}))")
+    # A 2D check factors each component, so the guards above are not vacuous,
+    # and nothing before its decomposition loads scipy.
+    loaded = loaded_after(
+        "from multibump import pipeline\n"
+        "decompose = pipeline.decompose_components\n"
+        "def first(*args):\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "    return decompose(*args)\n"
+        "pipeline.decompose_components = first\n"
+        f"pipeline.check_hypotheses(pipeline.load_config({str(config)!r}))")
+    assert "'scipy.sparse.csgraph'" in loaded and "'scipy.linalg.lapack'" in loaded
 
 
 class TestPipelineRuns:
@@ -1373,6 +1381,7 @@ class TestStageFailures:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        monkeypatch.setattr(spectral, "BAND_BUDGET", 0)  # SuperLU's own message
         monkeypatch.setattr(spectral, "splu", singular)
         out = tmp_path / "out"
         path = write_config(tmp_path, unit_square(out=str(out)))
@@ -1384,15 +1393,14 @@ class TestStageFailures:
             "sparse LU failed on component (1, 1): Factor is exactly singular")
 
     def test_factorization_failure_in_solve_writes_report(self, tmp_path, monkeypatch):
-        splu, calls = spectral.splu, []
+        factorize, calls = spectral.factorize, []
 
-        def second_call_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("Factor is exactly singular")
-            return splu(*args, **kwargs)
+        def second_call_fails(K, component_id):
+            calls.append(component_id)
+            # -K is negative definite: the band Cholesky stops at its first pivot.
+            return factorize(-K if len(calls) == 2 else K, component_id)
 
-        monkeypatch.setattr(spectral, "splu", second_call_fails)
+        monkeypatch.setattr(spectral, "factorize", second_call_fails)
         out = tmp_path / "out"
         path = write_config(tmp_path, nested_rings_config(33, out=str(out)))
         assert main(["solve", "--config", str(path)]) == 1
@@ -1402,7 +1410,29 @@ class TestStageFailures:
         assert [entry["passed"] for entry in report["f2"]] == [True]
         assert report["bumps"] == [] and report["solutions"] == []
         assert report["failure_message"] == (
-            "sparse LU failed on component (2, 1): Factor is exactly singular")
+            "band Cholesky failed on component (2, 1): "
+            "leading minor of order 1 is not positive definite")
+
+    def test_indefinite_matrix_fails_the_band_factor_and_writes_report(
+            self, tmp_path, monkeypatch):
+        # K0 less its diagonal is symmetric with trace 0, so indefinite, and the band
+        # Cholesky's first pivot is 0.
+        stencil_matrices = pipeline.stencil_matrices
+
+        def hollow(grid, nodes, *tables):
+            K0, *rest = stencil_matrices(grid, nodes, *tables)
+            return [K0 - sparse.diags(K0.diagonal()), *rest]
+
+        monkeypatch.setattr(pipeline, "stencil_matrices", hollow)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unit_square(out=str(out)))
+        assert main(["check", "--config", str(path)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["violated_hypothesis"] is None
+        assert report["failure_message"] == (
+            "band Cholesky failed on component (1, 1): "
+            "leading minor of order 1 is not positive definite")
 
     @pytest.mark.parametrize("domain, resolution", [
         (tiny_disk(), 8),  # h = 2/7: no node at the center
@@ -1479,15 +1509,15 @@ class TestStageFailures:
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """Shapes of the matrices the run hands ``spectral.splu``."""
-    splu, calls = spectral.splu, []
+def factor_calls(monkeypatch):
+    """Shapes of the matrices the run hands ``spectral.factorize``."""
+    factorize, calls = spectral.factorize, []
 
-    def counted(K, *args, **kwargs):
+    def counted(K, component_id):
         calls.append(K.shape)
-        return splu(K, *args, **kwargs)
+        return factorize(K, component_id)
 
-    monkeypatch.setattr(spectral, "splu", counted)
+    monkeypatch.setattr(spectral, "factorize", counted)
     return calls
 
 
@@ -1502,11 +1532,11 @@ def direct_bumps(config):
 
 
 class TestSharedFactor:
-    def test_constant_weight_square_factorizes_once(self, splu_calls):
+    def test_constant_weight_square_factorizes_once(self, factor_calls):
         # TestVerbose checks its minimize line, `LU factor from step 1`.
         config = parse_config(unit_square(65))
         [shared] = run_pipeline(config, write=False).bumps
-        assert splu_calls == [(63 * 63, 63 * 63)]
+        assert factor_calls == [(63 * 63, 63 * 63)]
         [direct] = direct_bumps(config)
         assert shared.factored_from == direct.factored_from == 1
         assert np.array_equal(shared.values, direct.values)
@@ -1517,36 +1547,36 @@ class TestSharedFactor:
         ({"domain": {"kind": "ball", "center": [0.5, 0.5], "radius": 0.5}}, 4),
         ({"weight": {"kind": "custom-expression", "expr": "1 + 0.5*x*y"}}, 2),
     ], ids=["disk-constant", "square-varying"])
-    def test_other_components_factorize_as_before(self, splu_calls, changes, switch):
+    def test_other_components_factorize_as_before(self, factor_calls, changes, switch):
         # They switch at the same step as before, to the spectral stage's factor.
         config = parse_config(unit_square(65, **changes))
         [bump] = run_pipeline(config, write=False).bumps
-        assert len(splu_calls) == 1
+        assert len(factor_calls) == 1
         [direct] = direct_bumps(config)
         assert bump.factored_from == direct.factored_from == switch
         assert np.array_equal(bump.values, direct.values)
         assert bump.iterations == direct.iterations
 
-    def test_nested_rings_switch_as_before(self, splu_calls):
+    def test_nested_rings_switch_as_before(self, factor_calls):
         report = run_pipeline(parse_config(nested_rings_config(129)), write=False)
-        assert len(splu_calls) == 4
+        assert len(factor_calls) == 4
         # Only the disk switches; the shift dominates K on the annuli.
         assert {b.component_id: b.factored_from for b in report.bumps} == {
             (1, 1): 9, (2, 1): None, (2, 2): None, (2, 3): None}
 
     def test_check_holds_one_factor_and_solve_drops_each_after_its_minimize(self, monkeypatch):
-        splu, alive, held = spectral.splu, weakref.WeakSet(), []
+        factorize, alive, held = spectral.factorize, weakref.WeakSet(), []
 
-        class Factor:  # a SuperLU object takes no weak reference
-            def __init__(self, lu):
-                self.lu = lu
+        class Factor:  # a SuperLU solve takes no weak reference
+            def __init__(self, solve):
+                self.solve = solve
 
-            def solve(self, b):
-                return self.lu.solve(b)
+            def __call__(self, b):
+                return self.solve(b)
 
-        def tracked(*args, **kwargs):
+        def tracked(K, component_id):
             held.append(len(alive))  # factors alive as the next one is built
-            factor = Factor(splu(*args, **kwargs))
+            factor = Factor(factorize(K, component_id))
             alive.add(factor)
             return factor
 
@@ -1556,7 +1586,7 @@ class TestSharedFactor:
                 return stage(*args)
             return call
 
-        monkeypatch.setattr(spectral, "splu", tracked)
+        monkeypatch.setattr(spectral, "factorize", tracked)
         config = parse_config(nested_rings_config(129))
         assert check_hypotheses(config).status == "ok"
         assert held == [0] * 4 and len(alive) == 0
@@ -1571,7 +1601,7 @@ class TestSharedFactor:
         def refuse(*args, **kwargs):
             raise AssertionError("factorized a 3D component")
 
-        monkeypatch.setattr(spectral, "splu", refuse)
+        monkeypatch.setattr(spectral, "factorize", refuse)
         cube = {"kind": "box", "lo": [0.0] * 3, "hi": [1.0] * 3}
         report = run_pipeline(parse_config(unit_square(9, gamma=60.0, domain=cube)), write=False)
         assert report.status == "ok"

@@ -320,6 +320,38 @@ class TestSharedFactor:
         assert eig.factor is None and eig.diagonal is None
 
 
+class TestFactorize:
+    @pytest.mark.parametrize("workload, count, band", [
+        ("square-descent", 1, True), ("nested-output", 4, True), ("ring257", 2, False)])
+    def test_narrow_bands_take_the_band_cholesky(self, monkeypatch, workload, count, band):
+        # The square @65 and the nested rings @129 (the bench's 2D workloads), and `ring` @257.
+        config = (pipeline.parse_config(ring_config(257)) if workload == "ring257"
+                  else pipeline.load_config(BENCH_CONFIGS / f"{workload}.json"))
+        grid, _, zero = pipeline._setup(config)
+        components = decompose_components(grid, zero).components
+        assert len(components) == count
+        splu, superlu = spectral.splu, []
+
+        def counted(*args, **kwargs):
+            superlu.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", counted)
+        factors = []
+        for comp in components:
+            K = component_operators(grid, comp)[0]
+            factors.append((K, spectral.factorize(K, comp.id)))
+            assert superlu == ([] if band else [K.shape])
+            superlu.clear()
+        monkeypatch.setattr(spectral, "BAND_BUDGET", 0)
+        rng = np.random.default_rng(5)
+        for K, solve in factors if band else []:  # the band solve against SuperLU's
+            b = rng.uniform(-1.0, 1.0, K.shape[0])
+            x, lu = solve(b), spectral.factorize(K, (1, 1))(b)
+            assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(x - lu) <= 1e-12 * np.linalg.norm(lu)
+
+
 class TestF2:
     def test_gamma30_passes_on_unit_square(self, square33):
         grid, field, _, comp = square33
