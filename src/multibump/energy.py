@@ -218,6 +218,8 @@ def assemble_energy(component: Component, K, trunc: TruncatedNonlinearity,
 # shift dominates, as on the nested rings' annuli, the count stays below the
 # bound, and CG with the factor takes about as many steps, each dearer.
 FACTOR_SWITCH = 0.5
+# Seed halvings and Newton steps before minimization fails; stored configs take at most 1 and 15.
+SEED_MIN_EXPONENT, MAX_MINIMIZE_ITERATIONS = 30, 100_000
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                     tol: ToleranceConfig = ToleranceConfig()) -> BumpSolution:
     """Line-search Newton-CG (Nocedal & Wright, Alg. 7.1) from a negative seed.
 
-    The caller gates on (f2); without a seed J(s e1) < 0, s >= s* 2^-seed_min_exponent,
+    The caller gates on (f2); without a seed J(s e1) < 0, s >= s* 2^-SEED_MIN_EXPONENT,
     it stops with ``NumericalFailureError``.  Each step solves
     H d = g, H = K - diag(f*'(u)) h^N, to relative residual
     min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
@@ -268,7 +270,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     b = energy.trunc.base
     K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     s0 = b.s_star
-    smallest = b.s_star * 2.0 ** (-tol.seed_min_exponent)
+    smallest = b.s_star * 2.0 ** -SEED_MIN_EXPONENT
     while True:  # J(u) is DiscreteEnergy.value; F*(u) and f*(u) go on to the first step
         u = s0 * eigen.e1
         Ku = K @ u
@@ -295,7 +297,7 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         D = K.diagonal() / eigen.diagonal
         root = 1.0 / np.sqrt(D)
         switch, switch_at = np.ptp(D) == 0.0, FACTOR_SWITCH * np.sqrt(energy.size)
-    for iteration in range(tol.max_minimize_iterations):
+    for iteration in range(MAX_MINIMIZE_ITERATIONS):
         g = Ku - f_u * hN
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol and (step <= tol.bounds_tol / 10.0
@@ -333,4 +335,4 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
 
     raise NumericalFailureError(
         f"Newton-CG did not reach gradient tolerance {grad_tol:.3g} within "
-        f"{tol.max_minimize_iterations} iterations on component {energy.component.id}")
+        f"{MAX_MINIMIZE_ITERATIONS} iterations on component {energy.component.id}")

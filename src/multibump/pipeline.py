@@ -356,7 +356,7 @@ class _RunText:
         self.used, self.bits = 24, np.zeros(size, np.int64)
         self.starts = np.full((2, size), -1, np.int32 if len(self.text) < 2**31 else np.int64)
         self.sizes = np.zeros((2, size), np.uint16)
-        self.files: dict[bytes, np.ndarray] = {}
+        self.files: dict[int, dict[bytes, list[np.ndarray]]] = {}
 
     @classmethod
     def of(cls, grid: Grid) -> _RunText:
@@ -549,6 +549,10 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                 raise ResolutionTooCoarseError(
                     f"chi {decomposition.chi}, but the {k} declared sphere(s) split the "
                     f"domain into {1 + k} regions; refine the grid")
+            if decomposition.chi != decomposition.regions:
+                raise ResolutionTooCoarseError(
+                    f"chi {decomposition.chi}, but the zero set bounds "
+                    f"{decomposition.regions} region(s); refine the grid")
             tables = [dirichlet_conductances(grid)]  # K0's edges, and in a solve K_w's
             tables += [field.conductances] if solve else []
         with _stage("nonlinearity"):

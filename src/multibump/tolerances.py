@@ -32,9 +32,6 @@ class ToleranceConfig:
     bounds_tol: float = 1e-8
     zero_trace_tol: float = 0.0
     eig_tol: float = 1e-8
-    eig_max_iter: int = 500
-    max_minimize_iterations: int = 100000
-    seed_min_exponent: int = 30
 
     def __post_init__(self):
         positive = ("zero_threshold", "zero_band", "grad_tol_scale",
@@ -50,7 +47,3 @@ class ToleranceConfig:
                 raise ValueError(f"tolerance {name} must be nonnegative")
         if self.zero_threshold >= 1:
             raise ValueError("tolerance zero_threshold must be below 1")
-        for name, low in (("eig_max_iter", 1), ("max_minimize_iterations", 1),
-                          ("seed_min_exponent", 0)):
-            if not is_count(getattr(self, name), low):
-                raise ValueError(f"tolerance {name} must be an integer >= {low}")

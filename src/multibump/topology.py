@@ -47,6 +47,7 @@ class Decomposition:
     components: list[Component]
     chi: int
     j_counts: dict[int, int]
+    regions: int  # 1 + the pinned pieces two or more components meet; chi unless cut up
 
 
 def face_labels(mask: np.ndarray, box: bool = False) -> tuple[np.ndarray, int]:
@@ -97,15 +98,19 @@ def decompose_components(grid: Grid, zero: np.ndarray) -> Decomposition:
     """
     free = grid.interior_mask & ~zero
     labels, chi = face_labels(free)
-    pinned = face_labels(~free, box=True)[0]
+    pinned, pieces = face_labels(~free, box=True)
+    meets = np.zeros(pieces + 1, int)  # components meeting each piece
     j_counts: dict[int, int] = {}
     components = []
     for lab in range(1, chi + 1):
         mask = labels == lab
         shell = dilate(mask) & ~mask
-        count = np.unique(pinned[shell]).size
+        met = np.unique(pinned[shell])
+        meets[met] += 1
+        count = met.size
         j_counts[count] = j_counts.get(count, 0) + 1
         nodes, shell = np.flatnonzero(mask.ravel()), np.flatnonzero(shell.ravel())
         components.append(Component(id=(count, j_counts[count]), nodes=nodes, shell=shell))
     components.sort(key=lambda c: c.id)
-    return Decomposition(components=components, chi=chi, j_counts=dict(sorted(j_counts.items())))
+    return Decomposition(components=components, chi=chi, j_counts=dict(sorted(j_counts.items())),
+                         regions=1 + int(np.count_nonzero(meets >= 2)))

@@ -221,8 +221,8 @@ SLOPE_SPREAD = 1e-2
 _DIFF_STEP, _NEWTON_STEPS, _ON_ZERO_SET = 1e-6, 4, 1e-14
 # Each failing verdict, in the order they are tried, and the hypothesis it violates.
 VERDICTS = {"zero-set-touches-boundary": "a1", "zero-manifolds-cross": "a1",
-            "undeclared-zero-set": "a1", "exponent-unresolved": "a2",
-            "violates-a2": "a2", "violates-lt": "a2"}
+            "undeclared-zero-set": "a1", "declared-zero-does-not-vanish": "a1",
+            "exponent-unresolved": "a2", "violates-a2": "a2", "violates-lt": "a2"}
 
 
 def _node_points(grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -349,6 +349,8 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
       band, nor in a piece of the zero set (joined across the 3^N box, one
       labelling) that holds a band node, as in an expression weight with nodal
       zeros and no ``zero_expr`` (a1),
+    * ``declared-zero-does-not-vanish``: a resolved exponent at a declared sphere,
+      point or ``zero_expr`` is at most ``SLOPE_SPREAD``: a does not vanish there (a1),
     * ``exponent-unresolved``: an exponent is not resolved (a2),
     * ``violates-a2``: an exponent is at least its codimension k,
     * ``violates-lt``: an exponent is at least its bound 2k/N.
@@ -369,6 +371,7 @@ def assess_admissibility(grid: Grid, field: WeightField, zero: np.ndarray,
              any(abs(r1 - r2) <= np.linalg.norm(np.subtract(c1, c2)) <= r1 + r2
                  for i, (c1, r1) in enumerate(spheres) for c2, r2 in spheres[i + 1:]),
              not explained.all(),
+             any(alpha <= SLOPE_SPREAD for alpha, r in alphas if r.manifold != "boundary"),
              len(alphas) < len(readings),
              any(alpha >= r.codimension for alpha, r in alphas),
              any(alpha >= r.bound for alpha, r in alphas)]

@@ -105,6 +105,15 @@ def nested_rings_config(resolution: int = 65, out: str = "out") -> dict:
     }
 
 
+def nested_rings_zero_expr_config(resolution: int = 65, out: str = "out") -> dict:
+    """The nested rings' weight as a formula, its three circles declared by one ``zero_expr``."""
+    r = "sqrt(x**2 + y**2)"
+    return dict(nested_rings_config(resolution, out), weight={
+        "kind": "custom-expression", "scale": 0.5,
+        "expr": " * ".join(f"abs({r} - {rho})**0.6" for rho in (0.5, 1.0, 1.5)),
+        "zero_expr": f"minimum(minimum(abs({r} - 0.5), abs({r} - 1.0)), abs({r} - 1.5))"})
+
+
 def quadratic_zero_config(resolution: int = 129, out: str = "out") -> dict:
     """Weight |x - x0|^2: inadmissible (fails the integrability side of (a2))."""
     return {

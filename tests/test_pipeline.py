@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from conftest import (component_operators, nested_rings_config, quadratic_zero_config,
-                      ring_config)
+from conftest import (component_operators, nested_rings_config, nested_rings_zero_expr_config,
+                      quadratic_zero_config, ring_config)
 from oracles import reference_solution_csv, reference_solution_vtk
 
 import multibump
 from multibump import pipeline, spectral, verify, weights
+from multibump import energy as energy_module
 from multibump.cli import _apply_overrides, main
 from multibump.energy import (NonlinearitySpec, assemble_energy, minimize_energy,
                               truncate_nonlinearity)
@@ -94,15 +95,17 @@ FAILING_ADMISSIBILITY = {
         "factors": [{"center": [0.0] * 3, "radius": 1.0, "power": 0.8}]}),
 }
 
-# Keys that went with the two-level (a2) estimator: a config that sets one is refused by name.
-REMOVED_TOLERANCES = ("a2_growth_tol", "lt_stable_tol", "lt_growing_tol", "t_scan")
+# Keys that went with the two-level (a2) estimator, and the loop caps that became module
+# constants (``spectral.EIG_MAX_ITER``, ``energy.MAX_MINIMIZE_ITERATIONS`` and
+# ``energy.SEED_MIN_EXPONENT``): a config that sets one is refused by name.
+REMOVED_TOLERANCES = ("a2_growth_tol", "lt_stable_tol", "lt_growing_tol", "t_scan",
+                      "eig_max_iter", "max_minimize_iterations", "seed_min_exponent")
 
 # A value other than the default for every tolerance, in field order.
 ALL_TOLERANCES = {
     "zero_threshold": 1e-5, "zero_band": 0.5, "grad_tol_scale": 1e-9,
     "residual_tol_scale": 1e-7, "bounds_tol": 1e-9, "zero_trace_tol": 1e-12,
-    "eig_tol": 1e-9, "eig_max_iter": 400, "max_minimize_iterations": 5000,
-    "seed_min_exponent": 20}
+    "eig_tol": 1e-9}
 
 # Each section kind of the config schema with every key its constructor
 # takes, optional ones included, and the spec a positional call builds.
@@ -216,9 +219,6 @@ class TestConfigParsing:
             parse_config(unit_square(tolerances={name: tolerance}))
 
     @pytest.mark.parametrize("name, value", [
-        ("eig_max_iter", 2.5), ("eig_max_iter", 0), ("eig_max_iter", True),
-        ("max_minimize_iterations", 0), ("max_minimize_iterations", 100.0),
-        ("seed_min_exponent", -5), ("seed_min_exponent", 1.5),
         ("zero_threshold", 1.0), ("zero_threshold", 1.5), ("t_scan", [0.5])])
     def test_out_of_range_tolerance_exits_one(self, tmp_path, capsys, name, value):
         path = write_config(tmp_path, unit_square(out=str(tmp_path / "out"),
@@ -229,9 +229,9 @@ class TestConfigParsing:
         assert (repr(name) if name in REMOVED_TOLERANCES else f"tolerance {name} must be") in err
 
     @pytest.mark.parametrize("name", REMOVED_TOLERANCES)
-    def test_removed_admissibility_tolerance_exits_one(self, tmp_path, capsys, name):
-        # (a2) is decided from exponents read at the zero manifolds: these keys went with
-        # the two-level estimator, and a config that still sets one is refused by name.
+    def test_removed_tolerance_exits_one(self, tmp_path, capsys, name):
+        # (a2) is decided from exponents read at the zero manifolds, and the loop caps judge
+        # nothing: a config that still sets one of these keys is refused by name.
         out = tmp_path / "out"
         path = write_config(tmp_path, unit_square(out=str(out), tolerances={name: 1.1}))
         assert main(["check", "--config", str(path)]) == 1
@@ -538,14 +538,14 @@ class TestPipelineRuns:
         assert report.status == "hypothesis-violation"
         assert report.violated_hypothesis == "f1"
 
-    def test_custom_spelling_of_logistic_solves_like_it(self):
+    def test_custom_spelling_of_logistic_solves_like_it(self, monkeypatch):
         """J is exact for a custom f, so Newton-CG takes the logistic steps."""
+        monkeypatch.setattr(energy_module, "MAX_MINIMIZE_ITERATIONS", 200)
         spellings = [{"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
                      {"kind": "custom", "expr": "30*abs(s)*(1-s)", "gamma": 30.0,
                       "s_star": 1.0, "beta_star": 0.5}]
-        reports = [run_pipeline(parse_config(unit_square(
-            33, nonlinearity=spelling, tolerances={"max_minimize_iterations": 200})),
-            write=False) for spelling in spellings]
+        reports = [run_pipeline(parse_config(unit_square(33, nonlinearity=spelling)),
+                                write=False) for spelling in spellings]
         assert reports[1].status == "ok", reports[1].failure_message
         (logistic,), (custom,) = [report.bumps for report in reports]
         assert (custom.iterations, custom.linear_iterations) \
@@ -1359,7 +1359,8 @@ class TestStageFailures:
         assert f"violated-hypothesis: ({hypothesis})" in lines and line in lines
         assert captured.err == ""
 
-    def test_eigensolver_failure_writes_report(self, tmp_path):
+    def test_eigensolver_failure_writes_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_MAX_ITER", 1)
         out = tmp_path / "out"
         data = {
             "domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
@@ -1367,7 +1368,6 @@ class TestStageFailures:
             "nonlinearity": {"kind": "logistic-default", "gamma": 30.0, "s_star": 1.0},
             "resolution": 17,
             "output_dir": str(out),
-            "tolerances": {"eig_max_iter": 1},
         }
         report = run_pipeline(parse_config(data))
         assert report.status == "numerical-failure"
@@ -1451,27 +1451,58 @@ class TestStageFailures:
         assert capsys.readouterr().out == (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("resolution, chi", [(17, 29), (21, 14)])
-    def test_lattice_too_coarse_for_its_spheres_writes_report(self, tmp_path, capsys,
-                                                              resolution, chi):
-        # The nested rings' bands cut the annuli into fragments: chi is not 1 + 3.
+    @pytest.mark.parametrize("build, regions", [
+        (nested_rings_config, "the 3 declared sphere(s) split the domain into 4 regions"),
+        # As one zero_expr no sphere is counted, but the fragments share the pieces of 2 regions.
+        (nested_rings_zero_expr_config, "the zero set bounds 2 region(s)"),
+    ], ids=["spheres", "zero-expr"])
+    def test_lattice_too_coarse_for_its_zero_set_writes_report(self, tmp_path, capsys,
+                                                               resolution, chi, build, regions):
+        # The nested rings' bands cut the annuli into fragments: chi is not 4.
         out = tmp_path / "out"
-        path = write_config(tmp_path, nested_rings_config(resolution, out=str(out)))
+        path = write_config(tmp_path, build(resolution, out=str(out)))
         assert main(["check", "--config", str(path)]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "resolution-too-coarse"
         assert report["violated_hypothesis"] is None
         assert report["admissibility"]["verdict"] == "admissible"
         assert (report["chi"], report["f2"]) == (chi, [])
-        assert report["failure_message"] == (
-            f"chi {chi}, but the 3 declared sphere(s) split the domain into 4 regions; "
-            "refine the grid")
+        assert report["failure_message"] == f"chi {chi}, but {regions}; refine the grid"
         text = capsys.readouterr().out
         assert text == (out / "report.txt").read_text()
         assert f"\n[decomposition]\nchi: {chi}\n" in text
 
+    @pytest.mark.parametrize("resolution", [17, 21, 25, 29, 33])
+    def test_concentric_circles_whose_bands_merge_are_refused(self, resolution):
+        # 0.1 apart, the two bands are one pinned piece: two regions, not 1 + 2 spheres.
+        data = dict(nested_rings_config(resolution), weight={
+            "kind": "product-of-powers",
+            "factors": [{"center": [0.0, 0.0], "radius": rho, "power": 0.6}
+                        for rho in (1.0, 1.1)]})
+        report = check_hypotheses(parse_config(data))
+        assert (report.status, report.chi) == ("resolution-too-coarse", 2)
+        assert report.failure_message == (
+            "chi 2, but the 2 declared sphere(s) split the domain into 3 regions; "
+            "refine the grid")
+
+    def test_declared_zero_that_does_not_vanish_gives_no_solutions(self, tmp_path, capsys):
+        # Power 0 makes a the scale: the circle splits the disk on the lattice, but a
+        # never vanishes, so no multi-bump solution is written.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(nested_rings_config(65, out=str(out)), weight={
+            "kind": "product-of-powers",
+            "factors": [{"center": [0.0, 0.0], "radius": 0.97, "power": 0.0}]}))
+        assert main(["solve", "--config", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict: declared-zero-does-not-vanish" in lines
+        assert "violated-hypothesis: (a1)" in lines
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+
     @pytest.mark.parametrize("resolution", [25, 33])
-    def test_nested_rings_resolved_from_25_nodes_keep_chi_4(self, resolution):
-        report = check_hypotheses(parse_config(nested_rings_config(resolution)))
+    @pytest.mark.parametrize("build", [nested_rings_config, nested_rings_zero_expr_config],
+                             ids=["spheres", "zero-expr"])
+    def test_nested_rings_resolved_from_25_nodes_keep_chi_4(self, resolution, build):
+        report = check_hypotheses(parse_config(build(resolution)))
         assert (report.status, report.chi) == ("ok", 4)
 
     def test_a_zero_expr_weight_is_not_held_to_a_sphere_count(self):
@@ -1827,16 +1858,17 @@ STOPS = {
                        "invalid-weight", None),
     "non-finite-weight": (unit_square(weight={"kind": "custom-expression", "expr": "1/x"}),
                           "invalid-weight", None),
-    "numerical-failure": (unit_square(tolerances={"eig_max_iter": 1}),
-                          "numerical-failure", None),
+    "numerical-failure": (unit_square(), "numerical-failure", None),
     # (f2) holds by about 0.004, so only the seed s* is tried, and its J >= 0.
-    "seed-failure": (unit_square(33, gamma=19.8, tolerances={"seed_min_exponent": 0}),
-                     "numerical-failure", None),
+    "seed-failure": (unit_square(33, gamma=19.8), "numerical-failure", None),
     "enumeration-overflow": (dict(ring_config(33), enumeration={"max_chi": 1}),
                              "enumeration-overflow", None),
     "resolution-too-coarse": (unit_square(8, domain=tiny_disk()),
                               "resolution-too-coarse", None),
 }
+# The loop cap each failing-loop case lowers: one Rayleigh-Ritz step, no seed halving.
+STOP_CAPS = {"numerical-failure": (spectral, "EIG_MAX_ITER", 1),
+             "seed-failure": (energy_module, "SEED_MIN_EXPONENT", 0)}
 
 
 def test_each_status_is_declared_by_one_error_class():
@@ -1855,8 +1887,10 @@ def test_each_status_is_declared_by_one_error_class():
 
 class TestReportSerializer:
     @pytest.mark.parametrize("case", list(STOPS))
-    def test_text_report_is_rendered_from_json(self, tmp_path, capsys, case):
+    def test_text_report_is_rendered_from_json(self, tmp_path, capsys, monkeypatch, case):
         data, status, hypothesis = STOPS[case]
+        if case in STOP_CAPS:
+            monkeypatch.setattr(*STOP_CAPS[case])
         out = tmp_path / "out"
         path = write_config(tmp_path, dict(data, output_dir=str(out)))
         main(["solve", "--config", str(path)])

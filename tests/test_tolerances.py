@@ -1,8 +1,9 @@
-"""Every field of ToleranceConfig reaches the stage that checks it.
+"""Every field of ToleranceConfig reaches the stage that checks it, and every loop cap its loop.
 
 Each field is set to a non-default value, and a run (or, where a small run
 cannot show it, the stage function) must behave differently than at the
-default.  A field added to ToleranceConfig without a case here fails.
+default.  A field added to ToleranceConfig without a case here fails.  The
+loop caps are module constants, lowered the same way by ``monkeypatch``.
 """
 
 import dataclasses
@@ -12,7 +13,8 @@ import pytest
 
 from conftest import ring_config, unit_box
 
-from multibump import pipeline
+from multibump import pipeline, spectral
+from multibump import energy as energy_module
 from multibump.energy import NonlinearitySpec
 from multibump.grid import build_grid
 from multibump.pipeline import (check_hypotheses, parse_config, run_pipeline,
@@ -80,9 +82,14 @@ CASES = {
     "zero_trace_tol": (1e-9, conclusion("zero_trace", one_node(
         lambda grid: grid.boundary_mask, 1e-12)), True),
     "eig_tol": (1e-1, lambda tol: [e.lambda1 for e in check(tol).f2_entries], None),
-    "eig_max_iter": (1, lambda tol: check(tol).status, "numerical-failure"),
-    "max_minimize_iterations": (1, lambda tol: solve(tol).status, "numerical-failure"),
-    "seed_min_exponent": (1, seeded_square_status, "numerical-failure"),
+}
+
+# (module, constant): (lowered value, what the run shows, shown at that value)
+CAPS = {
+    (spectral, "EIG_MAX_ITER"): (1, lambda tol: check(tol).status, "numerical-failure"),
+    (energy_module, "MAX_MINIMIZE_ITERATIONS"): (
+        1, lambda tol: solve(tol).status, "numerical-failure"),
+    (energy_module, "SEED_MIN_EXPONENT"): (1, seeded_square_status, "numerical-failure"),
 }
 
 
@@ -94,6 +101,16 @@ def test_every_tolerance_is_wired(name):
     assert at_value != at_default
     if expected is not None:
         assert at_value == expected
+
+
+@pytest.mark.parametrize("module, name", list(CAPS), ids=[name for _, name in CAPS])
+def test_every_loop_cap_is_wired(monkeypatch, module, name):
+    value, observe, expected = CAPS[module, name]
+    at_default = observe(ToleranceConfig())
+    monkeypatch.setattr(module, name, value)
+    at_value = observe(ToleranceConfig())
+    assert at_value != at_default
+    assert at_value == expected
 
 
 def test_file_verification_uses_the_configured_tolerances(tmp_path):

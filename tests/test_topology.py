@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import nested_rings_zero_expr_config
 from multibump import pipeline, topology
 from multibump.grid import DomainSpec, build_grid
 from multibump.topology import decompose_components, face_labels
@@ -169,5 +170,18 @@ def test_coarse_lattices_count_the_papers_boundary_manifolds(monkeypatch, config
         return labels(mask, **box)
 
     monkeypatch.setattr(topology, "face_labels", counted)
-    assert decompose_components(grid, zero).j_counts == j_counts
+    dec = decompose_components(grid, zero)
+    assert dec.j_counts == j_counts
+    assert dec.regions == dec.chi
     assert len(calls) == 2  # the free nodes and the pinned ones, not one per component
+
+
+@pytest.mark.parametrize("resolution, chi, regions", [
+    (17, 29, 2), (21, 14, 2), (25, 4, 4), (33, 4, 4), (65, 4, 4)])
+def test_regions_count_the_pinned_pieces_components_share(resolution, chi, regions):
+    # Coarse bands cut the annuli into fragments that each meet one ring, or merge
+    # with the boundary: the fragments share fewer pieces than chi - 1.
+    config = pipeline.parse_config(nested_rings_zero_expr_config(resolution))
+    grid, _, zero = pipeline._setup(config)
+    dec = decompose_components(grid, zero)
+    assert (dec.chi, dec.regions) == (chi, regions)

@@ -493,6 +493,24 @@ class TestAdmissibilityVerdicts:
             grid, field, zero = pipeline._setup(pipeline.parse_config(dict(data, resolution=n)))
             assert assess_admissibility(grid, field, zero).admissible
 
+    @pytest.mark.parametrize("spec, exponent", [
+        (WeightSpec.power_product([((0.0, 0.0), 0.97, 0.0)]), 0.0),
+        (WeightSpec.power_product([((0.0, 0.0), 0.97, -0.5)]), -0.5),
+        (WeightSpec.power_product([((0.0, 0.0), 0.0, 0.0)]), 0.0),
+        (WeightSpec.expression("1.0 + 0*x", "sqrt(x**2 + y**2) - 0.97"), 0.0),
+    ], ids=["power-0", "power-minus-half", "point-power-0", "constant-with-zero-expr"])
+    def test_declared_zero_where_a_does_not_vanish_violates_a1(self, spec, exponent):
+        # a is the scale there, or blows up: the declared manifold is no zero of a.
+        report = assess(spec, B2, 65)
+        assert report.verdict == "declared-zero-does-not-vanish"
+        assert report.violated_hypothesis == "a1"
+        assert report.readings[0].exponent == pytest.approx(exponent, abs=1e-6)
+
+    def test_weakly_vanishing_declared_zero_is_admissible(self):
+        report = assess(WeightSpec.power_product([((0.0, 0.0), 0.97, 0.05)]), B2, 65)
+        assert report.verdict == "admissible"
+        assert report.readings[0].exponent == pytest.approx(0.05, abs=1e-3)
+
     def test_nested_rings_admissible(self):
         spec = WeightSpec.power_product(
             [((0.0, 0.0), r, 0.6) for r in (0.5, 1.0, 1.5)], scale=0.5)
