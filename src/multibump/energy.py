@@ -21,6 +21,7 @@ Every nonlinearity kind only supplies f.  ``truncate_nonlinearity`` samples
 it once, decides (f1) from that sample, and builds the one primitive: a
 Simpson table plus Simpson's rule on the partial panel, exact on each
 quadrature panel where f is cubic, so J and its gradient agree for every kind.
+Its panel slopes are Newton's f*', so the minimizer evaluates f only in ``F_and_f_star``.
 
 Minimization starts from a small positive multiple of the first Dirichlet
 eigenfunction chosen so the energy is already negative; such a seed needs the
@@ -87,7 +88,7 @@ class TruncatedNonlinearity:
 
     ``knots`` are the Simpson panel ends on [-beta*, s*], uniform on each
     side of the knot at 0, which is ``knots[zero]``; ``f_knots`` and
-    ``F_knots`` hold f and F* there.
+    ``F_knots`` hold f and F* there, and ``slopes`` each panel's secant of f.
     """
 
     base: NonlinearitySpec
@@ -95,15 +96,10 @@ class TruncatedNonlinearity:
     knots: np.ndarray = dc_field(repr=False)
     f_knots: np.ndarray = dc_field(repr=False)
     F_knots: np.ndarray = dc_field(repr=False)
-
-    def f_star(self, s):
-        s = np.asarray(s, dtype=float)
-        b = self.base
-        return np.where(s >= b.s_star, 0.0, np.where(s <= -b.beta_star, self.f_knots[0],
-                                                     b.f(np.clip(s, -b.beta_star, b.s_star))))
+    slopes: np.ndarray = dc_field(repr=False)
 
     def F_and_f_star(self, s):
-        """F*(s), the primitive of f* from 0 exact on each quadrature panel, and f*(s).
+        """F*(s), the primitive of f* from 0 exact on each quadrature panel, f*(s) and f*'(s).
 
         On [-beta*, s*], F*(s) is the tabulated value at the knot s_k below
         s plus Simpson's rule on [s_k, s], so dF*/ds = f* up to the rule's
@@ -111,7 +107,9 @@ class TruncatedNonlinearity:
         when f is a cubic on each panel (the logistic default is quadratic
         on each side of 0).  F* is constant above s* and continues with
         slope f(-beta*) below -beta*.  On (-beta*, s*) f*(s) is the f(s) the
-        rule already evaluates, so one pass gives both.
+        rule already evaluates, so one pass gives both, and f*'(s) is the
+        slope of the panel that holds s, within w max|f''| of f'(s); it is 0
+        outside, so one-sided at the kink s*, where the last panel ends.
         """
         s = np.asarray(s, dtype=float)
         b, knots, zero = self.base, self.knots, self.zero
@@ -123,8 +121,10 @@ class TruncatedNonlinearity:
         s_k = knots[k]
         f = b.f(x)
         panel = (x - s_k) / 6.0 * (self.f_knots[k] + 4.0 * b.f(0.5 * (s_k + x)) + f)
+        outside = (s <= -b.beta_star) | (s >= b.s_star)
         return (self.F_knots[k] + panel + self.f_knots[0] * np.minimum(s - x, 0.0),
-                np.where(s >= b.s_star, 0.0, np.where(s <= -b.beta_star, self.f_knots[0], f)))
+                np.where(s >= b.s_star, 0.0, np.where(s <= -b.beta_star, self.f_knots[0], f)),
+                np.where(outside, 0.0, self.slopes[k]))
 
 
 def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
@@ -177,7 +177,7 @@ def truncate_nonlinearity(spec: NonlinearitySpec) -> TruncatedNonlinearity:
     if not np.all(np.isfinite(F)):  # f is NaN or infinite at a quadrature knot
         raise HypothesisViolationError("f1", "f must be finite on [-beta*, s*]")
     return TruncatedNonlinearity(base=spec, zero=lower.size - 1, knots=s,
-                                 f_knots=f, F_knots=F)
+                                 f_knots=f, F_knots=F, slopes=np.diff(f) / np.diff(s))
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class DiscreteEnergy:
             - float(np.sum(self.trunc.F_and_f_star(u)[0])) * self.cell_volume
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.K @ u - self.trunc.f_star(u) * self.cell_volume
+        return self.K @ u - self.trunc.F_and_f_star(u)[1] * self.cell_volume
 
 
 def assemble_energy(component: Component, K, trunc: TruncatedNonlinearity,
@@ -256,6 +256,8 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     it stops with ``NumericalFailureError``.  Each step solves
     H d = g, H = K - diag(f*'(u)) h^N, to relative residual
     min(0.5, sqrt(|g|/|g0|)) and backtracks on J from the full step.
+    f*' is the table's panel slope: it only shapes the direction, which the
+    line search and the gradient test judge.
     Converged when max|g| <= grad_tol_scale * gamma * h^N and, once max u
     is within ``bounds_tol`` of s*, the last step is at most bounds_tol/10
     (on the kink of f* at s* a small gradient does not bound the error in u).
@@ -271,10 +273,10 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
     K, hN, trunc = energy.K, energy.cell_volume, energy.trunc
     s0 = b.s_star
     smallest = b.s_star * 2.0 ** -SEED_MIN_EXPONENT
-    while True:  # J(u) is DiscreteEnergy.value; F*(u) and f*(u) go on to the first step
+    while True:  # J(u) is DiscreteEnergy.value; F*(u), f*(u) and f*'(u) go on to the first step
         u = s0 * eigen.e1
         Ku = K @ u
-        F_u, f_u = trunc.F_and_f_star(u)
+        F_u, f_u, df_u = trunc.F_and_f_star(u)
         if (J := 0.5 * float(u @ Ku) - float(np.sum(F_u)) * hN) < 0.0:
             break
         s0 *= 0.5
@@ -284,11 +286,6 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
                 "the (f2) margin is too small at this resolution")
 
     grad_tol = tol.grad_tol_scale * b.gamma * energy.cell_volume
-    # f*' only shapes the Newton direction; the line search and the gradient
-    # test decide correctness, so a central difference is accurate enough.
-    # It is one-sided at s* (the semismooth choice): 0 from s* up, and below
-    # s* taken at most at s* - ds, so it never straddles the kink.
-    ds = 1e-6 * b.s_star
     linear_iterations, step = 0, np.inf
     precondition, factored_from = jacobi(K), None
     switch, switch_at = False, np.inf
@@ -311,12 +308,9 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         if iteration == 0:
             g0 = float(np.linalg.norm(g))
         eta = min(0.5, np.sqrt(np.linalg.norm(g) / g0))
-        v = np.minimum(u, b.s_star - ds)
-        shift = np.where(u < b.s_star, trunc.f_star(v + ds) - trunc.f_star(v - ds),
-                         0.0) * (hN / (2.0 * ds))
         if switch and factored_from is None:
             precondition, factored_from = (lambda r: root * eigen.factor(root * r)), iteration + 1
-        d, steps = pcg(K, shift, g, eta, precondition)
+        d, steps = pcg(K, df_u * hN, g, eta, precondition)
         linear_iterations += steps
         switch |= steps >= switch_at
         g_d, d_Ku, d_Kd = float(g @ d), float(d @ Ku), float(d @ (K @ d))
@@ -325,12 +319,12 @@ def minimize_energy(energy: DiscreteEnergy, eigen: EigenPair,
         alpha = 1.0
         while True:
             trial = u - alpha * d
-            F_trial, f_trial = trunc.F_and_f_star(trial)
+            F_trial, f_trial, df_trial = trunc.F_and_f_star(trial)
             change = alpha * (0.5 * alpha * d_Kd - d_Ku) - float(np.sum(F_trial - F_u)) * hN
             if change <= -1e-4 * alpha * g_d or alpha * g_d <= resolution:
                 break
             alpha *= 0.5
-        u, F_u, f_u = trial, F_trial, f_trial
+        u, F_u, f_u, df_u = trial, F_trial, f_trial, df_trial
         Ku, J, step = K @ u, J + change, alpha * float(np.max(np.abs(d)))
 
     raise NumericalFailureError(

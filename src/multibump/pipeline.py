@@ -551,7 +551,7 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                     f"domain into {1 + k} regions; refine the grid")
             if decomposition.chi != decomposition.regions:
                 raise ResolutionTooCoarseError(
-                    f"chi {decomposition.chi}, but the zero set bounds "
+                    f"chi {decomposition.chi}, but this lattice's zero-set bands separate "
                     f"{decomposition.regions} region(s); refine the grid")
             tables = [dirichlet_conductances(grid)]  # K0's edges, and in a solve K_w's
             tables += [field.conductances] if solve else []
@@ -574,8 +574,8 @@ def _run(config: RunConfig, solve: bool, out_path: Path | None = None) -> RunRep
                     log.info("component %s: energy %.6g, %d iterations, "
                              "%d linear iterations, %s", comp.id, bump.energy,
                              bump.iterations, bump.linear_iterations,
-                             f"LU factor from step {bump.factored_from}"
-                             if bump.factored_from else "no LU factor")
+                             f"factor from step {bump.factored_from}"
+                             if bump.factored_from else "no factor")
             del eigen, operators  # with the 2D factor, before the next component's are built
         del tables  # not held through verification
         failing = [_comp_label(e.component_id) for e in report.f2_entries if not e.passed]

@@ -180,7 +180,7 @@ def damped_fixed_point(energy: DiscreteEnergy, seed: np.ndarray,
     hN = energy.cell_volume
     u = seed.copy()
     for _ in range(max_iter):
-        nxt = (1.0 - damping) * u + damping * lu.solve(energy.trunc.f_star(u) * hN)
+        nxt = (1.0 - damping) * u + damping * lu.solve(energy.trunc.F_and_f_star(u)[1] * hN)
         if float(np.max(np.abs(nxt - u))) < tol:
             return nxt
         u = nxt

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import component_operators, nested_rings_config, unit_box
 from oracles import damped_fixed_point, logistic_primitive
@@ -37,7 +38,7 @@ def square_energy(n, trunc, ndim=2, weight=WeightSpec.constant(1.0)):
 def square_refinement(logistic30):
     """The square's bump at 33/65/129 with each Newton step's inner count, by weight.
 
-    Each inner count is recorded with whether the step used the LU factor,
+    Each inner count is recorded with whether the step used the spectral factor,
     that is, a preconditioner other than the component's one Jacobi.
     """
     solves = {}
@@ -64,33 +65,37 @@ def square_refinement(logistic30):
     return solves
 
 
+def f_star(trunc, s):
+    return trunc.F_and_f_star(s)[1]
+
+
 class TestTruncation:
     def test_zero_above_s_star(self, logistic30):
-        assert logistic30.f_star(S_STAR + 1.0) == 0.0
-        assert logistic30.f_star(S_STAR) == 0.0
+        assert f_star(logistic30, S_STAR + 1.0) == 0.0
+        assert f_star(logistic30, S_STAR) == 0.0
 
     def test_zero_at_origin(self, logistic30):
-        assert logistic30.f_star(0.0) == 0.0
+        assert f_star(logistic30, 0.0) == 0.0
 
     def test_frozen_below_minus_beta(self, logistic30):
         expected = GAMMA * BETA * (1.0 + BETA / S_STAR)
-        assert logistic30.f_star(-BETA - 5.0) == pytest.approx(expected)
-        assert logistic30.f_star(-BETA - 0.1) == pytest.approx(expected)
+        assert f_star(logistic30, -BETA - 5.0) == pytest.approx(expected)
+        assert f_star(logistic30, -BETA - 0.1) == pytest.approx(expected)
 
     def test_matches_f_in_middle_branch(self, logistic30):
         s = np.linspace(-BETA + 1e-9, S_STAR - 1e-9, 101)
-        assert np.allclose(logistic30.f_star(s), logistic30.base.f(s))
+        assert np.allclose(f_star(logistic30, s), logistic30.base.f(s))
 
     def test_bounded(self, logistic30):
         s = np.linspace(-100.0, 100.0, 10001)
-        assert np.max(np.abs(logistic30.f_star(s))) < np.inf
+        assert np.max(np.abs(f_star(logistic30, s))) < np.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_f_is_evaluated_on_the_clipped_argument(self):
         # An f defined only up to a little past s* must not be evaluated beyond s*.
         trunc = truncate_nonlinearity(NonlinearitySpec.custom(
             "30*abs(s)*(1-s) + 0*sqrt(1.2 - s)", gamma=30.0, s_star=1.0, beta_star=0.5))
-        assert trunc.f_star(np.array([0.5, 1.5])).tolist() == [7.5, 0.0]
+        assert f_star(trunc, np.array([0.5, 1.5])).tolist() == [7.5, 0.0]
 
 
 class TestPrimitive:
@@ -217,20 +222,61 @@ class TestEnergyAssembly:
             "30*abs(sin(s))*(1 - s)", GAMMA, S_STAR, BETA))
         K_w = component_operators(grid, comp, field)[1]
         for energy in (square_problem[3], assemble_energy(comp, K_w, custom, grid)):
-            rng = np.random.default_rng(7)
-            step = 1e-6 * S_STAR
-            for _ in range(10):
-                u = rng.uniform(-BETA, S_STAR + 1.0, size=energy.size)
-                grad = energy.gradient(u)
-                probe = rng.integers(0, energy.size, size=64)
-                fd = np.empty(probe.size)
-                for k, i in enumerate(probe):
-                    up, um = u.copy(), u.copy()
-                    up[i] += step
-                    um[i] -= step
-                    fd[k] = (energy.value(up) - energy.value(um)) / (2.0 * step)
-                scale = np.max(np.abs(grad))
-                assert np.max(np.abs(grad[probe] - fd)) <= 1e-5 * scale
+            assert_gradient_matches_finite_differences(energy)
+
+
+def assert_gradient_matches_finite_differences(energy):
+    """DiscreteEnergy.gradient against central differences of DiscreteEnergy.value."""
+    b = energy.trunc.base
+    rng = np.random.default_rng(7)
+    step = 1e-6 * b.s_star
+    for _ in range(10):
+        u = rng.uniform(-b.beta_star, b.s_star + 1.0, size=energy.size)
+        grad = energy.gradient(u)
+        probe = rng.integers(0, energy.size, size=64)
+        fd = np.empty(probe.size)
+        for k, i in enumerate(probe):
+            up, um = u.copy(), u.copy()
+            up[i] += step
+            um[i] -= step
+            fd[k] = (energy.value(up) - energy.value(um)) / (2.0 * step)
+        scale = np.max(np.abs(grad))
+        assert np.max(np.abs(grad[probe] - fd)) <= 1e-5 * scale
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(st.floats(1.0, 100.0), st.floats(0.1, 3.0), st.floats(0.05, 1.0),
+       st.booleans(), st.floats(0.01, 0.99))
+def test_generated_slope_table(square33, gamma, s_star, depth, custom, t):
+    """f*' is the secant of the panel holding s inside (-beta*, s*) and 0 outside.
+
+    ``depth`` is beta*/s*.  The custom f, gamma |sin s| (1 - s/s*), passes (f1) for
+    s*, beta* < pi; |f''| <= gamma (1 + (beta* + 2)/s*) on [-beta*, s*] for both kinds.
+    """
+    beta_star = depth * s_star
+    spec = (NonlinearitySpec.custom(f"{gamma!r}*abs(sin(s))*(1 - s/{s_star!r})",
+                                    gamma, s_star, beta_star) if custom
+            else NonlinearitySpec.logistic(gamma, s_star, beta_star))
+    trunc = truncate_nonlinearity(spec)
+    outside = np.concatenate([-beta_star - np.linspace(0.0, 1.0, 11),
+                              s_star + np.linspace(0.0, 1.0, 11)])
+    assert np.all(trunc.F_and_f_star(outside)[2] == 0.0)
+    # A point at fraction t of every panel: the panel that holds it is unambiguous.
+    knots = trunc.knots
+    width = np.diff(knots)
+    s = knots[:-1] + t * width
+    slope = trunc.F_and_f_star(s)[2]
+    np.testing.assert_allclose(slope, np.diff(spec.f(knots)) / width, rtol=1e-12,
+                               atol=1e-12 * gamma)
+    # Central differences a thousandth of the panel wide stay inside it; their
+    # round-off (eps |f| / delta) sits far below the bound's w |f''|.
+    delta = 1e-3 * width
+    central = (spec.f(s + delta) - spec.f(s - delta)) / (2.0 * delta)
+    curvature = gamma * (1.0 + (beta_star + 2.0) / s_star)
+    assert np.all(np.abs(slope - central) <= width * curvature)
+    grid, field, _, comp = square33
+    K_w = component_operators(grid, comp, field)[1]
+    assert_gradient_matches_finite_differences(assemble_energy(comp, K_w, trunc, grid))
 
 
 class TestMinimization:
@@ -404,9 +450,9 @@ class TestNonlinearityWork:
             # The seed halvings, then at least one line-search trial per Newton step.
             seeds = round(np.log2(energy.trunc.base.s_star / bump.seed_scale)) + 1
             assert len(points) - seeds >= bump.iterations >= 3
-            # F* and f* at each point by one pass (f at the Simpson midpoint and at the
-            # point), and the difference quotient f*' (two f* calls) once per step.
-            assert len(calls) == 2 * len(points) + 2 * bump.iterations
+            # F*, f* and f*' at each point by one pass (f at the Simpson midpoint and
+            # at the point; f*' is the table's panel slope), and nothing per step.
+            assert len(calls) == 2 * len(points)
             assert len({p.tobytes() for p in points}) == len(points)  # no point twice
             # J carried through the steps is the energy's value at the minimizer.
             assert bump.energy == pytest.approx(energy.value(bump.values), rel=1e-12)
